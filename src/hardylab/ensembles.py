@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import AdaptedPhases, MartingaleField, field_from_differences
+from .martingale import MEMORY_GUARD_ENTRIES, AdaptedPhases, MartingaleField, field_from_differences
 from .torus import GridFunction, TorusGrid, make_grid
 
 DISTRIBUTIONS = ("gaussian", "uniform-disk")
@@ -96,7 +96,7 @@ def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:
     """Per-level analytic coefficients, one substream per level."""
-    if cfg.n_points**cfg.depth > 2**24:
+    if cfg.n_points**cfg.depth > MEMORY_GUARD_ENTRIES:
         raise ValueError("memory guard: grid^depth too large")
     return [
         cfg.coefficient_scale

@@ -38,7 +38,7 @@ from .inequalities import (
     stability_report,
     verify_chain,
 )
-from .martingale import check_transform_isometry, previsible_norm
+from .martingale import MEMORY_GUARD_ENTRIES, check_transform_isometry, previsible_norm
 from .torus import GridFunction, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
@@ -128,7 +128,7 @@ def _validate_common(config: HarnessConfig, need_samples: bool = True) -> Harnes
         raise UsageError(
             f"max_degree must lie in 1..{max_d} for n_points={config.n_points}"
         )
-    if config.n_points**config.depth > 2**24:
+    if config.n_points**config.depth > MEMORY_GUARD_ENTRIES:
         raise UsageError("memory guard: n_points^depth too large")
     return config
 
@@ -142,11 +142,20 @@ class _Collector:
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
 
-    def summarize_identity(self, suite: str, worst, tol: float) -> None:
+    def identity_scan(self, suite: str, samples: int, sides, tol: float) -> CheckRecord:
+        """Record each sample i whose sides(i) = (lhs, rhs, scale) has residual
+        |lhs - rhs| / scale above tol; return the worst residual's record unadded."""
+        worst = (0, 0.0, 0.0, -1.0)
+        for i in range(samples):
+            lhs, rhs, scale = sides(i)
+            residual = abs(lhs - rhs) / max(scale, 1e-300)
+            if residual > worst[3]:
+                worst = (i, lhs, rhs, residual)
+            if residual > tol:
+                self.violation(suite, i, lhs, rhs, residual)
         idx, lhs, rhs, residual = worst
-        self.add(
-            CheckRecord(f"{suite}/max-residual(sample {idx})", lhs, rhs, residual, residual <= tol)
-        )
+        return CheckRecord(f"{suite}/max-residual(sample {idx})", lhs, rhs, residual,
+                           residual <= tol)
 
     def violation(self, suite: str, idx, lhs: float, rhs: float, gap: float) -> None:
         self.add(CheckRecord(f"{suite}/sample-{idx}", lhs, rhs, gap, False))
@@ -187,50 +196,34 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
     config = _validate_common(config)
     t0 = time.monotonic()
     col = _Collector()
-    tol = config.tol
     max_residual = 0.0
 
     rng = _scalar_rng(config, 100)
-    worst = (0, 0.0, 0.0, -1.0)
-    for i in range(config.samples):
+
+    def sincos(i):
         h = random_hardy_function(_ensemble(config, 0, i, 1))
         b = complex(rng.standard_normal() + 1j * rng.standard_normal())
         w = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        w /= abs(w)
-        rep = sincos_identity_sides(h, b, w)
-        if rep.residual > worst[3]:
-            worst = (i, rep.lhs, rep.rhs, rep.residual)
-        if rep.residual > tol:
-            col.violation("sincos-identity", i, rep.lhs, rep.rhs, rep.residual)
-    col.summarize_identity("sincos-identity", worst, tol)
-    max_residual = max(max_residual, worst[3])
+        rep = sincos_identity_sides(h, b, w / abs(w))
+        return rep.lhs, rep.rhs, rep.rhs
 
-    worst = (0, 0.0, 0.0, -1.0)
-    for i in range(config.samples):
+    def orthogonal_split(i):
         h = random_hardy_function(_ensemble(config, 1, i, 1))
         b = complex(rng.standard_normal() + 1j * rng.standard_normal())
         lhs, rhs = decomposition_sides(h, b)
-        residual = abs(lhs - rhs) / max(rhs, 1e-300)
-        if residual > worst[3]:
-            worst = (i, lhs, rhs, residual)
-        if residual > tol:
-            col.violation("orthogonal-split", i, lhs, rhs, residual)
-    col.summarize_identity("orthogonal-split", worst, tol)
-    max_residual = max(max_residual, worst[3])
+        return lhs, rhs, rhs
 
-    worst = (0, 0.0, 0.0, -1.0)
-    for i in range(config.samples):
+    def transform_isometry(i):
         cfg = _ensemble(config, 2, i, config.depth)
         field_ = random_hardy_martingale(cfg)
-        phases = random_adapted_phases(cfg)
-        lhs, rhs = check_transform_isometry(field_, phases)
-        residual = abs(lhs - rhs) / max(previsible_norm(field_), 1e-300)
-        if residual > worst[3]:
-            worst = (i, lhs, rhs, residual)
-        if residual > tol:
-            col.violation("transform-isometry", i, lhs, rhs, residual)
-    col.summarize_identity("transform-isometry", worst, tol)
-    max_residual = max(max_residual, worst[3])
+        lhs, rhs = check_transform_isometry(field_, random_adapted_phases(cfg))
+        return lhs, rhs, previsible_norm(field_)
+
+    for suite, sides in (("sincos-identity", sincos), ("orthogonal-split", orthogonal_split),
+                         ("transform-isometry", transform_isometry)):
+        worst = col.identity_scan(suite, config.samples, sides, config.tol)
+        col.add(worst)
+        max_residual = max(max_residual, worst.gap)
 
     return _finish("identities", config, col, t0, {"max_residual": max_residual})
 
@@ -278,29 +271,25 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     rng = _scalar_rng(config, 101)
     shift = np.zeros((config.samples, 2))
     rot = np.zeros((config.samples, 2))
-    worst_split = (0, 0.0, 0.0, -1.0)
-    for i in range(config.samples):
+
+    def split_sides(i):
         h = random_hardy_function(_ensemble(config, 11, i, 1))
         b_i = complex(rng.standard_normal() + 1j * rng.standard_normal())
         w_i = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        w_i /= abs(w_i)
-        rep = perturbation_bounds(h, b_i, w_i)
+        rep = perturbation_bounds(h, b_i, w_i / abs(w_i))
         shift[i] = (rep.shift_lhs, rep.shift_rhs)
         rot[i] = (rep.rotation_lhs, rep.rotation_rhs)
         split_lhs, split_rhs = decomposition_sides(h, b_i)
-        residual = abs(split_lhs - split_rhs) / max(split_rhs, 1e-300)
-        if residual > worst_split[3]:
-            worst_split = (i, split_lhs, split_rhs, residual)
-        if residual > tol:
-            col.violation("perturbation-split", i, split_lhs, split_rhs, residual)
+        return split_lhs, split_rhs, split_rhs
+
+    worst_split = col.identity_scan("perturbation-split", config.samples, split_sides, tol)
     min_slack = min(min_slack, _slack_suite(col, "shift-bound", shift[:, 0], shift[:, 1], tol))
     min_slack = min(min_slack, _slack_suite(col, "rotation-bound", rot[:, 0], rot[:, 1], tol))
-    col.summarize_identity("perturbation-split", worst_split, tol)
-    max_split_residual = worst_split[3]
+    col.add(worst_split)
 
     return _finish(
         "lemmas", config, col, t0,
-        {"min_slack": min_slack, "max_split_residual": max_split_residual},
+        {"min_slack": min_slack, "max_split_residual": worst_split.gap},
     )
 
 

@@ -21,8 +21,9 @@ from .martingale import (
     AdaptedPhases,
     MartingaleField,
     _broadcast_sum,
-    differences,
+    _even_part,
     is_hardy_martingale,
+    previsible_norm,
     project_dyadic_cells,
 )
 from .torus import GridFunction, is_hardy
@@ -261,16 +262,9 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
     depth = field.depth
     sig = grid.sign_values
 
-    sigma_coeffs = []
-    dyadic_coeffs = []
-    envelopes = []
-    residual_rms = []
-    perturbed_moments = []
-    transform_moments = []
-    base_moments = []
-
-    for k, g_k in enumerate(differences(field), start=1):
-        u_k = 0.5 * (g_k + np.flip(g_k, axis=-1))
+    per_level = []
+    for w, g_k in zip(phases.terms, field.diffs):
+        u_k = _even_part(g_k)
         mu_k = np.asarray(np.mean(u_k * sig, axis=-1))
         b_k = project_dyadic_cells(grid, mu_k)
         v_k = u_k - mu_k[..., np.newaxis] * sig
@@ -280,17 +274,12 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
         pert = u_k - b_k[..., np.newaxis] * sig
         m_k = np.asarray(np.mean(np.abs(pert) ** 2, axis=-1))
 
-        w_k = phases.terms[k - 1][..., np.newaxis]
-        t_k = (w_k * (g_k - b_k[..., np.newaxis] * sig)).imag
+        t_k = (w[..., np.newaxis] * (g_k - b_k[..., np.newaxis] * sig)).imag
         tq_k = np.asarray(np.mean(t_k**2, axis=-1))
 
-        sigma_coeffs.append(mu_k)
-        dyadic_coeffs.append(b_k)
-        envelopes.append(a_k)
-        residual_rms.append(np.asarray(r_k))
-        perturbed_moments.append(m_k)
-        transform_moments.append(tq_k)
-        base_moments.append(np.asarray(np.mean(np.abs(g_k) ** 2, axis=-1)))
+        per_level.append((mu_k, b_k, a_k, np.asarray(r_k), m_k, tq_k))
+    (sigma_coeffs, dyadic_coeffs, envelopes, residual_rms, perturbed_moments,
+     transform_moments) = zip(*per_level)
 
     big_x = np.sqrt(_broadcast_sum([a**2 + r**2 for a, r in zip(envelopes, residual_rms)], depth, n))
     big_y = np.sqrt(_broadcast_sum([np.abs(m) ** 2 for m in sigma_coeffs], depth, n))
@@ -298,7 +287,7 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
 
     perturbation_pnorm = float(np.mean(np.sqrt(_broadcast_sum(perturbed_moments, depth, n))))
     transform_pnorm = float(np.mean(np.sqrt(_broadcast_sum(transform_moments, depth, n))))
-    base_pnorm = float(np.mean(np.sqrt(_broadcast_sum(base_moments, depth, n))))
+    base_pnorm = previsible_norm(field)
 
     denom_sq = transform_pnorm * base_pnorm
     if denom_sq > 0.0:
@@ -309,12 +298,12 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
         ratio = math.inf  # impossible for valid inputs; flagged by verify_chain
 
     return StabilityReport(
-        sigma_coeffs=tuple(sigma_coeffs),
-        dyadic_coeffs=tuple(dyadic_coeffs),
-        envelopes=tuple(envelopes),
-        residual_rms=tuple(residual_rms),
-        perturbed_moments=tuple(perturbed_moments),
-        transform_moments=tuple(transform_moments),
+        sigma_coeffs=sigma_coeffs,
+        dyadic_coeffs=dyadic_coeffs,
+        envelopes=envelopes,
+        residual_rms=residual_rms,
+        perturbed_moments=perturbed_moments,
+        transform_moments=transform_moments,
         envelope_mean=float(np.mean(big_x)),
         coeff_mean=float(np.mean(big_y)),
         dyadic_mean=float(np.mean(big_z)),

@@ -1,11 +1,12 @@
-"""Finite-depth martingales on grid products, stored by terminal values.
+"""Finite-depth martingales on grid products, stored by their differences.
 
-A depth-n martingale is kept as one complex array over grid^n (coordinate 1
-slowest).  Every level is recomputed by averaging the terminal array over
-the trailing coordinates, so the filtration structure cannot be violated by
-construction.  Operations work difference-wise: the conjugation-even and
--odd parts, the dyadic projection, and the transform all act on the
-martingale differences and reassemble a terminal array.
+A depth-n martingale is kept as its level-0 constant plus, per level k, a
+complex difference over grid^k (coordinate 1 slowest) whose mean over the
+newest coordinate is checked to be zero, so the filtration structure holds
+by construction.  Levels and the terminal array over grid^n are partial sums
+built on request.  Only MartingaleField(grid, depth, terminal) averages; the
+operations (conjugation-even and -odd parts, dyadic projection, transform)
+map stored differences to new ones.
 """
 
 from __future__ import annotations
@@ -19,29 +20,64 @@ from .torus import TorusGrid, batch_analyze
 MEMORY_GUARD_ENTRIES = 2**24
 
 
-@dataclass(frozen=True, eq=False)
+def _check_size(grid: TorusGrid, depth) -> int:
+    if not isinstance(depth, (int, np.integer)) or depth < 1:
+        raise ValueError(f"depth must be a positive integer; got {depth!r}")
+    n = grid.n_points
+    if n**depth > MEMORY_GUARD_ENTRIES:
+        raise ValueError(f"memory guard: {n}^{depth} exceeds {MEMORY_GUARD_ENTRIES} entries")
+    return n
+
+
+def _scale_bound(base: complex, diffs) -> float:
+    """|base| + sum_k max|diff_k|, an upper bound on max|terminal|."""
+    return abs(base) + sum(float(np.abs(d).max(initial=0.0)) for d in diffs)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MartingaleField:
-    """Terminal values of a depth-n martingale on the n-fold grid product."""
+    """Depth-n martingale: level-0 constant `base` and read-only differences,
+    diffs[k-1] of shape (N,)*k.  The constructor splits a terminal array into
+    these; field_from_differences stores given ones."""
 
     grid: TorusGrid
     depth: int
-    terminal: np.ndarray
+    base: complex
+    diffs: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
-            raise ValueError(f"depth must be a positive integer; got {self.depth!r}")
-        n = self.grid.n_points
-        if n**self.depth > MEMORY_GUARD_ENTRIES:
-            raise ValueError(
-                f"memory guard: {n}^{self.depth} exceeds {MEMORY_GUARD_ENTRIES} entries"
-            )
-        term = np.asarray(self.terminal, dtype=np.complex128)
-        expected = (n,) * self.depth
-        if term.shape != expected:
-            raise ValueError(f"terminal must have shape {expected}; got {term.shape}")
-        term = term.copy()
-        term.setflags(write=False)
-        object.__setattr__(self, "terminal", term)
+    def __init__(self, grid: TorusGrid, depth: int, terminal):
+        n = _check_size(grid, depth)
+        levels = [np.asarray(terminal, dtype=np.complex128)]
+        if levels[0].shape != (n,) * depth:
+            raise ValueError(f"terminal must have shape {(n,) * depth}; got {levels[0].shape}")
+        for _ in range(depth):
+            levels.insert(0, levels[0].mean(axis=-1))  # levels[k] is level k
+        self._store(grid, depth, levels[0], [f - c[..., None] for c, f in zip(levels, levels[1:])])
+
+    def _store(self, grid: TorusGrid, depth: int, base, diffs, scale=None) -> None:
+        """Validate the parts (mean tolerance 1e-12*scale), then keep read-only copies."""
+        n = _check_size(grid, depth)
+        diffs = [np.asarray(d) for d in diffs]
+        if len(diffs) != depth:
+            raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
+        base = complex(base)
+        # averaging leaves a few ulps of mean; scale defaults to the parts' own
+        tol = 1e-12 * (_scale_bound(base, diffs) if scale is None else scale)
+        for k, d in enumerate(diffs, start=1):
+            if d.shape != (n,) * k:
+                raise ValueError(f"difference {k} must have shape {(n,) * k}; got {d.shape}")
+            drift = float(np.abs(d.sum(axis=-1)).max()) / n  # mean over the newest axis
+            if drift > tol:
+                raise ValueError(f"difference {k} has mean {drift:.3g} over its newest axis, not 0")
+        diffs = tuple(np.array(d, dtype=np.complex128) for d in diffs)
+        for d in diffs:
+            d.setflags(write=False)
+        self.__dict__.update(grid=grid, depth=depth, base=base, diffs=diffs)  # frozen dataclass
+
+    @property
+    def terminal(self) -> np.ndarray:
+        """Values over grid^depth, assembled on every access and never stored."""
+        return level(self, self.depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,45 +117,41 @@ class SquareFunctionProfile:
 
 
 def level(field: MartingaleField, k: int) -> np.ndarray:
-    """Average the terminal array over coordinates k+1..n; shape (N,)*k."""
+    """Level k: the constant plus differences 1..k; shape (N,)*k."""
     if not 0 <= k <= field.depth:
         raise ValueError(f"level index {k} outside 0..{field.depth}")
-    arr = field.terminal
-    for _ in range(field.depth - k):
-        arr = arr.mean(axis=-1)
-    return np.asarray(arr)
+    out = np.full((field.grid.n_points,) * k, field.base, dtype=np.complex128)
+    for j, d in enumerate(field.diffs[:k], start=1):
+        out += d.reshape(d.shape + (1,) * (k - j))
+    return out
 
 
 def difference(field: MartingaleField, k: int) -> np.ndarray:
     """Martingale difference at level k; conditional mean over coordinate k is 0."""
     if not 1 <= k <= field.depth:
         raise ValueError(f"difference index {k} outside 1..{field.depth}")
-    return level(field, k) - level(field, k - 1)[..., np.newaxis]
+    return field.diffs[k - 1]
 
 
 def differences(field: MartingaleField) -> list:
-    """All differences in one backward sweep, consistent with level()."""
-    levels = [field.terminal]
-    for _ in range(field.depth):
-        levels.append(levels[-1].mean(axis=-1))
-    levels.reverse()  # levels[k] is level k
-    return [levels[k] - levels[k - 1][..., np.newaxis] for k in range(1, field.depth + 1)]
+    """All stored differences, level 1 first."""
+    return list(field.diffs)
 
 
 def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) -> MartingaleField:
-    """Assemble a terminal array from a constant level 0 and per-level differences."""
-    if len(diffs) != depth:
-        raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
-    n = grid.n_points
-    if n**depth > MEMORY_GUARD_ENTRIES:
-        raise ValueError("memory guard exceeded")
-    terminal = np.full((n,) * depth, complex(base), dtype=np.complex128)
-    for k, d in enumerate(diffs, start=1):
-        d = np.asarray(d, dtype=np.complex128)
-        if d.shape != (n,) * k:
-            raise ValueError(f"difference {k} must have shape {(n,) * k}; got {d.shape}")
-        terminal += d.reshape(d.shape + (1,) * (depth - k))
-    return MartingaleField(grid, depth, terminal)
+    """Field with level-0 constant `base` and the given differences, stored as
+    read-only copies; each must have mean zero over its newest coordinate."""
+    field = object.__new__(MartingaleField)
+    field._store(grid, depth, base, diffs)
+    return field
+
+
+def _derive(field: MartingaleField, base: complex, diffs) -> MartingaleField:
+    """Result of an operation on `field`.  Its differences keep the source's round-off
+    mean, which may dwarf their own size, so the check uses the source's scale."""
+    out = object.__new__(MartingaleField)
+    out._store(field.grid, field.depth, base, diffs, _scale_bound(field.base, field.diffs))
+    return out
 
 
 def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
@@ -132,7 +164,7 @@ def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
 
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
     """Conditional second moments q_k = E_{k-1}|diff_k|^2 and their combined root."""
-    moments = tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in differences(field))
+    moments = tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in field.diffs)
     combined = np.sqrt(_broadcast_sum(moments, field.depth, field.grid.n_points))
     return SquareFunctionProfile(moments, combined)
 
@@ -152,16 +184,13 @@ def _odd_part(diff: np.ndarray) -> np.ndarray:
 
 
 def cosine_part(field: MartingaleField) -> MartingaleField:
-    """Martingale whose differences average each difference over conjugation
-    of its newest coordinate."""
-    diffs = [_even_part(d) for d in differences(field)]
-    return field_from_differences(field.grid, field.depth, complex(level(field, 0)), diffs)
+    """Differences averaged over conjugation of their newest coordinate."""
+    return _derive(field, field.base, [_even_part(d) for d in field.diffs])
 
 
 def sine_part(field: MartingaleField) -> MartingaleField:
     """Remainder of the even/odd split; differences are conjugation-odd."""
-    diffs = [_odd_part(d) for d in differences(field)]
-    return field_from_differences(field.grid, field.depth, 0.0, diffs)
+    return _derive(field, 0.0, [_odd_part(d) for d in field.diffs])
 
 
 def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
@@ -169,32 +198,25 @@ def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
     if phases.grid.n_points != field.grid.n_points:
         raise ValueError("grid mismatch between field and phases")
     if phases.depth < field.depth:
-        raise ValueError(
-            f"phases depth {phases.depth} shorter than field depth {field.depth}"
-        )
-    diffs = []
-    for k, d in enumerate(differences(field), start=1):
-        w = phases.terms[k - 1][..., np.newaxis]
-        diffs.append((w * d).imag.astype(np.complex128))
-    return field_from_differences(field.grid, field.depth, 0.0, diffs)
+        raise ValueError(f"phases depth {phases.depth} shorter than field depth {field.depth}")
+    return _derive(field, 0.0, [(w[..., None] * d).imag for w, d in zip(phases.terms, field.diffs)])
 
 
 def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     """True iff every newest-coordinate slice of every difference is analytic.
 
     Each slice y -> diff_k(x, y) must put at most tol^2 of its energy on
-    frequencies m <= 0 (mean, negatives, and the Nyquist bucket).  Slices
-    whose total energy sits at round-off scale of the terminal array are the
-    zero function for this purpose: recomputing levels by averaging leaves
-    ~1e-16 junk in mathematically vanishing differences, and junk carries no
-    frequency information.
+    frequencies m <= 0 (mean, negatives, and the Nyquist bucket).  Slices whose
+    energy sits at round-off scale of the field (_scale_bound) count as zero:
+    splitting a terminal array by averaging leaves ~1e-16 junk in vanishing
+    differences, and junk carries no frequency information.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = field.grid
     neg = grid.frequencies <= 0
-    zero_floor = (1e-13 * float(np.max(np.abs(field.terminal), initial=0.0))) ** 2
-    for d in differences(field):
+    zero_floor = (1e-13 * _scale_bound(field.base, field.diffs)) ** 2
+    for d in field.diffs:
         rows = d.reshape(-1, grid.n_points)
         coeffs = batch_analyze(grid, rows)
         bad = np.sum(np.abs(coeffs[:, neg]) ** 2, axis=1)
@@ -232,5 +254,4 @@ def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
 
 def dyadic_project(field: MartingaleField) -> MartingaleField:
     """Difference-wise conditional expectation given all coordinate signs."""
-    diffs = [project_dyadic_cells(field.grid, d) for d in differences(field)]
-    return field_from_differences(field.grid, field.depth, complex(level(field, 0)), diffs)
+    return _derive(field, field.base, [project_dyadic_cells(field.grid, d) for d in field.diffs])

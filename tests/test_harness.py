@@ -164,6 +164,19 @@ class TestReportPlumbing:
         assert [c.passed for c in first.checks] == [c.passed for c in second.checks]
         assert first.aggregates["max_ratio"] == second.aggregates["max_ratio"]
 
+        def untimed(report):
+            out = report.to_dict()
+            out["aggregates"] = {k: v for k, v in out["aggregates"].items()
+                                 if k != "runtime_seconds"}
+            return out
+
+        assert untimed(first) == untimed(second)
+        for command, samples in ((cmd_identities, 15), (cmd_lemmas, 200)):
+            first = command(small_config(samples=samples))
+            echo = dict(first.config)
+            echo["resolutions"] = tuple(echo["resolutions"])
+            assert untimed(first) == untimed(command(HarnessConfig(**echo)))
+
     def test_csv_for_convergence(self, tmp_path):
         report = cmd_convergence(HarnessConfig(resolutions=(4, 8)))
         path = tmp_path / "sweep.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hardylab import (
     AdaptedPhases,
@@ -356,3 +357,91 @@ class TestFieldFromDifferences:
         grid = make_grid(4)
         with pytest.raises(ValueError):
             field_from_differences(grid, 2, 0.0, [np.zeros(4)])
+
+    def test_nonzero_conditional_mean_rejected(self):
+        grid = make_grid(4)
+        with pytest.raises(ValueError, match="mean"):
+            field_from_differences(grid, 1, 0.0, [np.ones(4)])
+        d2 = np.zeros((4, 4))
+        d2[2] = [1.0, 1.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="difference 2"):
+            field_from_differences(grid, 2, 0.0, [np.zeros(4), d2])
+
+    def test_stored_copies_are_read_only(self):
+        grid = make_grid(4)
+        rng = np.random.default_rng(5)
+        terminal = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        F = MartingaleField(grid, 2, terminal)
+        d1 = np.cos(grid.angles).astype(complex)
+        G = field_from_differences(grid, 1, 2.0, [d1])
+        expected_f, expected_g = terminal.copy(), G.terminal
+        terminal[:] = 99.0
+        d1[:] = 7.0
+        np.testing.assert_array_equal(G.terminal, expected_g)
+        assert np.max(np.abs(F.terminal - expected_f)) < 1e-14
+        for d in differences(F) + differences(G):
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0] = 1.0
+
+
+@st.composite
+def terminal_arrays(draw):
+    n = draw(st.sampled_from([4, 8]))
+    depth = draw(st.integers(1, 3))
+    parts = draw(hnp.arrays(np.float64, (2,) + (n,) * depth,
+                            elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return n, depth, parts[0] + 1j * parts[1], draw(st.integers(0, 2**32 - 1))
+
+
+class TestRepresentation:
+    @settings(max_examples=40, deadline=None)
+    @given(terminal_arrays())
+    def test_terminal_and_difference_constructors_agree(self, case):
+        n, depth, terminal, seed = case
+        grid = make_grid(n)
+        F = MartingaleField(grid, depth, terminal)
+        G = field_from_differences(grid, depth, complex(level(F, 0)), differences(F))
+        phases = random_adapted_phases(EnsembleConfig(seed=seed, n_points=n, depth=depth))
+        scale = max(1.0, float(np.max(np.abs(terminal))))
+        assert np.max(np.abs(F.terminal - terminal)) <= 1e-12 * scale
+        for op in (lambda X: X, cosine_part, sine_part, dyadic_project,
+                   lambda X: transform(X, phases)):
+            assert np.max(np.abs(op(F).terminal - op(G).terminal)) <= 1e-12 * scale
+        assert abs(previsible_norm(F) - previsible_norm(G)) <= 1e-12 * scale
+        if n == 4:
+            expected = oracles.oracle_dyadic_terminal(terminal, 4, depth)
+            projected = dyadic_project(G).terminal
+            for x in itertools.product(range(4), repeat=depth):
+                assert abs(projected[x] - expected[x]) <= 1e-12 * scale
+            assert abs(previsible_norm(G) - oracles.oracle_previsible_norm(terminal, 4, depth)) \
+                <= 1e-12 * scale
+
+    def test_operators_accept_round_off_mean_of_a_large_field(self):
+        # differences split from a large constant keep a mean of a few ulps of
+        # that constant, far above the size of a small fluctuation on it
+        grid = make_grid(8)
+        theta = grid.angles
+        rng = np.random.default_rng(3)
+        for c in (-6704.67 - 7088.05j, 1e3 + 7e-4j, -3.7e3):
+            a = 1e-3 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+            analytic = [sum(a[i, m] * np.exp(1j * (m + 1) * theta) for m in range(3))
+                        for i in range(2)]
+            F = MartingaleField(grid, 2, c + analytic[0][:, None] + analytic[1])
+            phases = AdaptedPhases(grid, (np.array(np.exp(0.3j)), np.exp(1j * theta)))
+            cos_norm, transform_norm = check_transform_isometry(F, phases)
+            assert abs(cos_norm - transform_norm) <= 1e-9 * cos_norm
+            for op in (cosine_part, sine_part, dyadic_project, lambda X: transform(X, phases)):
+                op(F)
+
+    def test_operators_accept_nearly_cancelling_parts(self):
+        # outputs far smaller than the input differences: the even part of a
+        # sine, and Im(w d) for d nearly parallel to conj(w)
+        grid = make_grid(8)
+        theta = grid.angles
+        sine = MartingaleField(grid, 1, np.sin(theta))
+        assert np.max(np.abs(dyadic_project(sine).terminal - dyadic_project(sine).base)) < 1e-15
+        phi = 0.7
+        tilted = MartingaleField(grid, 1, np.exp(-1j * phi) * np.cos(3 * theta))
+        W = transform(tilted, AdaptedPhases(grid, (np.array(np.exp(1j * phi)),)))
+        assert np.max(np.abs(W.terminal)) < 1e-15
