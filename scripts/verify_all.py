@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run every verification suite at a meaningful sample size and write the
-JSON reports under results/.
+"""Run every verification suite at a meaningful sample size, plus one theorem
+sample at the memory-guard limit, and write the JSON reports under results/.
 
 Usage: python scripts/verify_all.py [--seed SEED] [--out-dir DIR]
 """
@@ -21,18 +21,22 @@ def main() -> int:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # (command, config) per report; theorem-guard is the memory-guard point
+    # N^depth = 2^24, evaluated from coefficients without grid^depth arrays.
     runs = {
-        "identities": HarnessConfig(n_points=16, depth=3, max_degree=5,
-                                    samples=1000, seed=args.seed),
-        "lemmas": HarnessConfig(n_points=16, depth=1, max_degree=7,
-                                samples=100_000, seed=args.seed),
-        "theorem": HarnessConfig(n_points=8, depth=3, max_degree=3,
-                                 samples=1000, seed=args.seed),
+        "identities": ("identities", HarnessConfig(n_points=16, depth=3, max_degree=5,
+                                                   samples=1000, seed=args.seed)),
+        "lemmas": ("lemmas", HarnessConfig(n_points=16, depth=1, max_degree=7,
+                                           samples=100_000, seed=args.seed)),
+        "theorem": ("theorem", HarnessConfig(n_points=8, depth=3, max_degree=3,
+                                             samples=1000, seed=args.seed)),
+        "theorem-guard": ("theorem", HarnessConfig(n_points=64, depth=4, max_degree=3,
+                                                   samples=1, seed=args.seed)),
     }
 
     exit_code = 0
-    for name, config in runs.items():
-        report = COMMANDS[name](config)
+    for name, (command, config) in runs.items():
+        report = COMMANDS[command](config)
         path = out_dir / f"{name}.json"
         write_json_report(report, str(path))
         agg = report.aggregates

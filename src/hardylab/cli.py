@@ -39,7 +39,8 @@ def _add_flags(parser: argparse.ArgumentParser, names) -> None:
         "max_degree": dict(flag="--max-degree", type=int, help="highest analytic mode"),
         "samples": dict(flag="--samples", type=int, help="sample count (or search starts)"),
         "seed": dict(flag="--seed", type=int, help="base seed"),
-        "tol": dict(flag="--tol", type=float, help="residual / slack tolerance"),
+        "tol": dict(flag="--tol", type=float,
+                    help="residual / slack tolerance (convergence floors it at 1e-12)"),
         "budget": dict(flag="--budget", type=int, help="search steps per start"),
         "resolutions": dict(flag="--resolutions", type=str,
                             help="comma-separated grid sizes, e.g. 4,8,16"),

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import MEMORY_GUARD_ENTRIES, AdaptedPhases, MartingaleField, field_from_differences
+from .martingale import (
+    MEMORY_GUARD_ENTRIES,
+    AdaptedPhases,
+    MartingaleField,
+    _coefficient_blocks,
+    field_from_differences,
+)
 from .torus import GridFunction, TorusGrid, make_grid
 
 DISTRIBUTIONS = ("gaussian", "uniform-disk")
@@ -69,21 +75,13 @@ def _mode_matrix(grid: TorusGrid, degree: int) -> np.ndarray:
 def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleField:
     """Assemble a Hardy martingale from per-level analytic coefficients.
 
-    coefficients[k-1] has shape (N^(k-1), d): one row of mode-1..d weights
-    for every base point of level k.
+    coefficients[k-1] has shape (N^(k-1), d) with 1 <= d <= N/2 - 1: one row of
+    mode-1..d weights for every base point of level k.
     """
-    depth = len(coefficients)
     n = grid.n_points
-    diffs = []
-    for k, coeff in enumerate(coefficients, start=1):
-        coeff = np.asarray(coeff, dtype=np.complex128)
-        if coeff.ndim != 2 or coeff.shape[0] != n ** (k - 1):
-            raise ValueError(
-                f"level {k} coefficients must have {n ** (k - 1)} rows; got {coeff.shape}"
-            )
-        modes = _mode_matrix(grid, coeff.shape[1])
-        diffs.append((coeff @ modes).reshape((n,) * k))
-    return field_from_differences(grid, depth, 0.0, diffs)
+    diffs = [(c @ _mode_matrix(grid, c.shape[1])).reshape((n,) * k)
+             for k, c in enumerate(_coefficient_blocks(grid, coefficients), start=1)]
+    return field_from_differences(grid, len(diffs), 0.0, diffs)
 
 
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:

@@ -19,7 +19,6 @@ import numpy as np
 from .ensembles import (
     EnsembleConfig,
     arith_sample_batch,
-    martingale_from_coefficients,
     phases_from_angles,
     random_adapted_phases,
     random_coefficient_arrays,
@@ -35,7 +34,7 @@ from .inequalities import (
     perturbation_bounds,
     sincos_identity_sides,
     slack_within,
-    stability_report,
+    stability_report_from_coefficients,
     verify_chain,
 )
 from .martingale import MEMORY_GUARD_ENTRIES, check_transform_isometry, previsible_norm
@@ -94,7 +93,18 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """Strict JSON: non-finite floats become "inf", "-inf" or "nan"."""
+        return json.dumps(_finite_json(self.to_dict()), indent=2, allow_nan=False)
+
+
+def _finite_json(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))  # float() reads the string back
+    if isinstance(obj, dict):
+        return {key: _finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(item) for item in obj]
+    return obj
 
 
 def _config_echo(config: HarnessConfig) -> dict:
@@ -156,6 +166,23 @@ class _Collector:
         idx, lhs, rhs, residual = worst
         return CheckRecord(f"{suite}/max-residual(sample {idx})", lhs, rhs, residual,
                            residual <= tol)
+
+    def slack_scan(self, suite: str, samples: int, steps, tol: float) -> float:
+        """Record every failed step of steps(i), a list of ChainStep, for each
+        sample i, then each step id's worst slack (relative to max(1, |lhs|,
+        |rhs|)) in first-seen order; return the smallest slack overall."""
+        worst: dict = {}
+        for i in range(samples):
+            for step in steps(i):
+                slack = (step.rhs - step.lhs) / max(1.0, abs(step.lhs), abs(step.rhs))
+                if step.step not in worst or slack < worst[step.step][3]:
+                    worst[step.step] = (i, step.lhs, step.rhs, slack)
+                if not step.passed:
+                    self.violation(f"{suite}/{step.step}", i, step.lhs, step.rhs, slack)
+        for step_id, (i, lhs, rhs, slack) in worst.items():
+            self.add(CheckRecord(f"{suite}/{step_id}/min-slack(sample {i})", lhs, rhs, slack,
+                                 slack >= -tol))
+        return min((v[3] for v in worst.values()), default=0.0)
 
     def violation(self, suite: str, idx, lhs: float, rhs: float, gap: float) -> None:
         self.add(CheckRecord(f"{suite}/sample-{idx}", lhs, rhs, gap, False))
@@ -299,35 +326,21 @@ def cmd_theorem(config: HarnessConfig) -> RunReport:
     config = _validate_common(config)
     t0 = time.monotonic()
     col = _Collector()
-    tol = config.tol
+    grid = make_grid(config.n_points)
+    ratios = []
 
-    worst_by_step: dict = {}
-    max_ratio = 0.0
-    for i in range(config.samples):
+    def chain(i):
         cfg = _ensemble(config, 20, i, config.depth)
-        field_ = random_hardy_martingale(cfg)
-        phases = random_adapted_phases(cfg)
-        rep = stability_report(field_, phases)
-        max_ratio = max(max_ratio, rep.ratio)
-        for step in verify_chain(rep, slack=tol):
-            scale = max(1.0, abs(step.lhs), abs(step.rhs))
-            slack = (step.rhs - step.lhs) / scale
-            prev = worst_by_step.get(step.step)
-            if prev is None or slack < prev[3]:
-                worst_by_step[step.step] = (i, step.lhs, step.rhs, slack)
-            if not step.passed:
-                col.violation(f"chain/{step.step}", i, step.lhs, step.rhs, slack)
+        rep = stability_report_from_coefficients(
+            grid, random_coefficient_arrays(cfg), random_adapted_phases(cfg))
+        ratios.append(rep.ratio)
+        return verify_chain(rep, slack=config.tol)
 
-    for step_id, (i, lhs, rhs, slack) in worst_by_step.items():
-        col.add(
-            CheckRecord(
-                f"chain/{step_id}/min-slack(sample {i})", lhs, rhs, slack, slack >= -tol
-            )
-        )
-    min_slack = min((v[3] for v in worst_by_step.values()), default=0.0)
+    min_slack = col.slack_scan("chain", config.samples, chain, config.tol)
     return _finish(
         "theorem", config, col, t0,
-        {"max_ratio": max_ratio, "min_slack": min_slack, "chain_constant": CHAIN_CONSTANT},
+        {"max_ratio": max([0.0, *ratios]), "min_slack": min_slack,
+         "chain_constant": CHAIN_CONSTANT},
     )
 
 
@@ -336,9 +349,7 @@ _SEARCH_PHASE_STEP = 0.25
 
 
 def _search_ratio(grid, coeffs, angles):
-    field_ = martingale_from_coefficients(grid, coeffs)
-    phases = phases_from_angles(grid, angles)
-    return stability_report(field_, phases).ratio
+    return stability_report_from_coefficients(grid, coeffs, phases_from_angles(grid, angles)).ratio
 
 
 def cmd_constant_search(config: HarnessConfig) -> RunReport:

@@ -8,6 +8,15 @@ bounds, and the stability pipeline assembles the full chain ending in
     ||U - E(U|D)||_P <= CHAIN_CONSTANT * ||T_W(G - E(G|D))||_P^(1/2) * ||G||_P^(1/2)
 
 for a Hardy martingale G with cosine part U and unimodular adapted W.
+
+The chain has two entry points that return the same StabilityReport:
+stability_report(field, phases) works on the differences of any martingale
+over grid^n that passes the numeric Hardy gate, and is the reference;
+stability_report_from_coefficients(grid, coefficients, phases) takes the
+per-level analytic coefficient blocks of martingale_from_coefficients, which
+are Hardy by construction, and evaluates every per-level quantity in closed
+form in O(N^(n-1) d) without building grid^n arrays.  The theorem and
+constant-search commands use the second.
 """
 
 from __future__ import annotations
@@ -21,12 +30,13 @@ from .martingale import (
     AdaptedPhases,
     MartingaleField,
     _broadcast_sum,
+    _coefficient_blocks,
     _even_part,
+    cond_square_profile,
     is_hardy_martingale,
-    previsible_norm,
     project_dyadic_cells,
 )
-from .torus import GridFunction, is_hardy
+from .torus import GridFunction, TorusGrid, is_hardy
 
 # Tracked constant of the stability chain.  Factors, in order of use:
 # sqrt(8) from the square-function step, a further sqrt(8) entering under the
@@ -222,7 +232,8 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """All intermediate quantities of the dyadic-stability chain.
+    """All intermediate quantities of the dyadic-stability chain, from either
+    stability_report or stability_report_from_coefficients.
 
     Per level k (tuples of arrays over grid^(k-1)): sigma_coeffs holds
     E_{k-1}(u_k s_k), dyadic_coeffs its projection onto the sign cells,
@@ -249,7 +260,8 @@ class StabilityReport:
 
 def stability_report(field: MartingaleField, phases: AdaptedPhases,
                      hardy_tol: float = 1e-8) -> StabilityReport:
-    """Compute every quantity entering the stability chain for (G, W)."""
+    """Compute every quantity entering the stability chain for (G, W) from
+    the differences of G over grid^n; G must pass the Hardy gate."""
     if phases.grid.n_points != field.grid.n_points:
         raise ValueError("grid mismatch between field and phases")
     if phases.depth < field.depth:
@@ -258,8 +270,6 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
         raise ValueError("stability quantities require a Hardy martingale")
 
     grid = field.grid
-    n = grid.n_points
-    depth = field.depth
     sig = grid.sign_values
 
     per_level = []
@@ -278,6 +288,13 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
         tq_k = np.asarray(np.mean(t_k**2, axis=-1))
 
         per_level.append((mu_k, b_k, a_k, np.asarray(r_k), m_k, tq_k))
+    base_moments = cond_square_profile(field).level_moments
+    return _chain_report(per_level, base_moments, field.depth, grid.n_points)
+
+
+def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityReport:
+    """Aggregate per-level (mu, b, a, r, m, tq) arrays and the conditional
+    second moments of G into the chain's means, P-norms and ratio."""
     (sigma_coeffs, dyadic_coeffs, envelopes, residual_rms, perturbed_moments,
      transform_moments) = zip(*per_level)
 
@@ -287,7 +304,7 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
 
     perturbation_pnorm = float(np.mean(np.sqrt(_broadcast_sum(perturbed_moments, depth, n))))
     transform_pnorm = float(np.mean(np.sqrt(_broadcast_sum(transform_moments, depth, n))))
-    base_pnorm = previsible_norm(field)
+    base_pnorm = float(np.mean(np.sqrt(_broadcast_sum(base_moments, depth, n))))
 
     denom_sq = transform_pnorm * base_pnorm
     if denom_sq > 0.0:
@@ -312,6 +329,58 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases,
         base_pnorm=base_pnorm,
         ratio=ratio,
     )
+
+
+def _sign_modes(grid: TorusGrid, degree: int) -> tuple:
+    """sigma_m = mean(cos(m theta) s) for m = 1..degree, and the energy
+    tau = mean((s - 2 sum_m sigma_m cos(m theta))^2) of s beyond those modes."""
+    sig = grid.sign_values
+    cos = np.cos(np.outer(np.arange(1, degree + 1), grid.angles))
+    sigma = cos @ sig / grid.n_points
+    return sigma, float(np.mean((sig - 2.0 * sigma @ cos) ** 2))
+
+
+def _cos_residual_sq(a, x, sigma, tau):
+    """Row-wise mean over theta of |sum_m a_m cos(m theta) - x s|^2, as a sum of
+    squares: on the grid the cos(m theta), m <= N/2 - 1, are orthogonal with
+    mean square 1/2, and s splits into its sigma modes plus a remainder of energy tau."""
+    cos_part = 0.5 * np.sum(np.abs(a - 2.0 * x[:, np.newaxis] * sigma) ** 2, axis=-1)
+    return cos_part + np.abs(x) ** 2 * tau
+
+
+def stability_report_from_coefficients(grid: TorusGrid, coefficients,
+                                       phases: AdaptedPhases) -> StabilityReport:
+    """stability_report(martingale_from_coefficients(grid, coefficients), phases),
+    evaluated from the coefficient blocks in O(N^(n-1) d) without grid^n arrays.
+
+    A level-k difference with row c is g = sum_m c_m e^{im theta}; its even
+    part is u = sum_m c_m cos(m theta) and its odd part i sum_m c_m sin(m theta).
+    With mu = c.sigma and b its dyadic projection, every per-level moment is a
+    sum of squares: r^2 = mean|u - mu s|^2, the perturbed moment r^2 + |mu - b|^2
+    (u - mu s is orthogonal to s), and the transform moment splits Im(w(g - b s))
+    into its odd part sum_m Re(w c_m) sin(m theta) and its even part
+    sum_m Im(w c_m) cos(m theta) - Im(w b) s.  The base moment is sum_m |c_m|^2.
+    """
+    blocks = _coefficient_blocks(grid, coefficients)
+    depth, n = len(blocks), grid.n_points
+    if phases.grid.n_points != n:
+        raise ValueError("grid mismatch between coefficients and phases")
+    if phases.depth < depth:
+        raise ValueError("phases depth shorter than coefficient depth")
+
+    per_level, base_moments = [], []
+    for k, (w, c) in enumerate(zip(phases.terms, blocks), start=1):
+        shape = (n,) * (k - 1)
+        sigma, tau = _sign_modes(grid, c.shape[1])
+        mu = c @ sigma
+        b = project_dyadic_cells(grid, mu.reshape(shape)).reshape(-1)
+        wc, wb = w.reshape(-1, 1) * c, w.reshape(-1) * b
+        r_sq = _cos_residual_sq(c, mu, sigma, tau)
+        tq = 0.5 * np.sum(wc.real**2, axis=-1) + _cos_residual_sq(wc.imag, wb.imag, sigma, tau)
+        level = (mu, b, arith_envelope(mu, b), np.sqrt(r_sq), r_sq + np.abs(mu - b) ** 2, tq)
+        per_level.append(tuple(x.reshape(shape) for x in level))
+        base_moments.append(np.sum(np.abs(c) ** 2, axis=-1).reshape(shape))
+    return _chain_report(per_level, base_moments, depth, n)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,24 @@ def _check_size(grid: TorusGrid, depth) -> int:
     return n
 
 
+def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
+    """Validate per-level analytic coefficient blocks; return them as complex arrays.
+
+    coefficients[k-1] has shape (N^(k-1), d_k) with 1 <= d_k <= N/2 - 1: one row
+    of mode-1..d_k weights for every base point of level k.  Such rows define
+    Hardy differences by construction; the memory guard bounds N^depth.
+    """
+    blocks = [np.asarray(c, dtype=np.complex128) for c in coefficients]
+    n = _check_size(grid, len(blocks))
+    for k, c in enumerate(blocks, start=1):
+        if c.ndim != 2 or c.shape[0] != n ** (k - 1):
+            raise ValueError(f"level {k} coefficients must have {n ** (k - 1)} rows; got {c.shape}")
+        if not 1 <= c.shape[1] <= n // 2 - 1:
+            raise ValueError(f"level {k} degree must lie in 1..{n // 2 - 1} "
+                             f"(Nyquist exclusion); got {c.shape[1]}")
+    return blocks
+
+
 def _scale_bound(base: complex, diffs) -> float:
     """|base| + sum_k max|diff_k|, an upper bound on max|terminal|."""
     return abs(base) + sum(float(np.abs(d).max(initial=0.0)) for d in diffs)

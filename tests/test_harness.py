@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from hardylab import (
     CHAIN_CONSTANT,
+    CheckRecord,
     HarnessConfig,
     RunReport,
     UsageError,
@@ -15,6 +17,10 @@ from hardylab import (
     cmd_identities,
     cmd_lemmas,
     cmd_theorem,
+    make_grid,
+    martingale_from_coefficients,
+    phases_from_angles,
+    stability_report,
     write_csv_report,
     write_json_report,
 )
@@ -105,6 +111,19 @@ class TestConstantSearch:
         assert len(argmax["coefficients"]) == 2
         json.dumps(report.to_dict())  # fully serializable
 
+    def test_argmax_replays_on_grid_path(self):
+        # the search scores coefficients directly; its argmax must reproduce
+        # best_ratio through the grid^n assembly and the Hardy gate
+        report = cmd_constant_search(small_config(samples=2, budget=30))
+        argmax = json.loads(report.to_json())["aggregates"]["argmax"]
+        grid = make_grid(argmax["n_points"])
+        coeffs = [np.asarray(c)[..., 0] + 1j * np.asarray(c)[..., 1]
+                  for c in argmax["coefficients"]]
+        phases = phases_from_angles(grid, argmax["phase_angles"])
+        ratio = stability_report(martingale_from_coefficients(grid, coeffs), phases).ratio
+        best = report.aggregates["best_ratio"]
+        assert abs(ratio - best) <= 1e-12 * best
+
     def test_negative_budget(self):
         with pytest.raises(UsageError):
             cmd_constant_search(small_config(budget=-1))
@@ -153,6 +172,26 @@ class TestReportPlumbing:
         assert loaded["command"] == "identities"
         assert loaded["config"]["seed"] == 7
         assert len(loaded["checks"]) == len(report.checks)
+
+    def test_json_is_strict_with_non_finite_values(self, tmp_path):
+        report = RunReport(
+            "theorem", {"seed": 1},
+            [CheckRecord("chain/x", math.inf, math.nan, -math.inf, False)],
+            {"max_ratio": math.inf, "min_slack": math.nan, "trace": [{"ratio": -math.inf}]},
+        )
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        path = tmp_path / "report.json"
+        write_json_report(report, str(path))
+        loaded = json.loads(path.read_text(), parse_constant=reject)
+        check = loaded["checks"][0]
+        assert (check["lhs"], check["rhs"], check["gap"]) == ("inf", "nan", "-inf")
+        assert loaded["aggregates"]["max_ratio"] == "inf"
+        assert math.isnan(float(loaded["aggregates"]["min_slack"]))
+        assert float(loaded["aggregates"]["trace"][0]["ratio"]) == -math.inf
+        assert report.aggregates["max_ratio"] == math.inf  # the report itself is untouched
 
     def test_rerun_from_config_echo(self):
         first = cmd_theorem(small_config(samples=15))

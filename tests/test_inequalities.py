@@ -18,13 +18,16 @@ from hardylab import (
     envelope_excess_sides,
     envelope_gap_sides,
     make_grid,
+    martingale_from_coefficients,
     perturbation_bounds,
+    phases_from_angles,
     random_adapted_phases,
     random_hardy_function,
     random_hardy_martingale,
     sincos_identity_sides,
     slack_within,
     stability_report,
+    stability_report_from_coefficients,
     verify_chain,
 )
 
@@ -294,3 +297,128 @@ class TestVerifyChain:
         )
         steps = {s.step: s for s in verify_chain(fake)}
         assert not steps["stability-chain"].passed
+
+
+REPORT_ARRAYS = ("sigma_coeffs", "dyadic_coeffs", "envelopes", "residual_rms",
+                 "perturbed_moments", "transform_moments")
+REPORT_NORMS = ("envelope_mean", "coeff_mean", "dyadic_mean", "perturbation_pnorm",
+                "transform_pnorm", "base_pnorm")
+
+
+def assert_reports_agree(fast, ref, coeffs, rtol):
+    """Every field of two reports on the same coefficients agrees within rtol
+    relative to its natural scale floored at 1, and the chain verdicts match.
+
+    Level-k arrays are compared elementwise against rho + |b|, with rho the
+    2-norm of the row of coefficients and b the reference dyadic coefficient,
+    squared for the moments: round-off in a nearly cancelling value such as
+    residual_rms at u = mu s is of that size, not of the value's own.  The
+    means and P-norms are compared against base_pnorm + dyadic_mean."""
+    for k, c in enumerate(coeffs):
+        shape = np.shape(ref.sigma_coeffs[k])
+        size = np.linalg.norm(np.asarray(c), axis=-1).reshape(shape) + np.abs(ref.dyadic_coeffs[k])
+        for name in REPORT_ARRAYS:
+            x, y = getattr(fast, name)[k], getattr(ref, name)[k]
+            assert x.shape == y.shape and x.dtype == y.dtype, (name, k)
+            power = 2 if name.endswith("moments") else 1
+            assert np.all(np.abs(x - y) <= rtol * np.maximum(1.0, size**power)), (name, k)
+    scale = max(1.0, ref.base_pnorm + ref.dyadic_mean)
+    for name in REPORT_NORMS:
+        x, y = getattr(fast, name), getattr(ref, name)
+        assert abs(x - y) <= rtol * scale, (name, x, y)
+    assert abs(fast.ratio - ref.ratio) <= rtol * max(1.0, ref.ratio), (fast.ratio, ref.ratio)
+    fast_steps, ref_steps = verify_chain(fast), verify_chain(ref)
+    assert [(s.step, s.passed) for s in fast_steps] == [(s.step, s.passed) for s in ref_steps]
+
+
+@st.composite
+def coefficient_cases(draw):
+    """(grid, coefficient blocks, phases) with row scales spread over 1e-6..1e4
+    and, per level, no, some or all rows zero.  Above ~1e6 round-off alone can
+    decide verify_chain steps whose exact sides are equal (its slack floor is
+    absolute), so the two paths' verdicts could differ there."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    depth = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, n // 2 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = []
+    for k in range(1, depth + 1):
+        rows = n ** (k - 1)
+        scale = 10.0 ** rng.uniform(-6.0, 4.0, size=(rows, 1))
+        c = scale * (rng.standard_normal((rows, degree)) + 1j * rng.standard_normal((rows, degree)))
+        c[rng.uniform(size=rows) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+        coeffs.append(c)
+    grid = make_grid(n)
+    angles = [rng.uniform(0.0, 2.0 * np.pi, size=(n,) * k) for k in range(depth)]
+    return grid, coeffs, phases_from_angles(grid, angles)
+
+
+class TestStabilityFromCoefficients:
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_cases())
+    def test_matches_grid_path(self, case):
+        grid, coeffs, phases = case
+        fast = stability_report_from_coefficients(grid, coeffs, phases)
+        ref = stability_report(martingale_from_coefficients(grid, coeffs), phases)
+        assert_reports_agree(fast, ref, coeffs, 1e-12)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0])
+    def test_n4_degree_one_is_sign_proportional(self, angle):
+        # on the N=4 grid cos(theta) = s / sqrt(2): u - mu s vanishes exactly
+        grid = make_grid(4)
+        phases = phases_from_angles(grid, [np.asarray(angle)])
+        fast = stability_report_from_coefficients(grid, [[[1.0]]], phases)
+        ref = stability_report(martingale_from_coefficients(grid, [[[1.0]]]), phases)
+        assert_reports_agree(fast, ref, [[[1.0]]], 1e-13)
+        assert float(fast.residual_rms[0]) <= 1e-15
+
+    def test_vanishing_transform_moment_stays_nonnegative(self):
+        # N=4, u = mu s and w = i: Im(w(g - b s)) = 0 on the grid, so the
+        # transform moment is 0 up to round-off and must not round below it
+        grid = make_grid(4)
+        phases = phases_from_angles(grid, [np.asarray(math.pi / 2)])
+        fast = stability_report_from_coefficients(grid, [[[1.0]]], phases)
+        ref = stability_report(martingale_from_coefficients(grid, [[[1.0]]]), phases)
+        assert float(fast.transform_moments[0]) >= 0.0
+        assert 0.0 <= fast.transform_pnorm <= 1e-15 and ref.transform_pnorm <= 1e-15
+        assert [(s.step, s.passed) for s in verify_chain(fast)] == \
+            [(s.step, s.passed) for s in verify_chain(ref)]
+
+    def test_single_mode_n8_oracle(self):
+        oracle = oracles.oracle_single_step_stability(8)
+        grid = make_grid(8)
+        phases = AdaptedPhases(grid, (np.asarray(1.0 + 0j),))
+        rep = stability_report_from_coefficients(grid, [np.ones((1, 1))], phases)
+        assert complex(rep.sigma_coeffs[0]).real == pytest.approx(oracle["mu"], abs=1e-13)
+        assert rep.perturbation_pnorm == pytest.approx(oracle["lhs_p"], abs=1e-13)
+        assert rep.transform_pnorm == pytest.approx(oracle["transform_p"], abs=1e-13)
+        assert rep.base_pnorm == pytest.approx(oracle["base_p"], abs=1e-13)
+        assert rep.ratio == pytest.approx(oracle["ratio"], abs=1e-13)
+        ref = stability_report(MartingaleField(grid, 1, np.exp(1j * grid.angles)), phases)
+        assert_reports_agree(rep, ref, [np.ones((1, 1))], 1e-13)
+
+    @pytest.mark.parametrize("coeffs, match", [
+        ([np.ones((1, 2)), np.ones((4, 2))], "8 rows"),
+        ([np.ones((1, 0))], "degree"),
+        ([np.ones((1, 4))], "degree"),
+        ([np.ones(2)], "1 rows"),
+        ([], "depth"),
+    ])
+    def test_rejects_bad_layout(self, coeffs, match):
+        # one validator serves both the fast path and the grid assembly
+        grid = make_grid(8)
+        phases = random_adapted_phases(EnsembleConfig(seed=1, n_points=8, depth=2))
+        with pytest.raises(ValueError, match=match):
+            stability_report_from_coefficients(grid, coeffs, phases)
+        with pytest.raises(ValueError, match=match):
+            martingale_from_coefficients(grid, coeffs)
+
+    def test_rejects_short_phases_grid_mismatch_and_guard(self):
+        phases = random_adapted_phases(EnsembleConfig(seed=1, n_points=8, depth=2))
+        deep = [np.ones((8 ** k, 1)) for k in range(3)]
+        with pytest.raises(ValueError, match="phases depth"):
+            stability_report_from_coefficients(make_grid(8), deep, phases)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            stability_report_from_coefficients(make_grid(4), [np.ones((1, 1))], phases)
+        with pytest.raises(ValueError, match="memory guard"):
+            stability_report_from_coefficients(make_grid(64), [np.ones((1, 1))] * 5, phases)
