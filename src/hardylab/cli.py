@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import asdict
 
 from .harness import (
@@ -89,6 +90,22 @@ def _parse_resolutions(text: str):
     return values
 
 
+_FIELD_TYPES = typing.get_type_hints(HarnessConfig)
+
+
+def _has_field_type(value, hint) -> bool:
+    """Whether a JSON value fits a HarnessConfig field: an integer also fits a
+    float field, a tuple field takes a list of integers or a comma-separated
+    string, and booleans fit no field."""
+    types = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return False
+    if tuple in types:
+        return isinstance(value, str) or (
+            isinstance(value, list) and all(_has_field_type(v, int) for v in value))
+    return isinstance(value, types + ((int,) if float in types else ()))
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -97,12 +114,13 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    known = set(asdict(HarnessConfig()))
     settings = {}
     for key, value in raw.items():
         name = key.replace("-", "_")
-        if name not in known:
+        if name not in _FIELD_TYPES:
             raise UsageError(f"unknown config key {key!r}")
+        if not _has_field_type(value, _FIELD_TYPES[name]):
+            raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
         settings[name] = value
     return settings
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .martingale import (
-    MEMORY_GUARD_ENTRIES,
     AdaptedPhases,
     MartingaleField,
+    _check_size,
     _coefficient_blocks,
     field_from_differences,
 )
@@ -94,8 +94,7 @@ def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:
     """Per-level analytic coefficients, one substream per level."""
-    if cfg.n_points**cfg.depth > MEMORY_GUARD_ENTRIES:
-        raise ValueError("memory guard: grid^depth too large")
+    _check_size(make_grid(cfg.n_points), cfg.depth)
     return [
         cfg.coefficient_scale
         * _standard_complex(cfg, _stream(cfg, 0, k), (cfg.n_points ** (k - 1), cfg.max_degree))

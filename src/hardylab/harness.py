@@ -28,19 +28,24 @@ from .ensembles import (
 )
 from .inequalities import (
     CHAIN_CONSTANT,
+    CHAIN_STEPS,
+    CheckRecord,
     decomposition_sides,
     envelope_excess_sides,
     envelope_gap_sides,
     perturbation_bounds,
+    residual_verdict,
     sincos_identity_sides,
-    slack_within,
+    slack_verdict,
     stability_report_from_coefficients,
     verify_chain,
 )
-from .martingale import MEMORY_GUARD_ENTRIES, check_transform_isometry, previsible_norm
+from .martingale import _check_size, check_transform_isometry, previsible_norm
 from .torus import GridFunction, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
+# exact dyadic cosine coefficients at N = 4 and N = 8
+_ANCHORS = {4: math.sqrt(2.0) / 2.0, 8: 1.0 / (4.0 * math.sin(math.pi / 8.0))}
 
 
 class UsageError(Exception):
@@ -59,22 +64,6 @@ class HarnessConfig:
     resolutions: tuple = (4, 8, 16, 32, 64, 128)
     out: str | None = None
     csv: str | None = None
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verified statement: both sides plus a gap.
-
-    For identity checks `gap` is the relative residual |lhs-rhs|/rhs; for
-    inequality checks it is the slack rhs - lhs (negative means violated
-    beyond tolerance only if `passed` is False).
-    """
-
-    check_id: str
-    lhs: float
-    rhs: float
-    gap: float
-    passed: bool
 
 
 @dataclass
@@ -122,15 +111,13 @@ def _validate_common(config: HarnessConfig, need_samples: bool = True) -> Harnes
     """Validate ensemble-facing settings; returns the config with the
     max_degree default resolved against the grid."""
     try:
-        make_grid(config.n_points)
+        _check_size(make_grid(config.n_points), config.depth)  # grid contract and memory guard
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if need_samples and config.samples < 1:
         raise UsageError(f"samples must be positive; got {config.samples}")
     if config.tol < 0:
         raise UsageError(f"tol must be nonnegative; got {config.tol}")
-    if config.depth < 1:
-        raise UsageError(f"depth must be positive; got {config.depth}")
     max_d = config.n_points // 2 - 1
     if config.max_degree is None:
         config = replace(config, max_degree=min(3, max_d))
@@ -138,9 +125,10 @@ def _validate_common(config: HarnessConfig, need_samples: bool = True) -> Harnes
         raise UsageError(
             f"max_degree must lie in 1..{max_d} for n_points={config.n_points}"
         )
-    if config.n_points**config.depth > MEMORY_GUARD_ENTRIES:
-        raise UsageError("memory guard: n_points^depth too large")
     return config
+
+
+_WORST = {"min-slack": np.argmin, "max-residual": np.argmax}
 
 
 class _Collector:
@@ -152,40 +140,22 @@ class _Collector:
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
 
-    def identity_scan(self, suite: str, samples: int, sides, tol: float) -> CheckRecord:
-        """Record each sample i whose sides(i) = (lhs, rhs, scale) has residual
-        |lhs - rhs| / scale above tol; return the worst residual's record unadded."""
-        worst = (0, 0.0, 0.0, -1.0)
-        for i in range(samples):
-            lhs, rhs, scale = sides(i)
-            residual = abs(lhs - rhs) / max(scale, 1e-300)
-            if residual > worst[3]:
-                worst = (i, lhs, rhs, residual)
-            if residual > tol:
-                self.violation(suite, i, lhs, rhs, residual)
-        idx, lhs, rhs, residual = worst
-        return CheckRecord(f"{suite}/max-residual(sample {idx})", lhs, rhs, residual,
-                           residual <= tol)
+    def scan(self, suite: str, label: str, lhs, rhs, gap, passed) -> CheckRecord:
+        """Record one suite from per-sample arrays: first the worst sample i,
+        `suite/label(sample i)` with label "min-slack" (smallest gap) or
+        "max-residual" (largest gap), then `suite/sample-j` for every other
+        failing sample j, so each failing sample is counted once.  Returns the
+        worst record."""
+        def record(check_id: str, j: int) -> CheckRecord:
+            return CheckRecord(check_id, float(lhs[j]), float(rhs[j]), float(gap[j]),
+                               bool(passed[j]))
 
-    def slack_scan(self, suite: str, samples: int, steps, tol: float) -> float:
-        """Record every failed step of steps(i), a list of ChainStep, for each
-        sample i, then each step id's worst slack (relative to max(1, |lhs|,
-        |rhs|)) in first-seen order; return the smallest slack overall."""
-        worst: dict = {}
-        for i in range(samples):
-            for step in steps(i):
-                slack = (step.rhs - step.lhs) / max(1.0, abs(step.lhs), abs(step.rhs))
-                if step.step not in worst or slack < worst[step.step][3]:
-                    worst[step.step] = (i, step.lhs, step.rhs, slack)
-                if not step.passed:
-                    self.violation(f"{suite}/{step.step}", i, step.lhs, step.rhs, slack)
-        for step_id, (i, lhs, rhs, slack) in worst.items():
-            self.add(CheckRecord(f"{suite}/{step_id}/min-slack(sample {i})", lhs, rhs, slack,
-                                 slack >= -tol))
-        return min((v[3] for v in worst.values()), default=0.0)
-
-    def violation(self, suite: str, idx, lhs: float, rhs: float, gap: float) -> None:
-        self.add(CheckRecord(f"{suite}/sample-{idx}", lhs, rhs, gap, False))
+        i = int(_WORST[label](gap))
+        worst = record(f"{suite}/{label}(sample {i})", i)
+        self.add(worst)
+        self.checks += [record(f"{suite}/sample-{j}", j)
+                        for j in np.flatnonzero(np.logical_not(passed)) if j != i]
+        return worst
 
     @property
     def violation_count(self) -> int:
@@ -217,66 +187,40 @@ def _scalar_rng(config: HarnessConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(config.seed), tag]))
 
 
+_IDENTITY_SUITES = ("sincos-identity", "orthogonal-split", "transform-isometry")
+
+
 def cmd_identities(config: HarnessConfig) -> RunReport:
     """Exact-identity suites: single-coordinate identity, orthogonal split,
     and the transform isometry for Hardy martingales."""
     config = _validate_common(config)
     t0 = time.monotonic()
     col = _Collector()
-    max_residual = 0.0
-
     rng = _scalar_rng(config, 100)
+    sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))  # lhs, rhs, scale
 
-    def sincos(i):
+    for i in range(config.samples):
         h = random_hardy_function(_ensemble(config, 0, i, 1))
         b = complex(rng.standard_normal() + 1j * rng.standard_normal())
         w = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
         rep = sincos_identity_sides(h, b, w / abs(w))
-        return rep.lhs, rep.rhs, rep.rhs
-
-    def orthogonal_split(i):
+        sides[0, i] = (rep.lhs, rep.rhs, rep.rhs)
+    for i in range(config.samples):
         h = random_hardy_function(_ensemble(config, 1, i, 1))
         b = complex(rng.standard_normal() + 1j * rng.standard_normal())
         lhs, rhs = decomposition_sides(h, b)
-        return lhs, rhs, rhs
-
-    def transform_isometry(i):
+        sides[1, i] = (lhs, rhs, rhs)
+    for i in range(config.samples):
         cfg = _ensemble(config, 2, i, config.depth)
         field_ = random_hardy_martingale(cfg)
         lhs, rhs = check_transform_isometry(field_, random_adapted_phases(cfg))
-        return lhs, rhs, previsible_norm(field_)
+        sides[2, i] = (lhs, rhs, previsible_norm(field_))
 
-    for suite, sides in (("sincos-identity", sincos), ("orthogonal-split", orthogonal_split),
-                         ("transform-isometry", transform_isometry)):
-        worst = col.identity_scan(suite, config.samples, sides, config.tol)
-        col.add(worst)
-        max_residual = max(max_residual, worst.gap)
-
+    max_residual = max(
+        col.scan(suite, "max-residual", lhs, rhs,
+                 *residual_verdict(lhs, rhs, scale, config.tol)).gap
+        for suite, (lhs, rhs, scale) in zip(_IDENTITY_SUITES, sides.transpose(0, 2, 1)))
     return _finish("identities", config, col, t0, {"max_residual": max_residual})
-
-
-def _slack_suite(col: _Collector, suite: str, lhs: np.ndarray, rhs: np.ndarray,
-                 tol: float) -> float:
-    """Record the worst slack of an inequality suite plus all violations."""
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    slack = (rhs - lhs) / scale
-    worst = int(np.argmin(slack))
-    passed = slack >= -tol
-    col.add(
-        CheckRecord(
-            f"{suite}/min-slack(sample {worst})",
-            float(lhs[worst]),
-            float(rhs[worst]),
-            float(slack[worst]),
-            bool(passed[worst]),
-        )
-    )
-    for i in np.nonzero(~passed)[0]:
-        if i != worst:
-            col.violation(suite, int(i), float(lhs[i]), float(rhs[i]), float(slack[i]))
-    return float(slack[worst])
 
 
 def cmd_lemmas(config: HarnessConfig) -> RunReport:
@@ -286,33 +230,29 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     t0 = time.monotonic()
     col = _Collector()
     tol = config.tol
-    min_slack = math.inf
 
-    arith_cfg = _ensemble(config, 10, 0, 1)
-    mu, b, w = arith_sample_batch(arith_cfg, config.samples)
-    gap_lhs, gap_rhs = envelope_gap_sides(mu, b, w)
-    min_slack = min(min_slack, _slack_suite(col, "envelope-gap", gap_lhs, gap_rhs, tol))
-    exc_lhs, exc_rhs = envelope_excess_sides(mu, b)
-    min_slack = min(min_slack, _slack_suite(col, "envelope-excess", exc_lhs, exc_rhs, tol))
-
+    mu, b, w = arith_sample_batch(_ensemble(config, 10, 0, 1), config.samples)
     rng = _scalar_rng(config, 101)
-    shift = np.zeros((config.samples, 2))
-    rot = np.zeros((config.samples, 2))
-
-    def split_sides(i):
+    sides = np.empty((config.samples, 5))
+    for i in range(config.samples):
         h = random_hardy_function(_ensemble(config, 11, i, 1))
         b_i = complex(rng.standard_normal() + 1j * rng.standard_normal())
         w_i = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
         rep = perturbation_bounds(h, b_i, w_i / abs(w_i))
-        shift[i] = (rep.shift_lhs, rep.shift_rhs)
-        rot[i] = (rep.rotation_lhs, rep.rotation_rhs)
-        split_lhs, split_rhs = decomposition_sides(h, b_i)
-        return split_lhs, split_rhs, split_rhs
+        sides[i] = (rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs, rep.rotation_rhs,
+                    rep.split_rhs)
 
-    worst_split = col.identity_scan("perturbation-split", config.samples, split_sides, tol)
-    min_slack = min(min_slack, _slack_suite(col, "shift-bound", shift[:, 0], shift[:, 1], tol))
-    min_slack = min(min_slack, _slack_suite(col, "rotation-bound", rot[:, 0], rot[:, 1], tol))
-    col.add(worst_split)
+    shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs = sides.T
+    bounds = {
+        "envelope-gap": envelope_gap_sides(mu, b, w),
+        "envelope-excess": envelope_excess_sides(mu, b),
+        "shift-bound": (shift_lhs, shift_rhs),
+        "rotation-bound": (rotation_lhs, rotation_rhs),
+    }
+    min_slack = min(col.scan(suite, "min-slack", lhs, rhs, *slack_verdict(lhs, rhs, tol)).gap
+                    for suite, (lhs, rhs) in bounds.items())
+    worst_split = col.scan("perturbation-split", "max-residual", shift_lhs, split_rhs,
+                           *residual_verdict(shift_lhs, split_rhs, split_rhs, tol))
 
     return _finish(
         "lemmas", config, col, t0,
@@ -328,15 +268,19 @@ def cmd_theorem(config: HarnessConfig) -> RunReport:
     col = _Collector()
     grid = make_grid(config.n_points)
     ratios = []
-
-    def chain(i):
+    sides = np.empty((len(CHAIN_STEPS), 3, config.samples))  # lhs, rhs, gap
+    passed = np.empty((len(CHAIN_STEPS), config.samples), dtype=bool)
+    for i in range(config.samples):
         cfg = _ensemble(config, 20, i, config.depth)
         rep = stability_report_from_coefficients(
             grid, random_coefficient_arrays(cfg), random_adapted_phases(cfg))
         ratios.append(rep.ratio)
-        return verify_chain(rep, slack=config.tol)
+        steps = verify_chain(rep, slack=config.tol)
+        sides[:, :, i] = [(s.lhs, s.rhs, s.gap) for s in steps]
+        passed[:, i] = [s.passed for s in steps]
 
-    min_slack = col.slack_scan("chain", config.samples, chain, config.tol)
+    min_slack = min(col.scan(f"chain/{step}", "min-slack", *sides[k], passed[k]).gap
+                    for k, step in enumerate(CHAIN_STEPS))
     return _finish(
         "theorem", config, col, t0,
         {"max_ratio": max([0.0, *ratios]), "min_slack": min_slack,
@@ -407,15 +351,9 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
     deltas = [b["ratio"] - a["ratio"] for a, b in zip(trace, trace[1:])]
     min_delta = min(deltas, default=0.0)
     col.add(CheckRecord("search/trace-monotone", 0.0, min_delta, min_delta, min_delta >= 0.0))
-    col.add(
-        CheckRecord(
-            "search/best-below-chain-constant",
-            best_ratio,
-            CHAIN_CONSTANT,
-            CHAIN_CONSTANT - best_ratio,
-            slack_within(best_ratio, CHAIN_CONSTANT, config.tol),
-        )
-    )
+    gap, passed = slack_verdict(best_ratio, CHAIN_CONSTANT, config.tol)
+    col.add(CheckRecord("search/best-below-chain-constant", best_ratio, CHAIN_CONSTANT,
+                        float(gap), bool(passed)))
 
     argmax = None
     if best_state is not None:
@@ -467,14 +405,9 @@ def cmd_convergence(config: HarnessConfig) -> RunReport:
                 f"error-bound/N{n}", err, 1.0 / n, 1.0 / n - err, err <= 1.0 / n
             )
         )
-        if n == 4:
-            anchor = math.sqrt(2.0) / 2.0
-            residual = abs(b_n - anchor) / anchor
-            col.add(CheckRecord("anchor/N4", b_n, anchor, residual, residual <= tol))
-        if n == 8:
-            anchor = 1.0 / (4.0 * math.sin(math.pi / 8.0))
-            residual = abs(b_n - anchor) / anchor
-            col.add(CheckRecord("anchor/N8", b_n, anchor, residual, residual <= tol))
+        if n in _ANCHORS:
+            residual, passed = residual_verdict(b_n, _ANCHORS[n], _ANCHORS[n], tol)
+            col.add(CheckRecord(f"anchor/N{n}", b_n, _ANCHORS[n], float(residual), bool(passed)))
 
     fitted_order = None
     if len(errors) >= 2:

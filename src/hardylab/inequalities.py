@@ -49,14 +49,45 @@ _UNIMODULAR_TOL = 1e-9
 _ANALYTIC_GATE_TOL = 1e-9
 
 
-def slack_within(lhs: float, rhs: float, tol: float) -> bool:
-    """lhs <= rhs with tolerance tol, measured in units of the bound's scale.
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verified statement: both sides, a gap and the verdict.
+
+    For an identity lhs = rhs the gap is the relative residual of
+    residual_verdict; for an inequality lhs <= rhs it is the scale-normalised
+    slack of slack_verdict, negative when lhs exceeds rhs.
+    """
+
+    check_id: str
+    lhs: float
+    rhs: float
+    gap: float
+    passed: bool
+
+
+def slack_verdict(lhs, rhs, tol: float) -> tuple:
+    """(gap, passed) of lhs <= rhs, elementwise over arrays of samples:
+    gap = (rhs - lhs) / max(1, |lhs|, |rhs|), passed where gap >= -tol.
 
     The scale floor 1 makes the test absolute for O(1) data; for large data
     it degrades gracefully to a relative test, which is the only float64-
     meaningful reading when both sides grow like the square of the inputs.
     """
-    return rhs - lhs >= -tol * max(1.0, abs(lhs), abs(rhs))
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    gap = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return gap, gap >= -tol
+
+
+def slack_within(lhs: float, rhs: float, tol: float) -> bool:
+    """lhs <= rhs with tolerance tol, measured in units of the bound's scale."""
+    return bool(slack_verdict(lhs, rhs, tol)[1])
+
+
+def residual_verdict(lhs, rhs, scale, tol: float) -> tuple:
+    """(gap, passed) of lhs = rhs, elementwise over arrays of samples:
+    gap = |lhs - rhs| / max(scale, 1e-300), passed where gap <= tol."""
+    gap = np.abs(np.subtract(lhs, rhs, dtype=float)) / np.maximum(scale, 1e-300)
+    return gap, gap <= tol
 
 
 def _require_unimodular(w: complex) -> complex:
@@ -157,7 +188,7 @@ class IdentityReport:
 
 
 def _identity_report(lhs: float, rhs: float) -> IdentityReport:
-    return IdentityReport(lhs, rhs, abs(lhs - rhs) / max(rhs, 1e-300))
+    return IdentityReport(lhs, rhs, float(residual_verdict(lhs, rhs, rhs, 0.0)[0]))
 
 
 def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityReport:
@@ -194,12 +225,14 @@ def decomposition_sides(h: GridFunction, b: complex):
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Both integral bounds for one (h, b, w) sample plus the split residual."""
+    """Both integral bounds for one (h, b, w) sample plus the exact orthogonal
+    split int |u - b s|^2 = split_rhs, whose left side is shift_lhs."""
 
     shift_lhs: float
     shift_rhs: float
     rotation_lhs: float
     rotation_rhs: float
+    split_rhs: float
     split_residual: float
 
 
@@ -226,8 +259,9 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
     rotation_rhs = 8.0 * float(np.mean((w * (h.values - b * sig)).imag ** 2))
 
     split_rhs = abs(mu - b) ** 2 + tail
-    split_residual = abs(shift_lhs - split_rhs) / max(split_rhs, 1e-300)
-    return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_residual)
+    split_residual = float(residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
+    return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs,
+                              split_residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,28 +417,20 @@ def stability_report_from_coefficients(grid: TorusGrid, coefficients,
     return _chain_report(per_level, base_moments, depth, n)
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    step: str
-    lhs: float
-    rhs: float
-    passed: bool
+CHAIN_STEPS = ("dyadic-mean-convexity", "pointwise-perturbed-moment", "pnorm-envelope-split",
+               "envelope-gap-transform", "stability-chain")
 
 
 def verify_chain(report: StabilityReport, slack: float = 1e-10) -> list:
     """Numerically evaluate every inequality of the stability chain.
 
-    Violations are reported, never raised.  Each entry carries the two sides
-    of one step; `passed` allows the given slack relative to the step scale.
+    Violations are reported, never raised.  Returns one CheckRecord per step
+    of CHAIN_STEPS, in that order, whose gap and verdict follow slack_verdict
+    with the given slack.
     """
-    steps = []
-
-    def add(step_id: str, lhs: float, rhs: float):
-        steps.append(ChainStep(step_id, lhs, rhs, slack_within(lhs, rhs, slack)))
-
     # Averaging onto the sign cells can only shrink the mean of the
     # square-function of the sigma coefficients.
-    add("dyadic-mean-convexity", report.dyadic_mean, report.coeff_mean)
+    sides = [(report.dyadic_mean, report.coeff_mean)]
 
     # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2).
     worst_lhs, worst_rhs, worst_gap = 0.0, 0.0, -math.inf
@@ -418,31 +444,26 @@ def verify_chain(report: StabilityReport, slack: float = 1e-10) -> list:
             worst_gap = float(gap[idx])
             worst_lhs = float(np.asarray(m_k)[idx])
             worst_rhs = float(np.asarray(rhs_arr)[idx])
-    add("pointwise-perturbed-moment", worst_lhs, worst_rhs)
+    sides.append((worst_lhs, worst_rhs))
 
     # ||U - E(U|D)||_P <= sqrt(8) * (E(X-Y))^(1/2) * (E(X+Y))^(1/2).
     ex, ey, ez = report.envelope_mean, report.coeff_mean, report.dyadic_mean
     gap_mean = max(ex - ey, 0.0)  # X >= Y pointwise; clamp round-off
-    add(
-        "pnorm-envelope-split",
-        report.perturbation_pnorm,
-        math.sqrt(8.0) * math.sqrt(gap_mean) * math.sqrt(ex + ey),
-    )
+    sides.append((report.perturbation_pnorm,
+                  math.sqrt(8.0) * math.sqrt(gap_mean) * math.sqrt(ex + ey)))
 
     # E(X - Z) <= sqrt(8) * ||T_W(G - E(G|D))||_P.
-    add("envelope-gap-transform", ex - ez, math.sqrt(8.0) * report.transform_pnorm)
+    sides.append((ex - ez, math.sqrt(8.0) * report.transform_pnorm))
 
-    # Final bound with the tracked constant.
+    # Final bound with the tracked constant; a vanishing denominator (not
+    # possible for valid inputs) passes only with a vanishing perturbation.
     denom_sq = report.transform_pnorm * report.base_pnorm
-    if denom_sq > 0.0:
-        add(
-            "stability-chain",
-            report.perturbation_pnorm,
-            CHAIN_CONSTANT * math.sqrt(denom_sq),
-        )
-    else:
-        steps.append(
-            ChainStep("stability-chain", report.perturbation_pnorm, 0.0,
-                      report.perturbation_pnorm == 0.0)
-        )
-    return steps
+    sides.append((report.perturbation_pnorm,
+                  CHAIN_CONSTANT * math.sqrt(denom_sq) if denom_sq > 0.0 else 0.0))
+
+    lhs, rhs = zip(*sides)
+    gap, passed = slack_verdict(lhs, rhs, slack)
+    passed = passed.tolist()
+    if not denom_sq > 0.0:
+        passed[-1] = report.perturbation_pnorm == 0.0
+    return [CheckRecord(*step) for step in zip(CHAIN_STEPS, lhs, rhs, gap.tolist(), passed)]

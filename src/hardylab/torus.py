@@ -16,7 +16,7 @@ analytic data never excites it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,8 +103,17 @@ class TorusGrid:
 
 
 def make_grid(n_points: int) -> TorusGrid:
-    """Build the shifted grid, rejecting sizes that break its symmetries."""
-    return TorusGrid(int(n_points))
+    """The shifted grid of that size, rejecting sizes that break its symmetries.
+
+    Grids are immutable, so one instance per size is shared and its cached
+    matrices are built once per process.
+    """
+    return _interned_grid(int(n_points))
+
+
+@lru_cache(maxsize=64)
+def _interned_grid(n_points: int) -> TorusGrid:
+    return TorusGrid(n_points)
 
 
 @dataclass(frozen=True, eq=False)

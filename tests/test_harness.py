@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from hardylab import (
     write_csv_report,
     write_json_report,
 )
+from hardylab.harness import _Collector
 
 
 def small_config(**kw):
@@ -64,6 +67,10 @@ class TestIdentitiesCommand:
     def test_empty_samples(self):
         with pytest.raises(UsageError):
             cmd_identities(small_config(samples=0))
+
+    def test_memory_guard_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="memory guard"):
+            cmd_identities(small_config(n_points=64, depth=5))
 
 
 class TestLemmasCommand:
@@ -163,6 +170,36 @@ class TestReportPlumbing:
         report = cmd_identities(small_config(samples=10, tol=0.0))
         failing = sum(1 for c in report.checks if not c.passed)
         assert report.aggregates["violation_count"] == failing
+
+    @pytest.mark.parametrize("command", [cmd_identities, cmd_lemmas])
+    def test_each_failing_sample_counted_once(self, command):
+        # --tol 0 makes round-off fail; every suite then lists its worst
+        # sample once and each other failing sample once
+        report = command(small_config(samples=40, tol=0.0))
+        pattern = re.compile(r"(.+)/(?:sample-(\d+)|(?:max-residual|min-slack)\(sample (\d+)\))")
+        records = collections.Counter()
+        failing = set()
+        for c in report.checks:
+            suite, i, j = pattern.fullmatch(c.check_id).groups()
+            records[suite, int(i or j)] += 1
+            if not c.passed:
+                failing.add((suite, int(i or j)))
+        assert set(records.values()) == {1}
+        assert len({suite for suite, _ in failing}) >= 2
+        assert report.aggregates["violation_count"] == len(failing)
+
+    def test_scan_lists_the_worst_sample_first_and_once(self):
+        col = _Collector()
+        lhs, rhs = np.array([0.0, 2.0, 3.0, 1.0]), np.ones(4)
+        gap, passed = np.array([0.5, -0.5, -2 / 3, 0.0]), np.array([True, False, False, True])
+        worst = col.scan("chain/step", "min-slack", lhs, rhs, gap, passed)
+        assert worst == CheckRecord("chain/step/min-slack(sample 2)", 3.0, 1.0, -2 / 3, False)
+        assert col.checks == [worst, CheckRecord("chain/step/sample-1", 2.0, 1.0, -0.5, False)]
+        worst = col.scan("split", "max-residual", [1.0, 1.5], [1.0, 1.0], [0.0, 0.5],
+                         [True, False])
+        assert worst.check_id == "split/max-residual(sample 1)"
+        assert col.violation_count == 3
+        json.dumps(RunReport("x", {}, col.checks).to_dict())  # plain floats and bools
 
     def test_json_round_trip(self, tmp_path):
         report = cmd_identities(small_config(samples=10))
@@ -269,6 +306,28 @@ class TestCliEndToEnd:
         # ... but an explicit flag overrides it
         result = run_cli("identities", "--config", str(cfg_file), "--n-points", "8")
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("command, settings", [
+        ("identities", {"samples": "abc"}),
+        ("identities", {"depth": 2.0}),
+        ("identities", {"n-points": 8.5}),
+        ("identities", {"samples": True}),
+        ("convergence", {"resolutions": 5}),
+        ("convergence", {"resolutions": [4, 8.0]}),
+    ])
+    def test_config_file_wrong_type(self, tmp_path, command, settings):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(settings))
+        result = run_cli(command, "--config", str(cfg_file))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+    def test_config_file_accepted_types(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tol": 1, "max-degree": None, "out": None,
+                                        "resolutions": [4, 8], "samples": 5}))
+        assert run_cli("identities", "--config", str(cfg_file)).returncode == 0
+        assert run_cli("convergence", "--config", str(cfg_file)).returncode == 0
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

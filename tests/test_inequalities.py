@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,6 +195,19 @@ class TestPerturbationBounds:
         lhs, rhs = decomposition_sides(h, 0.3 - 0.8j)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_split_sides_match_decomposition_sides(self, n):
+        # the harness takes the split from the report instead of a second
+        # decomposition_sides call; the arithmetic must be the same
+        rng = np.random.default_rng(n)
+        for i in range(20):
+            h = random_hardy_function(EnsembleConfig(seed=500 + i, n_points=n,
+                                                     max_degree=n // 2 - 1))
+            b = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            rep = perturbation_bounds(h, b, unit_phase(rng))
+            assert (rep.shift_lhs, rep.split_rhs) == decomposition_sides(h, b)
+            assert rep.split_residual == abs(rep.shift_lhs - rep.split_rhs) / rep.split_rhs
+
 
 class TestStabilityReport:
     def test_single_mode_n4(self):
@@ -260,7 +274,7 @@ class TestVerifyChain:
         G = MartingaleField(grid, 1, np.exp(1j * grid.angles))
         W = AdaptedPhases(grid, (np.asarray(1.0 + 0j),))
         steps = verify_chain(stability_report(G, W))
-        assert [s.step for s in steps] == [
+        assert [s.check_id for s in steps] == [
             "dyadic-mean-convexity",
             "pointwise-perturbed-moment",
             "pnorm-envelope-split",
@@ -282,6 +296,23 @@ class TestVerifyChain:
     def test_chain_constant_value(self):
         assert CHAIN_CONSTANT == pytest.approx(2.0 ** (13.0 / 4.0), abs=0)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-10, 1.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_records_follow_the_slack_rule(self, tol, scale):
+        # gap is the scale-normalised slack and passed is slack_within, for
+        # valid chains and for perturbed reports whose steps fail
+        cfg = EnsembleConfig(seed=31, n_points=8, depth=2, max_degree=3,
+                             coefficient_scale=scale)
+        rep = stability_report(random_hardy_martingale(cfg), random_adapted_phases(cfg))
+        for fake in (rep, dataclasses.replace(rep, dyadic_mean=3.0 * rep.coeff_mean + 1.0,
+                                              perturbation_pnorm=5.0 * rep.perturbation_pnorm)):
+            records = verify_chain(fake, slack=tol)
+            assert len(records) == 5
+            for r in records:
+                assert r.gap == (r.rhs - r.lhs) / max(1.0, abs(r.lhs), abs(r.rhs)), r
+                assert r.passed is slack_within(r.lhs, r.rhs, tol), r
+        assert all(r.passed for r in records) == (tol >= 1.0)  # rhs >= 0, so gap >= -1
+
     def test_degenerate_denominator_flagged_not_raised(self):
         # a vanishing transform norm with a nonzero perturbation norm cannot
         # come from valid inputs; the chain must report it as a failure
@@ -295,8 +326,12 @@ class TestVerifyChain:
             dyadic_mean=0.0, perturbation_pnorm=0.5, transform_pnorm=0.0,
             base_pnorm=1.0, ratio=float("inf"),
         )
-        steps = {s.step: s for s in verify_chain(fake)}
+        steps = {s.check_id: s for s in verify_chain(fake)}
         assert not steps["stability-chain"].passed
+        assert steps["stability-chain"].gap == -0.5  # the step's slack; passed needs 0
+        fake = dataclasses.replace(fake, perturbation_pnorm=0.0, ratio=0.0)
+        steps = {s.check_id: s for s in verify_chain(fake, slack=0.0)}
+        assert steps["stability-chain"].passed and steps["stability-chain"].gap == 0.0
 
 
 REPORT_ARRAYS = ("sigma_coeffs", "dyadic_coeffs", "envelopes", "residual_rms",
@@ -328,7 +363,7 @@ def assert_reports_agree(fast, ref, coeffs, rtol):
         assert abs(x - y) <= rtol * scale, (name, x, y)
     assert abs(fast.ratio - ref.ratio) <= rtol * max(1.0, ref.ratio), (fast.ratio, ref.ratio)
     fast_steps, ref_steps = verify_chain(fast), verify_chain(ref)
-    assert [(s.step, s.passed) for s in fast_steps] == [(s.step, s.passed) for s in ref_steps]
+    assert [(s.check_id, s.passed) for s in fast_steps] == [(s.check_id, s.passed) for s in ref_steps]
 
 
 @st.composite
@@ -381,8 +416,8 @@ class TestStabilityFromCoefficients:
         ref = stability_report(martingale_from_coefficients(grid, [[[1.0]]]), phases)
         assert float(fast.transform_moments[0]) >= 0.0
         assert 0.0 <= fast.transform_pnorm <= 1e-15 and ref.transform_pnorm <= 1e-15
-        assert [(s.step, s.passed) for s in verify_chain(fast)] == \
-            [(s.step, s.passed) for s in verify_chain(ref)]
+        assert [(s.check_id, s.passed) for s in verify_chain(fast)] == \
+            [(s.check_id, s.passed) for s in verify_chain(ref)]
 
     def test_single_mode_n8_oracle(self):
         oracle = oracles.oracle_single_step_stability(8)

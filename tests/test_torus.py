@@ -53,6 +53,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(bad)
 
+    def test_one_shared_grid_per_size(self):
+        grid = make_grid(16)
+        assert make_grid(16) is grid and make_grid(np.int64(16)) is grid
+        assert make_grid(8) is not grid
+        with pytest.raises(ValueError):  # a rejected size is never cached
+            make_grid(6)
+        with pytest.raises(ValueError):
+            make_grid(6)
+
     @pytest.mark.parametrize("n", GRID_SIZES)
     def test_conjugation_closure(self, n):
         # -theta_j is congruent to theta_{kappa(j)}: the two angles sum to 2*pi
