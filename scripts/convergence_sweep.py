@@ -8,7 +8,7 @@ Usage: python scripts/convergence_sweep.py [--resolutions 4,8,...,128]
 import argparse
 import sys
 
-from hardylab import HarnessConfig, cmd_convergence, write_csv_report
+from hardylab import HarnessConfig, UsageError, cmd_convergence, write_csv_report
 
 
 def main() -> int:
@@ -18,7 +18,11 @@ def main() -> int:
     args = parser.parse_args()
 
     resolutions = tuple(int(part) for part in args.resolutions.split(","))
-    report = cmd_convergence(HarnessConfig(resolutions=resolutions))
+    try:
+        report = cmd_convergence(HarnessConfig(resolutions=resolutions))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'N':>6} {'coefficient':>16} {'error vs 2/pi':>16}")
     values = {}

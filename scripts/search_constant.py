@@ -14,7 +14,7 @@ Usage: python scripts/search_constant.py [--starts 8] [--budget 400] ...
 import argparse
 import sys
 
-from hardylab import CHAIN_CONSTANT, HarnessConfig, cmd_constant_search, write_json_report
+from hardylab import CHAIN_CONSTANT, HarnessConfig, UsageError, cmd_constant_search, write_json_report
 
 
 def main() -> int:
@@ -36,7 +36,11 @@ def main() -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    report = cmd_constant_search(config)
+    try:
+        report = cmd_constant_search(config)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     best = report.aggregates["best_ratio"]
     print(f"best ratio: {best:.6f}")
     print(f"tracked chain constant: {CHAIN_CONSTANT:.6f}")

@@ -9,7 +9,7 @@ import argparse
 import pathlib
 import sys
 
-from hardylab import COMMANDS, HarnessConfig, write_json_report
+from hardylab import COMMANDS, HarnessConfig, UsageError, write_json_report
 
 
 def main() -> int:
@@ -36,7 +36,11 @@ def main() -> int:
 
     exit_code = 0
     for name, (command, config) in runs.items():
-        report = COMMANDS[command](config)
+        try:
+            report = COMMANDS[command](config)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         path = out_dir / f"{name}.json"
         write_json_report(report, str(path))
         agg = report.aggregates

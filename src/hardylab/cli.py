@@ -1,8 +1,8 @@
 """Command-line front end for the experiment harness.
 
-Exit codes: 0 all checks passed, 1 at least one mathematical check failed,
-2 usage or configuration error.  An optional JSON config file can preset any
-flag; explicit flags win.
+Exit codes: 0 all checks passed, 1 at least one mathematical check or
+precondition failed, 2 usage or configuration error.  An optional JSON config
+file can preset any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -166,12 +166,12 @@ def main(argv=None) -> int:
             write_json_report(report, config.out)
         if config.csv:
             write_csv_report(report, config.csv)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:  # a failed mathematical precondition, not a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     print(_summary_line(report))
     return 0 if report.aggregates["violation_count"] == 0 else 1
 

@@ -16,13 +16,12 @@ import numpy as np
 from .martingale import (
     AdaptedPhases,
     MartingaleField,
+    _check_degree,
     _check_size,
     _coefficient_blocks,
     field_from_differences,
 )
 from .torus import GridFunction, TorusGrid, make_grid
-
-DISTRIBUTIONS = ("gaussian", "uniform-disk")
 
 # Magnitude strata for the scalar sampler; chosen to hit exact zeros,
 # denormal-adjacent values, and both ends of the double's comfortable range.
@@ -36,35 +35,24 @@ class EnsembleConfig:
     depth: int = 1
     max_degree: int = 1
     coefficient_scale: float = 1.0
-    distribution: str = "gaussian"
 
     def __post_init__(self):
-        make_grid(self.n_points)  # validates the grid contract
+        grid = make_grid(self.n_points)
+        _check_size(grid, self.depth)
+        _check_degree(grid, self.max_degree)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if not 1 <= self.max_degree <= self.n_points // 2 - 1:
-            raise ValueError(
-                f"max_degree must lie in 1..{self.n_points // 2 - 1} "
-                f"(Nyquist exclusion); got {self.max_degree}"
-            )
         if not self.coefficient_scale > 0:
             raise ValueError("coefficient_scale must be positive")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
 
 
 def _stream(cfg: EnsembleConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=key))
 
 
-def _standard_complex(cfg: EnsembleConfig, rng: np.random.Generator, shape) -> np.ndarray:
-    if cfg.distribution == "gaussian":
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return z / np.sqrt(2.0)
-    radius = np.sqrt(rng.uniform(size=shape))
-    return radius * np.exp(2j * np.pi * rng.uniform(size=shape))
+def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.sqrt(2.0)
 
 
 def _mode_matrix(grid: TorusGrid, degree: int) -> np.ndarray:
@@ -87,17 +75,16 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
     """Random analytic polynomial sum_{m=1..d} c_m e^{im theta}."""
     grid = make_grid(cfg.n_points)
-    coeff = cfg.coefficient_scale * _standard_complex(cfg, _stream(cfg, 0, 1), (1, cfg.max_degree))
+    coeff = cfg.coefficient_scale * _standard_complex(_stream(cfg, 0, 1), (1, cfg.max_degree))
     values = (coeff @ _mode_matrix(grid, cfg.max_degree))[0]
     return GridFunction(grid, values)
 
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:
     """Per-level analytic coefficients, one substream per level."""
-    _check_size(make_grid(cfg.n_points), cfg.depth)
     return [
         cfg.coefficient_scale
-        * _standard_complex(cfg, _stream(cfg, 0, k), (cfg.n_points ** (k - 1), cfg.max_degree))
+        * _standard_complex(_stream(cfg, 0, k), (cfg.n_points ** (k - 1), cfg.max_degree))
         for k in range(1, cfg.depth + 1)
     ]
 
@@ -144,8 +131,8 @@ def arith_sample_batch(cfg: EnsembleConfig, count: int):
     strata = np.asarray(ARITH_STRATA) * cfg.coefficient_scale
     mu_mag = strata[idx % 5]
     b_mag = strata[(idx // 5) % 5]
-    mu = mu_mag * _standard_complex(cfg, rng, count)
-    b = b_mag * _standard_complex(cfg, rng, count)
+    mu = mu_mag * _standard_complex(rng, count)
+    b = b_mag * _standard_complex(rng, count)
     w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
     w = w / np.abs(w)
     return mu, b, w

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -40,8 +41,8 @@ from .inequalities import (
     stability_report_from_coefficients,
     verify_chain,
 )
-from .martingale import _check_size, check_transform_isometry, previsible_norm
-from .torus import GridFunction, inner_product, make_grid, sigma
+from .martingale import _check_degree, _check_size, check_transform_isometry, previsible_norm
+from .torus import GridFunction, _is_integer, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
 # exact dyadic cosine coefficients at N = 4 and N = 8
@@ -107,24 +108,35 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _validate_common(config: HarnessConfig, need_samples: bool = True) -> HarnessConfig:
-    """Validate ensemble-facing settings; returns the config with the
-    max_degree default resolved against the grid."""
+@contextmanager
+def _usage_rules():
+    """Run shared input rules: their ValueError is a usage error here."""
     try:
-        _check_size(make_grid(config.n_points), config.depth)  # grid contract and memory guard
+        yield
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if need_samples and config.samples < 1:
-        raise UsageError(f"samples must be positive; got {config.samples}")
-    if config.tol < 0:
+
+
+def _validate_run(config: HarnessConfig) -> None:
+    """Settings every command reads: the base seed and the tolerance."""
+    if not _is_integer(config.seed) or config.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer; got {config.seed!r}")
+    if not config.tol >= 0:
         raise UsageError(f"tol must be nonnegative; got {config.tol}")
-    max_d = config.n_points // 2 - 1
-    if config.max_degree is None:
-        config = replace(config, max_degree=min(3, max_d))
-    if not 1 <= config.max_degree <= max_d:
-        raise UsageError(
-            f"max_degree must lie in 1..{max_d} for n_points={config.n_points}"
-        )
+
+
+def _validate_common(config: HarnessConfig) -> HarnessConfig:
+    """Validate ensemble-facing settings; returns the config with the
+    max_degree default resolved against the grid."""
+    _validate_run(config)
+    if config.samples < 1:
+        raise UsageError(f"samples must be positive; got {config.samples}")
+    with _usage_rules():
+        grid = make_grid(config.n_points)
+        _check_size(grid, config.depth)
+        if config.max_degree is None:
+            config = replace(config, max_degree=min(3, grid.n_points // 2 - 1))
+        _check_degree(grid, config.max_degree)
     return config
 
 
@@ -377,15 +389,12 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
 def cmd_convergence(config: HarnessConfig) -> RunReport:
     """Resolution sweep of the dyadic coefficient of cos(theta), with the
     analytic limit 2/pi as anchor."""
+    _validate_run(config)
     if not config.resolutions:
         raise UsageError("resolutions must be a nonempty list")
-    for n in config.resolutions:
-        try:
+    with _usage_rules():
+        for n in config.resolutions:
             make_grid(n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if config.tol < 0:
-        raise UsageError(f"tol must be nonnegative; got {config.tol}")
     t0 = time.monotonic()
     col = _Collector()
     tol = max(config.tol, 1e-12)

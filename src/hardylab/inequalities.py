@@ -27,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .martingale import (
+    HARDY_GATE_TOL,
     AdaptedPhases,
     MartingaleField,
     _broadcast_sum,
+    _check_phases,
     _coefficient_blocks,
     _even_part,
     cond_square_profile,
@@ -90,10 +92,10 @@ def residual_verdict(lhs, rhs, scale, tol: float) -> tuple:
     return gap, gap <= tol
 
 
-def _require_unimodular(w: complex) -> complex:
-    w = complex(w)
-    if abs(abs(w) - 1.0) > _UNIMODULAR_TOL:
-        raise ValueError(f"multiplier must be unimodular; |w| = {abs(w)!r}")
+def _require_unimodular(w):
+    """w itself, once every |w| (scalar or array) is within _UNIMODULAR_TOL of 1."""
+    if np.count_nonzero(abs(abs(w) - 1.0) > _UNIMODULAR_TOL):
+        raise ValueError("multiplier must be unimodular")
     return w
 
 
@@ -112,28 +114,6 @@ def arith_envelope(mu, b):
     return out
 
 
-@dataclass(frozen=True)
-class EnvelopeWitness:
-    """A scalar sample (mu, b, w) together with its envelope value."""
-
-    mu: complex
-    b: complex
-    w: complex
-    a: float
-
-    def __post_init__(self):
-        _require_unimodular(self.w)
-        expected = arith_envelope(self.mu, self.b)
-        if abs(self.a - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError(f"inconsistent envelope value {self.a!r}; expected {expected!r}")
-        if self.a < 0.0:
-            raise ValueError("envelope value must be nonnegative")
-
-    @classmethod
-    def build(cls, mu: complex, b: complex, w: complex) -> "EnvelopeWitness":
-        return cls(complex(mu), complex(b), complex(w), arith_envelope(mu, b))
-
-
 def envelope_gap_sides(mu, b, w):
     """Sides of (a - |b|)^2 <= 4 * (Im^2(w(mu - b)) + Re^2(w mu)).
 
@@ -141,9 +121,7 @@ def envelope_gap_sides(mu, b, w):
     """
     mu_arr = np.asarray(mu, dtype=np.complex128)
     b_arr = np.asarray(b, dtype=np.complex128)
-    w_arr = np.asarray(w, dtype=np.complex128)
-    if np.any(np.abs(np.abs(w_arr) - 1.0) > _UNIMODULAR_TOL):
-        raise ValueError("multiplier must be unimodular")
+    w_arr = _require_unimodular(np.asarray(w, dtype=np.complex128))
     a = arith_envelope(mu_arr, b_arr)
     lhs = (a - np.abs(b_arr)) ** 2
     rhs = 4.0 * ((w_arr * (mu_arr - b_arr)).imag ** 2 + (w_arr * mu_arr).real ** 2)
@@ -200,7 +178,7 @@ def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityRe
     where u is the conjugation-even part of the analytic h and s the sign
     function.  Exact on the shifted grid, so the residual is round-off.
     """
-    w = _require_unimodular(w)
+    w = _require_unimodular(complex(w))
     b = complex(b)
     u, mu = _analytic_even_part(h)
     sig = h.grid.sign_values
@@ -244,7 +222,7 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
 
     and report the residual of the exact orthogonal split as a cross-check.
     """
-    w = _require_unimodular(w)
+    w = _require_unimodular(complex(w))
     b = complex(b)
     u, mu = _analytic_even_part(h)
     sig = h.grid.sign_values
@@ -292,15 +270,11 @@ class StabilityReport:
     ratio: float
 
 
-def stability_report(field: MartingaleField, phases: AdaptedPhases,
-                     hardy_tol: float = 1e-8) -> StabilityReport:
+def stability_report(field: MartingaleField, phases: AdaptedPhases) -> StabilityReport:
     """Compute every quantity entering the stability chain for (G, W) from
     the differences of G over grid^n; G must pass the Hardy gate."""
-    if phases.grid.n_points != field.grid.n_points:
-        raise ValueError("grid mismatch between field and phases")
-    if phases.depth < field.depth:
-        raise ValueError("phases depth shorter than field depth")
-    if not is_hardy_martingale(field, hardy_tol):
+    _check_phases(phases, field.grid, field.depth)
+    if not is_hardy_martingale(field, HARDY_GATE_TOL):
         raise ValueError("stability quantities require a Hardy martingale")
 
     grid = field.grid
@@ -332,13 +306,13 @@ def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityRepor
     (sigma_coeffs, dyadic_coeffs, envelopes, residual_rms, perturbed_moments,
      transform_moments) = zip(*per_level)
 
-    big_x = np.sqrt(_broadcast_sum([a**2 + r**2 for a, r in zip(envelopes, residual_rms)], depth, n))
-    big_y = np.sqrt(_broadcast_sum([np.abs(m) ** 2 for m in sigma_coeffs], depth, n))
-    big_z = np.sqrt(_broadcast_sum([np.abs(b) ** 2 for b in dyadic_coeffs], depth, n))
+    def root_mean(moments) -> float:
+        """Mean over grid^(n-1) of the root of the summed per-level moments."""
+        return float(np.mean(np.sqrt(_broadcast_sum(moments, depth, n))))
 
-    perturbation_pnorm = float(np.mean(np.sqrt(_broadcast_sum(perturbed_moments, depth, n))))
-    transform_pnorm = float(np.mean(np.sqrt(_broadcast_sum(transform_moments, depth, n))))
-    base_pnorm = float(np.mean(np.sqrt(_broadcast_sum(base_moments, depth, n))))
+    perturbation_pnorm = root_mean(perturbed_moments)
+    transform_pnorm = root_mean(transform_moments)
+    base_pnorm = root_mean(base_moments)
 
     denom_sq = transform_pnorm * base_pnorm
     if denom_sq > 0.0:
@@ -355,9 +329,9 @@ def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityRepor
         residual_rms=residual_rms,
         perturbed_moments=perturbed_moments,
         transform_moments=transform_moments,
-        envelope_mean=float(np.mean(big_x)),
-        coeff_mean=float(np.mean(big_y)),
-        dyadic_mean=float(np.mean(big_z)),
+        envelope_mean=root_mean([a**2 + r**2 for a, r in zip(envelopes, residual_rms)]),
+        coeff_mean=root_mean([np.abs(m) ** 2 for m in sigma_coeffs]),
+        dyadic_mean=root_mean([np.abs(b) ** 2 for b in dyadic_coeffs]),
         perturbation_pnorm=perturbation_pnorm,
         transform_pnorm=transform_pnorm,
         base_pnorm=base_pnorm,
@@ -397,10 +371,7 @@ def stability_report_from_coefficients(grid: TorusGrid, coefficients,
     """
     blocks = _coefficient_blocks(grid, coefficients)
     depth, n = len(blocks), grid.n_points
-    if phases.grid.n_points != n:
-        raise ValueError("grid mismatch between coefficients and phases")
-    if phases.depth < depth:
-        raise ValueError("phases depth shorter than coefficient depth")
+    _check_phases(phases, grid, depth)
 
     per_level, base_moments = [], []
     for k, (w, c) in enumerate(zip(phases.terms, blocks), start=1):

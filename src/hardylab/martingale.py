@@ -15,18 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import TorusGrid, batch_analyze
+from .torus import TorusGrid, _is_integer, _rows_are_hardy
 
 MEMORY_GUARD_ENTRIES = 2**24
+HARDY_GATE_TOL = 1e-8  # Hardy gate tol of check_transform_isometry and stability_report
 
 
 def _check_size(grid: TorusGrid, depth) -> int:
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
+    """The depth rule (a positive integer) and the memory guard on N^depth."""
+    if not _is_integer(depth) or depth < 1:
         raise ValueError(f"depth must be a positive integer; got {depth!r}")
     n = grid.n_points
     if n**depth > MEMORY_GUARD_ENTRIES:
         raise ValueError(f"memory guard: {n}^{depth} exceeds {MEMORY_GUARD_ENTRIES} entries")
     return n
+
+
+def _check_degree(grid: TorusGrid, degree, name: str = "max_degree") -> None:
+    """The degree rule 1 <= d <= N/2 - 1: analytic modes stop below Nyquist."""
+    top = grid.n_points // 2 - 1
+    if not _is_integer(degree) or not 1 <= degree <= top:
+        raise ValueError(f"{name} must lie in 1..{top} (Nyquist exclusion); got {degree!r}")
 
 
 def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
@@ -41,9 +50,7 @@ def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
     for k, c in enumerate(blocks, start=1):
         if c.ndim != 2 or c.shape[0] != n ** (k - 1):
             raise ValueError(f"level {k} coefficients must have {n ** (k - 1)} rows; got {c.shape}")
-        if not 1 <= c.shape[1] <= n // 2 - 1:
-            raise ValueError(f"level {k} degree must lie in 1..{n // 2 - 1} "
-                             f"(Nyquist exclusion); got {c.shape[1]}")
+        _check_degree(grid, c.shape[1], f"level {k} degree")
     return blocks
 
 
@@ -124,6 +131,14 @@ class AdaptedPhases:
     @property
     def depth(self) -> int:
         return len(self.terms)
+
+
+def _check_phases(phases: AdaptedPhases, grid: TorusGrid, depth: int) -> None:
+    """Phases must live on the same grid and cover every level up to depth."""
+    if phases.grid.n_points != grid.n_points:
+        raise ValueError("grid mismatch between field and phases")
+    if phases.depth < depth:
+        raise ValueError(f"phases depth {phases.depth} shorter than field depth {depth}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,46 +228,31 @@ def sine_part(field: MartingaleField) -> MartingaleField:
 
 def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
     """Real martingale with differences Im(w_{k-1} * diff_k)."""
-    if phases.grid.n_points != field.grid.n_points:
-        raise ValueError("grid mismatch between field and phases")
-    if phases.depth < field.depth:
-        raise ValueError(f"phases depth {phases.depth} shorter than field depth {field.depth}")
+    _check_phases(phases, field.grid, field.depth)
     return _derive(field, 0.0, [(w[..., None] * d).imag for w, d in zip(phases.terms, field.diffs)])
 
 
 def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     """True iff every newest-coordinate slice of every difference is analytic.
 
-    Each slice y -> diff_k(x, y) must put at most tol^2 of its energy on
-    frequencies m <= 0 (mean, negatives, and the Nyquist bucket).  Slices whose
-    energy sits at round-off scale of the field (_scale_bound) count as zero:
-    splitting a terminal array by averaging leaves ~1e-16 junk in vanishing
-    differences, and junk carries no frequency information.
+    Each slice y -> diff_k(x, y) must pass the spectral test of is_hardy.
+    Slices whose energy sits at round-off scale of the field (_scale_bound)
+    count as zero: splitting a terminal array by averaging leaves ~1e-16 junk
+    in vanishing differences, and junk carries no frequency information.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    grid = field.grid
-    neg = grid.frequencies <= 0
     zero_floor = (1e-13 * _scale_bound(field.base, field.diffs)) ** 2
-    for d in field.diffs:
-        rows = d.reshape(-1, grid.n_points)
-        coeffs = batch_analyze(grid, rows)
-        bad = np.sum(np.abs(coeffs[:, neg]) ** 2, axis=1)
-        total = np.mean(np.abs(rows) ** 2, axis=1)
-        if np.any((bad > tol * tol * total) & (total > zero_floor)):
-            return False
-    return True
+    return all(_rows_are_hardy(field.grid, d.reshape(-1, field.grid.n_points), tol, zero_floor)
+               for d in field.diffs)
 
 
-def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases,
-                             hardy_tol: float = 1e-8):
+def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     """Previsible norms of the cosine part and of the transform.
 
     For a Hardy martingale the two agree to round-off: conditioned on the
     past, the newest slice is analytic, and both the even part and
     Im(w * slice) carry exactly half its energy.
     """
-    if not is_hardy_martingale(field, hardy_tol):
+    if not is_hardy_martingale(field, HARDY_GATE_TOL):
         raise ValueError("transform isometry requires a Hardy martingale")
     return previsible_norm(cosine_part(field)), previsible_norm(transform(field, phases))
 

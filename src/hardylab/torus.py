@@ -30,11 +30,7 @@ class TorusGrid:
     n_points: int
 
     def __post_init__(self):
-        n = self.n_points
-        if not isinstance(n, (int, np.integer)) or n < 4 or n % 4 != 0:
-            raise ValueError(
-                f"n_points must be an integer multiple of 4, at least 4; got {n!r}"
-            )
+        _check_grid_size(self.n_points)
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -102,12 +98,26 @@ class TorusGrid:
         return proj
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and strings."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_grid_size(n_points) -> None:
+    if not _is_integer(n_points) or n_points < 4 or n_points % 4 != 0:
+        raise ValueError(
+            f"n_points must be an integer multiple of 4, at least 4; got {n_points!r}"
+        )
+
+
 def make_grid(n_points: int) -> TorusGrid:
     """The shifted grid of that size, rejecting sizes that break its symmetries.
 
     Grids are immutable, so one instance per size is shared and its cached
-    matrices are built once per process.
+    matrices are built once per process.  The size is checked before the
+    cache is consulted, which would take 8.0 or True for the integer key.
     """
+    _check_grid_size(n_points)
     return _interned_grid(int(n_points))
 
 
@@ -221,17 +231,29 @@ def mean(f: GridFunction) -> complex:
     return complex(np.mean(f.values))
 
 
+def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float,
+                    zero_floor: float = -np.inf) -> bool:
+    """The spectral Hardy energy test, row-wise over rows of shape (M, N).
+
+    A row passes iff its mean energy is at most zero_floor, or the energy
+    at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.  Rows
+    with a NaN fail.  The default floor admits no row by energy alone.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = grid.n_points
+    coeffs = batch_analyze(grid, rows)
+    bad = np.sum(np.abs(coeffs[:, : n // 2 + 1]) ** 2, axis=1)  # m = -N/2 .. 0
+    total = np.sum(np.abs(rows) ** 2, axis=1) / n
+    return bool(((bad <= tol * tol * total) | (total <= zero_floor)).all())
+
+
 def is_hardy(f: GridFunction, tol: float) -> bool:
     """True iff the energy at m <= 0 (mean, negatives, Nyquist) is below tol^2 * ||f||^2.
 
     The zero function passes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    coeffs = analyze(f).coefficients
-    bad = float(np.sum(np.abs(coeffs[f.grid.frequencies <= 0]) ** 2))
-    total = float(np.mean(np.abs(f.values) ** 2))
-    return bad <= tol * tol * total
+    return _rows_are_hardy(f.grid, f.values[np.newaxis], tol)
 
 
 def nyquist_energy(f: GridFunction) -> float:

@@ -25,9 +25,13 @@ class TestConfigValidation:
             EnsembleConfig(seed=1, n_points=8, max_degree=4)
         EnsembleConfig(seed=1, n_points=8, max_degree=3)  # boundary is fine
 
-    def test_rejects_bad_distribution(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(seed=1, n_points=8, distribution="cauchy")
+    def test_rejects_guard_and_non_integer_sizes_at_construction(self):
+        with pytest.raises(ValueError, match="memory guard"):
+            EnsembleConfig(seed=1, n_points=128, depth=4)
+        with pytest.raises(ValueError, match="depth"):
+            EnsembleConfig(seed=1, n_points=8, depth=2.0)
+        with pytest.raises(ValueError, match="max_degree"):
+            EnsembleConfig(seed=1, n_points=8, max_degree=2.5)
 
     def test_rejects_bad_depth_and_scale(self):
         with pytest.raises(ValueError):
@@ -48,11 +52,9 @@ class TestHardyFunction:
         b = random_hardy_function(EnsembleConfig(seed=2, n_points=16, max_degree=5))
         assert np.max(np.abs(a.values - b.values)) > 1e-3
 
-    @pytest.mark.parametrize("dist", ["gaussian", "uniform-disk"])
-    def test_always_analytic(self, dist):
+    def test_always_analytic(self):
         for seed in range(20):
-            cfg = EnsembleConfig(seed=seed, n_points=16, max_degree=7,
-                                 distribution=dist)
+            cfg = EnsembleConfig(seed=seed, n_points=16, max_degree=7)
             assert is_hardy(random_hardy_function(cfg), 1e-12)
 
     def test_degree_one_single_mode(self):

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from hardylab import (
     write_csv_report,
     write_json_report,
 )
+from hardylab import cli, harness
 from hardylab.harness import _Collector
 
 
@@ -72,6 +74,20 @@ class TestIdentitiesCommand:
         with pytest.raises(UsageError, match="memory guard"):
             cmd_identities(small_config(n_points=64, depth=5))
 
+    @pytest.mark.parametrize("settings, match", [
+        ({"depth": 0}, "depth"),
+        ({"depth": 2.0}, "depth"),
+        ({"max_degree": 4}, "Nyquist"),
+        ({"max_degree": 2.0}, "max_degree"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 7.0}, "seed"),
+        ({"tol": -1e-3}, "tol"),
+        ({"tol": math.nan}, "tol"),
+    ])
+    def test_shared_rules_are_usage_errors(self, settings, match):
+        with pytest.raises(UsageError, match=match):
+            cmd_identities(small_config(**settings))
+
 
 class TestLemmasCommand:
     def test_no_violations(self):
@@ -88,6 +104,14 @@ class TestTheoremCommand:
         assert 0.0 < report.aggregates["max_ratio"] <= CHAIN_CONSTANT
         step_ids = {c.check_id.split("/")[1] for c in report.checks}
         assert "stability-chain" in step_ids
+
+    def test_fractional_grid_size_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="n_points"):
+            cmd_theorem(HarnessConfig(n_points=8.5))
+
+    def test_seed_beyond_64_bits_accepted(self):
+        report = cmd_theorem(small_config(samples=2, seed=2**70))
+        assert report.aggregates["violation_count"] == 0
 
 
 class TestConstantSearch:
@@ -247,8 +271,11 @@ class TestReportPlumbing:
             return out
 
         assert untimed(first) == untimed(second)
-        for command, samples in ((cmd_identities, 15), (cmd_lemmas, 200)):
-            first = command(small_config(samples=samples))
+        for command, config in ((cmd_identities, small_config(samples=15)),
+                                (cmd_lemmas, small_config(samples=200)),
+                                (cmd_constant_search, small_config(samples=2, budget=5)),
+                                (cmd_convergence, small_config())):
+            first = command(config)
             echo = dict(first.config)
             echo["resolutions"] = tuple(echo["resolutions"])
             assert untimed(first) == untimed(command(HarnessConfig(**echo)))
@@ -296,6 +323,30 @@ class TestCliEndToEnd:
     def test_exit_two_on_bad_resolutions(self):
         result = run_cli("convergence", "--resolutions", "4,7")
         assert result.returncode == 2
+
+    def test_exit_two_on_negative_seed(self):
+        result = run_cli("theorem", "--seed", "-1")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: seed") and "Traceback" not in result.stderr
+
+    def test_exit_one_on_failed_precondition(self, monkeypatch, capsys):
+        # a ValueError inside a command is a mathematical failure, not a usage error
+        def fail(config):
+            raise ValueError("transform isometry requires a Hardy martingale")
+
+        monkeypatch.setitem(harness.COMMANDS, "identities", fail)
+        assert cli.main(["identities"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: transform isometry requires a Hardy martingale\n"
+
+    def test_script_usage_error_exits_two(self, tmp_path):
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "search_constant.py"
+        result = subprocess.run(
+            [sys.executable, str(script), "--starts", "0", "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: samples") and "Traceback" not in result.stderr
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ from hardylab import (
     CHAIN_CONSTANT,
     AdaptedPhases,
     EnsembleConfig,
-    EnvelopeWitness,
     GridFunction,
     MartingaleField,
     arith_envelope,
@@ -62,15 +61,6 @@ class TestArithEnvelope:
         mu = np.array([1.0, 0.0, 3.0 + 4j])
         b = np.array([0.0, 0.0, 3.0 + 4j])
         np.testing.assert_allclose(arith_envelope(mu, b), [2.0, 0.0, 5.0])
-
-    def test_witness_invariant(self):
-        w = EnvelopeWitness.build(1 + 2j, 0.5 - 1j, 1j)
-        assert w.a == pytest.approx(arith_envelope(1 + 2j, 0.5 - 1j))
-        assert w.a >= abs(w.mu)
-        with pytest.raises(ValueError):
-            EnvelopeWitness.build(1, 0, 2.0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            EnvelopeWitness(1 + 0j, 0j, 1 + 0j, 3.0)
 
 
 class TestEnvelopeGapBound:

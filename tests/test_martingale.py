@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from hardylab import (
     AdaptedPhases,
     EnsembleConfig,
+    GridFunction,
     MartingaleField,
     check_transform_isometry,
     cond_square_profile,
@@ -17,6 +18,7 @@ from hardylab import (
     differences,
     dyadic_project,
     field_from_differences,
+    is_hardy,
     is_hardy_martingale,
     level,
     make_grid,
@@ -278,6 +280,22 @@ class TestIsHardyMartingale:
     def test_cosine_part_is_not(self):
         F = cosine_part(single_mode_field(4))
         assert not is_hardy_martingale(F, 1e-10)
+
+    @pytest.mark.parametrize("eps, hardy", [(0.5e-6, True), (2e-6, False)])
+    def test_same_energy_rule_as_is_hardy(self, eps, hardy):
+        # energy eps^2 at m = -1 against tol^2 = 1e-12 of the total
+        grid = make_grid(8)
+        values = np.exp(1j * grid.angles) + eps * np.exp(-1j * grid.angles)
+        assert is_hardy(GridFunction(grid, values), 1e-6) is hardy
+        assert is_hardy_martingale(MartingaleField(grid, 1, values), 1e-6) is hardy
+
+    def test_nan_fails_both_gates(self):
+        grid = make_grid(4)
+        values = np.exp(1j * grid.angles)
+        values[1] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert not is_hardy(GridFunction(grid, values), 1e-8)
+            assert not is_hardy_martingale(MartingaleField(grid, 1, values), 1e-8)
 
 
 class TestDyadicProjection:

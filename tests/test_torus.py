@@ -48,8 +48,9 @@ class TestMakeGrid:
         expected = np.array([1, 3, 5, 7]) * np.pi / 4
         np.testing.assert_allclose(make_grid(4).angles, expected, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [6, 2, 0, -4, 10, 13])
+    @pytest.mark.parametrize("bad", [6, 2, 0, -4, 10, 13, 8.5, "8", 8.0, True])
     def test_rejects_bad_sizes(self, bad):
+        make_grid(8)  # the cache holds the key that 8.0 would hit
         with pytest.raises(ValueError):
             make_grid(bad)
 
