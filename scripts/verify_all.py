@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run every verification suite at a meaningful sample size, plus one theorem
-sample at the memory-guard limit, and write the JSON reports under results/.
+"""Run every verification suite at a meaningful sample size, one theorem
+sample at the memory-guard limit, the 8-start constant search and the
+convergence sweep, and write the six JSON reports under results/.
 
 Usage: python scripts/verify_all.py [--seed SEED] [--out-dir DIR]
 """
@@ -32,6 +33,11 @@ def main() -> int:
                                              samples=1000, seed=args.seed)),
         "theorem-guard": ("theorem", HarnessConfig(n_points=64, depth=4, max_degree=3,
                                                    samples=1, seed=args.seed)),
+        "constant-search": ("constant-search", HarnessConfig(n_points=8, depth=3, max_degree=3,
+                                                             samples=8, budget=400,
+                                                             seed=args.seed)),
+        "convergence": ("convergence", HarnessConfig(resolutions=(4, 8, 16, 32, 64, 128),
+                                                     seed=args.seed)),
     }
 
     exit_code = 0

@@ -34,7 +34,6 @@ class EnsembleConfig:
     n_points: int
     depth: int = 1
     max_degree: int = 1
-    coefficient_scale: float = 1.0
 
     def __post_init__(self):
         grid = make_grid(self.n_points)
@@ -42,8 +41,6 @@ class EnsembleConfig:
         _check_degree(grid, self.max_degree)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if not self.coefficient_scale > 0:
-            raise ValueError("coefficient_scale must be positive")
 
 
 def _stream(cfg: EnsembleConfig, *key: int) -> np.random.Generator:
@@ -55,11 +52,6 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return z / np.sqrt(2.0)
 
 
-def _mode_matrix(grid: TorusGrid, degree: int) -> np.ndarray:
-    """Rows exp(i m theta_j) for m = 1..degree."""
-    return np.exp(1j * np.outer(np.arange(1, degree + 1), grid.angles))
-
-
 def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleField:
     """Assemble a Hardy martingale from per-level analytic coefficients.
 
@@ -67,7 +59,7 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
     mode-1..d weights for every base point of level k.
     """
     n = grid.n_points
-    diffs = [(c @ _mode_matrix(grid, c.shape[1])).reshape((n,) * k)
+    diffs = [(c @ grid.analytic_modes(c.shape[1])).reshape((n,) * k)
              for k, c in enumerate(_coefficient_blocks(grid, coefficients), start=1)]
     return field_from_differences(grid, len(diffs), 0.0, diffs)
 
@@ -75,16 +67,15 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
     """Random analytic polynomial sum_{m=1..d} c_m e^{im theta}."""
     grid = make_grid(cfg.n_points)
-    coeff = cfg.coefficient_scale * _standard_complex(_stream(cfg, 0, 1), (1, cfg.max_degree))
-    values = (coeff @ _mode_matrix(grid, cfg.max_degree))[0]
+    coeff = _standard_complex(_stream(cfg, 0, 1), (1, cfg.max_degree))
+    values = (coeff @ grid.analytic_modes(cfg.max_degree))[0]
     return GridFunction(grid, values)
 
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:
     """Per-level analytic coefficients, one substream per level."""
     return [
-        cfg.coefficient_scale
-        * _standard_complex(_stream(cfg, 0, k), (cfg.n_points ** (k - 1), cfg.max_degree))
+        _standard_complex(_stream(cfg, 0, k), (cfg.n_points ** (k - 1), cfg.max_degree))
         for k in range(1, cfg.depth + 1)
     ]
 
@@ -128,7 +119,7 @@ def arith_sample_batch(cfg: EnsembleConfig, count: int):
         raise ValueError("count must be positive")
     rng = _stream(cfg, 2)
     idx = np.arange(count)
-    strata = np.asarray(ARITH_STRATA) * cfg.coefficient_scale
+    strata = np.asarray(ARITH_STRATA)
     mu_mag = strata[idx % 5]
     b_mag = strata[(idx // 5) % 5]
     mu = mu_mag * _standard_complex(rng, count)
@@ -136,9 +127,3 @@ def arith_sample_batch(cfg: EnsembleConfig, count: int):
     w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
     w = w / np.abs(w)
     return mu, b, w
-
-
-def random_arith_sample(cfg: EnsembleConfig):
-    """Single stratified scalar sample; the first stratum is mu = b = 0."""
-    mu, b, w = arith_sample_batch(cfg, 1)
-    return complex(mu[0]), complex(b[0]), complex(w[0])

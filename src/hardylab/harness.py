@@ -195,8 +195,8 @@ def _ensemble(config: HarnessConfig, tag: int, i: int, depth: int) -> EnsembleCo
     )
 
 
-def _scalar_rng(config: HarnessConfig, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=[int(config.seed), tag]))
+def _scalar_rng(config: HarnessConfig, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=[int(config.seed), *key]))
 
 
 _IDENTITY_SUITES = ("sincos-identity", "orthogonal-split", "transform-isometry")
@@ -335,9 +335,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
             best_ratio = current
             best_state = ([c.copy() for c in coeffs], [a.copy() for a in angles])
             trace.append({"start": s, "step": 0, "ratio": best_ratio})
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=[int(config.seed), 41, s])
-        )
+        rng = _scalar_rng(config, 41, s)
         for t in range(1, config.budget + 1):
             prop_coeffs = [
                 c

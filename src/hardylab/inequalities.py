@@ -343,7 +343,7 @@ def _sign_modes(grid: TorusGrid, degree: int) -> tuple:
     """sigma_m = mean(cos(m theta) s) for m = 1..degree, and the energy
     tau = mean((s - 2 sum_m sigma_m cos(m theta))^2) of s beyond those modes."""
     sig = grid.sign_values
-    cos = np.cos(np.outer(np.arange(1, degree + 1), grid.angles))
+    cos = grid.analytic_modes(degree).real
     sigma = cos @ sig / grid.n_points
     return sigma, float(np.mean((sig - 2.0 * sigma @ cos) ** 2))
 

@@ -239,9 +239,10 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     Slices whose energy sits at round-off scale of the field (_scale_bound)
     count as zero: splitting a terminal array by averaging leaves ~1e-16 junk
     in vanishing differences, and junk carries no frequency information.
+    The floor is (1e-13 * scale)^2, and a field with an inf or NaN fails.
     """
-    zero_floor = (1e-13 * _scale_bound(field.base, field.diffs)) ** 2
-    return all(_rows_are_hardy(field.grid, d.reshape(-1, field.grid.n_points), tol, zero_floor)
+    scale = _scale_bound(field.base, field.diffs)
+    return all(_rows_are_hardy(field.grid, d.reshape(-1, field.grid.n_points), tol, scale, 1e-13**2)
                for d in field.diffs)
 
 

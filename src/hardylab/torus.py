@@ -2,7 +2,7 @@
 
 The grid places N sample points at angles theta_j = 2*pi*(j + 1/2)/N.  With
 N divisible by four, the half-step shift keeps cos(theta_j) bounded away
-from zero, makes the reflection kappa(j) = N-1-j fixed-point free, and
+from zero, makes the reflection j -> N-1-j fixed-point free, and
 splits the sign function sign(cos theta) into exactly N/2 positive and N/2
 negative samples.  On this grid the classical circle identities used
 downstream (Hilbert isometry, recovery of an analytic function from its
@@ -15,6 +15,7 @@ analytic data never excites it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -39,20 +40,6 @@ class TorusGrid:
         return th
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """The sample points exp(i theta_j)."""
-        z = np.exp(1j * self.angles)
-        z.setflags(write=False)
-        return z
-
-    @cached_property
-    def kappa(self) -> np.ndarray:
-        """Index form of the conjugation z -> conj(z): kappa(j) = N-1-j."""
-        k = np.arange(self.n_points - 1, -1, -1)
-        k.setflags(write=False)
-        return k
-
-    @cached_property
     def sign_values(self) -> np.ndarray:
         """sign(cos theta_j) as floats, derived from indices (exact)."""
         n = self.n_points
@@ -68,17 +55,16 @@ class TorusGrid:
         return m
 
     @cached_property
-    def _analysis_matrix(self) -> np.ndarray:
-        # coefficients c(m) = (1/N) sum_j f(j) exp(-i m theta_j)
-        mat = np.exp(-1j * np.outer(self.frequencies, self.angles)) / self.n_points
-        mat.setflags(write=False)
-        return mat
+    def characters(self) -> np.ndarray:
+        """The grid's one trigonometric table: row m + N/2 holds e^{im theta_j}."""
+        table = np.exp(1j * np.outer(self.frequencies, self.angles))
+        table.setflags(write=False)
+        return table
 
-    @cached_property
-    def _synthesis_matrix(self) -> np.ndarray:
-        mat = np.exp(1j * np.outer(self.angles, self.frequencies))
-        mat.setflags(write=False)
-        return mat
+    def analytic_modes(self, degree: int) -> np.ndarray:
+        """Rows e^{im theta_j} for m = 1..degree, a read-only slice of the table."""
+        first = self.n_points // 2 + 1
+        return self.characters[first : first + degree]
 
     @cached_property
     def hilbert_multiplier(self) -> np.ndarray:
@@ -143,19 +129,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -188,28 +161,18 @@ def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
 
 def analyze(f: GridFunction) -> Spectrum:
     """Expand f in the grid characters: c(m) = (1/N) sum_j f(j) e^{-im theta_j}."""
-    return Spectrum(f.grid, f.grid._analysis_matrix @ f.values)
+    return Spectrum(f.grid, f.grid.characters.conj() @ f.values / f.grid.n_points)
 
 
 def synthesize(s: Spectrum) -> GridFunction:
     """Evaluate sum_m c(m) e^{im theta_j}; exact inverse of analyze up to round-off."""
-    return GridFunction(s.grid, s.grid._synthesis_matrix @ s.coefficients)
-
-
-def batch_analyze(grid: TorusGrid, rows: np.ndarray) -> np.ndarray:
-    """Spectra of many samples at once; rows has shape (M, N)."""
-    return rows @ grid._analysis_matrix.T
+    return GridFunction(s.grid, s.coefficients @ s.grid.characters)
 
 
 def hilbert(f: GridFunction) -> GridFunction:
     """Fourier multiplier -i*sign(m); the mean and the Nyquist bucket map to 0."""
     spec = analyze(f)
     return synthesize(Spectrum(f.grid, spec.coefficients * f.grid.hilbert_multiplier))
-
-
-def conjugate_flip(f: GridFunction) -> GridFunction:
-    """Evaluation at the conjugated point: (flip f)(j) = f(N-1-j)."""
-    return GridFunction(f.grid, f.values[::-1])
 
 
 def sigma(grid: TorusGrid) -> GridFunction:
@@ -231,19 +194,26 @@ def mean(f: GridFunction) -> complex:
     return complex(np.mean(f.values))
 
 
-def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float,
+def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale: float | None = None,
                     zero_floor: float = -np.inf) -> bool:
     """The spectral Hardy energy test, row-wise over rows of shape (M, N).
 
-    A row passes iff its mean energy is at most zero_floor, or the energy
-    at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.  Rows
-    with a NaN fail.  The default floor admits no row by energy alone.
+    The rows are divided by scale (default: their largest modulus) before
+    squaring, so the verdict is the same at every magnitude.  A row passes iff
+    its mean energy is at most zero_floor (in units of scale^2), or the energy
+    at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.  A NaN row
+    or a non-finite scale fails.  The default floor admits no row by energy alone.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if scale is None:
+        scale = np.abs(rows).max(initial=0.0)
+    if not math.isfinite(scale):
+        return False
     n = grid.n_points
-    coeffs = batch_analyze(grid, rows)
-    bad = np.sum(np.abs(coeffs[:, : n // 2 + 1]) ** 2, axis=1)  # m = -N/2 .. 0
+    rows = rows / scale if scale > 0 else rows
+    coeffs = rows @ grid.characters[: n // 2 + 1].conj().T / n  # m = -N/2 .. 0
+    bad = np.sum(np.abs(coeffs) ** 2, axis=1)
     total = np.sum(np.abs(rows) ** 2, axis=1) / n
     return bool(((bad <= tol * tol * total) | (total <= zero_floor)).all())
 
@@ -254,11 +224,6 @@ def is_hardy(f: GridFunction, tol: float) -> bool:
     The zero function passes.
     """
     return _rows_are_hardy(f.grid, f.values[np.newaxis], tol)
-
-
-def nyquist_energy(f: GridFunction) -> float:
-    """|c(-N/2)|^2, the energy in the unpaired frequency bucket."""
-    return float(np.abs(analyze(f).coefficient(-f.grid.n_points // 2)) ** 2)
 
 
 def from_imaginary_part(y: GridFunction) -> GridFunction:
@@ -272,7 +237,7 @@ def from_imaginary_part(y: GridFunction) -> GridFunction:
         raise ValueError("imaginary-part input must be real-valued")
     if abs(np.mean(y.values)) > 1e-12 * scale:
         raise ValueError("imaginary-part input must have zero mean")
-    if nyquist_energy(y) > (1e-12 * scale) ** 2:
+    if abs(analyze(y).coefficient(-y.grid.n_points // 2)) > 1e-12 * scale:
         raise ValueError("imaginary-part input must not carry the Nyquist frequency")
     yr = y.values.real
     hy = hilbert(GridFunction(y.grid, yr))

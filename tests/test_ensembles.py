@@ -8,7 +8,6 @@ from hardylab import (
     is_hardy,
     is_hardy_martingale,
     random_adapted_phases,
-    random_arith_sample,
     random_hardy_function,
     random_hardy_martingale,
 )
@@ -33,11 +32,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_degree"):
             EnsembleConfig(seed=1, n_points=8, max_degree=2.5)
 
-    def test_rejects_bad_depth_and_scale(self):
+    def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             EnsembleConfig(seed=1, n_points=8, depth=0)
-        with pytest.raises(ValueError):
-            EnsembleConfig(seed=1, n_points=8, coefficient_scale=0.0)
 
 
 class TestHardyFunction:
@@ -114,10 +111,11 @@ class TestAdaptedPhases:
 class TestArithSampler:
     def test_deterministic(self):
         cfg = EnsembleConfig(seed=9, n_points=8)
-        assert random_arith_sample(cfg) == random_arith_sample(cfg)
+        for x, y in zip(arith_sample_batch(cfg, 1), arith_sample_batch(cfg, 1)):
+            np.testing.assert_array_equal(x, y)
 
     def test_first_sample_degenerate(self):
-        mu, b, w = random_arith_sample(EnsembleConfig(seed=10, n_points=8))
+        (mu,), (b,), (w,) = arith_sample_batch(EnsembleConfig(seed=10, n_points=8), 1)
         assert mu == 0.0 and b == 0.0 and abs(abs(w) - 1.0) <= 5e-16
 
     def test_strata_coverage(self):

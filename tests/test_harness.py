@@ -340,13 +340,13 @@ class TestCliEndToEnd:
         assert err == "error: transform isometry requires a Hardy martingale\n"
 
     def test_script_usage_error_exits_two(self, tmp_path):
-        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "search_constant.py"
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
         result = subprocess.run(
-            [sys.executable, str(script), "--starts", "0", "--out", str(tmp_path / "r.json")],
+            [sys.executable, str(script), "--seed", "-1", "--out-dir", str(tmp_path)],
             capture_output=True, text=True,
         )
         assert result.returncode == 2
-        assert result.stderr.startswith("error: samples") and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: seed") and "Traceback" not in result.stderr
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

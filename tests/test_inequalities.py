@@ -22,6 +22,7 @@ from hardylab import (
     perturbation_bounds,
     phases_from_angles,
     random_adapted_phases,
+    random_coefficient_arrays,
     random_hardy_function,
     random_hardy_martingale,
     sincos_identity_sides,
@@ -291,9 +292,10 @@ class TestVerifyChain:
     def test_records_follow_the_slack_rule(self, tol, scale):
         # gap is the scale-normalised slack and passed is slack_within, for
         # valid chains and for perturbed reports whose steps fail
-        cfg = EnsembleConfig(seed=31, n_points=8, depth=2, max_degree=3,
-                             coefficient_scale=scale)
-        rep = stability_report(random_hardy_martingale(cfg), random_adapted_phases(cfg))
+        cfg = EnsembleConfig(seed=31, n_points=8, depth=2, max_degree=3)
+        field = martingale_from_coefficients(
+            make_grid(8), [scale * c for c in random_coefficient_arrays(cfg)])
+        rep = stability_report(field, random_adapted_phases(cfg))
         for fake in (rep, dataclasses.replace(rep, dyadic_mean=3.0 * rep.coeff_mean + 1.0,
                                               perturbation_pnorm=5.0 * rep.perturbation_pnorm)):
             records = verify_chain(fake, slack=tol)

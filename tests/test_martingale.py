@@ -26,6 +26,7 @@ from hardylab import (
     random_adapted_phases,
     random_hardy_martingale,
     sine_part,
+    stability_report,
     transform,
 )
 
@@ -296,6 +297,28 @@ class TestIsHardyMartingale:
         with np.errstate(invalid="ignore"):
             assert not is_hardy(GridFunction(grid, values), 1e-8)
             assert not is_hardy_martingale(MartingaleField(grid, 1, values), 1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-300, 300))
+    def test_same_verdict_at_every_scale(self, k):
+        # no overflow at 1e300, and no anti-analytic pass by underflow at 1e-300
+        grid = make_grid(4)
+        for sign, hardy in ((1, True), (-1, False)):
+            values = 10.0**k * np.exp(sign * 1j * grid.angles)
+            assert is_hardy(GridFunction(grid, values), 1e-8) is hardy
+            assert is_hardy_martingale(MartingaleField(grid, 1, values), 1e-8) is hardy
+
+    @pytest.mark.parametrize("sign, infinite", [(-1, {0: np.inf, 2: -np.inf}), (1, {1: np.inf})])
+    def test_non_finite_differences_fail_the_gate(self, sign, infinite):
+        grid = make_grid(4)
+        values = np.exp(sign * 1j * grid.angles)
+        for j, v in infinite.items():
+            values[j] = v
+        with np.errstate(invalid="ignore"):
+            field = field_from_differences(grid, 1, 0.0, [values])
+            assert not is_hardy_martingale(field, 1e-8)
+            with pytest.raises(ValueError, match="Hardy martingale"):
+                stability_report(field, constant_phases(grid, 1))
 
 
 class TestDyadicProjection:

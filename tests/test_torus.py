@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hardylab import (
     GridFunction,
     analyze,
-    conjugate_flip,
     from_imaginary_part,
     hilbert,
     inner_product,
@@ -65,12 +64,12 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize("n", GRID_SIZES)
     def test_conjugation_closure(self, n):
-        # -theta_j is congruent to theta_{kappa(j)}: the two angles sum to 2*pi
+        # -theta_j is congruent to theta_{N-1-j}: the two angles sum to 2*pi
         grid = make_grid(n)
         np.testing.assert_allclose(
-            grid.angles + grid.angles[grid.kappa], 2 * np.pi, rtol=1e-14
+            grid.angles + grid.angles[::-1], 2 * np.pi, rtol=1e-14
         )
-        assert np.all(grid.kappa != np.arange(n))
+        assert np.all(grid.angles[::-1] != grid.angles)
 
     @pytest.mark.parametrize("n", GRID_SIZES)
     def test_cosine_never_vanishes(self, n):
@@ -78,6 +77,18 @@ class TestMakeGrid:
 
 
 class TestSpectra:
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_one_read_only_character_table(self, n):
+        grid = make_grid(n)
+        table = grid.characters
+        assert table is grid.characters and not table.flags.writeable
+        for m in (-n // 2, -1, 0, 1, n // 2 - 1):
+            np.testing.assert_allclose(table[m + n // 2], np.cos(m * grid.angles)
+                                       + 1j * np.sin(m * grid.angles), atol=1e-14)
+        modes = grid.analytic_modes(n // 2 - 1)  # m = 1 .. N/2-1, a view of the table
+        assert np.shares_memory(modes, table) and not modes.flags.writeable
+        np.testing.assert_array_equal(modes, table[n // 2 + 1 :])
+
     def test_analyze_constant(self):
         grid = make_grid(8)
         spec = analyze(grid_function(grid, np.ones(8)))
@@ -151,25 +162,19 @@ class TestHilbert:
         even = grid_function(grid, (f.values + f.values[::-1]).real / 2)
         hf = hilbert(even)
         assert np.max(np.abs(hf.values.imag)) < 1e-12
-        np.testing.assert_allclose(conjugate_flip(hf).values, -hf.values, atol=1e-12)
+        np.testing.assert_allclose(hf.values[::-1], -hf.values, atol=1e-12)
 
 
 class TestConjugateFlip:
     def test_cosine_even(self):
         grid = make_grid(8)
         f = grid_function(grid, np.cos(grid.angles))
-        np.testing.assert_allclose(conjugate_flip(f).values, f.values, atol=1e-15)
+        np.testing.assert_allclose(f.values[::-1], f.values, atol=1e-15)
 
     def test_sine_odd(self):
         grid = make_grid(8)
         f = grid_function(grid, np.sin(grid.angles))
-        np.testing.assert_allclose(conjugate_flip(f).values, -f.values, atol=1e-15)
-
-    def test_involution(self):
-        grid = make_grid(12)
-        rng = np.random.default_rng(0)
-        f = grid_function(grid, rng.standard_normal(12) + 1j * rng.standard_normal(12))
-        np.testing.assert_array_equal(conjugate_flip(conjugate_flip(f)).values, f.values)
+        np.testing.assert_allclose(f.values[::-1], -f.values, atol=1e-15)
 
 
 class TestSigma:
@@ -187,7 +192,7 @@ class TestSigma:
     def test_flip_invariant_and_matches_cos_sign(self, n):
         grid = make_grid(n)
         s = sigma(grid)
-        np.testing.assert_array_equal(conjugate_flip(s).values, s.values)
+        np.testing.assert_array_equal(s.values[::-1], s.values)
         np.testing.assert_array_equal(s.values.real, np.sign(np.cos(grid.angles)))
 
 
