@@ -21,7 +21,7 @@ from .martingale import (
     _coefficient_blocks,
     field_from_differences,
 )
-from .torus import GridFunction, TorusGrid, make_grid
+from .torus import GridFunction, TorusGrid, _is_integer, make_grid
 
 # Magnitude strata for the scalar sampler; chosen to hit exact zeros,
 # denormal-adjacent values, and both ends of the double's comfortable range.
@@ -39,8 +39,13 @@ class EnsembleConfig:
         grid = make_grid(self.n_points)
         _check_size(grid, self.depth)
         _check_degree(grid, self.max_degree)
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """The seed rule: a non-negative integer, not a bool, of any size."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer; got {seed!r}")
 
 
 def _stream(cfg: EnsembleConfig, *key: int) -> np.random.Generator:

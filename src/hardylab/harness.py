@@ -19,6 +19,7 @@ import numpy as np
 
 from .ensembles import (
     EnsembleConfig,
+    _check_seed,
     arith_sample_batch,
     phases_from_angles,
     random_adapted_phases,
@@ -42,7 +43,7 @@ from .inequalities import (
     verify_chain,
 )
 from .martingale import _check_degree, _check_size, check_transform_isometry, previsible_norm
-from .torus import GridFunction, _is_integer, inner_product, make_grid, sigma
+from .torus import GridFunction, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
 # exact dyadic cosine coefficients at N = 4 and N = 8
@@ -119,8 +120,8 @@ def _usage_rules():
 
 def _validate_run(config: HarnessConfig) -> None:
     """Settings every command reads: the base seed and the tolerance."""
-    if not _is_integer(config.seed) or config.seed < 0:
-        raise UsageError(f"seed must be a non-negative integer; got {config.seed!r}")
+    with _usage_rules():
+        _check_seed(config.seed)
     if not config.tol >= 0:
         raise UsageError(f"tol must be nonnegative; got {config.tol}")
 
@@ -333,7 +334,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
         current = _search_ratio(grid, coeffs, angles)
         if current > best_ratio:
             best_ratio = current
-            best_state = ([c.copy() for c in coeffs], [a.copy() for a in angles])
+            best_state = (coeffs, angles)
             trace.append({"start": s, "step": 0, "ratio": best_ratio})
         rng = _scalar_rng(config, 41, s)
         for t in range(1, config.budget + 1):
@@ -352,10 +353,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
                 coeffs, angles = prop_coeffs, prop_angles
                 if current > best_ratio:
                     best_ratio = current
-                    best_state = (
-                        [c.copy() for c in coeffs],
-                        [a.copy() for a in angles],
-                    )
+                    best_state = (coeffs, angles)
                     trace.append({"start": s, "step": t, "ratio": best_ratio})
 
     deltas = [b["ratio"] - a["ratio"] for a, b in zip(trace, trace[1:])]

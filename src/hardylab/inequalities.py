@@ -34,6 +34,7 @@ from .martingale import (
     _check_phases,
     _coefficient_blocks,
     _even_part,
+    _require_unimodular,
     cond_square_profile,
     is_hardy_martingale,
     project_dyadic_cells,
@@ -47,7 +48,6 @@ from .torus import GridFunction, TorusGrid, is_hardy
 # dyadic-mean convexity bound).  Total 2^(3/2) * 2^(3/4) * 2 = 2^(13/4).
 CHAIN_CONSTANT = 2.0 ** (13.0 / 4.0)
 
-_UNIMODULAR_TOL = 1e-9
 _ANALYTIC_GATE_TOL = 1e-9
 
 
@@ -80,11 +80,6 @@ def slack_verdict(lhs, rhs, tol: float) -> tuple:
     return gap, gap >= -tol
 
 
-def slack_within(lhs: float, rhs: float, tol: float) -> bool:
-    """lhs <= rhs with tolerance tol, measured in units of the bound's scale."""
-    return bool(slack_verdict(lhs, rhs, tol)[1])
-
-
 def residual_verdict(lhs, rhs, scale, tol: float) -> tuple:
     """(gap, passed) of lhs = rhs, elementwise over arrays of samples:
     gap = |lhs - rhs| / max(scale, 1e-300), passed where gap <= tol."""
@@ -92,11 +87,19 @@ def residual_verdict(lhs, rhs, scale, tol: float) -> tuple:
     return gap, gap <= tol
 
 
-def _require_unimodular(w):
-    """w itself, once every |w| (scalar or array) is within _UNIMODULAR_TOL of 1."""
-    if np.count_nonzero(abs(abs(w) - 1.0) > _UNIMODULAR_TOL):
-        raise ValueError("multiplier must be unimodular")
-    return w
+def _envelope_parts(mu, b) -> tuple:
+    """|mu|, |mu - b|^2 and q = |mu - b|^2 / (|mu| + |b|), elementwise, with
+    q = 0 at mu = b = 0.  The envelope of (mu, b) is |mu| + q."""
+    mu, b = np.asarray(mu, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    abs_mu = np.abs(mu)
+    denom = abs_mu + np.abs(b)
+    gap_sq = np.abs(mu - b) ** 2
+    return abs_mu, gap_sq, np.where(denom > 0.0, gap_sq / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+
+def _like_inputs(mu, b, *values) -> tuple:
+    """values as floats when mu and b are both scalars, else as arrays."""
+    return tuple(map(float, values)) if np.isscalar(mu) and np.isscalar(b) else values
 
 
 def arith_envelope(mu, b):
@@ -104,14 +107,8 @@ def arith_envelope(mu, b):
 
     Accepts scalars or arrays (elementwise).  Always >= |mu|.
     """
-    mu_arr = np.asarray(mu, dtype=np.complex128)
-    b_arr = np.asarray(b, dtype=np.complex128)
-    denom = np.abs(mu_arr) + np.abs(b_arr)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    out = np.abs(mu_arr) + np.where(denom > 0.0, np.abs(mu_arr - b_arr) ** 2 / safe, 0.0)
-    if np.isscalar(mu) and np.isscalar(b):
-        return float(out)
-    return out
+    abs_mu, _, q = _envelope_parts(mu, b)
+    return _like_inputs(mu, b, abs_mu + q)[0]
 
 
 def envelope_gap_sides(mu, b, w):
@@ -121,13 +118,10 @@ def envelope_gap_sides(mu, b, w):
     """
     mu_arr = np.asarray(mu, dtype=np.complex128)
     b_arr = np.asarray(b, dtype=np.complex128)
-    w_arr = _require_unimodular(np.asarray(w, dtype=np.complex128))
-    a = arith_envelope(mu_arr, b_arr)
-    lhs = (a - np.abs(b_arr)) ** 2
+    w_arr = _require_unimodular(np.asarray(w, dtype=np.complex128), "multiplier")
+    lhs = (arith_envelope(mu_arr, b_arr) - np.abs(b_arr)) ** 2
     rhs = 4.0 * ((w_arr * (mu_arr - b_arr)).imag ** 2 + (w_arr * mu_arr).real ** 2)
-    if np.isscalar(mu) and np.isscalar(b):
-        return float(lhs), float(rhs)
-    return lhs, rhs
+    return _like_inputs(mu, b, lhs, rhs)
 
 
 def envelope_excess_sides(mu, b):
@@ -136,26 +130,20 @@ def envelope_excess_sides(mu, b):
     The right side is evaluated as 2*q*(q + 2|mu|) with q = a - |mu|, which
     is the same quantity without the cancellation a^2 - |mu|^2.
     """
-    mu_arr = np.asarray(mu, dtype=np.complex128)
-    b_arr = np.asarray(b, dtype=np.complex128)
-    denom = np.abs(mu_arr) + np.abs(b_arr)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    gap_sq = np.abs(mu_arr - b_arr) ** 2
-    q = np.where(denom > 0.0, gap_sq / safe, 0.0)
-    rhs = 2.0 * q * (q + 2.0 * np.abs(mu_arr))
-    if np.isscalar(mu) and np.isscalar(b):
-        return float(gap_sq), float(rhs)
-    return gap_sq, rhs
+    abs_mu, gap_sq, q = _envelope_parts(mu, b)
+    return _like_inputs(mu, b, gap_sq, 2.0 * q * (q + 2.0 * abs_mu))
 
 
-def _analytic_even_part(h: GridFunction) -> tuple:
-    """Validate h (analytic, no Nyquist content) and return (u values, mu)."""
+def _coordinate_parts(h: GridFunction, b: complex) -> tuple:
+    """Gate h (analytic, no Nyquist content) and return, for its even part u,
+    mu = <u,s>, the tail int |u - mu s|^2 and both sides of the orthogonal
+    split int |u - b s|^2 = |mu - b|^2 + tail."""
     if not is_hardy(h, _ANALYTIC_GATE_TOL):
         raise ValueError("input must be analytic with vanishing mean (Hardy)")
-    u = 0.5 * (h.values + h.values[::-1])
-    sig = h.grid.sign_values
+    u, sig = _even_part(h.values), h.grid.sign_values
     mu = complex(np.mean(u * sig))
-    return u, mu
+    tail = float(np.mean(np.abs(u - mu * sig) ** 2))
+    return mu, tail, (float(np.mean(np.abs(u - b * sig) ** 2)), abs(mu - b) ** 2 + tail)
 
 
 @dataclass(frozen=True)
@@ -163,10 +151,6 @@ class IdentityReport:
     lhs: float
     rhs: float
     residual: float
-
-
-def _identity_report(lhs: float, rhs: float) -> IdentityReport:
-    return IdentityReport(lhs, rhs, float(residual_verdict(lhs, rhs, rhs, 0.0)[0]))
 
 
 def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityReport:
@@ -178,27 +162,16 @@ def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityRe
     where u is the conjugation-even part of the analytic h and s the sign
     function.  Exact on the shifted grid, so the residual is round-off.
     """
-    w = _require_unimodular(complex(w))
-    b = complex(b)
-    u, mu = _analytic_even_part(h)
-    sig = h.grid.sign_values
-    lhs = (
-        (w * (mu - b)).imag ** 2
-        + (w * mu).real ** 2
-        + float(np.mean(np.abs(u - mu * sig) ** 2))
-    )
-    rhs = float(np.mean((w * (h.values - b * sig)).imag ** 2))
-    return _identity_report(lhs, rhs)
+    w, b = _require_unimodular(complex(w), "multiplier"), complex(b)
+    mu, tail, _ = _coordinate_parts(h, b)
+    lhs = (w * (mu - b)).imag ** 2 + (w * mu).real ** 2 + tail
+    rhs = float(np.mean((w * (h.values - b * h.grid.sign_values)).imag ** 2))
+    return IdentityReport(lhs, rhs, float(residual_verdict(lhs, rhs, rhs, 0.0)[0]))
 
 
 def decomposition_sides(h: GridFunction, b: complex):
     """Sides of the orthogonal split int |u - b s|^2 = |<u,s> - b|^2 + int |u - <u,s> s|^2."""
-    b = complex(b)
-    u, mu = _analytic_even_part(h)
-    sig = h.grid.sign_values
-    lhs = float(np.mean(np.abs(u - b * sig) ** 2))
-    rhs = abs(mu - b) ** 2 + float(np.mean(np.abs(u - mu * sig) ** 2))
-    return lhs, rhs
+    return _coordinate_parts(h, complex(b))[2]
 
 
 @dataclass(frozen=True)
@@ -222,21 +195,12 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
 
     and report the residual of the exact orthogonal split as a cross-check.
     """
-    w = _require_unimodular(complex(w))
-    b = complex(b)
-    u, mu = _analytic_even_part(h)
-    sig = h.grid.sign_values
-    tail = float(np.mean(np.abs(u - mu * sig) ** 2))
-
+    w, b = _require_unimodular(complex(w), "multiplier"), complex(b)
+    mu, tail, (shift_lhs, split_rhs) = _coordinate_parts(h, b)
     a = arith_envelope(mu, b)
-    excess = a * a - abs(mu) ** 2
-    shift_lhs = float(np.mean(np.abs(u - b * sig) ** 2))
-    shift_rhs = 8.0 * excess + tail
-
+    shift_rhs = 8.0 * (a * a - abs(mu) ** 2) + tail
     rotation_lhs = (a - abs(b)) ** 2 + tail
-    rotation_rhs = 8.0 * float(np.mean((w * (h.values - b * sig)).imag ** 2))
-
-    split_rhs = abs(mu - b) ** 2 + tail
+    rotation_rhs = 8.0 * float(np.mean((w * (h.values - b * h.grid.sign_values)).imag ** 2))
     split_residual = float(residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
     return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs,
                               split_residual)
@@ -403,19 +367,13 @@ def verify_chain(report: StabilityReport, slack: float = 1e-10) -> list:
     # square-function of the sigma coefficients.
     sides = [(report.dyadic_mean, report.coeff_mean)]
 
-    # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2).
-    worst_lhs, worst_rhs, worst_gap = 0.0, 0.0, -math.inf
-    for m_k, a_k, r_k, mu_k in zip(
-        report.perturbed_moments, report.envelopes, report.residual_rms, report.sigma_coeffs
-    ):
-        rhs_arr = 8.0 * (a_k**2 + r_k**2 - np.abs(mu_k) ** 2)
-        gap = np.asarray(m_k - rhs_arr)
-        idx = np.unravel_index(np.argmax(gap), gap.shape) if gap.ndim else ()
-        if float(gap[idx]) > worst_gap:
-            worst_gap = float(gap[idx])
-            worst_lhs = float(np.asarray(m_k)[idx])
-            worst_rhs = float(np.asarray(rhs_arr)[idx])
-    sides.append((worst_lhs, worst_rhs))
+    # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2), at the
+    # first entry of largest excess over all levels; a NaN entry is the one taken.
+    m, a, r, mu = (np.concatenate([np.ravel(x) for x in per_level]) for per_level in (
+        report.perturbed_moments, report.envelopes, report.residual_rms, report.sigma_coeffs))
+    rhs_all = 8.0 * (a**2 + r**2 - np.abs(mu) ** 2)
+    i = int(np.argmax(m - rhs_all))
+    sides.append((float(m[i]), float(rhs_all[i])))
 
     # ||U - E(U|D)||_P <= sqrt(8) * (E(X-Y))^(1/2) * (E(X+Y))^(1/2).
     ex, ey, ez = report.envelope_mean, report.coeff_mean, report.dyadic_mean

@@ -11,6 +11,7 @@ map stored differences to new ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,10 @@ class MartingaleField:
         self._store(grid, depth, levels[0], [f - c[..., None] for c, f in zip(levels, levels[1:])])
 
     def _store(self, grid: TorusGrid, depth: int, base, diffs, scale=None) -> None:
-        """Validate the parts (mean tolerance 1e-12*scale), then keep read-only copies."""
+        """Validate the parts (mean tolerance 1e-12*scale), then keep read-only copies.
+
+        An inf or a NaN makes the default scale, or else the drift, non-finite,
+        so such parts are rejected without a separate pass over the data."""
         n = _check_size(grid, depth)
         diffs = [np.asarray(d) for d in diffs]
         if len(diffs) != depth:
@@ -88,11 +92,13 @@ class MartingaleField:
         base = complex(base)
         # averaging leaves a few ulps of mean; scale defaults to the parts' own
         tol = 1e-12 * (_scale_bound(base, diffs) if scale is None else scale)
+        if not math.isfinite(tol):
+            raise ValueError("martingale values must be finite")
         for k, d in enumerate(diffs, start=1):
             if d.shape != (n,) * k:
                 raise ValueError(f"difference {k} must have shape {(n,) * k}; got {d.shape}")
             drift = float(np.abs(d.sum(axis=-1)).max()) / n  # mean over the newest axis
-            if drift > tol:
+            if not drift <= tol:
                 raise ValueError(f"difference {k} has mean {drift:.3g} over its newest axis, not 0")
         diffs = tuple(np.array(d, dtype=np.complex128) for d in diffs)
         for d in diffs:
@@ -103,6 +109,13 @@ class MartingaleField:
     def terminal(self) -> np.ndarray:
         """Values over grid^depth, assembled on every access and never stored."""
         return level(self, self.depth)
+
+
+def _require_unimodular(w, what: str):
+    """w itself, once every |w| (scalar or array) is within 1e-12 of 1; a NaN fails."""
+    if not np.logical_and.reduce(abs(abs(w) - 1.0) <= 1e-12, axis=None):
+        raise ValueError(f"{what} is not unimodular")
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +132,7 @@ class AdaptedPhases:
             arr = np.asarray(w, dtype=np.complex128)
             if arr.shape != (n,) * k:
                 raise ValueError(f"term {k} must have shape {(n,) * k}; got {arr.shape}")
-            if arr.size and float(np.max(np.abs(np.abs(arr) - 1.0))) > 1e-12:
-                raise ValueError(f"term {k} is not unimodular")
-            arr = arr.copy()
+            arr = _require_unimodular(arr, f"term {k}").copy()
             arr.setflags(write=False)
             cleaned.append(arr)
         if not cleaned:
@@ -157,18 +168,6 @@ def level(field: MartingaleField, k: int) -> np.ndarray:
     for j, d in enumerate(field.diffs[:k], start=1):
         out += d.reshape(d.shape + (1,) * (k - j))
     return out
-
-
-def difference(field: MartingaleField, k: int) -> np.ndarray:
-    """Martingale difference at level k; conditional mean over coordinate k is 0."""
-    if not 1 <= k <= field.depth:
-        raise ValueError(f"difference index {k} outside 1..{field.depth}")
-    return field.diffs[k - 1]
-
-
-def differences(field: MartingaleField) -> list:
-    """All stored differences, level 1 first."""
-    return list(field.diffs)
 
 
 def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) -> MartingaleField:
@@ -208,12 +207,13 @@ def previsible_norm(field: MartingaleField) -> float:
 
 
 def _even_part(diff: np.ndarray) -> np.ndarray:
-    return 0.5 * (diff + np.flip(diff, axis=-1))
+    """Average of diff and its conjugation (newest coordinate reversed)."""
+    return 0.5 * (diff + diff[..., ::-1])
 
 
 def _odd_part(diff: np.ndarray) -> np.ndarray:
-    # exact antisymmetry: flipping negates these values bit-for-bit
-    return 0.5 * (diff - np.flip(diff, axis=-1))
+    # exact antisymmetry: reversing negates these values bit-for-bit
+    return 0.5 * (diff - diff[..., ::-1])
 
 
 def cosine_part(field: MartingaleField) -> MartingaleField:

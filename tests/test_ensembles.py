@@ -4,7 +4,6 @@ import pytest
 from hardylab import (
     EnsembleConfig,
     arith_sample_batch,
-    differences,
     is_hardy,
     is_hardy_martingale,
     random_adapted_phases,
@@ -35,6 +34,17 @@ class TestConfigValidation:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             EnsembleConfig(seed=1, n_points=8, depth=0)
+
+    @pytest.mark.parametrize("seed", [7.9, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float, bool or string would be cast to an integer stream
+        with pytest.raises(ValueError, match="seed"):
+            EnsembleConfig(seed=seed, n_points=8)
+
+    def test_seed_has_no_upper_cap(self):
+        # 2**70 draws its own stream, not that of 0 = 2**70 mod 2**64
+        big, zero = (random_hardy_function(EnsembleConfig(seed=s, n_points=8)) for s in (2**70, 0))
+        assert not np.array_equal(big.values, zero.values)
 
 
 class TestHardyFunction:
@@ -82,7 +92,7 @@ class TestHardyMartingale:
 
     def test_martingale_property(self):
         cfg = EnsembleConfig(seed=3, n_points=16, depth=2, max_degree=5)
-        for d in differences(random_hardy_martingale(cfg)):
+        for d in random_hardy_martingale(cfg).diffs:
             assert np.max(np.abs(d.mean(axis=-1))) < 1e-12
 
     def test_memory_guard(self):

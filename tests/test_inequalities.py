@@ -26,7 +26,7 @@ from hardylab import (
     random_hardy_function,
     random_hardy_martingale,
     sincos_identity_sides,
-    slack_within,
+    slack_verdict,
     stability_report,
     stability_report_from_coefficients,
     verify_chain,
@@ -83,7 +83,7 @@ class TestEnvelopeGapBound:
         w = complex(np.exp(1j * phi))
         w /= abs(w)
         lhs, rhs = envelope_gap_sides(mu, b, w)
-        assert slack_within(lhs, rhs, 1e-12)
+        assert bool(slack_verdict(lhs, rhs, 1e-12)[1])
 
     def test_vectorized_strata(self):
         cfg = EnsembleConfig(seed=5, n_points=8)
@@ -91,6 +91,20 @@ class TestEnvelopeGapBound:
         lhs, rhs = envelope_gap_sides(mu, b, w)
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         assert np.min((rhs - lhs) / scale) >= -1e-12
+
+
+@pytest.mark.parametrize("w", [complex(np.nan, 0.0), 1.0 + 1e-10])
+@pytest.mark.parametrize("sides", [
+    lambda h, w: sincos_identity_sides(h, 0.5, w),
+    lambda h, w: perturbation_bounds(h, 0.5, w),
+    lambda h, w: envelope_gap_sides(np.array([1.0, 2.0]), 0.5, np.array([1.0, w])),
+], ids=["sincos_identity_sides", "perturbation_bounds", "envelope_gap_sides"])
+def test_multiplier_rule_rejects_nan_and_off_circle(sides, w):
+    # the same rule as AdaptedPhases: |w| within 1e-12 of 1, and a NaN fails
+    grid = make_grid(8)
+    h = GridFunction(grid, np.exp(1j * grid.angles))
+    with pytest.raises(ValueError, match="unimodular"):
+        sides(h, w)
 
 
 class TestEnvelopeExcessBound:
@@ -104,7 +118,7 @@ class TestEnvelopeExcessBound:
     @given(complex_st, complex_st)
     def test_holds_on_random_samples(self, mu, b):
         lhs, rhs = envelope_excess_sides(mu, b)
-        assert slack_within(lhs, rhs, 1e-12)
+        assert bool(slack_verdict(lhs, rhs, 1e-12)[1])
 
 
 class TestSinCosIdentity:
@@ -176,8 +190,8 @@ class TestPerturbationBounds:
             h = random_hardy_function(cfg)
             b = complex(rng.standard_normal() + 1j * rng.standard_normal())
             rep = perturbation_bounds(h, b, unit_phase(rng))
-            assert slack_within(rep.shift_lhs, rep.shift_rhs, 1e-10)
-            assert slack_within(rep.rotation_lhs, rep.rotation_rhs, 1e-10)
+            assert bool(slack_verdict(rep.shift_lhs, rep.shift_rhs, 1e-10)[1])
+            assert bool(slack_verdict(rep.rotation_lhs, rep.rotation_rhs, 1e-10)[1])
             assert rep.split_residual <= 1e-10
 
     def test_split_identity(self):
@@ -284,13 +298,25 @@ class TestVerifyChain:
             assert step.passed, step
         assert rep.ratio <= CHAIN_CONSTANT
 
+    @pytest.mark.parametrize("nan_levels", [(0, 1), (1,)])
+    def test_nan_moment_fails_pointwise_step(self, nan_levels):
+        cfg = EnsembleConfig(seed=31, n_points=8, depth=2, max_degree=3)
+        rep = stability_report_from_coefficients(
+            make_grid(8), random_coefficient_arrays(cfg), random_adapted_phases(cfg))
+        moments = [np.array(m, dtype=float) for m in rep.perturbed_moments]
+        for k in nan_levels:
+            moments[k].flat[-1] = np.nan
+        records = verify_chain(dataclasses.replace(rep, perturbed_moments=tuple(moments)))
+        step = {r.check_id: r for r in records}["pointwise-perturbed-moment"]
+        assert math.isnan(step.lhs) and not step.passed
+
     def test_chain_constant_value(self):
         assert CHAIN_CONSTANT == pytest.approx(2.0 ** (13.0 / 4.0), abs=0)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-10, 1.0])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
     def test_records_follow_the_slack_rule(self, tol, scale):
-        # gap is the scale-normalised slack and passed is slack_within, for
+        # gap is the scale-normalised slack and passed is slack_verdict's, for
         # valid chains and for perturbed reports whose steps fail
         cfg = EnsembleConfig(seed=31, n_points=8, depth=2, max_degree=3)
         field = martingale_from_coefficients(
@@ -302,7 +328,7 @@ class TestVerifyChain:
             assert len(records) == 5
             for r in records:
                 assert r.gap == (r.rhs - r.lhs) / max(1.0, abs(r.lhs), abs(r.rhs)), r
-                assert r.passed is slack_within(r.lhs, r.rhs, tol), r
+                assert r.passed is bool(slack_verdict(r.lhs, r.rhs, tol)[1]), r
         assert all(r.passed for r in records) == (tol >= 1.0)  # rhs >= 0, so gap >= -1
 
     def test_degenerate_denominator_flagged_not_raised(self):

@@ -14,8 +14,6 @@ from hardylab import (
     check_transform_isometry,
     cond_square_profile,
     cosine_part,
-    difference,
-    differences,
     dyadic_project,
     field_from_differences,
     is_hardy,
@@ -26,7 +24,6 @@ from hardylab import (
     random_adapted_phases,
     random_hardy_martingale,
     sine_part,
-    stability_report,
     transform,
 )
 
@@ -90,21 +87,19 @@ class TestLevels:
         F = product_mode_field(4)
         with pytest.raises(ValueError):
             level(F, 3)
-        with pytest.raises(ValueError):
-            difference(F, 0)
 
     def test_differences_telescope(self):
         grid = make_grid(8)
         rng = np.random.default_rng(1)
         F = MartingaleField(grid, 3, rng.standard_normal((8, 8, 8)) * (1 + 1j))
         total = np.zeros((8, 8, 8), dtype=complex) + level(F, 0)
-        for k, d in enumerate(differences(F), start=1):
+        for k, d in enumerate(F.diffs, start=1):
             total += d.reshape(d.shape + (1,) * (3 - k))
         np.testing.assert_allclose(total, F.terminal, atol=1e-13)
 
     def test_product_mode_differences(self):
         F = product_mode_field(4)
-        d1, d2 = differences(F)
+        d1, d2 = F.diffs
         assert np.max(np.abs(d1)) < 1e-14
         np.testing.assert_allclose(d2, F.terminal, atol=1e-14)
 
@@ -112,7 +107,7 @@ class TestLevels:
         grid = make_grid(8)
         rng = np.random.default_rng(2)
         F = MartingaleField(grid, 3, rng.standard_normal((8, 8, 8)) * (1 - 2j))
-        for d in differences(F):
+        for d in F.diffs:
             assert np.max(np.abs(d.mean(axis=-1))) < 1e-13
 
 
@@ -190,10 +185,10 @@ class TestSineCosine:
     def test_parity_of_differences(self):
         cfg = EnsembleConfig(seed=14, n_points=8, depth=2, max_degree=3)
         F = random_hardy_martingale(cfg)
-        for d in differences(cosine_part(F)):
+        for d in cosine_part(F).diffs:
             scale = max(1.0, np.max(np.abs(d)))
             assert np.max(np.abs(d - np.flip(d, axis=-1))) < 1e-12 * scale
-        for d in differences(sine_part(F)):
+        for d in sine_part(F).diffs:
             scale = max(1.0, np.max(np.abs(d)))
             assert np.max(np.abs(d + np.flip(d, axis=-1))) < 1e-12 * scale
 
@@ -229,13 +224,19 @@ class TestTransform:
         F = random_hardy_martingale(cfg)
         T = transform(F, random_adapted_phases(cfg))
         assert np.max(np.abs(T.terminal.imag)) == 0.0
-        for d in differences(T):
+        for d in T.diffs:
             assert np.max(np.abs(d.mean(axis=-1))) < 1e-12
 
     def test_non_unimodular_rejected(self):
         grid = make_grid(4)
         with pytest.raises(ValueError, match="unimodular"):
             AdaptedPhases(grid, (np.asarray(0.5 + 0j),))
+
+    @pytest.mark.parametrize("w", [complex(np.nan, 0.0), 1.0 + 1e-10])
+    def test_nan_and_near_unimodular_rejected(self, w):
+        grid = make_grid(4)
+        with pytest.raises(ValueError, match="unimodular"):
+            AdaptedPhases(grid, (np.asarray(1.0 + 0j), np.full(4, 1.0 + 0j) * w))
 
     def test_depth_mismatch_rejected(self):
         F = product_mode_field(4)
@@ -291,12 +292,15 @@ class TestIsHardyMartingale:
         assert is_hardy_martingale(MartingaleField(grid, 1, values), 1e-6) is hardy
 
     def test_nan_fails_both_gates(self):
+        # the 1-D gate fails a NaN; a martingale holding one cannot be built
         grid = make_grid(4)
         values = np.exp(1j * grid.angles)
         values[1] = np.nan
-        with np.errstate(invalid="ignore"):
-            assert not is_hardy(GridFunction(grid, values), 1e-8)
-            assert not is_hardy_martingale(MartingaleField(grid, 1, values), 1e-8)
+        assert not is_hardy(GridFunction(grid, values), 1e-8)
+        with pytest.raises(ValueError, match="finite"):
+            MartingaleField(grid, 1, values)
+        with pytest.raises(ValueError, match="finite"):
+            field_from_differences(grid, 1, 0.0, [values])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-300, 300))
@@ -314,11 +318,11 @@ class TestIsHardyMartingale:
         values = np.exp(sign * 1j * grid.angles)
         for j, v in infinite.items():
             values[j] = v
-        with np.errstate(invalid="ignore"):
-            field = field_from_differences(grid, 1, 0.0, [values])
-            assert not is_hardy_martingale(field, 1e-8)
-            with pytest.raises(ValueError, match="Hardy martingale"):
-                stability_report(field, constant_phases(grid, 1))
+        assert not is_hardy(GridFunction(grid, values), 1e-8)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            MartingaleField(grid, 1, values)
+        with pytest.raises(ValueError, match="finite"):
+            field_from_differences(grid, 1, 0.0, [values])
 
 
 class TestDyadicProjection:
@@ -383,7 +387,7 @@ class TestDyadicProjection:
     def test_result_is_martingale(self):
         cfg = EnsembleConfig(seed=20, n_points=8, depth=3, max_degree=3)
         F = random_hardy_martingale(cfg)
-        for d in differences(dyadic_project(F)):
+        for d in dyadic_project(F).diffs:
             assert np.max(np.abs(d.mean(axis=-1))) < 1e-12
 
 
@@ -391,7 +395,7 @@ class TestFieldFromDifferences:
     def test_round_trip(self):
         cfg = EnsembleConfig(seed=21, n_points=8, depth=2, max_degree=3)
         F = random_hardy_martingale(cfg)
-        rebuilt = field_from_differences(F.grid, 2, complex(level(F, 0)), differences(F))
+        rebuilt = field_from_differences(F.grid, 2, complex(level(F, 0)), F.diffs)
         assert np.max(np.abs(rebuilt.terminal - F.terminal)) < 1e-13
 
     def test_wrong_count_rejected(self):
@@ -420,7 +424,7 @@ class TestFieldFromDifferences:
         d1[:] = 7.0
         np.testing.assert_array_equal(G.terminal, expected_g)
         assert np.max(np.abs(F.terminal - expected_f)) < 1e-14
-        for d in differences(F) + differences(G):
+        for d in F.diffs + G.diffs:
             assert not d.flags.writeable
             with pytest.raises(ValueError):
                 d[0] = 1.0
@@ -442,7 +446,7 @@ class TestRepresentation:
         n, depth, terminal, seed = case
         grid = make_grid(n)
         F = MartingaleField(grid, depth, terminal)
-        G = field_from_differences(grid, depth, complex(level(F, 0)), differences(F))
+        G = field_from_differences(grid, depth, complex(level(F, 0)), F.diffs)
         phases = random_adapted_phases(EnsembleConfig(seed=seed, n_points=n, depth=depth))
         scale = max(1.0, float(np.max(np.abs(terminal))))
         assert np.max(np.abs(F.terminal - terminal)) <= 1e-12 * scale
