@@ -17,7 +17,7 @@ from hardylab.cli import main as hardylab_main
 # N^depth = 2^24, evaluated from coefficients without grid^depth arrays.
 RUNS = {
     "identities": "identities --n-points 16 --depth 3 --max-degree 5 --samples 1000",
-    "lemmas": "lemmas --n-points 16 --depth 1 --max-degree 7 --samples 100000",
+    "lemmas": "lemmas --n-points 16 --max-degree 7 --samples 100000",
     "theorem": "theorem --n-points 8 --depth 3 --max-degree 3 --samples 1000",
     "theorem-guard": "theorem --n-points 64 --depth 4 --max-degree 3 --samples 1",
     "constant-search": "constant-search --n-points 8 --depth 3 --max-degree 3 --samples 8 --budget 400",

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
-from dataclasses import asdict
+from dataclasses import fields
 
 from .harness import (
     COMMANDS,
@@ -62,51 +61,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    descriptions = {
-        "identities": "run the exact-identity suites",
-        "lemmas": "run the scalar and integral inequality suites",
-        "theorem": "verify the full stability chain on a random ensemble",
-        "constant-search": "stochastic search for the extremal stability ratio",
-        "convergence": "resolution sweep of the dyadic cosine coefficient",
+    commands = {
+        "identities": ("run the exact-identity suites", _ENSEMBLE_FLAGS),
+        "lemmas": ("run the scalar and integral inequality suites",
+                   ("n_points", "max_degree", "samples")),  # its suites run at depth 1
+        "theorem": ("verify the full stability chain on a random ensemble", _ENSEMBLE_FLAGS),
+        "constant-search": ("stochastic search for the extremal stability ratio",
+                            _ENSEMBLE_FLAGS + ("budget",)),
+        "convergence": ("resolution sweep of the dyadic cosine coefficient", ("resolutions",)),
     }
-    for command, description in descriptions.items():
-        sp = sub.add_parser(command, help=description)
-        if command == "convergence":
-            _add_flags(sp, ("resolutions",) + _COMMON_FLAGS)
-        elif command == "constant-search":
-            _add_flags(sp, _ENSEMBLE_FLAGS + ("budget",) + _COMMON_FLAGS)
-        else:
-            _add_flags(sp, _ENSEMBLE_FLAGS + _COMMON_FLAGS)
+    for command, (description, flags) in commands.items():
+        _add_flags(sub.add_parser(command, help=description), flags + _COMMON_FLAGS)
     return parser
 
 
-def _parse_resolutions(text: str):
+def _parse_resolutions(text: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(f"bad resolutions list {text!r}") from exc
-    if not values:
-        raise UsageError("resolutions list is empty")
-    return values
 
 
-_FIELD_TYPES = typing.get_type_hints(HarnessConfig)
-
-
-def _has_field_type(value, hint) -> bool:
-    """Whether a JSON value fits a HarnessConfig field: an integer also fits a
-    float field, a tuple field takes a list of integers or a comma-separated
-    string, and booleans fit no field."""
-    types = typing.get_args(hint) or (hint,)
-    if isinstance(value, bool):
-        return False
-    if tuple in types:
-        return isinstance(value, str) or (
-            isinstance(value, list) and all(_has_field_type(v, int) for v in value))
-    return isinstance(value, types + ((int,) if float in types else ()))
+_CONFIG_KEYS = {f.name for f in fields(HarnessConfig)}
 
 
 def _load_config_file(path: str) -> dict:
+    """Settings from a JSON object; HarnessConfig checks their values."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -117,29 +97,21 @@ def _load_config_file(path: str) -> dict:
     settings = {}
     for key, value in raw.items():
         name = key.replace("-", "_")
-        if name not in _FIELD_TYPES:
+        if name not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        if not _has_field_type(value, _FIELD_TYPES[name]):
-            raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
         settings[name] = value
     return settings
 
 
 def _build_config(args: argparse.Namespace) -> HarnessConfig:
-    settings = asdict(HarnessConfig())
-    settings.update(_PER_COMMAND_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+    """Per-command defaults, then the config file, then explicit flags."""
+    settings = dict(_PER_COMMAND_DEFAULTS[args.command])
+    if args.config:
         settings.update(_load_config_file(args.config))
-    for name in vars(args):
-        if name in ("command", "config"):
-            continue
-        value = getattr(args, name)
-        if value is not None:
-            settings[name] = value
+    settings.update({name: value for name, value in vars(args).items()
+                     if name not in ("command", "config") and value is not None})
     if isinstance(settings.get("resolutions"), str):
         settings["resolutions"] = _parse_resolutions(settings["resolutions"])
-    else:
-        settings["resolutions"] = tuple(int(r) for r in settings["resolutions"])
     return HarnessConfig(**settings)
 
 

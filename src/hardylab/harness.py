@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .inequalities import (
     verify_chain,
 )
 from .martingale import _check_degree, _check_size, check_transform_isometry, previsible_norm
-from .torus import GridFunction, inner_product, make_grid, sigma
+from .torus import GridFunction, _is_integer, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
 # exact dyadic cosine coefficients at N = 4 and N = 8
@@ -56,16 +56,47 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """The settings of one run.  Construction checks every setting with the
+    shared rules, raising UsageError, and resolves the max_degree default, so
+    every command takes its config as given."""
+
     n_points: int = 8
     depth: int = 2
-    max_degree: int | None = None  # defaults to min(3, n_points//2 - 1)
+    max_degree: int | None = None  # None resolves to min(3, n_points//2 - 1)
     samples: int = 400
     seed: int = 12345
     tol: float = 1e-10
     budget: int = 200
-    resolutions: tuple = (4, 8, 16, 32, 64, 128)
+    resolutions: tuple = (4, 8, 16, 32, 64, 128)  # a list is stored as a tuple
     out: str | None = None
     csv: str | None = None
+
+    def __post_init__(self):
+        try:
+            _check_seed(self.seed)
+            grid = make_grid(self.n_points)
+            _check_size(grid, self.depth)
+            if self.max_degree is None:
+                object.__setattr__(self, "max_degree", min(3, grid.n_points // 2 - 1))
+            _check_degree(grid, self.max_degree)
+            for name, least in (("samples", 1), ("budget", 0)):
+                value = getattr(self, name)
+                if not _is_integer(value) or value < least:
+                    raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
+            if isinstance(self.tol, bool) or not isinstance(self.tol, Real) or not self.tol >= 0:
+                raise ValueError(f"tol must be a nonnegative real number; got {self.tol!r}")
+            if not isinstance(self.resolutions, (list, tuple)) or not self.resolutions:
+                raise ValueError(f"resolutions must be a nonempty list of grid sizes; "
+                                 f"got {self.resolutions!r}")
+            object.__setattr__(self, "resolutions", tuple(self.resolutions))
+            for n in self.resolutions:
+                make_grid(n)
+            for name in ("out", "csv"):
+                value = getattr(self, name)
+                if value is not None and not isinstance(value, str):
+                    raise ValueError(f"{name} must be a path or null; got {value!r}")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 @dataclass
@@ -107,38 +138,6 @@ def _config_echo(config: HarnessConfig) -> dict:
 def _child_seed(seed: int, *key: int) -> int:
     seq = np.random.SeedSequence(entropy=[int(seed), *key])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-@contextmanager
-def _usage_rules():
-    """Run shared input rules: their ValueError is a usage error here."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _validate_run(config: HarnessConfig) -> None:
-    """Settings every command reads: the base seed and the tolerance."""
-    with _usage_rules():
-        _check_seed(config.seed)
-    if not config.tol >= 0:
-        raise UsageError(f"tol must be nonnegative; got {config.tol}")
-
-
-def _validate_common(config: HarnessConfig) -> HarnessConfig:
-    """Validate ensemble-facing settings; returns the config with the
-    max_degree default resolved against the grid."""
-    _validate_run(config)
-    if config.samples < 1:
-        raise UsageError(f"samples must be positive; got {config.samples}")
-    with _usage_rules():
-        grid = make_grid(config.n_points)
-        _check_size(grid, config.depth)
-        if config.max_degree is None:
-            config = replace(config, max_degree=min(3, grid.n_points // 2 - 1))
-        _check_degree(grid, config.max_degree)
-    return config
 
 
 _WORST = {"min-slack": np.argmin, "max-residual": np.argmax}
@@ -206,7 +205,6 @@ _IDENTITY_SUITES = ("sincos-identity", "orthogonal-split", "transform-isometry")
 def cmd_identities(config: HarnessConfig) -> RunReport:
     """Exact-identity suites: single-coordinate identity, orthogonal split,
     and the transform isometry for Hardy martingales."""
-    config = _validate_common(config)
     t0 = time.monotonic()
     col = _Collector()
     rng = _scalar_rng(config, 100)
@@ -239,7 +237,6 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
 def cmd_lemmas(config: HarnessConfig) -> RunReport:
     """Scalar envelope bounds on stratified samples plus the integral bounds
     for random analytic data."""
-    config = _validate_common(config)
     t0 = time.monotonic()
     col = _Collector()
     tol = config.tol
@@ -276,7 +273,6 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
 def cmd_theorem(config: HarnessConfig) -> RunReport:
     """Full stability chain over a random Hardy ensemble; records per-step
     margins and the empirical maximum of the final ratio."""
-    config = _validate_common(config)
     t0 = time.monotonic()
     col = _Collector()
     grid = make_grid(config.n_points)
@@ -316,9 +312,6 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
     sequence, then runs `budget` Gaussian perturbation steps, accepting a
     step only when the ratio strictly increases.
     """
-    config = _validate_common(config)
-    if config.budget < 0:
-        raise UsageError(f"budget must be nonnegative; got {config.budget}")
     t0 = time.monotonic()
     col = _Collector()
     grid = make_grid(config.n_points)
@@ -385,19 +378,13 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
 def cmd_convergence(config: HarnessConfig) -> RunReport:
     """Resolution sweep of the dyadic coefficient of cos(theta), with the
     analytic limit 2/pi as anchor."""
-    _validate_run(config)
-    if not config.resolutions:
-        raise UsageError("resolutions must be a nonempty list")
-    with _usage_rules():
-        for n in config.resolutions:
-            make_grid(n)
     t0 = time.monotonic()
     col = _Collector()
     tol = max(config.tol, 1e-12)
 
     rows = []
     errors = {}
-    for n in sorted(set(int(r) for r in config.resolutions)):
+    for n in sorted(set(config.resolutions)):
         grid = make_grid(n)
         cos_fn = GridFunction(grid, np.cos(grid.angles))
         b_n = inner_product(cos_fn, sigma(grid)).real
@@ -454,16 +441,16 @@ def write_json_report(report: RunReport, path: str) -> None:
 
 
 def write_csv_report(report: RunReport, path: str) -> None:
-    """Sweep table for convergence runs; (n_points, check, gap) rows otherwise."""
-    lines = ["resolution,quantity,value"]
+    """Sweep table `resolution,quantity,value` for convergence runs; one
+    `n_points,check_id,gap` row per check otherwise."""
     table = report.aggregates.get("table")
     if table is not None:
-        for row in table:
-            lines.append(f"{row['resolution']},{row['quantity']},{row['value']!r}")
+        lines = ["resolution,quantity,value"]
+        lines += [f"{row['resolution']},{row['quantity']},{row['value']!r}" for row in table]
     else:
         n = report.config.get("n_points")
-        for check in report.checks:
-            lines.append(f"{n},{check.check_id},{check.gap!r}")
+        lines = ["n_points,check_id,gap"]
+        lines += [f"{n},{check.check_id},{check.gap!r}" for check in report.checks]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")

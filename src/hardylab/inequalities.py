@@ -134,16 +134,24 @@ def envelope_excess_sides(mu, b):
     return _like_inputs(mu, b, gap_sq, 2.0 * q * (q + 2.0 * abs_mu))
 
 
-def _coordinate_parts(h: GridFunction, b: complex) -> tuple:
-    """Gate h (analytic, no Nyquist content) and return, for its even part u,
-    mu = <u,s>, the tail int |u - mu s|^2 and both sides of the orthogonal
-    split int |u - b s|^2 = |mu - b|^2 + tail."""
+def _coordinate_parts(h: GridFunction) -> tuple:
+    """Gate h (analytic, no Nyquist content) and return its even part u,
+    mu = <u,s> and the tail int |u - mu s|^2."""
     if not is_hardy(h, _ANALYTIC_GATE_TOL):
         raise ValueError("input must be analytic with vanishing mean (Hardy)")
     u, sig = _even_part(h.values), h.grid.sign_values
     mu = complex(np.mean(u * sig))
-    tail = float(np.mean(np.abs(u - mu * sig) ** 2))
-    return mu, tail, (float(np.mean(np.abs(u - b * sig) ** 2)), abs(mu - b) ** 2 + tail)
+    return u, mu, float(np.mean(np.abs(u - mu * sig) ** 2))
+
+
+def _split_sides(h: GridFunction, b: complex, u, mu: complex, tail: float) -> tuple:
+    """Both sides of the orthogonal split int |u - b s|^2 = |mu - b|^2 + tail."""
+    return float(np.mean(np.abs(u - b * h.grid.sign_values) ** 2)), abs(mu - b) ** 2 + tail
+
+
+def _transform_moment(h: GridFunction, b: complex, w: complex) -> float:
+    """int Im^2(w (h - b s))."""
+    return float(np.mean((w * (h.values - b * h.grid.sign_values)).imag ** 2))
 
 
 @dataclass(frozen=True)
@@ -163,15 +171,15 @@ def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityRe
     function.  Exact on the shifted grid, so the residual is round-off.
     """
     w, b = _require_unimodular(complex(w), "multiplier"), complex(b)
-    mu, tail, _ = _coordinate_parts(h, b)
+    _, mu, tail = _coordinate_parts(h)
     lhs = (w * (mu - b)).imag ** 2 + (w * mu).real ** 2 + tail
-    rhs = float(np.mean((w * (h.values - b * h.grid.sign_values)).imag ** 2))
+    rhs = _transform_moment(h, b, w)
     return IdentityReport(lhs, rhs, float(residual_verdict(lhs, rhs, rhs, 0.0)[0]))
 
 
 def decomposition_sides(h: GridFunction, b: complex):
     """Sides of the orthogonal split int |u - b s|^2 = |<u,s> - b|^2 + int |u - <u,s> s|^2."""
-    return _coordinate_parts(h, complex(b))[2]
+    return _split_sides(h, complex(b), *_coordinate_parts(h))
 
 
 @dataclass(frozen=True)
@@ -196,11 +204,12 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
     and report the residual of the exact orthogonal split as a cross-check.
     """
     w, b = _require_unimodular(complex(w), "multiplier"), complex(b)
-    mu, tail, (shift_lhs, split_rhs) = _coordinate_parts(h, b)
+    u, mu, tail = _coordinate_parts(h)
+    shift_lhs, split_rhs = _split_sides(h, b, u, mu, tail)
     a = arith_envelope(mu, b)
     shift_rhs = 8.0 * (a * a - abs(mu) ** 2) + tail
     rotation_lhs = (a - abs(b)) ** 2 + tail
-    rotation_rhs = 8.0 * float(np.mean((w * (h.values - b * h.grid.sign_values)).imag ** 2))
+    rotation_rhs = 8.0 * _transform_moment(h, b, w)
     split_residual = float(residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
     return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs,
                               split_residual)

@@ -89,6 +89,17 @@ class TestIdentitiesCommand:
             cmd_identities(small_config(**settings))
 
 
+@pytest.mark.parametrize("settings", [
+    {"samples": 2.5}, {"samples": True}, {"samples": 2.0}, {"samples": "3"},
+    {"budget": 1.5}, {"tol": True}, {"resolutions": (4, 8.0)}, {"out": 5},
+], ids=repr)
+def test_python_api_settings_are_checked(settings):
+    # HarnessConfig checks every setting itself: a bad one never reaches a
+    # command to crash it or be cast
+    with pytest.raises(UsageError):
+        HarnessConfig(**settings)
+
+
 class TestLemmasCommand:
     def test_no_violations(self):
         report = cmd_lemmas(small_config(samples=500))
@@ -391,3 +402,11 @@ class TestCliEndToEnd:
         result = run_cli("convergence", "--resolutions", "4,8,16", "--csv", str(csv_path))
         assert result.returncode == 0
         assert csv_path.read_text().startswith("resolution,quantity,value")
+
+    def test_theorem_csv(self, tmp_path):
+        csv_path = tmp_path / "checks.csv"
+        result = run_cli("theorem", "--samples", "3", "--csv", str(csv_path))
+        assert result.returncode == 0, result.stderr
+        header, *rows = csv_path.read_text().strip().splitlines()
+        assert header == "n_points,check_id,gap"
+        assert len(rows) == 5 and all(row.startswith("8,chain/") for row in rows)
