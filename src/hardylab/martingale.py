@@ -81,7 +81,7 @@ class MartingaleField:
         self._store(grid, depth, levels[0], [f - c[..., None] for c, f in zip(levels, levels[1:])])
 
     def _store(self, grid: TorusGrid, depth: int, base, diffs, scale=None) -> None:
-        """Validate the parts (mean tolerance 1e-12*scale), then keep read-only copies.
+        """Validate the parts (mean tolerance 1e-12*scale + 8*2^-1074), then keep read-only copies.
 
         An inf or a NaN makes the default scale, or else the drift, non-finite,
         so such parts are rejected without a separate pass over the data."""
@@ -90,8 +90,9 @@ class MartingaleField:
         if len(diffs) != depth:
             raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
         base = complex(base)
-        # averaging leaves a few ulps of mean; scale defaults to the parts' own
-        tol = 1e-12 * (_scale_bound(base, diffs) if scale is None else scale)
+        # averaging leaves a few ulps of mean; scale defaults to the parts' own.
+        # Subnormal values round absolutely, so a few units of 2^-1074 are slack too.
+        tol = 1e-12 * (_scale_bound(base, diffs) if scale is None else scale) + 8 * math.ulp(0.0)
         if not math.isfinite(tol):
             raise ValueError("martingale values must be finite")
         for k, d in enumerate(diffs, start=1):

@@ -153,6 +153,15 @@ class TestSquareFunction:
             abs(scale) * previsible_norm(F), rel=1e-10, abs=1e-12
         )
 
+    @pytest.mark.parametrize("scale", [2.2250738585e-313j, 5e-324, 1e-310 - 3e-311j])
+    def test_subnormal_values_split(self, scale):
+        # subnormals round by whole units of 2^-1074, which 1e-12*scale cannot absorb
+        cfg = EnsembleConfig(seed=11, n_points=8, depth=2, max_degree=2)
+        F = random_hardy_martingale(cfg)
+        scaled = MartingaleField(F.grid, F.depth, scale * F.terminal)
+        for part in (cosine_part(scaled), sine_part(scaled)):
+            assert part.depth == 2
+
     def test_oracle_equivalence_small(self):
         cfg = EnsembleConfig(seed=12, n_points=4, depth=3, max_degree=1)
         F = random_hardy_martingale(cfg)
