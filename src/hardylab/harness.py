@@ -88,15 +88,18 @@ class HarnessConfig:
             if not isinstance(self.resolutions, (list, tuple)) or not self.resolutions:
                 raise ValueError(f"resolutions must be a nonempty list of grid sizes; "
                                  f"got {self.resolutions!r}")
-            object.__setattr__(self, "resolutions", tuple(self.resolutions))
-            for n in self.resolutions:
-                make_grid(n)
+            # make_grid checks each size; its grid holds the size as a plain int
+            object.__setattr__(self, "resolutions",
+                               tuple(make_grid(n).n_points for n in self.resolutions))
             for name in ("out", "csv"):
                 value = getattr(self, name)
                 if value is not None and not isinstance(value, str):
                     raise ValueError(f"{name} must be a path or null; got {value!r}")
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        # numpy integers pass the checks; the config echo must stay plain JSON
+        for name in ("n_points", "depth", "max_degree", "samples", "seed", "budget"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass

@@ -23,12 +23,14 @@ HARDY_GATE_TOL = 1e-8  # Hardy gate tol of check_transform_isometry and stabilit
 
 
 def _check_size(grid: TorusGrid, depth) -> int:
-    """The depth rule (a positive integer) and the memory guard on N^depth."""
+    """The depth rule (a positive integer) and the memory guard on N^max(depth, 2):
+    every Hardy gate and generator reads the N x N character table."""
     if not _is_integer(depth) or depth < 1:
         raise ValueError(f"depth must be a positive integer; got {depth!r}")
     n = grid.n_points
-    if n**depth > MEMORY_GUARD_ENTRIES:
-        raise ValueError(f"memory guard: {n}^{depth} exceeds {MEMORY_GUARD_ENTRIES} entries")
+    if n ** max(depth, 2) > MEMORY_GUARD_ENTRIES:
+        what = f"{n}^{depth}" if depth > 1 else f"the {n}x{n} character table"
+        raise ValueError(f"memory guard: {what} exceeds {MEMORY_GUARD_ENTRIES} entries")
     return n
 
 
@@ -262,13 +264,15 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     """Average over the sign cells of every coordinate of arr.
 
-    Each axis is first symmetrized over the pairing j <-> N-1-j (the cells
-    are closed under it), so conjugation-odd input projects to exact zero.
+    Both cells hold N/2 points and s^2 = 1, so per axis the average is the
+    rank-2 projection mean(f) + s*mean(s*f) onto span{1, s}.  Each axis is
+    first symmetrized over the pairing j <-> N-1-j (the cells are closed
+    under it), so conjugation-odd input projects to exact zero.
     """
-    proj = grid.dyadic_projector
     for axis in range(arr.ndim):
         arr = 0.5 * (arr + np.flip(arr, axis=axis))
-        arr = np.moveaxis(np.tensordot(proj, arr, axes=([1], [axis])), 0, axis)
+        s = grid.sign_values.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+        arr = arr.mean(axis, keepdims=True) + s * (s * arr).mean(axis, keepdims=True)
     return arr
 
 

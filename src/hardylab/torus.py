@@ -74,15 +74,6 @@ class TorusGrid:
         mult.setflags(write=False)
         return mult
 
-    @cached_property
-    def dyadic_projector(self) -> np.ndarray:
-        """Matrix averaging a function over the two half-circles sign(cos) = +-1."""
-        s = self.sign_values
-        same = (s[:, None] == s[None, :]).astype(float)
-        proj = 2.0 * same / self.n_points
-        proj.setflags(write=False)
-        return proj
-
 
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, floats and strings."""

@@ -6,6 +6,7 @@ from hardylab import (
     arith_sample_batch,
     is_hardy,
     is_hardy_martingale,
+    make_grid,
     random_adapted_phases,
     random_hardy_function,
     random_hardy_martingale,
@@ -30,6 +31,10 @@ class TestConfigValidation:
             EnsembleConfig(seed=1, n_points=8, depth=2.0)
         with pytest.raises(ValueError, match="max_degree"):
             EnsembleConfig(seed=1, n_points=8, max_degree=2.5)
+        # depth 1 holds 8192 entries, but generation reads an 8192 x 8192 table
+        with pytest.raises(ValueError, match="memory guard: the 8192x8192 character table"):
+            EnsembleConfig(seed=0, n_points=8192)
+        assert "characters" not in make_grid(8192).__dict__
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):

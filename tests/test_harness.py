@@ -73,6 +73,9 @@ class TestIdentitiesCommand:
     def test_memory_guard_is_a_usage_error(self):
         with pytest.raises(UsageError, match="memory guard"):
             cmd_identities(small_config(n_points=64, depth=5))
+        with pytest.raises(UsageError, match="memory guard: the 8192x8192 character table"):
+            HarnessConfig(n_points=8192, depth=1)
+        assert "characters" not in make_grid(8192).__dict__
 
     @pytest.mark.parametrize("settings, match", [
         ({"depth": 0}, "depth"),
@@ -98,6 +101,17 @@ def test_python_api_settings_are_checked(settings):
     # command to crash it or be cast
     with pytest.raises(UsageError):
         HarnessConfig(**settings)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_numpy_integer_settings_echo_as_json_ints(kind):
+    config = HarnessConfig(n_points=kind(8), depth=kind(2), max_degree=kind(3),
+                           samples=kind(2), seed=kind(7), budget=kind(0),
+                           resolutions=(kind(4), kind(8)))
+    echo = json.loads(cmd_theorem(config).to_json())["config"]
+    for name in ("n_points", "depth", "max_degree", "samples", "seed", "budget"):
+        assert type(echo[name]) is int
+    assert echo["resolutions"] == [4, 8] and all(type(n) is int for n in echo["resolutions"])
 
 
 class TestLemmasCommand:
@@ -390,6 +404,13 @@ class TestCliEndToEnd:
                                         "resolutions": [4, 8], "samples": 5}))
         assert run_cli("identities", "--config", str(cfg_file)).returncode == 0
         assert run_cli("convergence", "--config", str(cfg_file)).returncode == 0
+
+    def test_config_file_depth_one_guards_the_character_table(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"depth": 1, "n_points": 8192}))
+        result = run_cli("lemmas", "--config", str(cfg_file))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: memory guard") and "Traceback" not in result.stderr
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -21,6 +21,7 @@ from hardylab import (
     level,
     make_grid,
     previsible_norm,
+    project_dyadic_cells,
     random_adapted_phases,
     random_hardy_martingale,
     sine_part,
@@ -66,6 +67,11 @@ class TestFieldConstruction:
         grid = make_grid(128)
         with pytest.raises(ValueError, match="memory guard"):
             MartingaleField(grid, 4, np.zeros((128,) * 4))
+        # 8192^1 entries fit, but the gate would read an 8192 x 8192 table
+        grid = make_grid(8192)
+        with pytest.raises(ValueError, match="memory guard: the 8192x8192 character table"):
+            MartingaleField(grid, 1, np.zeros(8192))
+        assert "characters" not in grid.__dict__
 
 
 class TestLevels:
@@ -398,6 +404,37 @@ class TestDyadicProjection:
         F = random_hardy_martingale(cfg)
         for d in dyadic_project(F).diffs:
             assert np.max(np.abs(d.mean(axis=-1))) < 1e-12
+
+    def test_oracle_equivalence_n8(self):
+        cfg = EnsembleConfig(seed=21, n_points=8, depth=2, max_degree=3)
+        F = random_hardy_martingale(cfg)
+        projected = dyadic_project(F).terminal
+        expected = oracles.oracle_dyadic_terminal(F.terminal, 8, 2)
+        for x in itertools.product(range(8), repeat=2):
+            assert projected[x] == pytest.approx(expected[x], abs=1e-12)
+
+    @pytest.mark.parametrize("ndim", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_matches_dense_cell_projector(self, n, ndim):
+        # the sign-cell average as a dense N x N matrix, applied axis by axis
+        grid = make_grid(n)
+        s = grid.sign_values
+        dense = 2.0 * (s[:, None] == s[None, :]) / n
+        rng = np.random.default_rng(100 * n + ndim)
+        arr = rng.standard_normal((n,) * ndim) + 1j * rng.standard_normal((n,) * ndim)
+        expected = arr
+        for axis in range(ndim):
+            expected = np.moveaxis(np.tensordot(dense, expected, axes=([1], [axis])), 0, axis)
+        projected = project_dyadic_cells(grid, arr)
+        assert projected.shape == arr.shape
+        assert np.max(np.abs(projected - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("odd_axis", [0, 1, 2])
+    def test_conjugation_odd_input_projects_to_exact_zero(self, odd_axis):
+        grid = make_grid(8)
+        arr = np.random.default_rng(odd_axis).standard_normal((8, 8, 8)) + 0.5j
+        odd = arr - np.flip(arr, axis=odd_axis)
+        assert (project_dyadic_cells(grid, odd) == 0).all()
 
 
 class TestFieldFromDifferences:
