@@ -16,13 +16,16 @@ stability_report_from_coefficients(grid, coefficients, phases) takes the
 per-level analytic coefficient blocks of martingale_from_coefficients, which
 are Hardy by construction, and evaluates every per-level quantity in closed
 form in O(N^(n-1) d) without building grid^n arrays.  The theorem and
-constant-search commands use the second.
+constant-search commands use the second; theorem evaluates it over a leading
+sample axis, one chunk of samples per call, of which the single-sample entry
+point is the one-sample case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .martingale import (
     _check_phases,
     _coefficient_blocks,
     _even_part,
+    _project_trailing_cells,
     _require_unimodular,
     cond_square_profile,
     is_hardy_martingale,
@@ -226,6 +230,10 @@ class StabilityReport:
     L2 distance of u_k from its sigma component, perturbed_moments
     E_{k-1}|u_k - b_k s_k|^2, and transform_moments the conditional second
     moments of the transformed dyadic perturbation.
+
+    That is the report of one sample.  Over a batch of M samples every
+    per-level array carries a leading sample axis of length M and every
+    mean, P-norm and ratio is an array of shape (M,).
     """
 
     sigma_coeffs: tuple
@@ -268,32 +276,33 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases) -> Stability
         t_k = (w[..., np.newaxis] * (g_k - b_k[..., np.newaxis] * sig)).imag
         tq_k = np.asarray(np.mean(t_k**2, axis=-1))
 
-        per_level.append((mu_k, b_k, a_k, np.asarray(r_k), m_k, tq_k))
-    base_moments = cond_square_profile(field).level_moments
-    return _chain_report(per_level, base_moments, field.depth, grid.n_points)
+        per_level.append(tuple(np.asarray(x)[np.newaxis] for x in (mu_k, b_k, a_k, r_k, m_k, tq_k)))
+    base_moments = [q[np.newaxis] for q in cond_square_profile(field).level_moments]
+    return _first_sample(_chain_report(per_level, base_moments, field.depth, grid.n_points))
 
 
 def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityReport:
     """Aggregate per-level (mu, b, a, r, m, tq) arrays and the conditional
-    second moments of G into the chain's means, P-norms and ratio."""
+    second moments of G, each with a leading axis of M samples, into the
+    batch report's means, P-norms and ratio, one per sample."""
     (sigma_coeffs, dyadic_coeffs, envelopes, residual_rms, perturbed_moments,
      transform_moments) = zip(*per_level)
 
-    def root_mean(moments) -> float:
-        """Mean over grid^(n-1) of the root of the summed per-level moments."""
-        return float(np.mean(np.sqrt(_broadcast_sum(moments, depth, n))))
+    def root_mean(moments) -> np.ndarray:
+        """Per sample, the mean over grid^(n-1) of the root of the summed per-level moments."""
+        roots = np.sqrt(_broadcast_sum(moments, depth, n))
+        return np.mean(roots.reshape(len(roots), -1), axis=1)
 
     perturbation_pnorm = root_mean(perturbed_moments)
     transform_pnorm = root_mean(transform_moments)
     base_pnorm = root_mean(base_moments)
 
+    # a vanishing denominator (impossible for valid inputs; flagged by
+    # verify_chain) gives 0 for a vanishing perturbation and inf otherwise
     denom_sq = transform_pnorm * base_pnorm
-    if denom_sq > 0.0:
-        ratio = perturbation_pnorm / math.sqrt(denom_sq)
-    elif perturbation_pnorm == 0.0:
-        ratio = 0.0
-    else:
-        ratio = math.inf  # impossible for valid inputs; flagged by verify_chain
+    positive = denom_sq > 0.0
+    ratio = np.where(positive, perturbation_pnorm / np.sqrt(np.where(positive, denom_sq, 1.0)),
+                     np.where(perturbation_pnorm == 0.0, 0.0, math.inf))
 
     return StabilityReport(
         sigma_coeffs=sigma_coeffs,
@@ -312,20 +321,36 @@ def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityRepor
     )
 
 
+def _first_sample(batch: StabilityReport) -> StabilityReport:
+    """Sample 0 of a batch report as a one-sample report: per-level arrays
+    without the sample axis and float norms."""
+    parts = {}
+    for f in fields(batch):
+        value = getattr(batch, f.name)
+        is_levels = isinstance(value, tuple)
+        parts[f.name] = tuple(x[0, ...] for x in value) if is_levels else float(value[0])
+    return StabilityReport(**parts)
+
+
+@lru_cache(maxsize=256)
 def _sign_modes(grid: TorusGrid, degree: int) -> tuple:
     """sigma_m = mean(cos(m theta) s) for m = 1..degree, and the energy
-    tau = mean((s - 2 sum_m sigma_m cos(m theta))^2) of s beyond those modes."""
+    tau = mean((s - 2 sum_m sigma_m cos(m theta))^2) of s beyond those modes.
+
+    Grids are immutable and interned, so the pair is kept per (grid, degree);
+    sigma is read-only."""
     sig = grid.sign_values
     cos = grid.analytic_modes(degree).real
     sigma = cos @ sig / grid.n_points
+    sigma.setflags(write=False)
     return sigma, float(np.mean((sig - 2.0 * sigma @ cos) ** 2))
 
 
 def _cos_residual_sq(a, x, sigma, tau):
-    """Row-wise mean over theta of |sum_m a_m cos(m theta) - x s|^2, as a sum of
-    squares: on the grid the cos(m theta), m <= N/2 - 1, are orthogonal with
+    """Row-wise mean over theta of |sum_m a_m cos(m theta) - x s|^2, with the modes
+    m on the last axis of a and any leading axes, as a sum of squares: on the grid the cos(m theta), m <= N/2 - 1, are orthogonal with
     mean square 1/2, and s splits into its sigma modes plus a remainder of energy tau."""
-    cos_part = 0.5 * np.sum(np.abs(a - 2.0 * x[:, np.newaxis] * sigma) ** 2, axis=-1)
+    cos_part = 0.5 * np.sum(np.abs(a - 2.0 * x[..., np.newaxis] * sigma) ** 2, axis=-1)
     return cos_part + np.abs(x) ** 2 * tau
 
 
@@ -343,22 +368,35 @@ def stability_report_from_coefficients(grid: TorusGrid, coefficients,
     sum_m Im(w c_m) cos(m theta) - Im(w b) s.  The base moment is sum_m |c_m|^2.
     """
     blocks = _coefficient_blocks(grid, coefficients)
-    depth, n = len(blocks), grid.n_points
-    _check_phases(phases, grid, depth)
+    _check_phases(phases, grid, len(blocks))
+    return _first_sample(_stability_batch(grid, [c[np.newaxis] for c in blocks],
+                                          [w[np.newaxis] for w in phases.terms]))
 
+
+def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
+    """stability_report_from_coefficients for M samples at once, as a batch report.
+
+    blocks[k-1], of shape (M, N^(k-1), d_k), holds every sample's level-k
+    coefficient rows as _coefficient_blocks validates them, and terms[k-1], of
+    shape (M,) + (N,)*(k-1), their level-k multipliers as AdaptedPhases
+    validates them; terms may run deeper than blocks.
+    """
+    n, count = grid.n_points, len(blocks[0])
     per_level, base_moments = [], []
-    for k, (w, c) in enumerate(zip(phases.terms, blocks), start=1):
-        shape = (n,) * (k - 1)
-        sigma, tau = _sign_modes(grid, c.shape[1])
+    for k, (w, c) in enumerate(zip(terms, blocks), start=1):
+        shape = (count,) + (n,) * (k - 1)
+        sigma, tau = _sign_modes(grid, c.shape[-1])
         mu = c @ sigma
-        b = project_dyadic_cells(grid, mu.reshape(shape)).reshape(-1)
-        wc, wb = w.reshape(-1, 1) * c, w.reshape(-1) * b
+        b = _project_trailing_cells(grid, mu.reshape(shape), k - 1).reshape(count, -1)
+        w = w.reshape(count, -1)
         r_sq = _cos_residual_sq(c, mu, sigma, tau)
-        tq = 0.5 * np.sum(wc.real**2, axis=-1) + _cos_residual_sq(wc.imag, wb.imag, sigma, tau)
+        wc = w[..., np.newaxis] * c
+        tq = 0.5 * np.sum(wc.real**2, axis=-1) + _cos_residual_sq(wc.imag, (w * b).imag, sigma, tau)
+        del wc  # the deepest level's is the largest array here; free it before the next
         level = (mu, b, arith_envelope(mu, b), np.sqrt(r_sq), r_sq + np.abs(mu - b) ** 2, tq)
         per_level.append(tuple(x.reshape(shape) for x in level))
         base_moments.append(np.sum(np.abs(c) ** 2, axis=-1).reshape(shape))
-    return _chain_report(per_level, base_moments, depth, n)
+    return _chain_report(per_level, base_moments, len(blocks), n)
 
 
 CHAIN_STEPS = ("dyadic-mean-convexity", "pointwise-perturbed-moment", "pnorm-envelope-split",
@@ -366,42 +404,52 @@ CHAIN_STEPS = ("dyadic-mean-convexity", "pointwise-perturbed-moment", "pnorm-env
 
 
 def verify_chain(report: StabilityReport, slack: float = 1e-10) -> list:
-    """Numerically evaluate every inequality of the stability chain.
+    """Numerically evaluate every inequality of the stability chain for a
+    one-sample report.
 
     Violations are reported, never raised.  Returns one CheckRecord per step
     of CHAIN_STEPS, in that order, whose gap and verdict follow slack_verdict
     with the given slack.
     """
-    # Averaging onto the sign cells can only shrink the mean of the
-    # square-function of the sigma coefficients.
-    sides = [(report.dyadic_mean, report.coeff_mean)]
+    sides = (x[:, 0].tolist() for x in _chain_sides(report, slack))
+    return [CheckRecord(*step) for step in zip(CHAIN_STEPS, *sides)]
 
-    # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2), at the
-    # first entry of largest excess over all levels; a NaN entry is the one taken.
-    m, a, r, mu = (np.concatenate([np.ravel(x) for x in per_level]) for per_level in (
-        report.perturbed_moments, report.envelopes, report.residual_rms, report.sigma_coeffs))
+
+def _chain_sides(report: StabilityReport, slack: float) -> tuple:
+    """lhs, rhs, gap and passed of verify_chain as arrays of shape (5, M): one
+    row per step of CHAIN_STEPS, one column per sample of a batch report (a
+    one-sample report is the batch M = 1)."""
+    count = np.size(report.perturbation_pnorm)
+    ex, ey, ez, pp, tp, bp = (np.reshape(x, count) for x in (
+        report.envelope_mean, report.coeff_mean, report.dyadic_mean,
+        report.perturbation_pnorm, report.transform_pnorm, report.base_pnorm))
+
+    # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2), per sample at
+    # its first entry of largest excess over all levels; a NaN entry is the one taken.
+    m, a, r, mu = (np.concatenate([np.reshape(x, (count, -1)) for x in per_level], axis=1)
+                   for per_level in (report.perturbed_moments, report.envelopes,
+                                     report.residual_rms, report.sigma_coeffs))
     rhs_all = 8.0 * (a**2 + r**2 - np.abs(mu) ** 2)
-    i = int(np.argmax(m - rhs_all))
-    sides.append((float(m[i]), float(rhs_all[i])))
+    worst = (np.arange(count), np.argmax(m - rhs_all, axis=1))
 
-    # ||U - E(U|D)||_P <= sqrt(8) * (E(X-Y))^(1/2) * (E(X+Y))^(1/2).
-    ex, ey, ez = report.envelope_mean, report.coeff_mean, report.dyadic_mean
-    gap_mean = max(ex - ey, 0.0)  # X >= Y pointwise; clamp round-off
-    sides.append((report.perturbation_pnorm,
-                  math.sqrt(8.0) * math.sqrt(gap_mean) * math.sqrt(ex + ey)))
-
-    # E(X - Z) <= sqrt(8) * ||T_W(G - E(G|D))||_P.
-    sides.append((ex - ez, math.sqrt(8.0) * report.transform_pnorm))
-
-    # Final bound with the tracked constant; a vanishing denominator (not
-    # possible for valid inputs) passes only with a vanishing perturbation.
-    denom_sq = report.transform_pnorm * report.base_pnorm
-    sides.append((report.perturbation_pnorm,
-                  CHAIN_CONSTANT * math.sqrt(denom_sq) if denom_sq > 0.0 else 0.0))
-
-    lhs, rhs = zip(*sides)
+    gap_mean = np.maximum(ex - ey, 0.0)  # X >= Y pointwise; clamp round-off
+    denom_sq = tp * bp
+    positive = denom_sq > 0.0
+    lhs = np.stack([ez, m[worst], pp, ex - ez, pp])
+    rhs = np.stack([
+        # averaging onto the sign cells can only shrink the mean of the
+        # square-function of the sigma coefficients
+        ey,
+        rhs_all[worst],
+        # ||U - E(U|D)||_P <= sqrt(8) * (E(X-Y))^(1/2) * (E(X+Y))^(1/2)
+        np.sqrt(8.0) * np.sqrt(gap_mean) * np.sqrt(ex + ey),
+        # E(X - Z) <= sqrt(8) * ||T_W(G - E(G|D))||_P
+        np.sqrt(8.0) * tp,
+        # the final bound with the tracked constant
+        np.where(positive, CHAIN_CONSTANT * np.sqrt(np.where(positive, denom_sq, 0.0)), 0.0),
+    ])
     gap, passed = slack_verdict(lhs, rhs, slack)
-    passed = passed.tolist()
-    if not denom_sq > 0.0:
-        passed[-1] = report.perturbation_pnorm == 0.0
-    return [CheckRecord(*step) for step in zip(CHAIN_STEPS, lhs, rhs, gap.tolist(), passed)]
+    # a vanishing denominator (not possible for valid inputs) passes only
+    # with a vanishing perturbation
+    passed[-1] = np.where(positive, passed[-1], pp == 0.0)
+    return lhs, rhs, gap, passed

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import TorusGrid, _is_integer, _rows_are_hardy
+from .torus import MEMORY_GUARD_ENTRIES, TorusGrid, _is_integer, _rows_are_hardy
 
-MEMORY_GUARD_ENTRIES = 2**24
 HARDY_GATE_TOL = 1e-8  # Hardy gate tol of check_transform_isometry and stability_report
 
 
@@ -190,8 +189,10 @@ def _derive(field: MartingaleField, base: complex, diffs) -> MartingaleField:
 
 
 def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
-    """Sum per-level arrays (shape (N,)*(k-1)) over the grid^(n-1) base."""
-    total = np.zeros((n,) * (depth - 1))
+    """Sum per-level arrays (shape lead + (N,)*(k-1)) over the grid^(n-1) base.
+
+    lead is the shape of the level-1 moment: () for one martingale, (M,) for M samples."""
+    total = np.zeros(np.shape(moments[0]) + (n,) * (depth - 1))
     for k, q in enumerate(moments, start=1):
         total += q.reshape(q.shape + (1,) * (depth - k))
     return total
@@ -269,7 +270,13 @@ def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     first symmetrized over the pairing j <-> N-1-j (the cells are closed
     under it), so conjugation-odd input projects to exact zero.
     """
-    for axis in range(arr.ndim):
+    return _project_trailing_cells(grid, arr, arr.ndim)
+
+
+def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int) -> np.ndarray:
+    """project_dyadic_cells over the last n_axes axes of arr only; the axes
+    before them (a sample axis) are carried along."""
+    for axis in range(arr.ndim - n_axes, arr.ndim):
         arr = 0.5 * (arr + np.flip(arr, axis=axis))
         s = grid.sign_values.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
         arr = arr.mean(axis, keepdims=True) + s * (s * arr).mean(axis, keepdims=True)

@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+MEMORY_GUARD_ENTRIES = 2**24  # largest array, in entries, that any layer builds
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +57,13 @@ class TorusGrid:
 
     @cached_property
     def characters(self) -> np.ndarray:
-        """The grid's one trigonometric table: row m + N/2 holds e^{im theta_j}."""
+        """The grid's one trigonometric table: row m + N/2 holds e^{im theta_j}.
+
+        Refused, before anything is allocated, when N^2 exceeds MEMORY_GUARD_ENTRIES."""
+        n = self.n_points
+        if n * n > MEMORY_GUARD_ENTRIES:
+            raise ValueError(f"memory guard: the {n}x{n} character table exceeds "
+                             f"{MEMORY_GUARD_ENTRIES} entries")
         table = np.exp(1j * np.outer(self.frequencies, self.angles))
         table.setflags(write=False)
         return table

@@ -1,4 +1,5 @@
 import collections
+import fractions
 import json
 import math
 import pathlib
@@ -23,11 +24,15 @@ from hardylab import (
     make_grid,
     martingale_from_coefficients,
     phases_from_angles,
+    random_adapted_phases,
+    random_coefficient_arrays,
     stability_report,
+    stability_report_from_coefficients,
+    verify_chain,
     write_csv_report,
     write_json_report,
 )
-from hardylab import cli, harness
+from hardylab import cli, harness, inequalities
 from hardylab.harness import _Collector
 
 
@@ -86,6 +91,8 @@ class TestIdentitiesCommand:
         ({"seed": 7.0}, "seed"),
         ({"tol": -1e-3}, "tol"),
         ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": 10**400}, "tol"),  # float() overflows
     ])
     def test_shared_rules_are_usage_errors(self, settings, match):
         with pytest.raises(UsageError, match=match):
@@ -114,6 +121,13 @@ def test_numpy_integer_settings_echo_as_json_ints(kind):
     assert echo["resolutions"] == [4, 8] and all(type(n) is int for n in echo["resolutions"])
 
 
+@pytest.mark.parametrize("tol", [np.float32(1e-10), fractions.Fraction(1, 10**10)], ids=repr)
+def test_tol_is_stored_as_a_float(tol):
+    config = HarnessConfig(tol=tol, resolutions=(4, 8))
+    assert type(config.tol) is float and config.tol == float(tol)
+    assert json.loads(cmd_convergence(config).to_json())["config"]["tol"] == float(tol)
+
+
 class TestLemmasCommand:
     def test_no_violations(self):
         report = cmd_lemmas(small_config(samples=500))
@@ -137,6 +151,40 @@ class TestTheoremCommand:
     def test_seed_beyond_64_bits_accepted(self):
         report = cmd_theorem(small_config(samples=2, seed=2**70))
         assert report.aggregates["violation_count"] == 0
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunks_match_a_per_sample_loop(self, monkeypatch, chunk):
+        # N8 d2 degree 3 holds (3 + 1) * (1 + 8) = 36 entries per sample, so
+        # chunks of 3 split 7 samples as 3 + 3 + 1; a tiny chain constant
+        # fails the final step of every sample, so each sample has a record
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 36 * chunk)
+        monkeypatch.setattr(inequalities, "CHAIN_CONSTANT", 1e-3)
+        config = small_config(samples=7, seed=11)
+        report = cmd_theorem(config)
+        assert report.aggregates["violation_count"] == config.samples
+
+        grid, col, ratios = make_grid(8), _Collector(), []
+        steps = []
+        for i in range(config.samples):
+            cfg = harness._ensemble(config, 20, i, config.depth)
+            rep = stability_report_from_coefficients(
+                grid, random_coefficient_arrays(cfg), random_adapted_phases(cfg))
+            ratios.append(rep.ratio)
+            steps.append(verify_chain(rep, slack=config.tol))
+        for k, step in enumerate(harness.CHAIN_STEPS):
+            records = [sample[k] for sample in steps]
+            col.scan(f"chain/{step}", "min-slack", *(np.array([getattr(r, name) for r in records])
+                                                     for name in ("lhs", "rhs", "gap", "passed")))
+
+        def close(x, y):
+            return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+        assert [c.check_id for c in report.checks] == [c.check_id for c in col.checks]
+        for got, want in zip(report.checks, col.checks):
+            assert got.passed is want.passed, got
+            assert close(got.lhs, want.lhs) and close(got.rhs, want.rhs), got
+            assert close(got.gap, want.gap), got
+        assert close(report.aggregates["max_ratio"], max(ratios))
 
 
 class TestConstantSearch:

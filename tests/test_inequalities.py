@@ -32,6 +32,8 @@ from hardylab import (
     verify_chain,
 )
 
+from hardylab.inequalities import _chain_sides, _stability_batch
+
 import oracles
 
 complex_st = st.builds(
@@ -475,3 +477,82 @@ class TestStabilityFromCoefficients:
             stability_report_from_coefficients(make_grid(4), [np.ones((1, 1))], phases)
         with pytest.raises(ValueError, match="memory guard"):
             stability_report_from_coefficients(make_grid(64), [np.ones((1, 1))] * 5, phases)
+
+
+@st.composite
+def batch_cases(draw):
+    """(grid, per-sample coefficient blocks, per-sample phases, row kinds) for
+    a batch of 1..7 samples with a degree per level.  A row is "plain", "zero"
+    (all coefficients zero, so a vanishing denominator and ratio 0), "nan" (a
+    NaN perturbed moment is written into its report) or "degenerate" (its
+    transform P-norm is set to 0, so the final step must fail)."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    depth = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(1, n // 2 - 1), min_size=depth, max_size=depth))
+    kinds = draw(st.lists(st.sampled_from(["plain", "zero", "nan", "degenerate"]),
+                          min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid, coeffs, phases = make_grid(n), [], []
+    for kind in kinds:
+        blocks = []
+        for k, d in enumerate(degrees, start=1):
+            scale = 10.0 ** rng.uniform(-6.0, 4.0, size=(n ** (k - 1), 1))
+            c = scale * (rng.standard_normal((n ** (k - 1), d))
+                         + 1j * rng.standard_normal((n ** (k - 1), d)))
+            blocks.append(0.0 * c if kind == "zero" else c)
+        coeffs.append(blocks)
+        angles = [rng.uniform(0.0, 2.0 * np.pi, size=(n,) * k) for k in range(depth)]
+        phases.append(phases_from_angles(grid, angles))
+    return grid, coeffs, phases, kinds
+
+
+def _spoil(report, row, kind):
+    """The report with a NaN perturbed moment or a zero transform P-norm in
+    sample `row`, as `kind` asks; a one-sample report is row 0 of a batch of one."""
+    count = np.size(report.perturbation_pnorm)
+    if kind == "nan":
+        moments = [np.array(m, dtype=float) for m in report.perturbed_moments]
+        moments[-1].reshape(count, -1)[row, -1] = np.nan
+        return dataclasses.replace(report, perturbed_moments=tuple(moments))
+    if kind == "degenerate":
+        transform = np.array(report.transform_pnorm, dtype=float)
+        transform.reshape(count)[row] = 0.0
+        return dataclasses.replace(report, transform_pnorm=transform[()])
+    return report
+
+
+class TestBatchedChain:
+    @settings(max_examples=150, deadline=None)
+    @given(batch_cases())
+    def test_matches_per_sample_loop(self, case):
+        # the batch report and its (5, M) chain sides equal a loop over the
+        # one-sample API, row by row, at 1e-12 relative; NaN equals NaN
+        grid, coeffs, phases, kinds = case
+        depth = len(coeffs[0])
+        batch = _stability_batch(grid, [np.stack([c[k] for c in coeffs]) for k in range(depth)],
+                                 [np.stack([p.terms[k] for p in phases]) for k in range(depth)])
+        per_row = [stability_report_from_coefficients(grid, c, p) for c, p in zip(coeffs, phases)]
+        for j, kind in enumerate(kinds):
+            batch = _spoil(batch, j, kind)
+            per_row[j] = _spoil(per_row[j], 0, kind)
+        sides = _chain_sides(batch, 1e-10)
+
+        def same(x, y):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=0.0, equal_nan=True)
+
+        for j, rep in enumerate(per_row):
+            for name in REPORT_ARRAYS:
+                for x, y in zip(getattr(batch, name), getattr(rep, name)):
+                    same(x[j], y)
+            for name in REPORT_NORMS + ("ratio",):
+                same(getattr(batch, name)[j], getattr(rep, name))
+            records = verify_chain(rep)
+            for s, record in enumerate(records):
+                same([sides[0][s, j], sides[1][s, j], sides[2][s, j]],
+                     [record.lhs, record.rhs, record.gap])
+                assert bool(sides[3][s, j]) is record.passed, (kinds[j], record)
+            verdicts = [r.passed for r in records]
+            assert verdicts[1] is (kinds[j] != "nan")
+            assert verdicts[4] is (kinds[j] != "degenerate")
+            if kinds[j] == "zero":
+                assert rep.ratio == 0.0 and all(verdicts)

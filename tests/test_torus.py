@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,21 @@ class TestSpectra:
         modes = grid.analytic_modes(n // 2 - 1)  # m = 1 .. N/2-1, a view of the table
         assert np.shares_memory(modes, table) and not modes.flags.writeable
         np.testing.assert_array_equal(modes, table[n // 2 + 1 :])
+
+    def test_character_table_is_guarded(self):
+        # 8192^2 entries exceed the guard: refused before any allocation, by
+        # the table itself and so by every transform that reads it
+        grid = make_grid(8192)
+        f = GridFunction(grid, np.zeros(8192))
+        tracemalloc.start()
+        try:
+            for call in (lambda: grid.characters, lambda: analyze(f), lambda: is_hardy(f, 1e-8)):
+                with pytest.raises(ValueError, match="memory guard: the 8192x8192 character table"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and "characters" not in grid.__dict__
 
     def test_analyze_constant(self):
         grid = make_grid(8)
