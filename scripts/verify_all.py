@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification suite at a meaningful sample size, one theorem
-sample at the memory-guard limit, the 8-start constant search and the
-convergence sweep through the hardylab CLI, and write the six JSON reports
-under results/.
+sample at the memory-guard limit, one at depth 8, the 8-start constant search
+and the convergence sweep through the hardylab CLI, and write the seven JSON
+reports under results/.
 
 Usage: python scripts/verify_all.py [--seed SEED] [--out-dir DIR]
 """
@@ -14,12 +14,15 @@ import sys
 from hardylab.cli import main as hardylab_main
 
 # CLI arguments per report; theorem-guard is the memory-guard point
-# N^depth = 2^24, evaluated from coefficients without grid^depth arrays.
+# N^depth = 2^24, evaluated from coefficients without grid^depth arrays, and
+# theorem-deep, also 2^24 entries, the only run with 8 levels and a 7-axis
+# dyadic projection.
 RUNS = {
     "identities": "identities --n-points 16 --depth 3 --max-degree 5 --samples 1000",
     "lemmas": "lemmas --n-points 16 --max-degree 7 --samples 100000",
     "theorem": "theorem --n-points 8 --depth 3 --max-degree 3 --samples 1000",
     "theorem-guard": "theorem --n-points 64 --depth 4 --max-degree 3 --samples 1",
+    "theorem-deep": "theorem --n-points 8 --depth 8 --max-degree 3 --samples 1",
     "constant-search": "constant-search --n-points 8 --depth 3 --max-degree 3 --samples 8 --budget 400",
     "convergence": "convergence --resolutions 4,8,16,32,64,128",
 }

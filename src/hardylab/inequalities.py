@@ -9,16 +9,12 @@ bounds, and the stability pipeline assembles the full chain ending in
 
 for a Hardy martingale G with cosine part U and unimodular adapted W.
 
-The chain has two entry points that return the same StabilityReport:
-stability_report(field, phases) works on the differences of any martingale
-over grid^n that passes the numeric Hardy gate, and is the reference;
-stability_report_from_coefficients(grid, coefficients, phases) takes the
-per-level analytic coefficient blocks of martingale_from_coefficients, which
-are Hardy by construction, and evaluates every per-level quantity in closed
-form in O(N^(n-1) d) without building grid^n arrays.  The theorem and
-constant-search commands use the second; theorem evaluates it over a leading
-sample axis, one chunk of samples per call, of which the single-sample entry
-point is the one-sample case.
+The chain has two entry points that return the same StabilityReport.  The
+reference, stability_report(field, phases), gates any martingale over grid^n
+and integrates over it.  stability_report_from_coefficients(grid,
+coefficients, phases) reads each node's coefficient row once, for mu and r^2,
+and gets every other per-level quantity from the sine-cosine identity;
+theorem and constant-search use it, theorem over a leading sample axis.
 """
 
 from __future__ import annotations
@@ -346,26 +342,17 @@ def _sign_modes(grid: TorusGrid, degree: int) -> tuple:
     return sigma, float(np.mean((sig - 2.0 * sigma @ cos) ** 2))
 
 
-def _cos_residual_sq(a, x, sigma, tau):
-    """Row-wise mean over theta of |sum_m a_m cos(m theta) - x s|^2, with the modes
-    m on the last axis of a and any leading axes, as a sum of squares: on the grid the cos(m theta), m <= N/2 - 1, are orthogonal with
-    mean square 1/2, and s splits into its sigma modes plus a remainder of energy tau."""
-    cos_part = 0.5 * np.sum(np.abs(a - 2.0 * x[..., np.newaxis] * sigma) ** 2, axis=-1)
-    return cos_part + np.abs(x) ** 2 * tau
-
-
 def stability_report_from_coefficients(grid: TorusGrid, coefficients,
                                        phases: AdaptedPhases) -> StabilityReport:
     """stability_report(martingale_from_coefficients(grid, coefficients), phases),
     evaluated from the coefficient blocks in O(N^(n-1) d) without grid^n arrays.
 
-    A level-k difference with row c is g = sum_m c_m e^{im theta}; its even
-    part is u = sum_m c_m cos(m theta) and its odd part i sum_m c_m sin(m theta).
-    With mu = c.sigma and b its dyadic projection, every per-level moment is a
-    sum of squares: r^2 = mean|u - mu s|^2, the perturbed moment r^2 + |mu - b|^2
-    (u - mu s is orthogonal to s), and the transform moment splits Im(w(g - b s))
-    into its odd part sum_m Re(w c_m) sin(m theta) and its even part
-    sum_m Im(w c_m) cos(m theta) - Im(w b) s.  The base moment is sum_m |c_m|^2.
+    A node's row c enters only through mu = <u,s> = c.sigma and
+    r^2 = int |u - mu s|^2, for u = sum_m c_m cos(m theta) the even part of
+    g = sum_m c_m e^{im theta}.  With b the dyadic projection of mu, the
+    perturbed moment is r^2 + |mu - b|^2, the base moment sum_m |c_m|^2 =
+    2(r^2 + |mu|^2), and the transform moment int Im^2(w(g - b s)) is
+    r^2 + Re^2(w mu) + Im^2(w(mu - b)) by the sine-cosine identity.
     """
     blocks = _coefficient_blocks(grid, coefficients)
     _check_phases(phases, grid, len(blocks))
@@ -384,18 +371,19 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     n, count = grid.n_points, len(blocks[0])
     per_level, base_moments = [], []
     for k, (w, c) in enumerate(zip(terms, blocks), start=1):
-        shape = (count,) + (n,) * (k - 1)
         sigma, tau = _sign_modes(grid, c.shape[-1])
+        c = c.reshape((count,) + (n,) * (k - 1) + sigma.shape)
         mu = c @ sigma
-        b = _project_trailing_cells(grid, mu.reshape(shape), k - 1).reshape(count, -1)
-        w = w.reshape(count, -1)
-        r_sq = _cos_residual_sq(c, mu, sigma, tau)
-        wc = w[..., np.newaxis] * c
-        tq = 0.5 * np.sum(wc.real**2, axis=-1) + _cos_residual_sq(wc.imag, (w * b).imag, sigma, tau)
-        del wc  # the deepest level's is the largest array here; free it before the next
-        level = (mu, b, arith_envelope(mu, b), np.sqrt(r_sq), r_sq + np.abs(mu - b) ** 2, tq)
-        per_level.append(tuple(x.reshape(shape) for x in level))
-        base_moments.append(np.sum(np.abs(c) ** 2, axis=-1).reshape(shape))
+        b = _project_trailing_cells(grid, mu, k - 1)
+        # r^2 = mean|u - mu s|^2 as a sum of squares: the cos(m theta) are orthogonal
+        # with mean square 1/2.  Neither tau = 1 - 2|sigma|^2 nor r^2 = |c|^2/2 - |mu|^2
+        # may replace it: at d = N/2 - 1 tau is 0, both cancel below 0, and sqrt gives NaN.
+        r_sq = 0.5 * np.sum(np.abs(c - 2.0 * mu[..., np.newaxis] * sigma) ** 2, axis=-1)
+        r_sq += np.abs(mu) ** 2 * tau
+        tq = r_sq + (w * mu).real ** 2 + (w * (mu - b)).imag ** 2
+        m = r_sq + np.abs(mu - b) ** 2
+        per_level.append((mu, b, arith_envelope(mu, b), np.sqrt(r_sq), m, tq))
+        base_moments.append(2.0 * (r_sq + np.abs(mu) ** 2))
     return _chain_report(per_level, base_moments, len(blocks), n)
 
 

@@ -32,7 +32,7 @@ from hardylab import (
     verify_chain,
 )
 
-from hardylab.inequalities import _chain_sides, _stability_batch
+from hardylab.inequalities import _chain_sides, _sign_modes, _stability_batch
 
 import oracles
 
@@ -412,6 +412,9 @@ class TestStabilityFromCoefficients:
     @settings(max_examples=150, deadline=None)
     @given(coefficient_cases())
     def test_matches_grid_path(self, case):
+        """The coefficient path takes the transform moment from the sine-cosine
+        identity in closed form, not from the grid; this comparison with the
+        grid path is what guards that closed form."""
         grid, coeffs, phases = case
         fast = stability_report_from_coefficients(grid, coeffs, phases)
         ref = stability_report(martingale_from_coefficients(grid, coeffs), phases)
@@ -419,13 +422,20 @@ class TestStabilityFromCoefficients:
 
     @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0])
     def test_n4_degree_one_is_sign_proportional(self, angle):
-        # on the N=4 grid cos(theta) = s / sqrt(2): u - mu s vanishes exactly
-        grid = make_grid(4)
-        phases = phases_from_angles(grid, [np.asarray(angle)])
-        fast = stability_report_from_coefficients(grid, [[[1.0]]], phases)
-        ref = stability_report(martingale_from_coefficients(grid, [[[1.0]]]), phases)
-        assert_reports_agree(fast, ref, [[[1.0]]], 1e-13)
-        assert float(fast.residual_rms[0]) <= 1e-15
+        # on the N=4 grid cos(theta) = s / sqrt(2), and at top degree d = N/2 - 1
+        # (tau = 0) the row c = 2 sigma gives u = s: either way u - mu s vanishes.
+        # sigma and tau carry O(N eps) round-off, so r does too (the grid path
+        # gives 1.7e-15 at N = 16 for |c| = sqrt(2))
+        for n, row in [(4, [1.0]), (8, 2.0 * _sign_modes(make_grid(8), 3)[0]),
+                       (16, 2.0 * _sign_modes(make_grid(16), 7)[0])]:
+            grid, coeffs = make_grid(n), [np.asarray([row], dtype=complex)]
+            phases = phases_from_angles(grid, [np.asarray(angle)])
+            fast = stability_report_from_coefficients(grid, coeffs, phases)
+            ref = stability_report(martingale_from_coefficients(grid, coeffs), phases)
+            assert_reports_agree(fast, ref, coeffs, 1e-13)
+            bound = n * np.finfo(float).eps * np.linalg.norm(row)
+            assert float(fast.residual_rms[0]) <= bound, n
+            assert float(fast.transform_moments[0]) >= 0.0, n
 
     def test_vanishing_transform_moment_stays_nonnegative(self):
         # N=4, u = mu s and w = i: Im(w(g - b s)) = 0 on the grid, so the
