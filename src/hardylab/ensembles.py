@@ -91,13 +91,15 @@ def random_hardy_martingale(cfg: EnsembleConfig) -> MartingaleField:
     return martingale_from_coefficients(make_grid(cfg.n_points), random_coefficient_arrays(cfg))
 
 
+def _unit(phi) -> np.ndarray:
+    """exp(i phi), elementwise, renormalized to modulus 1 in the last ulp."""
+    w = np.exp(1j * np.asarray(phi, dtype=float))
+    return w / np.abs(w)
+
+
 def phases_from_angles(grid: TorusGrid, angle_arrays) -> AdaptedPhases:
     """Exponentiate per-level angle arrays into unit-modulus multipliers."""
-    terms = []
-    for phi in angle_arrays:
-        w = np.exp(1j * np.asarray(phi, dtype=float))
-        terms.append(w / np.abs(w))  # renormalize away the last ulp
-    return AdaptedPhases(grid, tuple(terms))
+    return AdaptedPhases(grid, tuple(_unit(phi) for phi in angle_arrays))
 
 
 def random_phase_angle_arrays(cfg: EnsembleConfig) -> list:
@@ -129,6 +131,4 @@ def arith_sample_batch(cfg: EnsembleConfig, count: int):
     b_mag = strata[(idx // 5) % 5]
     mu = mu_mag * _standard_complex(rng, count)
     b = b_mag * _standard_complex(rng, count)
-    w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
-    w = w / np.abs(w)
-    return mu, b, w
+    return mu, b, _unit(rng.uniform(0.0, 2.0 * np.pi, size=count))

@@ -20,8 +20,8 @@ import numpy as np
 from .ensembles import (
     EnsembleConfig,
     _check_seed,
+    _unit,
     arith_sample_batch,
-    phases_from_angles,
     random_adapted_phases,
     random_coefficient_arrays,
     random_hardy_function,
@@ -41,7 +41,6 @@ from .inequalities import (
     residual_verdict,
     sincos_identity_sides,
     slack_verdict,
-    stability_report_from_coefficients,
 )
 from .martingale import _check_degree, _check_size, check_transform_isometry, previsible_norm
 from .torus import GridFunction, _is_integer, inner_product, make_grid, sigma
@@ -279,34 +278,46 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     )
 
 
-# Coefficients plus phases per chunk of theorem samples: tens of small samples
-# share each call's overhead, while the chunk's temporaries stay near 1 MiB
-# (at N8 d3, 2^14 raises the peak RSS by ~1.4 MiB; 2^16 by ~6 MiB, no faster).
+# Coefficients plus phases per chunk of samples: tens of small samples share
+# each call's overhead, while the chunk's temporaries stay near 1 MiB (at N8 d3,
+# 2^14 raises the peak RSS by ~1.4 MiB; 2^16 by ~6 MiB, no faster).
 _CHUNK_ENTRIES = 2**14
+
+
+def _chunks(config: HarnessConfig, tag: int):
+    """Yield (first sample, coefficient blocks, phase angles) per chunk of the
+    config's samples.  Sample i is drawn alone, from _ensemble(config, tag, i,
+    depth); blocks[k-1] and angles[k] stack the chunk's level-k draws along a
+    leading sample axis."""
+    depth = config.depth
+    entries = (config.max_degree + 1) * sum(config.n_points**k for k in range(depth))
+    chunk = max(1, _CHUNK_ENTRIES // entries)
+    for first in range(0, config.samples, chunk):
+        draws = []
+        for i in range(first, min(first + chunk, config.samples)):
+            cfg = _ensemble(config, tag, i, depth)
+            draws.append((*random_coefficient_arrays(cfg), *random_phase_angle_arrays(cfg)))
+        # one sample is wrapped, not copied: at the memory guard it is the largest data
+        arrays = [x[np.newaxis] for x in draws[0]] if len(draws) == 1 else [
+            np.stack(level) for level in zip(*draws)]
+        yield first, arrays[:depth], arrays[depth:]
+
+
+def _score(grid, blocks, angles):
+    """The batch chain report of one chunk, its angles turned into multipliers."""
+    return _stability_batch(grid, blocks, [_unit(phi) for phi in angles])
 
 
 def cmd_theorem(config: HarnessConfig) -> RunReport:
     """Full stability chain over a random Hardy ensemble; records per-step
-    margins and the empirical maximum of the final ratio.
-
-    Sample i is drawn alone, from _ensemble(config, 20, i, depth), and the
-    chain is evaluated over chunks of samples at once."""
+    margins and the empirical maximum of the final ratio.  The chain is
+    evaluated over chunks of samples at once."""
     t0 = time.monotonic()
     col = _Collector()
     grid = make_grid(config.n_points)
-    depth = config.depth
-    entries = (config.max_degree + 1) * sum(config.n_points**k for k in range(depth))
-    chunk = max(1, _CHUNK_ENTRIES // entries)
     ratios, sides = [], []
-    for start in range(0, config.samples, chunk):
-        draws = []
-        for i in range(start, min(start + chunk, config.samples)):
-            cfg = _ensemble(config, 20, i, depth)
-            draws.append((*random_coefficient_arrays(cfg), *random_adapted_phases(cfg).terms))
-        # one sample is wrapped, not copied: at the memory guard it is the largest data
-        arrays = [x[np.newaxis] for x in draws[0]] if len(draws) == 1 else [
-            np.stack(level) for level in zip(*draws)]
-        rep = _stability_batch(grid, arrays[:depth], arrays[depth:])
+    for _, blocks, angles in _chunks(config, 20):
+        rep = _score(grid, blocks, angles)
         ratios.append(rep.ratio)
         sides.append(_chain_sides(rep, config.tol))
 
@@ -324,16 +335,15 @@ _SEARCH_COEFF_STEP = 0.2
 _SEARCH_PHASE_STEP = 0.25
 
 
-def _search_ratio(grid, coeffs, angles):
-    return stability_report_from_coefficients(grid, coeffs, phases_from_angles(grid, angles)).ratio
-
-
 def cmd_constant_search(config: HarnessConfig) -> RunReport:
     """Multi-start stochastic hill climb on the final-ratio objective.
 
     Each of `samples` starts draws a fresh Hardy martingale and phase
     sequence, then runs `budget` Gaussian perturbation steps, accepting a
-    step only when the ratio strictly increases.
+    step only when the ratio strictly increases.  Start s draws its
+    proposals from its own stream, so the starts of a chunk advance in
+    lockstep, one batch evaluation per step, and the best-so-far trace is
+    rebuilt in (start, step) order from each start's accepted steps.
     """
     t0 = time.monotonic()
     col = _Collector()
@@ -343,34 +353,36 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
     best_state = None
     trace: list = []
 
-    for s in range(config.samples):
-        cfg = _ensemble(config, 40, s, config.depth)
-        coeffs = random_coefficient_arrays(cfg)
-        angles = random_phase_angle_arrays(cfg)
-        current = _search_ratio(grid, coeffs, angles)
-        if current > best_ratio:
-            best_ratio = current
-            best_state = (coeffs, angles)
-            trace.append({"start": s, "step": 0, "ratio": best_ratio})
-        rng = _scalar_rng(config, 41, s)
+    for first, coeffs, angles in _chunks(config, 40):
+        rngs = [_scalar_rng(config, 41, s) for s in range(first, first + len(coeffs[0]))]
+        # a start draws its normals per step as a lone climb would: per level the
+        # real and then the imaginary coefficient parts, then the angles by level
+        shapes = [c.shape[1:] for c in coeffs for _ in (0, 1)] + [a.shape[1:] for a in angles]
+        current = _score(grid, coeffs, angles).ratio
+        climbs = [[(0, ratio)] for ratio in current.tolist()]  # (step, ratio) per start
         for t in range(1, config.budget + 1):
-            prop_coeffs = [
-                c
-                + _SEARCH_COEFF_STEP
-                * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
-                for c in coeffs
-            ]
-            prop_angles = [
-                a + _SEARCH_PHASE_STEP * rng.standard_normal(np.shape(a)) for a in angles
-            ]
-            ratio = _search_ratio(grid, prop_coeffs, prop_angles)
-            if ratio > current:
-                current = ratio
-                coeffs, angles = prop_coeffs, prop_angles
-                if current > best_ratio:
-                    best_ratio = current
-                    best_state = (coeffs, angles)
-                    trace.append({"start": s, "step": t, "ratio": best_ratio})
+            draws = [[rng.standard_normal(shape) for shape in shapes] for rng in rngs]
+            noise = [np.stack(x) for x in zip(*draws)]
+            prop_coeffs = [c + _SEARCH_COEFF_STEP * (re + 1j * im)
+                           for c, re, im in zip(coeffs, noise[0::2], noise[1::2])]
+            prop_angles = [a + _SEARCH_PHASE_STEP * z
+                           for a, z in zip(angles, noise[2 * len(coeffs):])]
+            ratio = _score(grid, prop_coeffs, prop_angles).ratio
+            accept = ratio > current
+            for state, prop in zip([current, *coeffs, *angles],
+                                   [ratio, *prop_coeffs, *prop_angles]):
+                state[accept] = prop[accept]  # in place: the chunk owns its arrays
+            for j in np.flatnonzero(accept):
+                climbs[j].append((t, float(ratio[j])))
+
+        best = None
+        for j, climb in enumerate(climbs):
+            for t, ratio in climb:
+                if ratio > best_ratio:
+                    best_ratio, best = ratio, j
+                    trace.append({"start": first + j, "step": t, "ratio": ratio})
+        if best is not None:  # no later step of this start was accepted
+            best_state = ([c[best] for c in coeffs], [a[best] for a in angles])
 
     deltas = [b["ratio"] - a["ratio"] for a, b in zip(trace, trace[1:])]
     min_delta = min(deltas, default=0.0)

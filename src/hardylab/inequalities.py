@@ -14,7 +14,8 @@ reference, stability_report(field, phases), gates any martingale over grid^n
 and integrates over it.  stability_report_from_coefficients(grid,
 coefficients, phases) reads each node's coefficient row once, for mu and r^2,
 and gets every other per-level quantity from the sine-cosine identity;
-theorem and constant-search use it, theorem over a leading sample axis.
+theorem and constant-search evaluate it over a leading sample axis, with
+_stability_batch, whose rows equal the one-sample report bit for bit.
 """
 
 from __future__ import annotations
@@ -372,8 +373,9 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     per_level, base_moments = [], []
     for k, (w, c) in enumerate(zip(terms, blocks), start=1):
         sigma, tau = _sign_modes(grid, c.shape[-1])
-        c = c.reshape((count,) + (n,) * (k - 1) + sigma.shape)
-        mu = c @ sigma
+        # one (rows, d) product per sample, so each row rounds as it would alone
+        mu = (c.reshape(count, -1, sigma.size) @ sigma).reshape((count,) + (n,) * (k - 1))
+        c = c.reshape(mu.shape + sigma.shape)
         b = _project_trailing_cells(grid, mu, k - 1)
         # r^2 = mean|u - mu s|^2 as a sum of squares: the cos(m theta) are orthogonal
         # with mean square 1/2.  Neither tau = 1 - 2|sigma|^2 nor r^2 = |c|^2/2 - |mu|^2

@@ -45,7 +45,8 @@ def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
 
     coefficients[k-1] has shape (N^(k-1), d_k) with 1 <= d_k <= N/2 - 1: one row
     of mode-1..d_k weights for every base point of level k.  Such rows define
-    Hardy differences by construction; the memory guard bounds N^depth.
+    Hardy differences by construction; the memory guard bounds N^depth.  Like a
+    martingale's values, every coefficient must be finite.
     """
     blocks = [np.asarray(c, dtype=np.complex128) for c in coefficients]
     n = _check_size(grid, len(blocks))
@@ -53,6 +54,8 @@ def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
         if c.ndim != 2 or c.shape[0] != n ** (k - 1):
             raise ValueError(f"level {k} coefficients must have {n ** (k - 1)} rows; got {c.shape}")
         _check_degree(grid, c.shape[1], f"level {k} degree")
+        if not np.isfinite(c).all():
+            raise ValueError(f"level {k} coefficients must be finite")
     return blocks
 
 

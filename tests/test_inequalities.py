@@ -478,6 +478,20 @@ class TestStabilityFromCoefficients:
         with pytest.raises(ValueError, match=match):
             martingale_from_coefficients(grid, coeffs)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0.0, math.inf), math.nan])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_rejects_non_finite_coefficients(self, bad, level):
+        # a ValueError, as for a martingale's values: not a RuntimeWarning from
+        # a matmul, nor a report whose every step fails
+        grid = make_grid(8)
+        phases = random_adapted_phases(EnsembleConfig(seed=1, n_points=8, depth=2))
+        coeffs = [np.ones((1, 2), dtype=complex), np.ones((8, 2), dtype=complex)]
+        coeffs[level - 1][-1, 1] = bad
+        with pytest.raises(ValueError, match=f"level {level} coefficients must be finite"):
+            stability_report_from_coefficients(grid, coeffs, phases)
+        with pytest.raises(ValueError, match=f"level {level} coefficients must be finite"):
+            martingale_from_coefficients(grid, coeffs)
+
     def test_rejects_short_phases_grid_mismatch_and_guard(self):
         phases = random_adapted_phases(EnsembleConfig(seed=1, n_points=8, depth=2))
         deep = [np.ones((8 ** k, 1)) for k in range(3)]
@@ -531,12 +545,24 @@ def _spoil(report, row, kind):
     return report
 
 
+def assert_rows_equal(batch, per_row):
+    """Row j of a batch report equals the one-sample report per_row[j] in
+    every field, bit for bit; NaN equals NaN."""
+    for j, rep in enumerate(per_row):
+        for name in REPORT_ARRAYS:
+            for x, y in zip(getattr(batch, name), getattr(rep, name)):
+                np.testing.assert_array_equal(x[j], y, err_msg=f"{name} row {j}")
+        for name in REPORT_NORMS + ("ratio",):
+            np.testing.assert_array_equal(getattr(batch, name)[j], getattr(rep, name),
+                                          err_msg=f"{name} row {j}")
+
+
 class TestBatchedChain:
     @settings(max_examples=150, deadline=None)
     @given(batch_cases())
     def test_matches_per_sample_loop(self, case):
         # the batch report and its (5, M) chain sides equal a loop over the
-        # one-sample API, row by row, at 1e-12 relative; NaN equals NaN
+        # one-sample API, row by row, bit for bit; NaN equals NaN
         grid, coeffs, phases, kinds = case
         depth = len(coeffs[0])
         batch = _stability_batch(grid, [np.stack([c[k] for c in coeffs]) for k in range(depth)],
@@ -545,24 +571,32 @@ class TestBatchedChain:
         for j, kind in enumerate(kinds):
             batch = _spoil(batch, j, kind)
             per_row[j] = _spoil(per_row[j], 0, kind)
+        assert_rows_equal(batch, per_row)
         sides = _chain_sides(batch, 1e-10)
-
-        def same(x, y):
-            np.testing.assert_allclose(x, y, rtol=1e-12, atol=0.0, equal_nan=True)
-
         for j, rep in enumerate(per_row):
-            for name in REPORT_ARRAYS:
-                for x, y in zip(getattr(batch, name), getattr(rep, name)):
-                    same(x[j], y)
-            for name in REPORT_NORMS + ("ratio",):
-                same(getattr(batch, name)[j], getattr(rep, name))
             records = verify_chain(rep)
             for s, record in enumerate(records):
-                same([sides[0][s, j], sides[1][s, j], sides[2][s, j]],
-                     [record.lhs, record.rhs, record.gap])
+                np.testing.assert_array_equal([sides[0][s, j], sides[1][s, j], sides[2][s, j]],
+                                              [record.lhs, record.rhs, record.gap])
                 assert bool(sides[3][s, j]) is record.passed, (kinds[j], record)
             verdicts = [r.passed for r in records]
             assert verdicts[1] is (kinds[j] != "nan")
             assert verdicts[4] is (kinds[j] != "degenerate")
             if kinds[j] == "zero":
                 assert rep.ratio == 0.0 and all(verdicts)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_rows_round_as_lone_samples(self, n):
+        # level 1 holds one coefficient row per sample; multiplied by sigma as
+        # one (M, d) block its rows would round differently from M = 1
+        grid, rng, count = make_grid(n), np.random.default_rng(20), 5
+        coeffs, phases = [], []
+        for _ in range(count):
+            coeffs.append([rng.standard_normal((n ** k, n // 2 - 1))
+                           + 1j * rng.standard_normal((n ** k, n // 2 - 1)) for k in range(2)])
+            angles = [rng.uniform(0.0, 2.0 * np.pi, size=(n,) * k) for k in range(2)]
+            phases.append(phases_from_angles(grid, angles))
+        batch = _stability_batch(grid, [np.stack(level) for level in zip(*coeffs)],
+                                 [np.stack(level) for level in zip(*(p.terms for p in phases))])
+        assert_rows_equal(batch, [stability_report_from_coefficients(grid, c, p)
+                                  for c, p in zip(coeffs, phases)])
