@@ -122,8 +122,8 @@ def arith_sample_batch(cfg: EnsembleConfig, count: int):
     for mu and (i // 5) mod 5 for b, so all 25 combinations (including the
     degenerate mu = b = 0) appear in every window of 25 draws.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"count must be a positive integer; got {count!r}")
     rng = _stream(cfg, 2)
     idx = np.arange(count)
     strata = np.asarray(ARITH_STRATA)

@@ -16,10 +16,24 @@ coefficients, phases) reads each node's coefficient row once, for mu and r^2,
 and gets every other per-level quantity from the sine-cosine identity;
 theorem and constant-search evaluate it over a leading sample axis, with
 _stability_batch, whose rows equal the one-sample report bit for bit.
+
+Each formula of the single-coordinate decomposition has one home.  Three
+slice integrals run over the last axis of (..., N) arrays, so they take one
+row or a whole level, whose b and w then end in an axis of length 1:
+_slice_parts (u, mu = <u,s> and r^2 = int |u - mu s|^2), _perturbed_moment
+(int |u - b s|^2) and _transform_moment (int Im^2(w (g - b s))).  Three
+closed forms are plain expressions over Python or numpy numbers:
+_sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))), _split_form
+(|mu - b|^2 + r^2) and _gap_form ((a - |b|)^2).  The grid chain and the
+single-coordinate side functions use the integrals; _stability_batch uses
+only the closed forms, so comparing the two chains checks the identities
+that the closed forms stand for.  The side functions pass Python scalars,
+so their per-node arithmetic stays Python's.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -88,6 +102,36 @@ def residual_verdict(lhs, rhs, scale, tol: float) -> tuple:
     return gap, gap <= tol
 
 
+def _slice_parts(values, sig) -> tuple:
+    """The even part u of every slice, mu = <u,s> and r^2 = int |u - mu s|^2."""
+    u = _even_part(values)
+    mu = np.mean(u * sig, axis=-1)
+    return u, mu, np.mean(np.abs(u - mu[..., np.newaxis] * sig) ** 2, axis=-1)
+
+
+def _perturbed_moment(u, b, sig):
+    """int |u - b s|^2 per slice; b is a scalar or ends in an axis of length 1."""
+    return np.mean(np.abs(u - b * sig) ** 2, axis=-1)
+
+
+def _transform_moment(g, b, w, sig):
+    """int Im^2(w (g - b s)) per slice; b and w are scalars or end in an axis of length 1."""
+    return np.mean((w * (g - b * sig)).imag ** 2, axis=-1)
+
+
+def _sincos_form(mu, b, w, r_sq=0.0):
+    """r^2 + Re^2(w mu) + Im^2(w(mu - b)), int Im^2(w (g - b s)) by the sine-cosine identity."""
+    return r_sq + (w * mu).real ** 2 + (w * (mu - b)).imag ** 2
+
+
+def _split_form(mu, b, r_sq):
+    return abs(mu - b) ** 2 + r_sq
+
+
+def _gap_form(a, b):
+    return (a - abs(b)) ** 2
+
+
 def _envelope_parts(mu, b) -> tuple:
     """|mu|, |mu - b|^2 and q = |mu - b|^2 / (|mu| + |b|), elementwise, with
     q = 0 at mu = b = 0.  The envelope of (mu, b) is |mu| + q."""
@@ -120,8 +164,8 @@ def envelope_gap_sides(mu, b, w):
     mu_arr = np.asarray(mu, dtype=np.complex128)
     b_arr = np.asarray(b, dtype=np.complex128)
     w_arr = _require_unimodular(np.asarray(w, dtype=np.complex128), "multiplier")
-    lhs = (arith_envelope(mu_arr, b_arr) - np.abs(b_arr)) ** 2
-    rhs = 4.0 * ((w_arr * (mu_arr - b_arr)).imag ** 2 + (w_arr * mu_arr).real ** 2)
+    lhs = _gap_form(arith_envelope(mu_arr, b_arr), b_arr)
+    rhs = 4.0 * _sincos_form(mu_arr, b_arr, w_arr)
     return _like_inputs(mu, b, lhs, rhs)
 
 
@@ -135,24 +179,16 @@ def envelope_excess_sides(mu, b):
     return _like_inputs(mu, b, gap_sq, 2.0 * q * (q + 2.0 * abs_mu))
 
 
-def _coordinate_parts(h: GridFunction) -> tuple:
-    """Gate h (analytic, no Nyquist content) and return its even part u,
-    mu = <u,s> and the tail int |u - mu s|^2."""
+def _coordinate_parts(h: GridFunction, b) -> tuple:
+    """Gate h (analytic, no Nyquist content) and the shift b (finite); return b,
+    the even part u of h, mu = <u,s> and r^2 = int |u - mu s|^2 as Python numbers but u."""
+    b = complex(b)
+    if not cmath.isfinite(b):
+        raise ValueError(f"shift b must be finite; got {b!r}")
     if not is_hardy(h, _ANALYTIC_GATE_TOL):
         raise ValueError("input must be analytic with vanishing mean (Hardy)")
-    u, sig = _even_part(h.values), h.grid.sign_values
-    mu = complex(np.mean(u * sig))
-    return u, mu, float(np.mean(np.abs(u - mu * sig) ** 2))
-
-
-def _split_sides(h: GridFunction, b: complex, u, mu: complex, tail: float) -> tuple:
-    """Both sides of the orthogonal split int |u - b s|^2 = |mu - b|^2 + tail."""
-    return float(np.mean(np.abs(u - b * h.grid.sign_values) ** 2)), abs(mu - b) ** 2 + tail
-
-
-def _transform_moment(h: GridFunction, b: complex, w: complex) -> float:
-    """int Im^2(w (h - b s))."""
-    return float(np.mean((w * (h.values - b * h.grid.sign_values)).imag ** 2))
+    u, mu, r_sq = _slice_parts(h.values, h.grid.sign_values)
+    return b, u, complex(mu), float(r_sq)
 
 
 @dataclass(frozen=True)
@@ -171,16 +207,17 @@ def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityRe
     where u is the conjugation-even part of the analytic h and s the sign
     function.  Exact on the shifted grid, so the residual is round-off.
     """
-    w, b = _require_unimodular(complex(w), "multiplier"), complex(b)
-    _, mu, tail = _coordinate_parts(h)
-    lhs = (w * (mu - b)).imag ** 2 + (w * mu).real ** 2 + tail
-    rhs = _transform_moment(h, b, w)
+    w = _require_unimodular(complex(w), "multiplier")
+    b, _, mu, tail = _coordinate_parts(h, b)
+    lhs = _sincos_form(mu, b, w) + tail  # tail last: the recorded residuals round this way
+    rhs = float(_transform_moment(h.values, b, w, h.grid.sign_values))
     return IdentityReport(lhs, rhs, float(residual_verdict(lhs, rhs, rhs, 0.0)[0]))
 
 
 def decomposition_sides(h: GridFunction, b: complex):
     """Sides of the orthogonal split int |u - b s|^2 = |<u,s> - b|^2 + int |u - <u,s> s|^2."""
-    return _split_sides(h, complex(b), *_coordinate_parts(h))
+    b, u, mu, tail = _coordinate_parts(h, b)
+    return float(_perturbed_moment(u, b, h.grid.sign_values)), _split_form(mu, b, tail)
 
 
 @dataclass(frozen=True)
@@ -204,13 +241,13 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
 
     and report the residual of the exact orthogonal split as a cross-check.
     """
-    w, b = _require_unimodular(complex(w), "multiplier"), complex(b)
-    u, mu, tail = _coordinate_parts(h)
-    shift_lhs, split_rhs = _split_sides(h, b, u, mu, tail)
+    w, sig = _require_unimodular(complex(w), "multiplier"), h.grid.sign_values
+    b, u, mu, tail = _coordinate_parts(h, b)
+    shift_lhs, split_rhs = float(_perturbed_moment(u, b, sig)), _split_form(mu, b, tail)
     a = arith_envelope(mu, b)
     shift_rhs = 8.0 * (a * a - abs(mu) ** 2) + tail
-    rotation_lhs = (a - abs(b)) ** 2 + tail
-    rotation_rhs = 8.0 * _transform_moment(h, b, w)
+    rotation_lhs = _gap_form(a, b) + tail
+    rotation_rhs = 8.0 * float(_transform_moment(h.values, b, w, sig))
     split_residual = float(residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
     return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs,
                               split_residual)
@@ -260,20 +297,12 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases) -> Stability
 
     per_level = []
     for w, g_k in zip(phases.terms, field.diffs):
-        u_k = _even_part(g_k)
-        mu_k = np.asarray(np.mean(u_k * sig, axis=-1))
+        u_k, mu_k, r_sq = _slice_parts(g_k, sig)
         b_k = project_dyadic_cells(grid, mu_k)
-        v_k = u_k - mu_k[..., np.newaxis] * sig
-        r_k = np.sqrt(np.mean(np.abs(v_k) ** 2, axis=-1))
-        a_k = np.asarray(arith_envelope(mu_k, b_k))
-
-        pert = u_k - b_k[..., np.newaxis] * sig
-        m_k = np.asarray(np.mean(np.abs(pert) ** 2, axis=-1))
-
-        t_k = (w[..., np.newaxis] * (g_k - b_k[..., np.newaxis] * sig)).imag
-        tq_k = np.asarray(np.mean(t_k**2, axis=-1))
-
-        per_level.append(tuple(np.asarray(x)[np.newaxis] for x in (mu_k, b_k, a_k, r_k, m_k, tq_k)))
+        b_col = b_k[..., np.newaxis]
+        per_level.append(tuple(np.asarray(x)[np.newaxis] for x in (
+            mu_k, b_k, arith_envelope(mu_k, b_k), np.sqrt(r_sq), _perturbed_moment(u_k, b_col, sig),
+            _transform_moment(g_k, b_col, w[..., np.newaxis], sig))))
     base_moments = [q[np.newaxis] for q in cond_square_profile(field).level_moments]
     return _first_sample(_chain_report(per_level, base_moments, field.depth, grid.n_points))
 
@@ -382,9 +411,8 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
         # may replace it: at d = N/2 - 1 tau is 0, both cancel below 0, and sqrt gives NaN.
         r_sq = 0.5 * np.sum(np.abs(c - 2.0 * mu[..., np.newaxis] * sigma) ** 2, axis=-1)
         r_sq += np.abs(mu) ** 2 * tau
-        tq = r_sq + (w * mu).real ** 2 + (w * (mu - b)).imag ** 2
-        m = r_sq + np.abs(mu - b) ** 2
-        per_level.append((mu, b, arith_envelope(mu, b), np.sqrt(r_sq), m, tq))
+        per_level.append((mu, b, arith_envelope(mu, b), np.sqrt(r_sq), _split_form(mu, b, r_sq),
+                          _sincos_form(mu, b, w, r_sq)))
         base_moments.append(2.0 * (r_sq + np.abs(mu) ** 2))
     return _chain_report(per_level, base_moments, len(blocks), n)
 

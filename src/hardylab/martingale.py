@@ -167,8 +167,8 @@ class SquareFunctionProfile:
 
 def level(field: MartingaleField, k: int) -> np.ndarray:
     """Level k: the constant plus differences 1..k; shape (N,)*k."""
-    if not 0 <= k <= field.depth:
-        raise ValueError(f"level index {k} outside 0..{field.depth}")
+    if not _is_integer(k) or not 0 <= k <= field.depth:
+        raise ValueError(f"level index k must be an integer in 0..{field.depth}; got {k!r}")
     out = np.full((field.grid.n_points,) * k, field.base, dtype=np.complex128)
     for j, d in enumerate(field.diffs[:k], start=1):
         out += d.reshape(d.shape + (1,) * (k - j))
@@ -271,8 +271,12 @@ def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     Both cells hold N/2 points and s^2 = 1, so per axis the average is the
     rank-2 projection mean(f) + s*mean(s*f) onto span{1, s}.  Each axis is
     first symmetrized over the pairing j <-> N-1-j (the cells are closed
-    under it), so conjugation-odd input projects to exact zero.
+    under it), so conjugation-odd input projects to exact zero.  Every axis
+    of arr must have length N.
     """
+    arr = np.asarray(arr)
+    if any(length != grid.n_points for length in arr.shape):
+        raise ValueError(f"arr must have length {grid.n_points} on every axis; got {arr.shape}")
     return _project_trailing_cells(grid, arr, arr.ndim)
 
 

@@ -147,8 +147,9 @@ class Spectrum:
 
     def coefficient(self, m: int) -> complex:
         n = self.grid.n_points
-        if not -n // 2 <= m < n // 2:
-            raise ValueError(f"frequency {m} outside -{n // 2} .. {n // 2 - 1}")
+        if not _is_integer(m) or not -n // 2 <= m < n // 2:
+            raise ValueError(f"frequency m must be an integer in -{n // 2} .. {n // 2 - 1}; "
+                             f"got {m!r}")
         return complex(self.coefficients[m + n // 2])
 
 

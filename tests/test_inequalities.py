@@ -216,7 +216,35 @@ class TestPerturbationBounds:
             assert rep.split_residual == abs(rep.shift_lhs - rep.split_rhs) / rep.split_rhs
 
 
+@pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("side", [
+    lambda h, b: sincos_identity_sides(h, b, 1.0),
+    lambda h, b: decomposition_sides(h, b),
+    lambda h, b: perturbation_bounds(h, b, 1.0),
+], ids=["sincos", "decomposition", "perturbation"])
+def test_side_functions_reject_non_finite_shift(side, b):
+    grid = make_grid(8)
+    with pytest.raises(ValueError, match="shift b must be finite"):
+        side(GridFunction(grid, np.exp(1j * grid.angles)), b)
+
+
 class TestStabilityReport:
+    @pytest.mark.parametrize("n, depth, degree", [(4, 2, 1), (8, 2, 3), (16, 2, 5), (8, 3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_levels_equal_the_side_functions_on_every_slice(self, n, depth, degree, seed):
+        # the grid chain and the side functions share the slice integrals, so
+        # each level-k slice's moments are the side functions' values, bit for bit
+        cfg = EnsembleConfig(seed=seed, n_points=n, depth=depth, max_degree=degree)
+        field, phases = random_hardy_martingale(cfg), random_adapted_phases(cfg)
+        rep = stability_report(field, phases)
+        for k, diff in enumerate(field.diffs):
+            b, w = rep.dyadic_coeffs[k].reshape(-1), phases.terms[k].reshape(-1)
+            for j, row in enumerate(diff.reshape(-1, n)):
+                h = GridFunction(field.grid, row)
+                assert rep.transform_moments[k].reshape(-1)[j] == \
+                    sincos_identity_sides(h, b[j], w[j]).rhs
+                assert rep.perturbed_moments[k].reshape(-1)[j] == decomposition_sides(h, b[j])[0]
+
     def test_single_mode_n4(self):
         grid = make_grid(4)
         G = MartingaleField(grid, 1, np.exp(1j * grid.angles))

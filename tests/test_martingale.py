@@ -11,6 +11,8 @@ from hardylab import (
     EnsembleConfig,
     GridFunction,
     MartingaleField,
+    analyze,
+    arith_sample_batch,
     check_transform_isometry,
     cond_square_profile,
     cosine_part,
@@ -435,6 +437,35 @@ class TestDyadicProjection:
         arr = np.random.default_rng(odd_axis).standard_normal((8, 8, 8)) + 0.5j
         odd = arr - np.flip(arr, axis=odd_axis)
         assert (project_dyadic_cells(grid, odd) == 0).all()
+
+
+def _spectrum():
+    return analyze(GridFunction(make_grid(8), np.ones(8)))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: level(product_mode_field(4), 1.5), "level index k"),
+    (lambda: level(product_mode_field(4), True), "level index k"),
+    (lambda: _spectrum().coefficient(2.5), "frequency m"),
+    (lambda: _spectrum().coefficient(True), "frequency m"),
+    (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), 2.5), "count"),
+    (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), True), "count"),
+    (lambda: project_dyadic_cells(make_grid(8), np.zeros((8, 6))), "arr"),
+], ids=["level-float", "level-bool", "coefficient-float", "coefficient-bool",
+        "count-float", "count-bool", "arr-short-axis"])
+def test_public_arguments_follow_the_shared_rules(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_public_arguments_accept_numpy_integers_and_lists():
+    F = product_mode_field(4)
+    np.testing.assert_array_equal(level(F, np.int64(1)), level(F, 1))
+    assert _spectrum().coefficient(np.int64(0)) == _spectrum().coefficient(0)
+    cfg = EnsembleConfig(seed=1, n_points=8)
+    for x, y in zip(arith_sample_batch(cfg, np.int64(3)), arith_sample_batch(cfg, 3)):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(project_dyadic_cells(make_grid(8), [1.0] * 8), np.ones(8))
 
 
 class TestFieldFromDifferences:
