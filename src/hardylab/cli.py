@@ -20,38 +20,33 @@ from .harness import (
     write_json_report,
 )
 
-_PER_COMMAND_DEFAULTS = {
-    "identities": {"samples": 400},
-    "lemmas": {"samples": 2000},
-    "theorem": {"samples": 200},
-    "constant-search": {"samples": 4, "budget": 200},
-    "convergence": {},
+# command: its help line, its own flags in help order (the common ones follow)
+# and its defaults, which the config file and explicit flags override
+_COMMANDS = {
+    "identities": ("run the exact-identity suites", "n_points depth max_degree samples",
+                   {"samples": 400}),
+    "lemmas": ("run the scalar and integral inequality suites",
+               "n_points max_degree samples", {"samples": 2000}),  # its suites run at depth 1
+    "theorem": ("verify the full stability chain on a random ensemble",
+                "n_points depth max_degree samples", {"samples": 200}),
+    "constant-search": ("stochastic search for the extremal stability ratio",
+                        "n_points depth max_degree samples budget", {"samples": 4, "budget": 200}),
+    "convergence": ("resolution sweep of the dyadic cosine coefficient", "resolutions", {}),
 }
-
-_COMMON_FLAGS = ("seed", "tol", "out", "csv", "config")
-_ENSEMBLE_FLAGS = ("n_points", "depth", "max_degree", "samples")
-
-
-def _add_flags(parser: argparse.ArgumentParser, names) -> None:
-    spec = {
-        "n_points": dict(flag="--n-points", type=int, help="grid size (multiple of 4)"),
-        "depth": dict(flag="--depth", type=int, help="martingale depth"),
-        "max_degree": dict(flag="--max-degree", type=int, help="highest analytic mode"),
-        "samples": dict(flag="--samples", type=int, help="sample count (or search starts)"),
-        "seed": dict(flag="--seed", type=int, help="base seed"),
-        "tol": dict(flag="--tol", type=float,
-                    help="residual / slack tolerance (convergence floors it at 1e-12)"),
-        "budget": dict(flag="--budget", type=int, help="search steps per start"),
-        "resolutions": dict(flag="--resolutions", type=str,
-                            help="comma-separated grid sizes, e.g. 4,8,16"),
-        "out": dict(flag="--out", type=str, help="write the JSON report here"),
-        "csv": dict(flag="--csv", type=str, help="write the CSV table here"),
-        "config": dict(flag="--config", type=str, help="JSON file presetting the flags"),
-    }
-    for name in names:
-        info = spec[name]
-        parser.add_argument(info["flag"], dest=name, type=info["type"],
-                            default=None, help=info["help"])
+# dest: type and help; the flag is "--" + dest with "-" for "_"
+_FLAGS = {
+    "n_points": (int, "grid size (multiple of 4)"),
+    "depth": (int, "martingale depth"),
+    "max_degree": (int, "highest analytic mode"),
+    "samples": (int, "sample count (or search starts)"),
+    "seed": (int, "base seed"),
+    "tol": (float, "residual / slack tolerance (convergence floors it at 1e-12)"),
+    "budget": (int, "search steps per start"),
+    "resolutions": (str, "comma-separated grid sizes, e.g. 4,8,16"),
+    "out": (str, "write the JSON report here"),
+    "csv": (str, "write the CSV table here"),
+    "config": (str, "JSON file presetting the flags"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,18 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification lab for martingale estimates on discretized torus products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {
-        "identities": ("run the exact-identity suites", _ENSEMBLE_FLAGS),
-        "lemmas": ("run the scalar and integral inequality suites",
-                   ("n_points", "max_degree", "samples")),  # its suites run at depth 1
-        "theorem": ("verify the full stability chain on a random ensemble", _ENSEMBLE_FLAGS),
-        "constant-search": ("stochastic search for the extremal stability ratio",
-                            _ENSEMBLE_FLAGS + ("budget",)),
-        "convergence": ("resolution sweep of the dyadic cosine coefficient", ("resolutions",)),
-    }
-    for command, (description, flags) in commands.items():
-        _add_flags(sub.add_parser(command, help=description), flags + _COMMON_FLAGS)
+    for command, (description, flags, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=description)
+        for name in flags.split() + ["seed", "tol", "out", "csv", "config"]:
+            kind, text = _FLAGS[name]
+            command_parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                                        default=None, help=text)
     return parser
 
 
@@ -105,7 +94,7 @@ def _load_config_file(path: str) -> dict:
 
 def _build_config(args: argparse.Namespace) -> HarnessConfig:
     """Per-command defaults, then the config file, then explicit flags."""
-    settings = dict(_PER_COMMAND_DEFAULTS[args.command])
+    settings = dict(_COMMANDS[args.command][2])
     if args.config:
         settings.update(_load_config_file(args.config))
     settings.update({name: value for name, value in vars(args).items()

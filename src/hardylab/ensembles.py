@@ -21,7 +21,7 @@ from .martingale import (
     _coefficient_blocks,
     field_from_differences,
 )
-from .torus import GridFunction, TorusGrid, _is_integer, make_grid
+from .torus import GridFunction, TorusGrid, _check_integer, make_grid
 
 # Magnitude strata for the scalar sampler; chosen to hit exact zeros,
 # denormal-adjacent values, and both ends of the double's comfortable range.
@@ -39,13 +39,7 @@ class EnsembleConfig:
         grid = make_grid(self.n_points)
         _check_size(grid, self.depth)
         _check_degree(grid, self.max_degree)
-        _check_seed(self.seed)
-
-
-def _check_seed(seed) -> None:
-    """The seed rule: a non-negative integer, not a bool, of any size."""
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer; got {seed!r}")
+        _check_integer(self.seed, "seed", 0)  # of any size
 
 
 def _stream(cfg: EnsembleConfig, *key: int) -> np.random.Generator:
@@ -122,8 +116,7 @@ def arith_sample_batch(cfg: EnsembleConfig, count: int):
     for mu and (i // 5) mod 5 for b, so all 25 combinations (including the
     degenerate mu = b = 0) appear in every window of 25 draws.
     """
-    if not _is_integer(count) or count < 1:
-        raise ValueError(f"count must be a positive integer; got {count!r}")
+    count = _check_integer(count, "count", 1)
     rng = _stream(cfg, 2)
     idx = np.arange(count)
     strata = np.asarray(ARITH_STRATA)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .ensembles import (
     EnsembleConfig,
-    _check_seed,
     _unit,
     arith_sample_batch,
     random_adapted_phases,
@@ -43,7 +42,7 @@ from .inequalities import (
     slack_verdict,
 )
 from .martingale import _check_degree, _check_size, check_transform_isometry, previsible_norm
-from .torus import GridFunction, _is_integer, inner_product, make_grid, sigma
+from .torus import GridFunction, _check_integer, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
 # exact dyadic cosine coefficients at N = 4 and N = 8
@@ -73,16 +72,14 @@ class HarnessConfig:
 
     def __post_init__(self):
         try:
-            _check_seed(self.seed)
+            _check_integer(self.seed, "seed", 0)
             grid = make_grid(self.n_points)
             _check_size(grid, self.depth)
             if self.max_degree is None:
                 object.__setattr__(self, "max_degree", min(3, grid.n_points // 2 - 1))
             _check_degree(grid, self.max_degree)
             for name, least in (("samples", 1), ("budget", 0)):
-                value = getattr(self, name)
-                if not _is_integer(value) or value < least:
-                    raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
+                _check_integer(getattr(self, name), name, least)
             try:  # stored as a plain float, so the config echo stays JSON
                 tol = float(self.tol) if isinstance(self.tol, Real) else math.nan
             except OverflowError:  # an int such as 10**400

@@ -54,7 +54,7 @@ from .martingale import (
     is_hardy_martingale,
     project_dyadic_cells,
 )
-from .torus import GridFunction, TorusGrid, is_hardy
+from .torus import GridFunction, TorusGrid, _frozen, is_hardy
 
 # Tracked constant of the stability chain.  Factors, in order of use:
 # sqrt(8) from the square-function step, a further sqrt(8) entering under the
@@ -367,8 +367,7 @@ def _sign_modes(grid: TorusGrid, degree: int) -> tuple:
     sigma is read-only."""
     sig = grid.sign_values
     cos = grid.analytic_modes(degree).real
-    sigma = cos @ sig / grid.n_points
-    sigma.setflags(write=False)
+    sigma = _frozen(cos @ sig / grid.n_points)
     return sigma, float(np.mean((sig - 2.0 * sigma @ cos) ** 2))
 
 

@@ -16,28 +16,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import MEMORY_GUARD_ENTRIES, TorusGrid, _is_integer, _rows_are_hardy
+from .torus import (
+    MEMORY_GUARD_ENTRIES,
+    TorusGrid,
+    _check_integer,
+    _check_table,
+    _require_same_grid,
+    _rows_are_hardy,
+    _stored,
+)
 
 HARDY_GATE_TOL = 1e-8  # Hardy gate tol of check_transform_isometry and stability_report
 
 
 def _check_size(grid: TorusGrid, depth) -> int:
-    """The depth rule (a positive integer) and the memory guard on N^max(depth, 2):
+    """The depth rule (an integer >= 1) and the memory guard on N^max(depth, 2):
     every Hardy gate and generator reads the N x N character table."""
-    if not _is_integer(depth) or depth < 1:
-        raise ValueError(f"depth must be a positive integer; got {depth!r}")
+    depth = _check_integer(depth, "depth", 1)
     n = grid.n_points
-    if n ** max(depth, 2) > MEMORY_GUARD_ENTRIES:
-        what = f"{n}^{depth}" if depth > 1 else f"the {n}x{n} character table"
-        raise ValueError(f"memory guard: {what} exceeds {MEMORY_GUARD_ENTRIES} entries")
+    _check_table(n)
+    if n**depth > MEMORY_GUARD_ENTRIES:
+        raise ValueError(f"memory guard: {n}^{depth} exceeds {MEMORY_GUARD_ENTRIES} entries")
     return n
 
 
 def _check_degree(grid: TorusGrid, degree, name: str = "max_degree") -> None:
     """The degree rule 1 <= d <= N/2 - 1: analytic modes stop below Nyquist."""
-    top = grid.n_points // 2 - 1
-    if not _is_integer(degree) or not 1 <= degree <= top:
-        raise ValueError(f"{name} must lie in 1..{top} (Nyquist exclusion); got {degree!r}")
+    _check_integer(degree, f"{name} (Nyquist exclusion)", 1, grid.n_points // 2 - 1)
 
 
 def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
@@ -85,12 +90,12 @@ class MartingaleField:
         self._store(grid, depth, levels[0], [f - c[..., None] for c, f in zip(levels, levels[1:])])
 
     def _store(self, grid: TorusGrid, depth: int, base, diffs, scale=None) -> None:
-        """Validate the parts (mean tolerance 1e-12*scale + 8*2^-1074), then keep read-only copies.
+        """Store read-only copies of the parts, each mean within 1e-12*scale + 8*2^-1074.
 
         An inf or a NaN makes the default scale, or else the drift, non-finite,
         so such parts are rejected without a separate pass over the data."""
         n = _check_size(grid, depth)
-        diffs = [np.asarray(d) for d in diffs]
+        diffs = tuple(_stored(d, (n,) * k, f"difference {k}") for k, d in enumerate(diffs, start=1))
         if len(diffs) != depth:
             raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
         base = complex(base)
@@ -100,14 +105,9 @@ class MartingaleField:
         if not math.isfinite(tol):
             raise ValueError("martingale values must be finite")
         for k, d in enumerate(diffs, start=1):
-            if d.shape != (n,) * k:
-                raise ValueError(f"difference {k} must have shape {(n,) * k}; got {d.shape}")
             drift = float(np.abs(d.sum(axis=-1)).max()) / n  # mean over the newest axis
             if not drift <= tol:
                 raise ValueError(f"difference {k} has mean {drift:.3g} over its newest axis, not 0")
-        diffs = tuple(np.array(d, dtype=np.complex128) for d in diffs)
-        for d in diffs:
-            d.setflags(write=False)
         self.__dict__.update(grid=grid, depth=depth, base=base, diffs=diffs)  # frozen dataclass
 
     @property
@@ -132,17 +132,11 @@ class AdaptedPhases:
 
     def __post_init__(self):
         n = self.grid.n_points
-        cleaned = []
-        for k, w in enumerate(self.terms):
-            arr = np.asarray(w, dtype=np.complex128)
-            if arr.shape != (n,) * k:
-                raise ValueError(f"term {k} must have shape {(n,) * k}; got {arr.shape}")
-            arr = _require_unimodular(arr, f"term {k}").copy()
-            arr.setflags(write=False)
-            cleaned.append(arr)
-        if not cleaned:
+        terms = tuple(_require_unimodular(_stored(w, (n,) * k, f"term {k}"), f"term {k}")
+                      for k, w in enumerate(self.terms))
+        if not terms:
             raise ValueError("at least one multiplier term is required")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "terms", terms)
 
     @property
     def depth(self) -> int:
@@ -151,8 +145,7 @@ class AdaptedPhases:
 
 def _check_phases(phases: AdaptedPhases, grid: TorusGrid, depth: int) -> None:
     """Phases must live on the same grid and cover every level up to depth."""
-    if phases.grid.n_points != grid.n_points:
-        raise ValueError("grid mismatch between field and phases")
+    _require_same_grid(phases.grid, grid, "field and phases")
     if phases.depth < depth:
         raise ValueError(f"phases depth {phases.depth} shorter than field depth {depth}")
 
@@ -167,8 +160,7 @@ class SquareFunctionProfile:
 
 def level(field: MartingaleField, k: int) -> np.ndarray:
     """Level k: the constant plus differences 1..k; shape (N,)*k."""
-    if not _is_integer(k) or not 0 <= k <= field.depth:
-        raise ValueError(f"level index k must be an integer in 0..{field.depth}; got {k!r}")
+    k = _check_integer(k, "level index k", 0, field.depth)
     out = np.full((field.grid.n_points,) * k, field.base, dtype=np.complex128)
     for j, d in enumerate(field.diffs[:k], start=1):
         out += d.reshape(d.shape + (1,) * (k - j))
@@ -287,7 +279,7 @@ def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int) -> np
         arr = 0.5 * (arr + np.flip(arr, axis=axis))
         s = grid.sign_values.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
         arr = arr.mean(axis, keepdims=True) + s * (s * arr).mean(axis, keepdims=True)
-    return arr
+    return arr if n_axes else arr.copy()  # a new array at every shape, 0-d too
 
 
 def dyadic_project(field: MartingaleField) -> MartingaleField:

@@ -36,37 +36,26 @@ class TorusGrid:
 
     @cached_property
     def angles(self) -> np.ndarray:
-        th = TWO_PI * (np.arange(self.n_points) + 0.5) / self.n_points
-        th.setflags(write=False)
-        return th
+        return _frozen(TWO_PI * (np.arange(self.n_points) + 0.5) / self.n_points)
 
     @cached_property
     def sign_values(self) -> np.ndarray:
         """sign(cos theta_j) as floats, derived from indices (exact)."""
         n = self.n_points
         j = np.arange(n)
-        s = np.where((j < n // 4) | (j >= 3 * n // 4), 1.0, -1.0)
-        s.setflags(write=False)
-        return s
+        return _frozen(np.where((j < n // 4) | (j >= 3 * n // 4), 1.0, -1.0))
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        m = np.arange(-self.n_points // 2, self.n_points // 2)
-        m.setflags(write=False)
-        return m
+        return _frozen(np.arange(-self.n_points // 2, self.n_points // 2))
 
     @cached_property
     def characters(self) -> np.ndarray:
         """The grid's one trigonometric table: row m + N/2 holds e^{im theta_j}.
 
         Refused, before anything is allocated, when N^2 exceeds MEMORY_GUARD_ENTRIES."""
-        n = self.n_points
-        if n * n > MEMORY_GUARD_ENTRIES:
-            raise ValueError(f"memory guard: the {n}x{n} character table exceeds "
-                             f"{MEMORY_GUARD_ENTRIES} entries")
-        table = np.exp(1j * np.outer(self.frequencies, self.angles))
-        table.setflags(write=False)
-        return table
+        _check_table(self.n_points)
+        return _frozen(np.exp(1j * np.outer(self.frequencies, self.angles)))
 
     def analytic_modes(self, degree: int) -> np.ndarray:
         """Rows e^{im theta_j} for m = 1..degree, a read-only slice of the table."""
@@ -78,13 +67,42 @@ class TorusGrid:
         """-i*sign(m) on paired frequencies, zero at m = 0 and m = -N/2."""
         mult = -1j * np.sign(self.frequencies).astype(np.complex128)
         mult[0] = 0.0  # Nyquist bucket m = -N/2 is never analytic data
-        mult.setflags(write=False)
-        return mult
+        return _frozen(mult)
 
 
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, floats and strings."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(value, name: str, least: int, most: int | None = None) -> int:
+    """The integer rule: a Python or numpy integer, not a bool, in least..most
+    (no upper end when most is None); returned as a plain int."""
+    if not _is_integer(value) or value < least or (most is not None and value > most):
+        span = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {span}; got {value!r}")
+    return int(value)
+
+
+def _check_table(n: int) -> None:
+    """The memory guard on the N x N character table, checked before anything is allocated."""
+    if n * n > MEMORY_GUARD_ENTRIES:
+        raise ValueError(f"memory guard: the {n}x{n} character table exceeds "
+                         f"{MEMORY_GUARD_ENTRIES} entries")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr itself, marked read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _stored(values, shape: tuple, what: str) -> np.ndarray:
+    """A read-only complex copy of values, which must have the given shape."""
+    arr = np.array(values, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}; got {arr.shape}")
+    return _frozen(arr)
 
 
 def _check_grid_size(n_points) -> None:
@@ -118,14 +136,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values must have shape ({self.grid.n_points},); got {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _stored(self.values, (self.grid.n_points,), "values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,26 +147,19 @@ class Spectrum:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"coefficients must have shape ({self.grid.n_points},); got {coeffs.shape}"
-            )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients",
+                           _stored(self.coefficients, (self.grid.n_points,), "coefficients"))
 
     def coefficient(self, m: int) -> complex:
         n = self.grid.n_points
-        if not _is_integer(m) or not -n // 2 <= m < n // 2:
-            raise ValueError(f"frequency m must be an integer in -{n // 2} .. {n // 2 - 1}; "
-                             f"got {m!r}")
+        m = _check_integer(m, "frequency m", -n // 2, n // 2 - 1)
         return complex(self.coefficients[m + n // 2])
 
 
-def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid.n_points != g.grid.n_points:
-        raise ValueError("grid mismatch between operands")
+def _require_same_grid(a: TorusGrid, b: TorusGrid, what: str) -> None:
+    """The same-grid rule for two operands of one operation."""
+    if a.n_points != b.n_points:
+        raise ValueError(f"grid mismatch between {what}")
 
 
 def analyze(f: GridFunction) -> Spectrum:
@@ -181,7 +185,7 @@ def sigma(grid: TorusGrid) -> GridFunction:
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """<f, g> = (1/N) sum_j f(j) conj(g(j))."""
-    _require_same_grid(f, g)
+    _require_same_grid(f.grid, g.grid, "operands")
     return complex(np.vdot(g.values, f.values) / f.grid.n_points)
 
 

@@ -457,6 +457,21 @@ class TestCliEndToEnd:
         assert result.returncode == 2
         assert result.stderr.startswith("error: seed") and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command, flags, samples, budget", [
+        ("identities", "n_points depth max_degree samples", 400, 200),
+        ("lemmas", "n_points max_degree samples", 2000, 200),
+        ("theorem", "n_points depth max_degree samples", 200, 200),
+        ("constant-search", "n_points depth max_degree samples budget", 4, 200),
+        ("convergence", "resolutions", 400, 200),
+    ])
+    def test_command_flags_and_defaults(self, command, flags, samples, budget):
+        # each command's own flags plus the common five; with no flags, its
+        # config is HarnessConfig's but for the command's own sample and step counts
+        args = cli.build_parser().parse_args([command])
+        assert set(vars(args)) - {"command"} == set(flags.split()) | {
+            "seed", "tol", "out", "csv", "config"}
+        assert cli._build_config(args) == HarnessConfig(samples=samples, budget=budget)
+
     def test_exit_one_on_failed_precondition(self, monkeypatch, capsys):
         # a ValueError inside a command is a mathematical failure, not a usage error
         def fail(config):

@@ -490,6 +490,33 @@ class TestStabilityFromCoefficients:
         ref = stability_report(MartingaleField(grid, 1, np.exp(1j * grid.angles)), phases)
         assert_reports_agree(rep, ref, [np.ones((1, 1))], 1e-13)
 
+    @pytest.mark.parametrize("n, depth, degree, seed",
+                             [(4, 2, 1, 0), (8, 3, 3, 1), (16, 2, 7, 2)])
+    def test_ratio_is_scale_free_over_280_decades(self, n, depth, degree, seed):
+        """The ratio is homogeneous of degree 0 in the coefficients, and both paths
+        keep it to 1e-12 relative at scales 10^k, k in -140..140.  Further out the
+        squared moments underflow or overflow (ROADMAP item 5)."""
+        cfg = EnsembleConfig(seed=seed, n_points=n, depth=depth, max_degree=degree)
+        grid, coeffs = make_grid(n), random_coefficient_arrays(cfg)
+        phases = random_adapted_phases(cfg)
+        unit = stability_report_from_coefficients(grid, coeffs, phases).ratio
+        for k in range(-140, 141):
+            scaled = [10.0**k * c for c in coeffs]
+            field = martingale_from_coefficients(grid, scaled)
+            for ratio in (stability_report_from_coefficients(grid, scaled, phases).ratio,
+                          stability_report(field, phases).ratio):
+                assert abs(ratio - unit) <= 1e-12 * unit, (k, ratio, unit)
+
+    def test_levels_share_no_memory(self):
+        # level 1's dyadic coefficient is the projection of a 0-d mu: a new array
+        cfg = EnsembleConfig(seed=3, n_points=8, depth=2, max_degree=3)
+        grid, coeffs = make_grid(8), random_coefficient_arrays(cfg)
+        phases = random_adapted_phases(cfg)
+        for rep in (stability_report_from_coefficients(grid, coeffs, phases),
+                    stability_report(martingale_from_coefficients(grid, coeffs), phases)):
+            for b, mu in zip(rep.dyadic_coeffs, rep.sigma_coeffs):
+                assert not np.shares_memory(b, mu)
+
     @pytest.mark.parametrize("coeffs, match", [
         ([np.ones((1, 2)), np.ones((4, 2))], "8 rows"),
         ([np.ones((1, 0))], "degree"),

@@ -29,6 +29,7 @@ from hardylab import (
     sine_part,
     transform,
 )
+from hardylab.inequalities import _sign_modes
 
 import oracles
 
@@ -438,6 +439,14 @@ class TestDyadicProjection:
         odd = arr - np.flip(arr, axis=odd_axis)
         assert (project_dyadic_cells(grid, odd) == 0).all()
 
+    @pytest.mark.parametrize("shape", [(), (8,), (8, 8)])
+    def test_projection_is_a_new_array(self, shape):
+        # with no axis to average the projection is the identity, but still a copy
+        arr = np.full(shape, 1.0 + 2.0j)
+        projected = project_dyadic_cells(make_grid(8), arr)
+        assert not np.shares_memory(projected, arr)
+        np.testing.assert_array_equal(projected, arr)
+
 
 def _spectrum():
     return analyze(GridFunction(make_grid(8), np.ones(8)))
@@ -446,13 +455,17 @@ def _spectrum():
 @pytest.mark.parametrize("call, name", [
     (lambda: level(product_mode_field(4), 1.5), "level index k"),
     (lambda: level(product_mode_field(4), True), "level index k"),
+    (lambda: level(product_mode_field(4), 3), "level index k"),
     (lambda: _spectrum().coefficient(2.5), "frequency m"),
     (lambda: _spectrum().coefficient(True), "frequency m"),
+    (lambda: _spectrum().coefficient(4), "frequency m"),
     (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), 2.5), "count"),
     (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), True), "count"),
+    (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), 0), "count"),
     (lambda: project_dyadic_cells(make_grid(8), np.zeros((8, 6))), "arr"),
-], ids=["level-float", "level-bool", "coefficient-float", "coefficient-bool",
-        "count-float", "count-bool", "arr-short-axis"])
+], ids=["level-float", "level-bool", "level-above-depth", "coefficient-float",
+        "coefficient-bool", "coefficient-above-range", "count-float", "count-bool", "count-zero",
+        "arr-short-axis"])
 def test_public_arguments_follow_the_shared_rules(call, name):
     with pytest.raises(ValueError, match=name):
         call()
@@ -501,10 +514,16 @@ class TestFieldFromDifferences:
         d1[:] = 7.0
         np.testing.assert_array_equal(G.terminal, expected_g)
         assert np.max(np.abs(F.terminal - expected_f)) < 1e-14
+        assert not np.shares_memory(G.diffs[0], d1)
         for d in F.diffs + G.diffs:
             assert not d.flags.writeable
             with pytest.raises(ValueError):
                 d[0] = 1.0
+        # the multipliers W and the sign-mode weights follow the same rule
+        terms = (np.asarray(1.0 + 0j), np.exp(1j * grid.angles))
+        for stored, given in zip(AdaptedPhases(grid, terms).terms, terms):
+            assert not stored.flags.writeable and not np.shares_memory(stored, given)
+        assert not _sign_modes(grid, 1)[0].flags.writeable
 
 
 @st.composite

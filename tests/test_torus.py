@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hardylab import (
     GridFunction,
+    Spectrum,
     analyze,
     from_imaginary_part,
     hilbert,
@@ -90,6 +91,13 @@ class TestSpectra:
         modes = grid.analytic_modes(n // 2 - 1)  # m = 1 .. N/2-1, a view of the table
         assert np.shares_memory(modes, table) and not modes.flags.writeable
         np.testing.assert_array_equal(modes, table[n // 2 + 1 :])
+        # every table the grid caches, and every array a constructor stores, is
+        # read-only; the stored ones are copies of the caller's input
+        for cached in (grid.angles, grid.sign_values, grid.frequencies, grid.hilbert_multiplier):
+            assert not cached.flags.writeable
+        given = np.arange(n, dtype=complex)
+        for stored in (GridFunction(grid, given).values, Spectrum(grid, given).coefficients):
+            assert not stored.flags.writeable and not np.shares_memory(stored, given)
 
     def test_character_table_is_guarded(self):
         # 8192^2 entries exceed the guard: refused before any allocation, by
