@@ -134,12 +134,6 @@ def _finite_json(obj):
     return obj
 
 
-def _config_echo(config: HarnessConfig) -> dict:
-    echo = asdict(config)
-    echo["resolutions"] = list(config.resolutions)
-    return echo
-
-
 def _child_seed(seed: int, *key: int) -> int:
     seq = np.random.SeedSequence(entropy=[int(seed), *key])
     return int(seq.generate_state(1, np.uint64)[0])
@@ -148,47 +142,36 @@ def _child_seed(seed: int, *key: int) -> int:
 _WORST = {"min-slack": np.argmin, "max-residual": np.argmax}
 
 
-class _Collector:
-    """Accumulates per-suite worst cases plus every individual violation."""
-
-    def __init__(self):
-        self.checks: list = []
-
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
-
-    def scan(self, suite: str, label: str, lhs, rhs, gap, passed) -> CheckRecord:
-        """Record one suite from per-sample arrays: first the worst sample i,
-        `suite/label(sample i)` with label "min-slack" (smallest gap) or
-        "max-residual" (largest gap), then `suite/sample-j` for every other
-        failing sample j, so each failing sample is counted once.  Returns the
-        worst record."""
-        def record(check_id: str, j: int) -> CheckRecord:
-            return CheckRecord(check_id, float(lhs[j]), float(rhs[j]), float(gap[j]),
-                               bool(passed[j]))
-
-        i = int(_WORST[label](gap))
-        worst = record(f"{suite}/{label}(sample {i})", i)
-        self.add(worst)
-        self.checks += [record(f"{suite}/sample-{j}", j)
-                        for j in np.flatnonzero(np.logical_not(passed)) if j != i]
-        return worst
-
-    @property
-    def violation_count(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
+def _check(check_id: str, lhs, rhs, verdict: tuple) -> CheckRecord:
+    """One record from its two sides and the (gap, passed) of a shared verdict."""
+    gap, passed = verdict
+    return CheckRecord(check_id, float(lhs), float(rhs), float(gap), bool(passed))
 
 
-def _finish(command: str, config: HarnessConfig, collector: _Collector,
+def _scan(checks: list, suite: str, label: str, lhs, rhs, gap, passed) -> CheckRecord:
+    """Record one suite from per-sample arrays: first the worst sample i,
+    `suite/label(sample i)` with label "min-slack" (smallest gap) or
+    "max-residual" (largest gap), then `suite/sample-j` for every other
+    failing sample j, so each failing sample is counted once.  Returns the
+    worst record."""
+    i = int(_WORST[label](gap))
+    worst = _check(f"{suite}/{label}(sample {i})", lhs[i], rhs[i], (gap[i], passed[i]))
+    checks.append(worst)
+    checks += [_check(f"{suite}/sample-{j}", lhs[j], rhs[j], (gap[j], passed[j]))
+               for j in np.flatnonzero(np.logical_not(passed)) if j != i]
+    return worst
+
+
+def _finish(command: str, config: HarnessConfig, checks: list,
             t0: float, extra: dict | None = None) -> RunReport:
     aggregates = {
-        "violation_count": collector.violation_count,
-        "checks_recorded": len(collector.checks),
+        "violation_count": sum(1 for c in checks if not c.passed),
+        "checks_recorded": len(checks),
         "runtime_seconds": time.monotonic() - t0,
     }
     if extra:
         aggregates.update(extra)
-    return RunReport(command, _config_echo(config), collector.checks, aggregates)
+    return RunReport(command, asdict(config), checks, aggregates)
 
 
 def _ensemble(config: HarnessConfig, tag: int, i: int, depth: int) -> EnsembleConfig:
@@ -224,7 +207,7 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
     """Exact-identity suites: single-coordinate identity, orthogonal split,
     and the transform isometry for Hardy martingales."""
     t0 = time.monotonic()
-    col = _Collector()
+    checks: list = []
     rng = _scalar_rng(config, 100)
     sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))  # lhs, rhs, scale
 
@@ -243,17 +226,17 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
         sides[2, i] = (lhs, rhs, previsible_norm(field_))
 
     max_residual = max(
-        col.scan(suite, "max-residual", lhs, rhs,
-                 *residual_verdict(lhs, rhs, scale, config.tol)).gap
+        _scan(checks, suite, "max-residual", lhs, rhs,
+              *residual_verdict(lhs, rhs, scale, config.tol)).gap
         for suite, (lhs, rhs, scale) in zip(_IDENTITY_SUITES, sides.transpose(0, 2, 1)))
-    return _finish("identities", config, col, t0, {"max_residual": max_residual})
+    return _finish("identities", config, checks, t0, {"max_residual": max_residual})
 
 
 def cmd_lemmas(config: HarnessConfig) -> RunReport:
     """Scalar envelope bounds on stratified samples plus the integral bounds
     for random analytic data."""
     t0 = time.monotonic()
-    col = _Collector()
+    checks: list = []
     tol = config.tol
 
     mu, b, w = arith_sample_batch(_ensemble(config, 10, 0, 1), config.samples)
@@ -272,13 +255,13 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
         "shift-bound": (shift_lhs, shift_rhs),
         "rotation-bound": (rotation_lhs, rotation_rhs),
     }
-    min_slack = min(col.scan(suite, "min-slack", lhs, rhs, *slack_verdict(lhs, rhs, tol)).gap
+    min_slack = min(_scan(checks, suite, "min-slack", lhs, rhs, *slack_verdict(lhs, rhs, tol)).gap
                     for suite, (lhs, rhs) in bounds.items())
-    worst_split = col.scan("perturbation-split", "max-residual", shift_lhs, split_rhs,
-                           *residual_verdict(shift_lhs, split_rhs, split_rhs, tol))
+    worst_split = _scan(checks, "perturbation-split", "max-residual", shift_lhs, split_rhs,
+                        *residual_verdict(shift_lhs, split_rhs, split_rhs, tol))
 
     return _finish(
-        "lemmas", config, col, t0,
+        "lemmas", config, checks, t0,
         {"min_slack": min_slack, "max_split_residual": worst_split.gap},
     )
 
@@ -318,7 +301,7 @@ def cmd_theorem(config: HarnessConfig) -> RunReport:
     margins and the empirical maximum of the final ratio.  The chain is
     evaluated over chunks of samples at once."""
     t0 = time.monotonic()
-    col = _Collector()
+    checks: list = []
     grid = make_grid(config.n_points)
     ratios, sides = [], []
     for _, blocks, angles in _chunks(config, 20):
@@ -327,10 +310,11 @@ def cmd_theorem(config: HarnessConfig) -> RunReport:
         sides.append(_chain_sides(rep, config.tol))
 
     lhs, rhs, gap, passed = (np.concatenate(x, axis=1) for x in zip(*sides))
-    min_slack = min(col.scan(f"chain/{step}", "min-slack", lhs[k], rhs[k], gap[k], passed[k]).gap
+    min_slack = min(_scan(checks, f"chain/{step}", "min-slack", lhs[k], rhs[k], gap[k],
+                          passed[k]).gap
                     for k, step in enumerate(CHAIN_STEPS))
     return _finish(
-        "theorem", config, col, t0,
+        "theorem", config, checks, t0,
         {"max_ratio": max([0.0, *np.concatenate(ratios).tolist()]), "min_slack": min_slack,
          "chain_constant": CHAIN_CONSTANT},
     )
@@ -351,7 +335,6 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
     rebuilt in (start, step) order from each start's accepted steps.
     """
     t0 = time.monotonic()
-    col = _Collector()
     grid = make_grid(config.n_points)
 
     best_ratio = -math.inf
@@ -391,10 +374,10 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
 
     deltas = [b["ratio"] - a["ratio"] for a, b in zip(trace, trace[1:])]
     min_delta = min(deltas, default=0.0)
-    col.add(CheckRecord("search/trace-monotone", 0.0, min_delta, min_delta, min_delta >= 0.0))
-    gap, passed = slack_verdict(best_ratio, CHAIN_CONSTANT, config.tol)
-    col.add(CheckRecord("search/best-below-chain-constant", best_ratio, CHAIN_CONSTANT,
-                        float(gap), bool(passed)))
+    checks = [
+        _check("search/trace-monotone", 0.0, min_delta, slack_verdict(0.0, min_delta, config.tol)),
+        _check("search/best-below-chain-constant", best_ratio, CHAIN_CONSTANT,
+               slack_verdict(best_ratio, CHAIN_CONSTANT, config.tol))]
 
     argmax = None
     if best_state is not None:
@@ -409,7 +392,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
             "phase_angles": [np.asarray(a).tolist() for a in angles],
         }
     return _finish(
-        "constant-search", config, col, t0,
+        "constant-search", config, checks, t0,
         {"best_ratio": best_ratio, "trace": trace, "argmax": argmax,
          "chain_constant": CHAIN_CONSTANT},
     )
@@ -419,7 +402,7 @@ def cmd_convergence(config: HarnessConfig) -> RunReport:
     """Resolution sweep of the dyadic coefficient of cos(theta), with the
     analytic limit 2/pi as anchor."""
     t0 = time.monotonic()
-    col = _Collector()
+    checks: list = []
     tol = max(config.tol, 1e-12)
 
     rows = []
@@ -432,29 +415,22 @@ def cmd_convergence(config: HarnessConfig) -> RunReport:
         errors[n] = err
         rows.append((n, "dyadic-cos-coefficient", b_n))
         rows.append((n, "dyadic-cos-error", err))
-        col.add(
-            CheckRecord(
-                f"error-bound/N{n}", err, 1.0 / n, 1.0 / n - err, err <= 1.0 / n
-            )
-        )
+        checks.append(_check(f"error-bound/N{n}", err, 1.0 / n, slack_verdict(err, 1.0 / n, tol)))
         if n in _ANCHORS:
-            residual, passed = residual_verdict(b_n, _ANCHORS[n], _ANCHORS[n], tol)
-            col.add(CheckRecord(f"anchor/N{n}", b_n, _ANCHORS[n], float(residual), bool(passed)))
+            anchor = _ANCHORS[n]
+            checks.append(_check(f"anchor/N{n}", b_n, anchor,
+                                 residual_verdict(b_n, anchor, anchor, tol)))
 
     fitted_order = None
     if len(errors) >= 2:
         ns = np.array(sorted(errors))
         errs = np.array([errors[n] for n in ns])
         fitted_order = float(-np.polyfit(np.log(ns), np.log(errs), 1)[0])
-        col.add(
-            CheckRecord(
-                "fitted-order-at-least-0.9", 0.9, fitted_order,
-                fitted_order - 0.9, fitted_order >= 0.9
-            )
-        )
+        checks.append(_check("fitted-order-at-least-0.9", 0.9, fitted_order,
+                             slack_verdict(0.9, fitted_order, tol)))
 
     return _finish(
-        "convergence", config, col, t0,
+        "convergence", config, checks, t0,
         {
             "fitted_order": fitted_order,
             "limit": HALF_CIRCLE_MEAN,

@@ -110,6 +110,9 @@ def _check_grid_size(n_points) -> None:
         raise ValueError(
             f"n_points must be an integer multiple of 4, at least 4; got {n_points!r}"
         )
+    if n_points > MEMORY_GUARD_ENTRIES:  # the grid's own arrays hold N entries
+        raise ValueError(f"memory guard: n_points = {n_points} exceeds "
+                         f"{MEMORY_GUARD_ENTRIES} entries")
 
 
 def make_grid(n_points: int) -> TorusGrid:

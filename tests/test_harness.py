@@ -35,7 +35,8 @@ from hardylab import (
     write_json_report,
 )
 from hardylab import cli, harness, inequalities
-from hardylab.harness import _Collector
+from hardylab.harness import _scan
+from hardylab.inequalities import residual_verdict
 
 
 def small_config(**kw):
@@ -83,6 +84,8 @@ class TestIdentitiesCommand:
         with pytest.raises(UsageError, match="memory guard: the 8192x8192 character table"):
             HarnessConfig(n_points=8192, depth=1)
         assert "characters" not in make_grid(8192).__dict__
+        with pytest.raises(UsageError, match="memory guard: n_points = 67108864"):
+            HarnessConfig(resolutions=(4, 2**26))
 
     @pytest.mark.parametrize("settings, match", [
         ({"depth": 0}, "depth"),
@@ -165,7 +168,7 @@ class TestTheoremCommand:
         report = cmd_theorem(config)
         assert report.aggregates["violation_count"] == config.samples
 
-        grid, col, ratios = make_grid(8), _Collector(), []
+        grid, checks, ratios = make_grid(8), [], []
         steps = []
         for i in range(config.samples):
             cfg = harness._ensemble(config, 20, i, config.depth)
@@ -175,11 +178,12 @@ class TestTheoremCommand:
             steps.append(verify_chain(rep, slack=config.tol))
         for k, step in enumerate(harness.CHAIN_STEPS):
             records = [sample[k] for sample in steps]
-            col.scan(f"chain/{step}", "min-slack", *(np.array([getattr(r, name) for r in records])
-                                                     for name in ("lhs", "rhs", "gap", "passed")))
+            _scan(checks, f"chain/{step}", "min-slack",
+                  *(np.array([getattr(r, name) for r in records])
+                    for name in ("lhs", "rhs", "gap", "passed")))
 
         # batch rows round as lone samples do, so the records are equal bit for bit
-        assert report.checks == col.checks
+        assert report.checks == checks
         assert report.aggregates["max_ratio"] == max(ratios)
 
 
@@ -341,17 +345,17 @@ class TestReportPlumbing:
         assert report.aggregates["violation_count"] == len(failing)
 
     def test_scan_lists_the_worst_sample_first_and_once(self):
-        col = _Collector()
+        checks = []
         lhs, rhs = np.array([0.0, 2.0, 3.0, 1.0]), np.ones(4)
         gap, passed = np.array([0.5, -0.5, -2 / 3, 0.0]), np.array([True, False, False, True])
-        worst = col.scan("chain/step", "min-slack", lhs, rhs, gap, passed)
+        worst = _scan(checks, "chain/step", "min-slack", lhs, rhs, gap, passed)
         assert worst == CheckRecord("chain/step/min-slack(sample 2)", 3.0, 1.0, -2 / 3, False)
-        assert col.checks == [worst, CheckRecord("chain/step/sample-1", 2.0, 1.0, -0.5, False)]
-        worst = col.scan("split", "max-residual", [1.0, 1.5], [1.0, 1.0], [0.0, 0.5],
-                         [True, False])
+        assert checks == [worst, CheckRecord("chain/step/sample-1", 2.0, 1.0, -0.5, False)]
+        worst = _scan(checks, "split", "max-residual", [1.0, 1.5], [1.0, 1.0], [0.0, 0.5],
+                      [True, False])
         assert worst.check_id == "split/max-residual(sample 1)"
-        assert col.violation_count == 3
-        json.dumps(RunReport("x", {}, col.checks).to_dict())  # plain floats and bools
+        assert sum(1 for c in checks if not c.passed) == 3
+        json.dumps(RunReport("x", {}, checks).to_dict())  # plain floats and bools
 
     def test_json_round_trip(self, tmp_path):
         report = cmd_identities(small_config(samples=10))
@@ -415,6 +419,27 @@ class TestReportPlumbing:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "resolution,quantity,value"
         assert len(lines) == 1 + 4  # two quantities per resolution
+
+
+class TestRecordRoute:
+    """Every single-check record takes its gap and verdict from the shared rules."""
+
+    @pytest.mark.parametrize("command, config", [
+        (cmd_convergence, HarnessConfig(resolutions=(4, 8, 12, 16, 32))),
+        (cmd_convergence, HarnessConfig(resolutions=(8, 64, 128), tol=0.3)),
+        (cmd_constant_search, small_config(samples=3, budget=20)),
+        (cmd_constant_search, small_config(samples=2, budget=0, tol=0.5)),
+    ])
+    def test_records_match_the_shared_verdicts(self, command, config):
+        report = command(config)
+        tol = max(config.tol, 1e-12) if command is cmd_convergence else config.tol
+        assert report.checks
+        for check in report.checks:
+            if check.check_id.startswith("anchor/N"):
+                verdict = residual_verdict(check.lhs, check.rhs, check.rhs, tol)
+            else:
+                verdict = slack_verdict(check.lhs, check.rhs, tol)
+            assert (check.gap, check.passed) == (float(verdict[0]), bool(verdict[1])), check
 
 
 class TestCliEndToEnd:
@@ -529,6 +554,12 @@ class TestCliEndToEnd:
         result = run_cli("lemmas", "--config", str(cfg_file))
         assert result.returncode == 2
         assert result.stderr.startswith("error: memory guard") and "Traceback" not in result.stderr
+
+    def test_grid_above_the_memory_guard_is_a_usage_error(self):
+        result = run_cli("convergence", "--resolutions", "4,1099511627776")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: memory guard") and "n_points" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -99,6 +99,20 @@ class TestSpectra:
         for stored in (GridFunction(grid, given).values, Spectrum(grid, given).coefficients):
             assert not stored.flags.writeable and not np.shares_memory(stored, given)
 
+    def test_grid_size_is_guarded(self):
+        # N itself is bounded by the guard: the grid's angles, signs and every
+        # N-entry function would otherwise be as large as N; refused before any allocation
+        assert make_grid(2**24).n_points == 2**24
+        tracemalloc.start()
+        try:
+            for n in (2**24 + 4, 2**40):
+                with pytest.raises(ValueError, match=f"memory guard: n_points = {n} exceeds"):
+                    make_grid(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_character_table_is_guarded(self):
         # 8192^2 entries exceed the guard: refused before any allocation, by
         # the table itself and so by every transform that reads it
