@@ -5,11 +5,19 @@ for level k come from the substream (0, k), phase draws from (1, k), and
 scalar samples from (2,).  Identical configs therefore reproduce identical
 output within this implementation; no cross-implementation bit match is
 promised.
+
+A run's sample i is seeded by the child seed SeedSequence([seed, tag, i]).
+ensemble_chunk draws the samples of a whole chunk at once: it computes every
+child seed and every substream's PCG64 seed words with numpy's SeedSequence
+hash written over uint32 arrays, one row per stream, so its draws equal
+per-sample seeding bit for bit (tests/test_ensembles.py pins this).  The
+single-sample functions keep numpy's own SeedSequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,8 +55,119 @@ def _stream(cfg: EnsembleConfig, *key: int) -> np.random.Generator:
 
 
 def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z / np.sqrt(2.0)
+    return _complex_normal(rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(re + 1j * im) / sqrt(2), elementwise, built in one complex buffer."""
+    z = 1j * im
+    z += re
+    z /= np.sqrt(2.0)
+    return z
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) over uint32 arrays
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _int_words(n: int) -> list:
+    """The uint32 words of a nonnegative integer, least significant first; 0 is [0]."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(value: int, mult: int):
+    """The running constant of one of SeedSequence's hashes, before and after each step."""
+    while True:
+        before, value = value, value * mult & _MASK32
+        yield before, value
+
+
+def _hashmix(value: np.ndarray, constants, steps: int) -> np.ndarray:
+    """SeedSequence's hashmix, `steps` consecutive times, of value broadcast against
+    the next `steps` constants: shape (rows, steps).  uint32 array arithmetic wraps
+    silently; on numpy scalars it would warn."""
+    before, after = np.array([next(constants) for _ in range(steps)], np.uint32).T
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = 0xCA01F9DD * x - 0x4973F715 * y
+    return value ^ (value >> 16)
+
+
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy=row words).generate_state(n_words, np.uint64) for every
+    row of a (rows, words) uint32 array: the pool mixed from the entropy, then
+    stretched into n_words uint64 words per row, shape (rows, n_words).  Each of
+    numpy's loops over destination pool words reads one fixed source word, so
+    every such loop is one array operation here."""
+    rows, length = entropy.shape
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875)
+    padded = np.zeros((rows, _POOL_SIZE), np.uint32)
+    padded[:, :length] = entropy[:, :_POOL_SIZE]
+    pool = _hashmix(padded, constants, _POOL_SIZE)
+    for src in range(_POOL_SIZE):  # mix every pool word into every other
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, np.newaxis], constants, len(dst)))
+    for src in range(_POOL_SIZE, length):  # then the entropy beyond the pool
+        pool = _mix(pool, _hashmix(entropy[:, src, np.newaxis], constants, _POOL_SIZE))
+    constants = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    cycle = np.arange(2 * n_words) % _POOL_SIZE
+    half = _hashmix(pool[:, cycle], constants, 2 * n_words)
+    return half.astype("<u4", order="C").view("<u8").astype(np.uint64)  # numpy's word order
+
+
+def _child_seeds(seed: int, tag: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence(entropy=[seed, tag, i]).generate_state(1, np.uint64)[0] for the
+    samples i = first .. first+count-1, as a uint64 array; first + count <= 2**64."""
+    if first + count > 2**64:
+        raise ValueError(f"sample indices must stay below 2**64; got {first} + {count}")
+    prefix = _int_words(seed) + _int_words(tag)
+    out = np.empty(count, np.uint64)
+    split = min(max(2**32 - first, 0), count)  # an index below 2**32 is one word, a larger one two
+    for start, stop, n_words in ((0, split, 1), (split, count, 2)):
+        if start < stop:
+            index = np.arange(first + start, first + stop, dtype=np.uint64)
+            entropy = np.empty((stop - start, len(prefix) + n_words), np.uint32)
+            entropy[:, :len(prefix)] = prefix
+            entropy[:, len(prefix):] = np.stack([index & _MASK32, index >> 32][:n_words], axis=-1)
+            out[start:stop] = _seed_words(entropy, 1)[:, 0]
+    return out
+
+
+def _stream_seeds(children: np.ndarray, keys) -> np.ndarray:
+    """SeedSequence(entropy=child, spawn_key=key).generate_state(4, np.uint64), the
+    PCG64 seed of _stream, for every uint64 child and key: shape (children, keys, 4).
+    A spawn key pads the child's words with zeros to the pool size, so a child below
+    2**32 has the words of [child, 0]."""
+    keys = np.array(keys, np.uint32)
+    entropy = np.zeros((len(children), len(keys), _POOL_SIZE + keys.shape[1]), np.uint32)
+    entropy[..., 0] = (children & _MASK32)[:, np.newaxis]
+    entropy[..., 1] = (children >> 32)[:, np.newaxis]
+    entropy[..., _POOL_SIZE:] = keys
+    return _seed_words(entropy.reshape(-1, entropy.shape[-1]), 4).reshape(entropy.shape[:2] + (4,))
+
+
+@cache
+def _seed_words_type() -> type:
+    """A numpy ISeedSequence that hands PCG64 its seed words as computed ahead.
+    Built on first use, so importing the package does not load numpy.random."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 words, once
+
+    return SeedWords
 
 
 def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleField:
@@ -63,12 +182,15 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
     return field_from_differences(grid, len(diffs), 0.0, diffs)
 
 
+def _analytic_function(grid: TorusGrid, coeff: np.ndarray) -> GridFunction:
+    """The polynomial sum_{m=1..d} c_m e^{im theta} of a (1, d) coefficient row."""
+    return GridFunction(grid, (coeff @ grid.analytic_modes(coeff.shape[1]))[0])
+
+
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
     """Random analytic polynomial sum_{m=1..d} c_m e^{im theta}."""
-    grid = make_grid(cfg.n_points)
     coeff = _standard_complex(_stream(cfg, 0, 1), (1, cfg.max_degree))
-    values = (coeff @ grid.analytic_modes(cfg.max_degree))[0]
-    return GridFunction(grid, values)
+    return _analytic_function(make_grid(cfg.n_points), coeff)
 
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:
@@ -83,6 +205,48 @@ def random_hardy_martingale(cfg: EnsembleConfig) -> MartingaleField:
     """Random Hardy martingale: every conditioned difference slice is a fresh
     analytic polynomial of degree <= max_degree."""
     return martingale_from_coefficients(make_grid(cfg.n_points), random_coefficient_arrays(cfg))
+
+
+def ensemble_chunk(cfg: EnsembleConfig, tag: int, first: int, count: int,
+                   phases: bool = True) -> tuple:
+    """The draws of samples first .. first+count-1 of the run (cfg.seed, tag).
+
+    Sample i draws exactly what random_coefficient_arrays and
+    random_phase_angle_arrays draw for EnsembleConfig(seed=child_i, ...), with
+    child_i = SeedSequence([cfg.seed, tag, i]).generate_state(1, np.uint64)[0].
+    Returns (blocks, angles): blocks[k-1] of shape (count, N^(k-1), d) and
+    angles[k] of shape (count,) + (N,)*k stack the level-k draws along a
+    leading sample axis; angles is [] when phases is False.
+    """
+    tag = _check_integer(tag, "tag", 0)
+    first = _check_integer(first, "first", 0)
+    count = _check_integer(count, "count", 1)
+    n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
+    keys = [(0, k) for k in range(1, depth + 1)] + ([(1, k) for k in range(depth)] if phases else [])
+    words = _stream_seeds(_child_seeds(cfg.seed, tag, first, count), keys)
+    seed_words = _seed_words_type()
+
+    def streams(key: int):
+        """Sample by sample, the generator of substream keys[key], made when it is drawn."""
+        return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words[:, key])
+
+    blocks = []
+    for k in range(1, depth + 1):
+        # each sample's normals go straight into the chunk's real and imaginary parts
+        re, im = np.empty((2, count, n ** (k - 1), degree))
+        for rng, re_row, im_row in zip(streams(k - 1), re, im):
+            rng.standard_normal(out=re_row)
+            rng.standard_normal(out=im_row)
+        blocks.append(_complex_normal(re, im))
+    angles = []
+    for k in range(depth if phases else 0):
+        # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
+        phi = np.empty((count,) + (n,) * k)
+        for rng, row in zip(streams(depth + k), phi.reshape(count, -1)):
+            rng.random(out=row)
+        phi *= 2.0 * np.pi
+        angles.append(phi)
+    return blocks, angles
 
 
 def _unit(phi) -> np.ndarray:

@@ -19,13 +19,13 @@ import numpy as np
 
 from .ensembles import (
     EnsembleConfig,
+    _analytic_function,
+    _child_seeds,
     _unit,
     arith_sample_batch,
-    random_adapted_phases,
-    random_coefficient_arrays,
-    random_hardy_function,
-    random_hardy_martingale,
-    random_phase_angle_arrays,
+    ensemble_chunk,
+    martingale_from_coefficients,
+    phases_from_angles,
 )
 from .inequalities import (
     CHAIN_CONSTANT,
@@ -134,11 +134,6 @@ def _finite_json(obj):
     return obj
 
 
-def _child_seed(seed: int, *key: int) -> int:
-    seq = np.random.SeedSequence(entropy=[int(seed), *key])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 _WORST = {"min-slack": np.argmin, "max-residual": np.argmax}
 
 
@@ -174,15 +169,6 @@ def _finish(command: str, config: HarnessConfig, checks: list,
     return RunReport(command, asdict(config), checks, aggregates)
 
 
-def _ensemble(config: HarnessConfig, tag: int, i: int, depth: int) -> EnsembleConfig:
-    return EnsembleConfig(
-        seed=_child_seed(config.seed, tag, i),
-        n_points=config.n_points,
-        depth=depth,
-        max_degree=config.max_degree,
-    )
-
-
 def _scalar_rng(config: HarnessConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(config.seed), *key]))
 
@@ -208,21 +194,19 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
     and the transform isometry for Hardy martingales."""
     t0 = time.monotonic()
     checks: list = []
+    grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 100)
     sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))  # lhs, rhs, scale
 
-    for i in range(config.samples):
-        h = random_hardy_function(_ensemble(config, 0, i, 1))
-        rep = sincos_identity_sides(h, *_scalar_draws(rng))
+    for i, (coeffs, _) in enumerate(_samples(config, 0, 1, phases=False)):
+        rep = sincos_identity_sides(_analytic_function(grid, coeffs[0]), *_scalar_draws(rng))
         sides[0, i] = (rep.lhs, rep.rhs, rep.rhs)
-    for i in range(config.samples):
-        h = random_hardy_function(_ensemble(config, 1, i, 1))
-        lhs, rhs = decomposition_sides(h, _scalar_shift(rng))
+    for i, (coeffs, _) in enumerate(_samples(config, 1, 1, phases=False)):
+        lhs, rhs = decomposition_sides(_analytic_function(grid, coeffs[0]), _scalar_shift(rng))
         sides[1, i] = (lhs, rhs, rhs)
-    for i in range(config.samples):
-        cfg = _ensemble(config, 2, i, config.depth)
-        field_ = random_hardy_martingale(cfg)
-        lhs, rhs = check_transform_isometry(field_, random_adapted_phases(cfg))
+    for i, (coeffs, angles) in enumerate(_samples(config, 2, config.depth)):
+        field_ = martingale_from_coefficients(grid, coeffs)
+        lhs, rhs = check_transform_isometry(field_, phases_from_angles(grid, angles))
         sides[2, i] = (lhs, rhs, previsible_norm(field_))
 
     max_residual = max(
@@ -239,12 +223,13 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     checks: list = []
     tol = config.tol
 
-    mu, b, w = arith_sample_batch(_ensemble(config, 10, 0, 1), config.samples)
+    grid = make_grid(config.n_points)
+    strata_seed = int(_child_seeds(config.seed, 10, 0, 1)[0])  # sample 0 of tag 10
+    mu, b, w = arith_sample_batch(EnsembleConfig(strata_seed, config.n_points), config.samples)
     rng = _scalar_rng(config, 101)
     sides = np.empty((config.samples, 5))
-    for i in range(config.samples):
-        h = random_hardy_function(_ensemble(config, 11, i, 1))
-        rep = perturbation_bounds(h, *_scalar_draws(rng))
+    for i, (coeffs, _) in enumerate(_samples(config, 11, 1, phases=False)):
+        rep = perturbation_bounds(_analytic_function(grid, coeffs[0]), *_scalar_draws(rng))
         sides[i] = (rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs, rep.rotation_rhs,
                     rep.split_rhs)
 
@@ -267,28 +252,30 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
 
 
 # Coefficients plus phases per chunk of samples: tens of small samples share
-# each call's overhead, while the chunk's temporaries stay near 1 MiB (at N8 d3,
-# 2^14 raises the peak RSS by ~1.4 MiB; 2^16 by ~6 MiB, no faster).
+# each call's overhead, while the chunk's temporaries stay near 1 MiB.  At
+# N8 d3, 2^16 is 10-25% faster than 2^14 but raises the peak RSS by ~4.7 MiB
+# (2^15: ~1.3 MiB; 2^12 takes ~1.7x as long), so the chunk stays at 2^14.
 _CHUNK_ENTRIES = 2**14
 
 
-def _chunks(config: HarnessConfig, tag: int):
+def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: bool = True):
     """Yield (first sample, coefficient blocks, phase angles) per chunk of the
-    config's samples.  Sample i is drawn alone, from _ensemble(config, tag, i,
-    depth); blocks[k-1] and angles[k] stack the chunk's level-k draws along a
-    leading sample axis."""
-    depth = config.depth
+    config's samples, drawn by ensemble_chunk for the run (config.seed, tag) at
+    the given depth (default config.depth): blocks[k-1] and angles[k] stack the
+    chunk's level-k draws along a leading sample axis."""
+    depth = config.depth if depth is None else depth
+    cfg = EnsembleConfig(config.seed, config.n_points, depth, config.max_degree)
     entries = (config.max_degree + 1) * sum(config.n_points**k for k in range(depth))
     chunk = max(1, _CHUNK_ENTRIES // entries)
     for first in range(0, config.samples, chunk):
-        draws = []
-        for i in range(first, min(first + chunk, config.samples)):
-            cfg = _ensemble(config, tag, i, depth)
-            draws.append((*random_coefficient_arrays(cfg), *random_phase_angle_arrays(cfg)))
-        # one sample is wrapped, not copied: at the memory guard it is the largest data
-        arrays = [x[np.newaxis] for x in draws[0]] if len(draws) == 1 else [
-            np.stack(level) for level in zip(*draws)]
-        yield first, arrays[:depth], arrays[depth:]
+        yield first, *ensemble_chunk(cfg, tag, first, min(chunk, config.samples - first), phases)
+
+
+def _samples(config: HarnessConfig, tag: int, depth: int, phases: bool = True):
+    """Yield each sample's (coefficient blocks, phase angles) from _chunks, in order."""
+    for _, blocks, angles in _chunks(config, tag, depth, phases):
+        for j in range(len(blocks[0])):
+            yield [c[j] for c in blocks], [a[j] for a in angles]
 
 
 def _score(grid, blocks, angles):

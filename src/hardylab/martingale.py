@@ -152,10 +152,9 @@ def _check_phases(phases: AdaptedPhases, grid: TorusGrid, depth: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SquareFunctionProfile:
-    """Per-level conditional second moments and the combined square function."""
+    """Per-level conditional second moments q_k = E_{k-1}|diff_k|^2."""
 
     level_moments: tuple
-    combined: np.ndarray
 
 
 def level(field: MartingaleField, k: int) -> np.ndarray:
@@ -194,15 +193,14 @@ def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
 
 
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
-    """Conditional second moments q_k = E_{k-1}|diff_k|^2 and their combined root."""
-    moments = tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in field.diffs)
-    combined = np.sqrt(_broadcast_sum(moments, field.depth, field.grid.n_points))
-    return SquareFunctionProfile(moments, combined)
+    """Conditional second moments q_k = E_{k-1}|diff_k|^2."""
+    return SquareFunctionProfile(tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in field.diffs))
 
 
 def previsible_norm(field: MartingaleField) -> float:
-    """L^1 norm of the conditional square function."""
-    return float(np.mean(cond_square_profile(field).combined))
+    """L^1 norm of the conditional square function sqrt(sum_k q_k)."""
+    moments = cond_square_profile(field).level_moments
+    return float(np.mean(np.sqrt(_broadcast_sum(moments, field.depth, field.grid.n_points))))
 
 
 def _even_part(diff: np.ndarray) -> np.ndarray:

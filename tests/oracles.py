@@ -3,10 +3,17 @@
 Everything here is written with explicit Python loops over index tuples and
 scalar arithmetic from the math module, deliberately independent of the
 vectorized reduction paths in the package.  Only practical for tiny grids.
+
+The per-sample seeding at the end is numpy's own SeedSequence, one sample at a
+time: the reference that the harness's chunked seeding must equal bit for bit.
 """
 
 import itertools
 import math
+
+import numpy as np
+
+from hardylab import EnsembleConfig
 
 
 def grid_angles(n):
@@ -109,3 +116,15 @@ def oracle_single_step_stability(n):
         "base_p": base_p,
         "ratio": ratio,
     }
+
+
+def child_seed(seed, tag, i):
+    """The seed of sample i of the run (seed, tag): SeedSequence([seed, tag, i])'s first word."""
+    seq = np.random.SeedSequence(entropy=[int(seed), tag, i])
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+def sample_ensemble(config, tag, i, depth):
+    """The EnsembleConfig that sample i of the run (config.seed, tag) draws from alone."""
+    return EnsembleConfig(seed=child_seed(config.seed, tag, i), n_points=config.n_points,
+                          depth=depth, max_degree=config.max_degree)

@@ -1,17 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import (
     EnsembleConfig,
     arith_sample_batch,
+    ensemble_chunk,
     is_hardy,
     is_hardy_martingale,
     make_grid,
     random_adapted_phases,
     random_hardy_function,
+    random_coefficient_arrays,
     random_hardy_martingale,
+    random_phase_angle_arrays,
 )
-from hardylab.ensembles import ARITH_STRATA
+from hardylab.ensembles import ARITH_STRATA, _child_seeds, _seed_words_type, _stream_seeds
+
+import oracles
 
 
 class TestConfigValidation:
@@ -164,3 +173,82 @@ class TestArithSampler:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             arith_sample_batch(EnsembleConfig(seed=1, n_points=8), 0)
+
+
+def _numpy_stream_words(child, key):
+    return np.random.SeedSequence(entropy=child, spawn_key=key).generate_state(4, np.uint64)
+
+
+class TestChunkSeeding:
+    """ensemble_chunk runs numpy's SeedSequence hash over arrays; every child seed,
+    every stream's seed words and every draw must equal numpy's own, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**40 + 3, 2**70])  # 1, 1, 2 and 3 words
+    @pytest.mark.parametrize("first", [0, 2**32 - 2, 2**32, 2**64 - 3])
+    def test_child_seeds_match_seed_sequence(self, seed, first):
+        # first = 2**32 - 2 spans the one-word/two-word boundary of the sample index
+        got = _child_seeds(seed, 20, first, 3)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [oracles.child_seed(seed, 20, i) for i in range(first, first + 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**100), tag=st.integers(0, 2**40),
+           first=st.integers(0, 2**64 - 7), count=st.integers(1, 7))
+    def test_child_seeds_match_for_any_run(self, seed, tag, first, count):
+        expected = [oracles.child_seed(seed, tag, i) for i in range(first, first + count)]
+        assert _child_seeds(seed, tag, first, count).tolist() == expected
+
+    @pytest.mark.parametrize("child", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_stream_words_match_seed_sequence(self, child):
+        keys = [(0, 1), (0, 4), (1, 0), (1, 3)]
+        words = _stream_seeds(np.array([child], np.uint64), keys)[0]
+        for key, w in zip(keys, words):
+            assert np.array_equal(w, _numpy_stream_words(child, key))
+            seq = np.random.SeedSequence(entropy=child, spawn_key=key)
+            assert np.random.PCG64(_seed_words_type()(w)).state == np.random.PCG64(seq).state
+
+    @settings(max_examples=60, deadline=None)
+    @given(children=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+           keys=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30)), min_size=1, max_size=4))
+    def test_stream_words_match_for_any_child(self, children, keys):
+        words = _stream_seeds(np.array(children, np.uint64), keys)
+        assert words.shape == (len(children), len(keys), 4)
+        for row, child in zip(words, children):
+            for w, key in zip(row, keys):
+                assert np.array_equal(w, _numpy_stream_words(child, key))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    @pytest.mark.parametrize("seed, shape, first", [
+        (2**70, (8, 3, 3), 5), (0, (4, 2, 1), 0), (12345, (16, 1, 7), 2**32 - 3)])
+    def test_chunk_equals_a_per_sample_loop(self, count, seed, shape, first):
+        n, depth, degree = shape
+        cfg = EnsembleConfig(seed, n, depth, degree)
+        blocks, angles = ensemble_chunk(cfg, 20, first, count)
+        assert [c.shape for c in blocks] == [(count, n ** (k - 1), degree) for k in range(1, depth + 1)]
+        assert [a.shape for a in angles] == [(count,) + (n,) * k for k in range(depth)]
+        for j in range(count):
+            alone = oracles.sample_ensemble(cfg, 20, first + j, depth)
+            for x, y in zip(blocks, random_coefficient_arrays(alone), strict=True):
+                assert np.array_equal(x[j], y)
+            for x, y in zip(angles, random_phase_angle_arrays(alone), strict=True):
+                assert np.array_equal(x[j], y)
+
+    def test_without_phases_the_coefficients_are_the_same(self):
+        cfg = EnsembleConfig(7, 8, 2, 3)
+        blocks, angles = ensemble_chunk(cfg, 3, 0, 4, phases=False)
+        assert angles == []
+        for x, y in zip(blocks, ensemble_chunk(cfg, 3, 0, 4)[0], strict=True):
+            assert np.array_equal(x, y)
+
+    def test_silent_under_warnings_as_errors(self):
+        # uint32 products overflow by design; on numpy scalars they would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for count in (1, 5):
+                ensemble_chunk(EnsembleConfig(2**64 - 1, 8, 2, 3), 2**32 - 1, 2**64 - count, count)
+
+    @pytest.mark.parametrize("tag, first, count", [
+        (-1, 0, 1), (0, -1, 1), (0, 0, 0), (0, 1.0, 1), (0, 2**64 - 1, 2)])
+    def test_rejects_bad_sample_ranges(self, tag, first, count):
+        with pytest.raises(ValueError):
+            ensemble_chunk(EnsembleConfig(1, 8), tag, first, count)

@@ -37,6 +37,7 @@ from hardylab import (
 from hardylab import cli, harness, inequalities
 from hardylab.harness import _scan
 from hardylab.inequalities import residual_verdict
+from oracles import sample_ensemble
 
 
 def small_config(**kw):
@@ -171,7 +172,7 @@ class TestTheoremCommand:
         grid, checks, ratios = make_grid(8), [], []
         steps = []
         for i in range(config.samples):
-            cfg = harness._ensemble(config, 20, i, config.depth)
+            cfg = sample_ensemble(config, 20, i, config.depth)
             rep = stability_report_from_coefficients(
                 grid, random_coefficient_arrays(cfg), random_adapted_phases(cfg))
             ratios.append(rep.ratio)
@@ -259,7 +260,7 @@ class TestConstantSearch:
 
         best_ratio, best_state, trace = -math.inf, None, []
         for s in range(config.samples):
-            cfg = harness._ensemble(config, 40, s, config.depth)
+            cfg = sample_ensemble(config, 40, s, config.depth)
             coeffs, angles = random_coefficient_arrays(cfg), random_phase_angle_arrays(cfg)
             current = score(coeffs, angles)
             if current > best_ratio:
