@@ -176,21 +176,26 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
     coefficients[k-1] has shape (N^(k-1), d) with 1 <= d <= N/2 - 1: one row of
     mode-1..d weights for every base point of level k.
     """
-    n = grid.n_points
-    diffs = [(c @ grid.analytic_modes(c.shape[1])).reshape((n,) * k)
-             for k, c in enumerate(_coefficient_blocks(grid, coefficients), start=1)]
+    blocks = [c[np.newaxis] for c in _coefficient_blocks(grid, coefficients)]
+    diffs = [d[0] for d in _differences(grid, blocks)]
     return field_from_differences(grid, len(diffs), 0.0, diffs)
 
 
-def _analytic_function(grid: TorusGrid, coeff: np.ndarray) -> GridFunction:
-    """The polynomial sum_{m=1..d} c_m e^{im theta} of a (1, d) coefficient row."""
-    return GridFunction(grid, (coeff @ grid.analytic_modes(coeff.shape[1]))[0])
+def _differences(grid: TorusGrid, blocks) -> list:
+    """The Hardy differences sum_{m=1..d} c_m e^{im theta} of coefficient blocks
+    stacked along a leading sample axis: blocks[k-1] of shape (M, N^(k-1), d)
+    gives an array of shape (M,) + (N,)*k.  numpy's stacked product computes one
+    (N^(k-1), d) product per sample, so each sample rounds as it would alone."""
+    n = grid.n_points
+    return [(c @ grid.analytic_modes(c.shape[-1])).reshape((len(c),) + (n,) * k)
+            for k, c in enumerate(blocks, start=1)]
 
 
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
     """Random analytic polynomial sum_{m=1..d} c_m e^{im theta}."""
-    coeff = _standard_complex(_stream(cfg, 0, 1), (1, cfg.max_degree))
-    return _analytic_function(make_grid(cfg.n_points), coeff)
+    grid = make_grid(cfg.n_points)
+    coeff = _standard_complex(_stream(cfg, 0, 1), (1, 1, cfg.max_degree))
+    return GridFunction(grid, _differences(grid, [coeff])[0][0])
 
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:

@@ -19,29 +19,27 @@ import numpy as np
 
 from .ensembles import (
     EnsembleConfig,
-    _analytic_function,
     _child_seeds,
+    _differences,
     _unit,
     arith_sample_batch,
     ensemble_chunk,
-    martingale_from_coefficients,
-    phases_from_angles,
 )
 from .inequalities import (
     CHAIN_CONSTANT,
     CHAIN_STEPS,
     CheckRecord,
     _chain_sides,
+    _perturbation_rows,
+    _sincos_rows,
+    _split_rows,
     _stability_batch,
-    decomposition_sides,
     envelope_excess_sides,
     envelope_gap_sides,
-    perturbation_bounds,
     residual_verdict,
-    sincos_identity_sides,
     slack_verdict,
 )
-from .martingale import _check_degree, _check_size, check_transform_isometry, previsible_norm
+from .martingale import _check_degree, _check_size, _isometry_norms
 from .torus import GridFunction, _check_integer, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
@@ -194,26 +192,32 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
     and the transform isometry for Hardy martingales."""
     t0 = time.monotonic()
     checks: list = []
-    grid = make_grid(config.n_points)
-    rng = _scalar_rng(config, 100)
-    sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))  # lhs, rhs, scale
-
-    for i, (coeffs, _) in enumerate(_samples(config, 0, 1, phases=False)):
-        rep = sincos_identity_sides(_analytic_function(grid, coeffs[0]), *_scalar_draws(rng))
-        sides[0, i] = (rep.lhs, rep.rhs, rep.rhs)
-    for i, (coeffs, _) in enumerate(_samples(config, 1, 1, phases=False)):
-        lhs, rhs = decomposition_sides(_analytic_function(grid, coeffs[0]), _scalar_shift(rng))
-        sides[1, i] = (lhs, rhs, rhs)
-    for i, (coeffs, angles) in enumerate(_samples(config, 2, config.depth)):
-        field_ = martingale_from_coefficients(grid, coeffs)
-        lhs, rhs = check_transform_isometry(field_, phases_from_angles(grid, angles))
-        sides[2, i] = (lhs, rhs, previsible_norm(field_))
-
     max_residual = max(
         _scan(checks, suite, "max-residual", lhs, rhs,
               *residual_verdict(lhs, rhs, scale, config.tol)).gap
-        for suite, (lhs, rhs, scale) in zip(_IDENTITY_SUITES, sides.transpose(0, 2, 1)))
+        for suite, (lhs, rhs, scale) in zip(_IDENTITY_SUITES,
+                                            _identity_sides(config).transpose(0, 2, 1)))
     return _finish("identities", config, checks, t0, {"max_residual": max_residual})
+
+
+def _identity_sides(config: HarnessConfig) -> np.ndarray:
+    """lhs, rhs and the residual's scale of every sample of each identities
+    suite, shape (suites, samples, 3), evaluated one block of samples at a time."""
+    grid = make_grid(config.n_points)
+    rng = _scalar_rng(config, 100)
+    sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))
+    for rows, blocks, _ in _blocks(config, 0, 1, phases=False):
+        b, w = np.array([_scalar_draws(rng) for _ in range(len(blocks[0]))]).T
+        rep = _sincos_rows(grid, _differences(grid, blocks)[0], b, w)
+        sides[0, rows] = np.transpose([rep.lhs, rep.rhs, rep.rhs])
+    for rows, blocks, _ in _blocks(config, 1, 1, phases=False):
+        b = np.array([_scalar_shift(rng) for _ in range(len(blocks[0]))])
+        lhs, rhs = _split_rows(grid, _differences(grid, blocks)[0], b)
+        sides[1, rows] = np.transpose([lhs, rhs, rhs])
+    for rows, blocks, angles in _blocks(config, 2, config.depth):
+        norms = _isometry_norms(grid, _differences(grid, blocks), [_unit(phi) for phi in angles])
+        sides[2, rows] = np.transpose(norms)
+    return sides
 
 
 def cmd_lemmas(config: HarnessConfig) -> RunReport:
@@ -223,17 +227,9 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     checks: list = []
     tol = config.tol
 
-    grid = make_grid(config.n_points)
     strata_seed = int(_child_seeds(config.seed, 10, 0, 1)[0])  # sample 0 of tag 10
     mu, b, w = arith_sample_batch(EnsembleConfig(strata_seed, config.n_points), config.samples)
-    rng = _scalar_rng(config, 101)
-    sides = np.empty((config.samples, 5))
-    for i, (coeffs, _) in enumerate(_samples(config, 11, 1, phases=False)):
-        rep = perturbation_bounds(_analytic_function(grid, coeffs[0]), *_scalar_draws(rng))
-        sides[i] = (rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs, rep.rotation_rhs,
-                    rep.split_rhs)
-
-    shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs = sides.T
+    shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs = _lemma_sides(config).T
     bounds = {
         "envelope-gap": envelope_gap_sides(mu, b, w),
         "envelope-excess": envelope_excess_sides(mu, b),
@@ -249,6 +245,21 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
         "lemmas", config, checks, t0,
         {"min_slack": min_slack, "max_split_residual": worst_split.gap},
     )
+
+
+def _lemma_sides(config: HarnessConfig) -> np.ndarray:
+    """shift_lhs, shift_rhs, rotation_lhs, rotation_rhs and split_rhs of
+    perturbation_bounds for every sample of the integral suites, shape
+    (samples, 5), evaluated one block of samples at a time."""
+    grid = make_grid(config.n_points)
+    rng = _scalar_rng(config, 101)
+    sides = np.empty((config.samples, 5))
+    for rows, blocks, _ in _blocks(config, 11, 1, phases=False):
+        b, w = np.array([_scalar_draws(rng) for _ in range(len(blocks[0]))]).T
+        rep = _perturbation_rows(grid, _differences(grid, blocks)[0], b, w)
+        sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
+                                    rep.rotation_rhs, rep.split_rhs])
+    return sides
 
 
 # Coefficients plus phases per chunk of samples: tens of small samples share
@@ -271,11 +282,21 @@ def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: b
         yield first, *ensemble_chunk(cfg, tag, first, min(chunk, config.samples - first), phases)
 
 
-def _samples(config: HarnessConfig, tag: int, depth: int, phases: bool = True):
-    """Yield each sample's (coefficient blocks, phase angles) from _chunks, in order."""
-    for _, blocks, angles in _chunks(config, tag, depth, phases):
-        for j in range(len(blocks[0])):
-            yield [c[j] for c in blocks], [a[j] for a in angles]
+# Grid entries per block of samples in the lemmas and identities suites: a
+# block's rows share each numpy call, while its grid arrays stay small.
+_BLOCK_ENTRIES = 2**12
+
+
+def _blocks(config: HarnessConfig, tag: int, depth: int, phases: bool = True):
+    """Yield (sample slice, coefficient blocks, phase angles) for the chunks of
+    _chunks, each cut into blocks of as many samples as hold _BLOCK_ENTRIES
+    grid entries over grid^1 .. grid^depth (at least one sample), in order."""
+    size = max(1, _BLOCK_ENTRIES // sum(config.n_points**k for k in range(1, depth + 1)))
+    for first, blocks, angles in _chunks(config, tag, depth, phases):
+        for start in range(0, len(blocks[0]), size):
+            cut = slice(start, start + size)
+            part = [c[cut] for c in blocks]
+            yield slice(first + start, first + start + len(part[0])), part, [a[cut] for a in angles]
 
 
 def _score(grid, blocks, angles):

@@ -27,13 +27,21 @@ _sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))), _split_form
 (|mu - b|^2 + r^2) and _gap_form ((a - |b|)^2).  The grid chain and the
 single-coordinate side functions use the integrals; _stability_batch uses
 only the closed forms, so comparing the two chains checks the identities
-that the closed forms stand for.  The side functions pass Python scalars,
-so their per-node arithmetic stays Python's.
+that the closed forms stand for.
+
+The side functions evaluate a block of M rows at once, and the public
+sincos_identity_sides, decomposition_sides and perturbation_bounds are the
+block of one row.  _coordinate_rows gates the rows and shifts and runs the
+slice integrals over (M, N); then a loop over the rows passes Python
+scalars (.tolist()) to arith_envelope and the closed forms, so each row's
+arithmetic stays Python's and its sides equal the row's alone bit for bit.
+The loop cannot become array arithmetic: x ** 2 is x * x on an array but
+pow on a Python or numpy float, and numpy's complex abs is not Python's;
+both change the last bit of many sides.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -44,17 +52,17 @@ from .martingale import (
     HARDY_GATE_TOL,
     AdaptedPhases,
     MartingaleField,
-    _broadcast_sum,
     _check_phases,
     _coefficient_blocks,
     _even_part,
     _project_trailing_cells,
     _require_unimodular,
+    _root_mean,
     cond_square_profile,
     is_hardy_martingale,
     project_dyadic_cells,
 )
-from .torus import GridFunction, TorusGrid, _frozen, is_hardy
+from .torus import GridFunction, TorusGrid, _frozen, _rows_are_hardy
 
 # Tracked constant of the stability chain.  Factors, in order of use:
 # sqrt(8) from the square-function step, a further sqrt(8) entering under the
@@ -179,16 +187,28 @@ def envelope_excess_sides(mu, b):
     return _like_inputs(mu, b, gap_sq, 2.0 * q * (q + 2.0 * abs_mu))
 
 
-def _coordinate_parts(h: GridFunction, b) -> tuple:
-    """Gate h (analytic, no Nyquist content) and the shift b (finite); return b,
-    the even part u of h, mu = <u,s> and r^2 = int |u - mu s|^2 as Python numbers but u."""
-    b = complex(b)
-    if not cmath.isfinite(b):
-        raise ValueError(f"shift b must be finite; got {b!r}")
-    if not is_hardy(h, _ANALYTIC_GATE_TOL):
+def _coordinate_rows(grid: TorusGrid, values, b, w=None) -> tuple:
+    """The row-block entry of the single-coordinate side functions.
+
+    Gates every multiplier in w (unimodular; None for none), every shift in b
+    (finite) and every row of values (analytic, no Nyquist content), for
+    values of shape (M, N) and b and w of shape (M,).  Returns b as a complex
+    array, mu = <u,s>, r^2 = int |u - mu s|^2, int |u - b s|^2 and, given w,
+    int Im^2(w (h - b s)) (else None), each of shape (M,), for the even part
+    u of each row h.
+    """
+    if w is not None:
+        w = _require_unimodular(np.asarray(w, dtype=np.complex128), "multiplier")
+    b = np.asarray(b, dtype=np.complex128)
+    finite = np.isfinite(b)
+    if not finite.all():
+        raise ValueError(f"shift b must be finite; got {complex(b[~finite][0])!r}")
+    if not _rows_are_hardy(grid, values, _ANALYTIC_GATE_TOL).all():
         raise ValueError("input must be analytic with vanishing mean (Hardy)")
-    u, mu, r_sq = _slice_parts(h.values, h.grid.sign_values)
-    return b, u, complex(mu), float(r_sq)
+    sig, b_col = grid.sign_values, b[:, np.newaxis]
+    u, mu, r_sq = _slice_parts(values, sig)
+    moment = None if w is None else _transform_moment(values, b_col, w[:, np.newaxis], sig)
+    return b, mu, r_sq, _perturbed_moment(u, b_col, sig), moment
 
 
 @dataclass(frozen=True)
@@ -207,17 +227,28 @@ def sincos_identity_sides(h: GridFunction, b: complex, w: complex) -> IdentityRe
     where u is the conjugation-even part of the analytic h and s the sign
     function.  Exact on the shifted grid, so the residual is round-off.
     """
-    w = _require_unimodular(complex(w), "multiplier")
-    b, _, mu, tail = _coordinate_parts(h, b)
-    lhs = _sincos_form(mu, b, w) + tail  # tail last: the recorded residuals round this way
-    rhs = float(_transform_moment(h.values, b, w, h.grid.sign_values))
-    return IdentityReport(lhs, rhs, float(residual_verdict(lhs, rhs, rhs, 0.0)[0]))
+    return _first_sample(_sincos_rows(h.grid, h.values[np.newaxis], [b], [w]))
+
+
+def _sincos_rows(grid: TorusGrid, values, b, w) -> IdentityReport:
+    """sincos_identity_sides for every row of values with its b and w (see
+    _coordinate_rows), as a report of (M,) arrays."""
+    b, mu, tail, _, rhs = _coordinate_rows(grid, values, b, w)
+    rows = zip(mu.tolist(), b.tolist(), np.asarray(w, dtype=np.complex128).tolist(), tail.tolist())
+    # per row in Python arithmetic, tail last: the recorded residuals round this way
+    lhs = np.array([_sincos_form(m, s, v) + t for m, s, v, t in rows])
+    return IdentityReport(lhs, rhs, residual_verdict(lhs, rhs, rhs, 0.0)[0])
 
 
 def decomposition_sides(h: GridFunction, b: complex):
     """Sides of the orthogonal split int |u - b s|^2 = |<u,s> - b|^2 + int |u - <u,s> s|^2."""
-    b, u, mu, tail = _coordinate_parts(h, b)
-    return float(_perturbed_moment(u, b, h.grid.sign_values)), _split_form(mu, b, tail)
+    return tuple(float(x[0]) for x in _split_rows(h.grid, h.values[np.newaxis], [b]))
+
+
+def _split_rows(grid: TorusGrid, values, b) -> tuple:
+    """decomposition_sides for every row of values with its b, as two (M,) arrays."""
+    b, mu, tail, lhs, _ = _coordinate_rows(grid, values, b)
+    return lhs, np.array([_split_form(*row) for row in zip(mu.tolist(), b.tolist(), tail.tolist())])
 
 
 @dataclass(frozen=True)
@@ -241,16 +272,23 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
 
     and report the residual of the exact orthogonal split as a cross-check.
     """
-    w, sig = _require_unimodular(complex(w), "multiplier"), h.grid.sign_values
-    b, u, mu, tail = _coordinate_parts(h, b)
-    shift_lhs, split_rhs = float(_perturbed_moment(u, b, sig)), _split_form(mu, b, tail)
+    return _first_sample(_perturbation_rows(h.grid, h.values[np.newaxis], [b], [w]))
+
+
+def _perturbation_forms(mu: complex, b: complex, tail: float) -> tuple:
+    """split_rhs, shift_rhs and rotation_lhs of one row, in Python arithmetic."""
     a = arith_envelope(mu, b)
-    shift_rhs = 8.0 * (a * a - abs(mu) ** 2) + tail
-    rotation_lhs = _gap_form(a, b) + tail
-    rotation_rhs = 8.0 * float(_transform_moment(h.values, b, w, sig))
-    split_residual = float(residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
-    return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs,
-                              split_residual)
+    return _split_form(mu, b, tail), 8.0 * (a * a - abs(mu) ** 2) + tail, _gap_form(a, b) + tail
+
+
+def _perturbation_rows(grid: TorusGrid, values, b, w) -> PerturbationReport:
+    """perturbation_bounds for every row of values with its b and w (see
+    _coordinate_rows), as a report of (M,) arrays."""
+    b, mu, tail, shift_lhs, moment = _coordinate_rows(grid, values, b, w)
+    forms = [_perturbation_forms(*row) for row in zip(mu.tolist(), b.tolist(), tail.tolist())]
+    split_rhs, shift_rhs, rotation_lhs = np.array(forms).reshape(-1, 3).T
+    return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, 8.0 * moment, split_rhs,
+                              residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +353,7 @@ def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityRepor
      transform_moments) = zip(*per_level)
 
     def root_mean(moments) -> np.ndarray:
-        """Per sample, the mean over grid^(n-1) of the root of the summed per-level moments."""
-        roots = np.sqrt(_broadcast_sum(moments, depth, n))
-        return np.mean(roots.reshape(len(roots), -1), axis=1)
+        return _root_mean(moments, depth, n)
 
     perturbation_pnorm = root_mean(perturbed_moments)
     transform_pnorm = root_mean(transform_moments)
@@ -347,15 +383,16 @@ def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityRepor
     )
 
 
-def _first_sample(batch: StabilityReport) -> StabilityReport:
-    """Sample 0 of a batch report as a one-sample report: per-level arrays
-    without the sample axis and float norms."""
+def _first_sample(batch):
+    """Sample 0 of a batch report (a StabilityReport, IdentityReport or
+    PerturbationReport of arrays) as a one-sample report: per-level arrays
+    without the sample axis and floats."""
     parts = {}
     for f in fields(batch):
         value = getattr(batch, f.name)
         is_levels = isinstance(value, tuple)
         parts[f.name] = tuple(x[0, ...] for x in value) if is_levels else float(value[0])
-    return StabilityReport(**parts)
+    return type(batch)(**parts)
 
 
 @lru_cache(maxsize=256)

@@ -7,6 +7,12 @@ by construction.  Levels and the terminal array over grid^n are partial sums
 built on request.  Only MartingaleField(grid, depth, terminal) averages; the
 operations (conjugation-even and -odd parts, dyadic projection, transform)
 map stored differences to new ones.
+
+The mean check, the Hardy gate, the previsible norm and the transform
+isometry also run over differences stacked along a leading axis of M
+samples, shape (M,) + (N,)*k, each sample at its own scale (_scale_bound).
+is_hardy_martingale, previsible_norm and check_transform_isometry are the
+stack of one sample; a stacked sample's norms equal its own bit for bit.
 """
 
 from __future__ import annotations
@@ -64,9 +70,35 @@ def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
     return blocks
 
 
-def _scale_bound(base: complex, diffs) -> float:
-    """|base| + sum_k max|diff_k|, an upper bound on max|terminal|."""
-    return abs(base) + sum(float(np.abs(d).max(initial=0.0)) for d in diffs)
+def _stack(parts) -> list:
+    """One sample's arrays as a stack of M = 1 samples."""
+    return [p[np.newaxis] for p in parts]
+
+
+def _scale_bound(base: complex, diffs) -> np.ndarray:
+    """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|, for
+    differences stacked along a leading sample axis: diffs[k-1] of shape (M,) + (N,)*k."""
+    return abs(base) + sum(np.abs(d).reshape(len(d), -1).max(axis=1, initial=0.0) for d in diffs)
+
+
+def _check_means(diffs, scale) -> None:
+    """Per sample of stacked differences, every mean over the newest axis must be
+    within 1e-12*scale + 8*2^-1074, for scale of shape (M,).
+
+    An inf or a NaN makes _scale_bound's scale, or else the drift, non-finite,
+    so such parts are rejected without a separate pass over the data."""
+    # averaging leaves a few ulps of mean; subnormal values round absolutely,
+    # so a few units of 2^-1074 are slack too
+    tol = 1e-12 * scale + 8 * math.ulp(0.0)
+    if not np.isfinite(tol).all():
+        raise ValueError("martingale values must be finite")
+    for k, d in enumerate(diffs, start=1):
+        # the mean over the newest axis, largest per sample
+        drift = np.abs(d.sum(axis=-1)).reshape(len(d), -1).max(axis=1) / d.shape[-1]
+        held = drift <= tol
+        if not held.all():
+            raise ValueError(f"difference {k} has mean {drift[np.argmin(held)]:.3g} over its "
+                             f"newest axis, not 0")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -90,24 +122,15 @@ class MartingaleField:
         self._store(grid, depth, levels[0], [f - c[..., None] for c, f in zip(levels, levels[1:])])
 
     def _store(self, grid: TorusGrid, depth: int, base, diffs, scale=None) -> None:
-        """Store read-only copies of the parts, each mean within 1e-12*scale + 8*2^-1074.
-
-        An inf or a NaN makes the default scale, or else the drift, non-finite,
-        so such parts are rejected without a separate pass over the data."""
+        """Store read-only copies of the parts after _check_means at scale, which
+        defaults to the parts' own _scale_bound."""
         n = _check_size(grid, depth)
         diffs = tuple(_stored(d, (n,) * k, f"difference {k}") for k, d in enumerate(diffs, start=1))
         if len(diffs) != depth:
             raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
         base = complex(base)
-        # averaging leaves a few ulps of mean; scale defaults to the parts' own.
-        # Subnormal values round absolutely, so a few units of 2^-1074 are slack too.
-        tol = 1e-12 * (_scale_bound(base, diffs) if scale is None else scale) + 8 * math.ulp(0.0)
-        if not math.isfinite(tol):
-            raise ValueError("martingale values must be finite")
-        for k, d in enumerate(diffs, start=1):
-            drift = float(np.abs(d.sum(axis=-1)).max()) / n  # mean over the newest axis
-            if not drift <= tol:
-                raise ValueError(f"difference {k} has mean {drift:.3g} over its newest axis, not 0")
+        stacked = _stack(diffs)
+        _check_means(stacked, _scale_bound(base, stacked) if scale is None else scale)
         self.__dict__.update(grid=grid, depth=depth, base=base, diffs=diffs)  # frozen dataclass
 
     @property
@@ -178,7 +201,7 @@ def _derive(field: MartingaleField, base: complex, diffs) -> MartingaleField:
     """Result of an operation on `field`.  Its differences keep the source's round-off
     mean, which may dwarf their own size, so the check uses the source's scale."""
     out = object.__new__(MartingaleField)
-    out._store(field.grid, field.depth, base, diffs, _scale_bound(field.base, field.diffs))
+    out._store(field.grid, field.depth, base, diffs, _scale_bound(field.base, _stack(field.diffs)))
     return out
 
 
@@ -192,15 +215,31 @@ def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
     return total
 
 
+def _root_mean(moments, depth: int, n: int) -> np.ndarray:
+    """Per sample, the mean over grid^(n-1) of the root of the summed per-level
+    moments, for moments of shape (M,) + (N,)*(k-1): shape (M,)."""
+    roots = np.sqrt(_broadcast_sum(moments, depth, n))
+    return np.mean(roots.reshape(len(roots), -1), axis=1)
+
+
+def _level_moments(diffs) -> tuple:
+    """q_k = mean |diff_k|^2 over the newest axis, for any leading axes."""
+    return tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in diffs)
+
+
+def _previsible_norms(diffs) -> np.ndarray:
+    """previsible_norm per sample of stacked differences, shape (M,)."""
+    return _root_mean(_level_moments(diffs), len(diffs), diffs[0].shape[-1])
+
+
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
     """Conditional second moments q_k = E_{k-1}|diff_k|^2."""
-    return SquareFunctionProfile(tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in field.diffs))
+    return SquareFunctionProfile(_level_moments(field.diffs))
 
 
 def previsible_norm(field: MartingaleField) -> float:
     """L^1 norm of the conditional square function sqrt(sum_k q_k)."""
-    moments = cond_square_profile(field).level_moments
-    return float(np.mean(np.sqrt(_broadcast_sum(moments, field.depth, field.grid.n_points))))
+    return float(_previsible_norms(_stack(field.diffs))[0])
 
 
 def _even_part(diff: np.ndarray) -> np.ndarray:
@@ -211,6 +250,11 @@ def _even_part(diff: np.ndarray) -> np.ndarray:
 def _odd_part(diff: np.ndarray) -> np.ndarray:
     # exact antisymmetry: reversing negates these values bit-for-bit
     return 0.5 * (diff - diff[..., ::-1])
+
+
+def _turned(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Im(w * diff), with w constant along the newest axis of diff."""
+    return (w[..., np.newaxis] * diff).imag
 
 
 def cosine_part(field: MartingaleField) -> MartingaleField:
@@ -226,7 +270,7 @@ def sine_part(field: MartingaleField) -> MartingaleField:
 def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
     """Real martingale with differences Im(w_{k-1} * diff_k)."""
     _check_phases(phases, field.grid, field.depth)
-    return _derive(field, 0.0, [(w[..., None] * d).imag for w, d in zip(phases.terms, field.diffs)])
+    return _derive(field, 0.0, [_turned(w, d) for w, d in zip(phases.terms, field.diffs)])
 
 
 def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
@@ -238,9 +282,17 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     in vanishing differences, and junk carries no frequency information.
     The floor is (1e-13 * scale)^2, and a field with an inf or NaN fails.
     """
-    scale = _scale_bound(field.base, field.diffs)
-    return all(_rows_are_hardy(field.grid, d.reshape(-1, field.grid.n_points), tol, scale, 1e-13**2)
-               for d in field.diffs)
+    diffs = _stack(field.diffs)
+    return bool(_are_hardy(field.grid, diffs, _scale_bound(field.base, diffs), tol).all())
+
+
+def _are_hardy(grid: TorusGrid, diffs, scale: np.ndarray, tol: float) -> np.ndarray:
+    """is_hardy_martingale per sample of stacked differences, each sample at its
+    own scale (shape (M,)): one scale for the whole stack would put a small
+    sample's junk under the zero floor.  Returns (M,) verdicts."""
+    count, n = len(scale), grid.n_points
+    rows = np.concatenate([d.reshape(count, -1, n) for d in diffs], axis=1)  # one gate call
+    return _rows_are_hardy(grid, rows, tol, scale[:, np.newaxis], 1e-13**2).all(axis=1)
 
 
 def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
@@ -250,9 +302,35 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     past, the newest slice is analytic, and both the even part and
     Im(w * slice) carry exactly half its energy.
     """
-    if not is_hardy_martingale(field, HARDY_GATE_TOL):
+    _check_phases(phases, field.grid, field.depth)
+    cosine, transformed, _ = _isometry_norms(field.grid, _stack(field.diffs),
+                                             _stack(phases.terms), field.base)
+    return float(cosine[0]), float(transformed[0])
+
+
+def _isometry_norms(grid: TorusGrid, diffs, terms, base: complex = 0.0) -> tuple:
+    """check_transform_isometry over M samples, plus each sample's previsible norm.
+
+    diffs[k-1], of shape (M,) + (N,)*k, stacks the samples' differences (their
+    level-0 constant is base) and terms[k], of shape (M,) + (N,)*k, their
+    multipliers.  Each sample gets the checks of its own MartingaleField,
+    AdaptedPhases, Hardy gate, cosine_part and transform, at its own scale.
+    Returns the previsible norms of the cosine parts, of the transforms and of
+    the martingales themselves, each of shape (M,).
+    """
+    scale = _scale_bound(base, diffs)
+    _check_means(diffs, scale)
+    terms = [_require_unimodular(w, f"term {k}") for k, w in enumerate(terms)]
+    if not _are_hardy(grid, diffs, scale, HARDY_GATE_TOL).all():
         raise ValueError("transform isometry requires a Hardy martingale")
-    return previsible_norm(cosine_part(field)), previsible_norm(transform(field, phases))
+    even = [_even_part(d) for d in diffs]
+    turned = [_turned(w, d) for w, d in zip(terms, diffs)]
+    for parts in (even, turned):
+        _check_means(parts, scale)  # as _derive does, at the source's scale
+    # the complex parts' norms in one pass, over a stack of 2M samples
+    stacked = [np.concatenate(parts) for parts in zip(even, diffs)]
+    cosine, own = _previsible_norms(stacked).reshape(2, -1)
+    return cosine, _previsible_norms(turned), own
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

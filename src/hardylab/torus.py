@@ -15,7 +15,6 @@ analytic data never excites it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -200,28 +199,36 @@ def mean(f: GridFunction) -> complex:
     return complex(np.mean(f.values))
 
 
-def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale: float | None = None,
-                    zero_floor: float = -np.inf) -> bool:
-    """The spectral Hardy energy test, row-wise over rows of shape (M, N).
+def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
+                    zero_floor: float = -np.inf) -> np.ndarray:
+    """The spectral Hardy energy test: one verdict per row of rows, shape lead + (N,).
 
-    The rows are divided by scale (default: their largest modulus) before
-    squaring, so the verdict is the same at every magnitude.  A row passes iff
-    its mean energy is at most zero_floor (in units of scale^2), or the energy
-    at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.  A NaN row
-    or a non-finite scale fails.  The default floor admits no row by energy alone.
+    Each row is divided by its scale before squaring, so the verdict is the
+    same at every magnitude.  The default scale is the row's largest modulus;
+    a given scale (one per sample, say) broadcasts over lead.  A row passes
+    iff its mean energy is at most zero_floor (in units of scale^2), or the
+    energy at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.
+    A row with an inf or a NaN fails (its mean coefficient is NaN), and so
+    does a row with a non-finite scale.  The default floor admits no row by
+    energy alone.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if scale is None:
-        scale = np.abs(rows).max(initial=0.0)
-    if not math.isfinite(scale):
-        return False
+        scale = np.abs(rows).max(axis=-1, initial=0.0)
+    scale = np.asarray(scale, dtype=float)[..., np.newaxis]
+    finite = np.isfinite(scale)
     n = grid.n_points
-    rows = rows / scale if scale > 0 else rows
-    coeffs = rows @ grid.characters[: n // 2 + 1].conj().T / n  # m = -N/2 .. 0
-    bad = np.sum(np.abs(coeffs) ** 2, axis=1)
-    total = np.sum(np.abs(rows) ** 2, axis=1) / n
-    return bool(((bad <= tol * tol * total) | (total <= zero_floor)).all())
+    # divided and squared as (re, im) pairs of reals: a complex division would
+    # multiply by 1/scale, which overflows at a subnormal scale.  The squares are
+    # summed by matmul; numpy's reductions over a short last axis are slow.
+    parts = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
+        parts = parts / np.where(finite & (scale > 0), scale, 1.0)
+        coeffs = parts.view(np.complex128) @ grid.characters[: n // 2 + 1].conj().T  # m = -N/2 .. 0
+        bad = (coeffs.view(np.float64) ** 2 @ np.ones(n + 2)) / (n * n)
+        total = (parts**2 @ np.ones(2 * n)) / n
+    return ((bad <= tol * tol * total) | (total <= zero_floor)) & finite[..., 0]
 
 
 def is_hardy(f: GridFunction, tol: float) -> bool:
@@ -229,7 +236,7 @@ def is_hardy(f: GridFunction, tol: float) -> bool:
 
     The zero function passes.
     """
-    return _rows_are_hardy(f.grid, f.values[np.newaxis], tol)
+    return bool(_rows_are_hardy(f.grid, f.values, tol).all())
 
 
 def from_imaginary_part(y: GridFunction) -> GridFunction:

@@ -1,0 +1,246 @@
+"""The lemmas and identities suites evaluate blocks of samples at once.
+
+Every recorded side must equal, bit for bit, what the public single-sample
+functions give for that sample alone, drawn through numpy's own per-sample
+seeding (tests/oracles.py).  The Hardy gates of a block give each row the
+verdict, or the error, that the row gets alone.
+"""
+
+import numpy as np
+import pytest
+
+from hardylab import (
+    GridFunction,
+    HarnessConfig,
+    check_transform_isometry,
+    decomposition_sides,
+    field_from_differences,
+    is_hardy,
+    is_hardy_martingale,
+    make_grid,
+    martingale_from_coefficients,
+    perturbation_bounds,
+    previsible_norm,
+    random_adapted_phases,
+    random_hardy_function,
+    random_hardy_martingale,
+    sincos_identity_sides,
+)
+from hardylab import cli, harness
+from hardylab.inequalities import _perturbation_rows, _sincos_rows, _split_rows
+from hardylab.martingale import _are_hardy, _isometry_norms, _scale_bound
+from hardylab.torus import _rows_are_hardy
+from oracles import sample_ensemble
+
+SHAPES = [(4, 1, 1), (8, 2, 3), (16, 3, 5), (16, 1, 7), (64, 1, 31)]
+BLOCK = 3  # samples per block of the deepest suite
+
+
+def patch_sizes(monkeypatch, config, depth, chunk):
+    """Blocks of BLOCK samples and chunks of `chunk` samples at the given depth."""
+    n, degree = config.n_points, config.max_degree
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", BLOCK * sum(n**k for k in range(1, depth + 1)))
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES",
+                        chunk * (degree + 1) * sum(n**k for k in range(depth)))
+
+
+def lemma_sides_alone(config):
+    rng = harness._scalar_rng(config, 101)
+    sides = []
+    for i in range(config.samples):
+        h = random_hardy_function(sample_ensemble(config, 11, i, 1))
+        rep = perturbation_bounds(h, *harness._scalar_draws(rng))
+        sides.append((rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs, rep.rotation_rhs,
+                      rep.split_rhs))
+    return np.array(sides)
+
+
+def identity_sides_alone(config):
+    rng = harness._scalar_rng(config, 100)
+    sides = np.empty((3, config.samples, 3))
+    for i in range(config.samples):
+        h = random_hardy_function(sample_ensemble(config, 0, i, 1))
+        rep = sincos_identity_sides(h, *harness._scalar_draws(rng))
+        sides[0, i] = rep.lhs, rep.rhs, rep.rhs
+    for i in range(config.samples):
+        h = random_hardy_function(sample_ensemble(config, 1, i, 1))
+        lhs, rhs = decomposition_sides(h, harness._scalar_shift(rng))
+        sides[1, i] = lhs, rhs, rhs
+    for i in range(config.samples):
+        cfg = sample_ensemble(config, 2, i, config.depth)
+        field = random_hardy_martingale(cfg)
+        lhs, rhs = check_transform_isometry(field, random_adapted_phases(cfg))
+        sides[2, i] = lhs, rhs, previsible_norm(field)
+    return sides
+
+
+def block_starts(config, depth):
+    return [rows.start for rows, _, _ in harness._blocks(config, 0, depth, phases=False)]
+
+
+def expected_starts(samples, chunk):
+    """Blocks of BLOCK samples from the start of every chunk."""
+    return [first + j for first in range(0, samples, chunk)
+            for j in range(0, min(chunk, samples - first), BLOCK)]
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("chunk", [2, 5])  # chunk and block boundaries both fall inside runs
+@pytest.mark.parametrize("n, depth, degree", SHAPES)
+class TestEverySample:
+    def test_lemmas(self, monkeypatch, n, depth, degree, chunk, samples):
+        config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples,
+                               seed=20260809)
+        patch_sizes(monkeypatch, config, 1, chunk)
+        assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
+        assert block_starts(config, 1) == expected_starts(samples, chunk)
+
+    def test_identities(self, monkeypatch, n, depth, degree, chunk, samples):
+        config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples,
+                               seed=2**70)
+        patch_sizes(monkeypatch, config, depth, chunk)
+        assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
+        assert block_starts(config, depth) == expected_starts(samples, chunk)
+
+
+class TestRowWiseGate:
+    # 2^-1030 is subnormal: dividing a complex row by it must not overflow
+    SCALES = (2.0**-1030, 2.0**-1000, 1.0, 2.0**1000, 0.0)
+
+    def test_each_row_keeps_its_own_scale(self):
+        grid = make_grid(8)
+        analytic, conjugate = np.exp(1j * grid.angles), np.exp(-1j * grid.angles)
+        rows = np.array([scale * f for scale in self.SCALES for f in (analytic, conjugate)])
+        alone = [is_hardy(GridFunction(grid, row), 1e-8) for row in rows]
+        assert alone == [True, False] * 4 + [True, True]
+        assert _rows_are_hardy(grid, rows, 1e-8).tolist() == alone
+
+    def test_each_martingale_keeps_its_own_scale(self):
+        # one scale for the block would put the small samples' conjugate
+        # level under the zero floor of the largest
+        grid = make_grid(8)
+        z = np.exp(1j * grid.angles)
+        fields = []
+        for scale in self.SCALES:
+            fields.append(martingale_from_coefficients(grid, [scale * np.ones((1, 2)),
+                                                              scale * np.ones((8, 3))]))
+            fields.append(field_from_differences(grid, 2, 0.0, [scale * z,
+                                                                scale * np.outer(z, z.conj())]))
+        diffs = [np.stack([f.diffs[k] for f in fields]) for k in range(2)]
+        alone = [is_hardy_martingale(f, 1e-8) for f in fields]
+        assert alone == [True, False] * 4 + [True, True]
+        assert _are_hardy(grid, diffs, _scale_bound(0.0, diffs), 1e-8).tolist() == alone
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("scale", [None, np.ones(3)])
+    def test_a_non_finite_row_fails_alone(self, bad, scale):
+        grid = make_grid(8)
+        rows = np.array([np.exp(1j * grid.angles)] * 3)
+        rows[1, 3] = bad
+        assert _rows_are_hardy(grid, rows, 1e-8, scale).tolist() == [True, False, True]
+        assert not is_hardy(GridFunction(grid, rows[1]), 1e-8)
+
+    @pytest.mark.parametrize("mode", ["negative", "nyquist"])
+    def test_a_non_hardy_row_mid_block_raises_as_alone(self, mode):
+        grid = make_grid(8)
+        rows = np.array([np.exp(1j * grid.angles)] * 5)
+        rows[2] = np.exp(-1j * grid.angles) if mode == "negative" else grid.characters[0]
+        b, w = np.full(5, 0.3 - 0.1j), np.full(5, 1j)
+        h = GridFunction(grid, rows[2])
+        for block, alone in [
+            (lambda: _perturbation_rows(grid, rows, b, w),
+             lambda: perturbation_bounds(h, b[2], w[2])),
+            (lambda: _sincos_rows(grid, rows, b, w), lambda: sincos_identity_sides(h, b[2], w[2])),
+            (lambda: _split_rows(grid, rows, b), lambda: decomposition_sides(h, b[2])),
+        ]:
+            with pytest.raises(ValueError) as from_block:
+                block()
+            with pytest.raises(ValueError) as from_alone:
+                alone()
+            assert str(from_block.value) == str(from_alone.value)
+
+    def test_a_non_hardy_martingale_mid_block_raises_as_alone(self):
+        grid = make_grid(8)
+        config = HarnessConfig(n_points=8, depth=2, max_degree=3)
+        fields = [random_hardy_martingale(sample_ensemble(config, 2, i, 2)) for i in range(5)]
+        diffs = [np.stack([f.diffs[k] for f in fields]) for k in range(2)]
+        diffs[1][2] = diffs[1][2].conj()  # level 2 of sample 2 turns anti-analytic
+        phases = random_adapted_phases(sample_ensemble(config, 2, 0, 2))
+        with pytest.raises(ValueError) as from_block:
+            _isometry_norms(grid, diffs, [np.stack([w] * 5) for w in phases.terms])
+        with pytest.raises(ValueError) as from_alone:
+            check_transform_isometry(field_from_differences(grid, 2, 0.0, [d[2] for d in diffs]),
+                                     phases)
+        assert str(from_block.value) == str(from_alone.value)
+
+    @pytest.mark.parametrize("argv, deepest_only", [
+        ("lemmas --n-points 8 --samples 7", False),
+        ("identities --n-points 8 --depth 2 --samples 7", False),
+        ("identities --n-points 8 --depth 2 --samples 7", True),
+    ], ids=["lemmas", "identities", "transform-isometry"])
+    def test_the_cli_exits_one(self, monkeypatch, capsys, argv, deepest_only):
+        # the conjugate of one sample's newest difference, in the middle of a block
+        differences = harness._differences
+
+        def corrupted(grid, blocks):
+            diffs = differences(grid, blocks)
+            if len(diffs) > 1 or not deepest_only:
+                diffs[-1][len(diffs[-1]) // 2] = diffs[-1][len(diffs[-1]) // 2].conj()
+            return diffs
+
+        monkeypatch.setattr(harness, "_differences", corrupted)
+        assert cli.main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert ("transform isometry" if deepest_only else "analytic") in err
+
+
+@pytest.mark.parametrize("command, settings", [
+    # 3000 samples cross the 2048-sample chunk and many 256-row blocks
+    ("lemmas", dict(n_points=16, max_degree=7, samples=3000)),
+    ("identities", dict(n_points=16, depth=2, max_degree=5, samples=300)),
+])
+def test_every_sample_at_the_default_sizes(command, settings):
+    # an operation that rounds a stacked row unlike a lone one shows on few samples only
+    config = HarnessConfig(seed=12345, **settings)
+    if command == "lemmas":
+        assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
+    else:
+        assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
+
+
+# Sides of the first samples at seed 12345, recorded bit for bit from the
+# evaluation one sample at a time that the block path replaced.  The reference
+# above is the same code at M = 1, so only these pins see the closed forms'
+# arithmetic move: array arithmetic (x ** 2 as x * x, numpy's complex abs)
+# changes the last bit of a side on about two samples in five.
+LEMMA_BITS = [
+    ('0x1.47f0c36faa17cp+2', '0x1.1570302e2ff1ep+5', '0x1.c9c3c6b2f7ef7p+2',
+     '0x1.46deb60be424bp+5', '0x1.47f0c36faa17dp+2'),
+    ('0x1.8c73fe27a5dd0p+2', '0x1.2e80af4b3d0b6p+5', '0x1.0c1737f214bdap+2',
+     '0x1.d76c01b899cc2p+4', '0x1.8c73fe27a5dcfp+2'),
+    ('0x1.2480a2ac59c1cp+1', '0x1.0d5ecb672ed66p+2', '0x1.16870c118ececp+1',
+     '0x1.34313da135a66p+4', '0x1.2480a2ac59c1dp+1'),
+    ('0x1.3fc12d492d8d2p+2', '0x1.c3396655b8283p+3', '0x1.c706899050720p+1',
+     '0x1.f72b015e8fe7ep+4', '0x1.3fc12d492d8d1p+2'),
+]
+IDENTITY_BITS = [
+    [('0x1.023c4729b4ac0p-1', '0x1.023c4729b4ac8p-1'),
+     ('0x1.0afd98a48cbbfp+0', '0x1.0afd98a48cbc2p+0'),
+     ('0x1.a03e59046b8bbp+0', '0x1.a03e59046b8c6p+0')],
+    [('0x1.c9b61ba3e4e91p+1', '0x1.c9b61ba3e4e92p+1'),
+     ('0x1.b127e54c90d19p-1', '0x1.b127e54c90d1ap-1'),
+     ('0x1.01823065ece28p+1', '0x1.01823065ece26p+1')],
+    [('0x1.9b9c40d495e7ap+0', '0x1.9b9c40d495e7ap+0', '0x1.230d6f5034ba7p+1'),
+     ('0x1.c6735ce8cfb44p+0', '0x1.c6735ce8cfb46p+0', '0x1.41585a39d43b3p+1'),
+     ('0x1.f49ceb1101588p+0', '0x1.f49ceb1101587p+0', '0x1.61fca03d493b1p+1')],
+]
+
+
+def test_sides_keep_the_per_sample_bits():
+    lemmas = harness._lemma_sides(HarnessConfig(n_points=16, max_degree=7, samples=4, seed=12345))
+    assert [tuple(x.hex() for x in row) for row in lemmas.tolist()] == LEMMA_BITS
+    identities = harness._identity_sides(
+        HarnessConfig(n_points=8, depth=2, max_degree=3, samples=3, seed=12345))
+    for suite, bits in zip(identities.tolist(), IDENTITY_BITS):
+        # the first two suites record rhs again as the residual's scale
+        assert [tuple(x.hex() for x in row[:len(pins)]) for row, pins in zip(suite, bits)] == bits
