@@ -60,18 +60,11 @@ from .martingale import (
 )
 from .torus import (
     GridFunction,
-    Spectrum,
     TorusGrid,
-    analyze,
-    from_imaginary_part,
-    hilbert,
     inner_product,
     is_hardy,
-    l2_norm,
     make_grid,
-    mean,
     sigma,
-    synthesize,
 )
 
 __version__ = "0.1.0"

@@ -1,16 +1,18 @@
-"""Single-coordinate layer: shifted circle grid, spectra, Hilbert transform.
+"""Single-coordinate layer: shifted circle grid, character table, Hardy gate.
 
 The grid places N sample points at angles theta_j = 2*pi*(j + 1/2)/N.  With
 N divisible by four, the half-step shift keeps cos(theta_j) bounded away
 from zero, makes the reflection j -> N-1-j fixed-point free, and
 splits the sign function sign(cos theta) into exactly N/2 positive and N/2
-negative samples.  On this grid the classical circle identities used
-downstream (Hilbert isometry, recovery of an analytic function from its
-imaginary part, orthogonality of even and odd parts) hold to round-off.
+negative samples.  On this grid the circle identities used downstream
+(orthogonality of even and odd parts, ||h|| = sqrt(2) * ||Im(w h)|| for
+analytic h and unimodular w) hold to round-off.
 
-All frequencies live in m = -N/2 .. N/2-1.  The unpaired bucket m = -N/2
-is treated as non-analytic: the Hilbert multiplier zeroes it and generated
-analytic data never excites it.
+All frequencies live in m = -N/2 .. N/2-1, one row each of the grid's
+character table.  The unpaired bucket m = -N/2 is non-analytic: the Hardy
+gate counts its energy with the mean and the negative frequencies, and
+generated analytic data never excites it.  The input guards that every
+layer shares live here too.
 """
 
 from __future__ import annotations
@@ -60,13 +62,6 @@ class TorusGrid:
         """Rows e^{im theta_j} for m = 1..degree, a read-only slice of the table."""
         first = self.n_points // 2 + 1
         return self.characters[first : first + degree]
-
-    @cached_property
-    def hilbert_multiplier(self) -> np.ndarray:
-        """-i*sign(m) on paired frequencies, zero at m = 0 and m = -N/2."""
-        mult = -1j * np.sign(self.frequencies).astype(np.complex128)
-        mult[0] = 0.0  # Nyquist bucket m = -N/2 is never analytic data
-        return _frozen(mult)
 
 
 def _is_integer(value) -> bool:
@@ -141,43 +136,10 @@ class GridFunction:
         object.__setattr__(self, "values", _stored(self.values, (self.grid.n_points,), "values"))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Fourier coefficients indexed by m = -N/2 .. N/2-1 (ascending)."""
-
-    grid: TorusGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           _stored(self.coefficients, (self.grid.n_points,), "coefficients"))
-
-    def coefficient(self, m: int) -> complex:
-        n = self.grid.n_points
-        m = _check_integer(m, "frequency m", -n // 2, n // 2 - 1)
-        return complex(self.coefficients[m + n // 2])
-
-
 def _require_same_grid(a: TorusGrid, b: TorusGrid, what: str) -> None:
     """The same-grid rule for two operands of one operation."""
     if a.n_points != b.n_points:
         raise ValueError(f"grid mismatch between {what}")
-
-
-def analyze(f: GridFunction) -> Spectrum:
-    """Expand f in the grid characters: c(m) = (1/N) sum_j f(j) e^{-im theta_j}."""
-    return Spectrum(f.grid, f.grid.characters.conj() @ f.values / f.grid.n_points)
-
-
-def synthesize(s: Spectrum) -> GridFunction:
-    """Evaluate sum_m c(m) e^{im theta_j}; exact inverse of analyze up to round-off."""
-    return GridFunction(s.grid, s.coefficients @ s.grid.characters)
-
-
-def hilbert(f: GridFunction) -> GridFunction:
-    """Fourier multiplier -i*sign(m); the mean and the Nyquist bucket map to 0."""
-    spec = analyze(f)
-    return synthesize(Spectrum(f.grid, spec.coefficients * f.grid.hilbert_multiplier))
 
 
 def sigma(grid: TorusGrid) -> GridFunction:
@@ -189,14 +151,6 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """<f, g> = (1/N) sum_j f(j) conj(g(j))."""
     _require_same_grid(f.grid, g.grid, "operands")
     return complex(np.vdot(g.values, f.values) / f.grid.n_points)
-
-
-def l2_norm(f: GridFunction) -> float:
-    return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
-
-
-def mean(f: GridFunction) -> complex:
-    return complex(np.mean(f.values))
 
 
 def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
@@ -212,8 +166,8 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     does a row with a non-finite scale.  The default floor admits no row by
     energy alone.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # a NaN tol would fail every row, an infinite one pass e^{-i theta}
+        raise ValueError(f"tol must be positive and finite; got {tol!r}")
     if scale is None:
         scale = np.abs(rows).max(axis=-1, initial=0.0)
     scale = np.asarray(scale, dtype=float)[..., np.newaxis]
@@ -237,21 +191,3 @@ def is_hardy(f: GridFunction, tol: float) -> bool:
     The zero function passes.
     """
     return bool(_rows_are_hardy(f.grid, f.values, tol).all())
-
-
-def from_imaginary_part(y: GridFunction) -> GridFunction:
-    """Recover the analytic function with imaginary part y: h = -Hy + i*y.
-
-    Requires y real-valued, mean-zero, and free of Nyquist content; then
-    is_hardy(h) holds and ||h||_2 = sqrt(2) * ||y||_2 exactly on the grid.
-    """
-    scale = max(1.0, float(np.max(np.abs(y.values), initial=0.0)))
-    if float(np.max(np.abs(y.values.imag), initial=0.0)) > 1e-12 * scale:
-        raise ValueError("imaginary-part input must be real-valued")
-    if abs(np.mean(y.values)) > 1e-12 * scale:
-        raise ValueError("imaginary-part input must have zero mean")
-    if abs(analyze(y).coefficient(-y.grid.n_points // 2)) > 1e-12 * scale:
-        raise ValueError("imaginary-part input must not carry the Nyquist frequency")
-    yr = y.values.real
-    hy = hilbert(GridFunction(y.grid, yr))
-    return GridFunction(y.grid, -hy.values + 1j * yr)

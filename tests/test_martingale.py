@@ -11,7 +11,6 @@ from hardylab import (
     EnsembleConfig,
     GridFunction,
     MartingaleField,
-    analyze,
     arith_sample_batch,
     check_transform_isometry,
     cond_square_profile,
@@ -320,6 +319,11 @@ class TestIsHardyMartingale:
         with pytest.raises(ValueError, match="finite"):
             field_from_differences(grid, 1, 0.0, [values])
 
+    def test_tol_must_be_positive_and_finite(self):
+        for tol in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                is_hardy_martingale(product_mode_field(4), tol)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-300, 300))
     def test_same_verdict_at_every_scale(self, k):
@@ -448,24 +452,16 @@ class TestDyadicProjection:
         np.testing.assert_array_equal(projected, arr)
 
 
-def _spectrum():
-    return analyze(GridFunction(make_grid(8), np.ones(8)))
-
-
 @pytest.mark.parametrize("call, name", [
     (lambda: level(product_mode_field(4), 1.5), "level index k"),
     (lambda: level(product_mode_field(4), True), "level index k"),
     (lambda: level(product_mode_field(4), 3), "level index k"),
-    (lambda: _spectrum().coefficient(2.5), "frequency m"),
-    (lambda: _spectrum().coefficient(True), "frequency m"),
-    (lambda: _spectrum().coefficient(4), "frequency m"),
     (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), 2.5), "count"),
     (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), True), "count"),
     (lambda: arith_sample_batch(EnsembleConfig(seed=1, n_points=8), 0), "count"),
     (lambda: project_dyadic_cells(make_grid(8), np.zeros((8, 6))), "arr"),
-], ids=["level-float", "level-bool", "level-above-depth", "coefficient-float",
-        "coefficient-bool", "coefficient-above-range", "count-float", "count-bool", "count-zero",
-        "arr-short-axis"])
+], ids=["level-float", "level-bool", "level-above-depth", "count-float", "count-bool",
+        "count-zero", "arr-short-axis"])
 def test_public_arguments_follow_the_shared_rules(call, name):
     with pytest.raises(ValueError, match=name):
         call()
@@ -474,7 +470,6 @@ def test_public_arguments_follow_the_shared_rules(call, name):
 def test_public_arguments_accept_numpy_integers_and_lists():
     F = product_mode_field(4)
     np.testing.assert_array_equal(level(F, np.int64(1)), level(F, 1))
-    assert _spectrum().coefficient(np.int64(0)) == _spectrum().coefficient(0)
     cfg = EnsembleConfig(seed=1, n_points=8)
     for x, y in zip(arith_sample_batch(cfg, np.int64(3)), arith_sample_batch(cfg, 3)):
         np.testing.assert_array_equal(x, y)
