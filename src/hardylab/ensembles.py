@@ -237,12 +237,12 @@ def ensemble_chunk(cfg: EnsembleConfig, tag: int, first: int, count: int,
 
     blocks = []
     for k in range(1, depth + 1):
-        # each sample's normals go straight into the chunk's real and imaginary parts
-        re, im = np.empty((2, count, n ** (k - 1), degree))
-        for rng, re_row, im_row in zip(streams(k - 1), re, im):
-            rng.standard_normal(out=re_row)
-            rng.standard_normal(out=im_row)
-        blocks.append(_complex_normal(re, im))
+        # one draw per sample fills its real and then its imaginary part, in
+        # stream order: the bits of two draws of shape (N^(k-1), d)
+        normals = np.empty((count, 2, n ** (k - 1), degree))
+        for rng, row in zip(streams(k - 1), normals):
+            rng.standard_normal(out=row)
+        blocks.append(_complex_normal(normals[:, 0], normals[:, 1]))
     angles = []
     for k in range(depth if phases else 0):
         # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits

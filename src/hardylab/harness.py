@@ -171,17 +171,26 @@ def _scalar_rng(config: HarnessConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(config.seed), *key]))
 
 
-def _scalar_shift(rng: np.random.Generator) -> complex:
-    """A standard complex normal shift b of the integral suites."""
-    return complex(rng.standard_normal() + 1j * rng.standard_normal())
+def _scalar_shifts(normals: np.ndarray) -> np.ndarray:
+    """The complex normal shifts b = re + i im of the integral suites, one per
+    (re, im) row of normals."""
+    return normals[:, 0] + 1j * normals[:, 1]
 
 
-def _scalar_draws(rng: np.random.Generator) -> tuple:
-    """The shift b, then w = e^{i phi}, phi uniform on [0, 2 pi), renormalized in Python-complex
-    arithmetic: ensembles._unit's numpy division differs in the last ulp on ~30% of angles."""
-    b = _scalar_shift(rng)
-    w = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-    return b, w / abs(w)
+def _scalar_draws(rng: np.random.Generator, count: int) -> tuple:
+    """The shifts b and multipliers w of `count` samples, as two (count,) arrays.
+
+    Sample by sample the stream gives the two normals of b, then u uniform on
+    [0, 1): phi = 2 pi u is uniform(0, 2 pi), the same bits, and w = e^{i phi}
+    is renormalized in Python-complex arithmetic: ensembles._unit's numpy
+    division differs in the last ulp on ~30% of angles.  numpy's complex exp
+    of an array equals its exp of each angle alone."""
+    normals, u = np.empty((count, 2)), np.empty(count)
+    for i, pair in enumerate(normals):
+        rng.standard_normal(out=pair)
+        u[i] = rng.random()
+    w = np.exp(1j * (2 * np.pi * u)).tolist()
+    return _scalar_shifts(normals), np.array([z / abs(z) for z in w])
 
 
 _IDENTITY_SUITES = ("sincos-identity", "orthogonal-split", "transform-isometry")
@@ -207,11 +216,10 @@ def _identity_sides(config: HarnessConfig) -> np.ndarray:
     rng = _scalar_rng(config, 100)
     sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))
     for rows, blocks, _ in _blocks(config, 0, 1, phases=False):
-        b, w = np.array([_scalar_draws(rng) for _ in range(len(blocks[0]))]).T
-        rep = _sincos_rows(grid, _differences(grid, blocks)[0], b, w)
+        rep = _sincos_rows(grid, _differences(grid, blocks)[0], *_scalar_draws(rng, len(blocks[0])))
         sides[0, rows] = np.transpose([rep.lhs, rep.rhs, rep.rhs])
     for rows, blocks, _ in _blocks(config, 1, 1, phases=False):
-        b = np.array([_scalar_shift(rng) for _ in range(len(blocks[0]))])
+        b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
         lhs, rhs = _split_rows(grid, _differences(grid, blocks)[0], b)
         sides[1, rows] = np.transpose([lhs, rhs, rhs])
     for rows, blocks, angles in _blocks(config, 2, config.depth):
@@ -255,8 +263,8 @@ def _lemma_sides(config: HarnessConfig) -> np.ndarray:
     rng = _scalar_rng(config, 101)
     sides = np.empty((config.samples, 5))
     for rows, blocks, _ in _blocks(config, 11, 1, phases=False):
-        b, w = np.array([_scalar_draws(rng) for _ in range(len(blocks[0]))]).T
-        rep = _perturbation_rows(grid, _differences(grid, blocks)[0], b, w)
+        rep = _perturbation_rows(grid, _differences(grid, blocks)[0],
+                                 *_scalar_draws(rng, len(blocks[0])))
         sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
                                     rep.rotation_rhs, rep.split_rhs])
     return sides

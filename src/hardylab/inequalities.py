@@ -32,12 +32,17 @@ that the closed forms stand for.
 The side functions evaluate a block of M rows at once, and the public
 sincos_identity_sides, decomposition_sides and perturbation_bounds are the
 block of one row.  _coordinate_rows gates the rows and shifts and runs the
-slice integrals over (M, N); then a loop over the rows passes Python
-scalars (.tolist()) to arith_envelope and the closed forms, so each row's
-arithmetic stays Python's and its sides equal the row's alone bit for bit.
-The loop cannot become array arithmetic: x ** 2 is x * x on an array but
-pow on a Python or numpy float, and numpy's complex abs is not Python's;
-both change the last bit of many sides.
+slice integrals over (M, N).  The envelopes of perturbation_bounds take
+numpy's moduli |mu|, |b| and |mu - b| of the whole block, which equal its
+moduli of each row alone, and square each |mu - b| as a scalar, with pow;
+the rest of the envelope is array arithmetic, which rounds as scalars do.
+Then _row_forms passes each row's Python scalars (.tolist()) to the closed
+forms, so their arithmetic stays Python's and every side equals the row's
+alone bit for bit.  Neither squares nor closed forms can become array
+arithmetic: x ** 2 is x * x on an array but pow on a Python or numpy float,
+and numpy's complex abs is not Python's; both change the last bit of many
+sides.  A row whose Python arithmetic overflows is evaluated on numpy
+scalars, so its overflowed sides are inf, as on arrays.
 """
 
 from __future__ import annotations
@@ -140,13 +145,20 @@ def _gap_form(a, b):
     return (a - abs(b)) ** 2
 
 
-def _envelope_parts(mu, b) -> tuple:
+def _envelope_parts(mu, b, rows: bool = False) -> tuple:
     """|mu|, |mu - b|^2 and q = |mu - b|^2 / (|mu| + |b|), elementwise, with
-    q = 0 at mu = b = 0.  The envelope of (mu, b) is |mu| + q."""
+    q = 0 at mu = b = 0.  The envelope of (mu, b) is |mu| + q.
+
+    An array's ** 2 is x * x, a scalar's is pow.  With rows, mu and b are a
+    block of rows and each |mu - b| is squared as a scalar, so every entry
+    equals the envelope of that row alone, arith_envelope(complex(mu_i),
+    complex(b_i)), bit for bit; numpy's complex abs of an array equals its
+    abs of each element (tests/test_inequalities.py pins both)."""
     mu, b = np.asarray(mu, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     abs_mu = np.abs(mu)
     denom = abs_mu + np.abs(b)
-    gap_sq = np.abs(mu - b) ** 2
+    gap = np.abs(mu - b)
+    gap_sq = np.array([x ** 2 for x in gap], dtype=float) if rows else gap ** 2
     return abs_mu, gap_sq, np.where(denom > 0.0, gap_sq / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
@@ -211,6 +223,21 @@ def _coordinate_rows(grid: TorusGrid, values, b, w=None) -> tuple:
     return b, mu, r_sq, _perturbed_moment(u, b_col, sig), moment
 
 
+def _row_forms(form, *columns) -> np.ndarray:
+    """form(*row) for every row of the (M,) columns, as an array with one entry
+    per row.  Each row gets Python scalars (.tolist()), so its arithmetic is
+    Python's and equals the row's alone bit for bit.  A row that overflows,
+    where a Python float's ** raises, is evaluated on numpy scalars instead,
+    whose ** gives inf with a RuntimeWarning, as the array paths do."""
+    values = []
+    for row in zip(*(c.tolist() for c in columns)):
+        try:
+            values.append(form(*row))
+        except OverflowError:
+            values.append(form(*(np.asarray(x)[()] for x in row)))
+    return np.array(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     lhs: float
@@ -234,9 +261,9 @@ def _sincos_rows(grid: TorusGrid, values, b, w) -> IdentityReport:
     """sincos_identity_sides for every row of values with its b and w (see
     _coordinate_rows), as a report of (M,) arrays."""
     b, mu, tail, _, rhs = _coordinate_rows(grid, values, b, w)
-    rows = zip(mu.tolist(), b.tolist(), np.asarray(w, dtype=np.complex128).tolist(), tail.tolist())
-    # per row in Python arithmetic, tail last: the recorded residuals round this way
-    lhs = np.array([_sincos_form(m, s, v) + t for m, s, v, t in rows])
+    # tail last: the recorded residuals round this way
+    lhs = _row_forms(lambda m, s, v, t: _sincos_form(m, s, v) + t,
+                     mu, b, np.asarray(w, dtype=np.complex128), tail)
     return IdentityReport(lhs, rhs, residual_verdict(lhs, rhs, rhs, 0.0)[0])
 
 
@@ -248,7 +275,7 @@ def decomposition_sides(h: GridFunction, b: complex):
 def _split_rows(grid: TorusGrid, values, b) -> tuple:
     """decomposition_sides for every row of values with its b, as two (M,) arrays."""
     b, mu, tail, lhs, _ = _coordinate_rows(grid, values, b)
-    return lhs, np.array([_split_form(*row) for row in zip(mu.tolist(), b.tolist(), tail.tolist())])
+    return lhs, _row_forms(_split_form, mu, b, tail)
 
 
 @dataclass(frozen=True)
@@ -275,9 +302,8 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
     return _first_sample(_perturbation_rows(h.grid, h.values[np.newaxis], [b], [w]))
 
 
-def _perturbation_forms(mu: complex, b: complex, tail: float) -> tuple:
-    """split_rhs, shift_rhs and rotation_lhs of one row, in Python arithmetic."""
-    a = arith_envelope(mu, b)
+def _perturbation_forms(mu: complex, b: complex, tail: float, a: float) -> tuple:
+    """split_rhs, shift_rhs and rotation_lhs of one row with envelope a."""
     return _split_form(mu, b, tail), 8.0 * (a * a - abs(mu) ** 2) + tail, _gap_form(a, b) + tail
 
 
@@ -285,8 +311,9 @@ def _perturbation_rows(grid: TorusGrid, values, b, w) -> PerturbationReport:
     """perturbation_bounds for every row of values with its b and w (see
     _coordinate_rows), as a report of (M,) arrays."""
     b, mu, tail, shift_lhs, moment = _coordinate_rows(grid, values, b, w)
-    forms = [_perturbation_forms(*row) for row in zip(mu.tolist(), b.tolist(), tail.tolist())]
-    split_rhs, shift_rhs, rotation_lhs = np.array(forms).reshape(-1, 3).T
+    abs_mu, _, q = _envelope_parts(mu, b, rows=True)
+    split_rhs, shift_rhs, rotation_lhs = _row_forms(_perturbation_forms, mu, b, tail,
+                                                    abs_mu + q).T
     return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, 8.0 * moment, split_rhs,
                               residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
 

@@ -44,12 +44,25 @@ def patch_sizes(monkeypatch, config, depth, chunk):
                         chunk * (degree + 1) * sum(n**k for k in range(depth)))
 
 
+def shift_alone(rng):
+    """The shift b of one sample of the integral suites, drawn by itself."""
+    return complex(rng.standard_normal() + 1j * rng.standard_normal())
+
+
+def draws_alone(rng):
+    """The shift b and the multiplier w of one sample, drawn by themselves: w is
+    e^{i phi}, phi uniform on [0, 2 pi), renormalized in Python-complex arithmetic."""
+    b = shift_alone(rng)
+    w = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    return b, w / abs(w)
+
+
 def lemma_sides_alone(config):
     rng = harness._scalar_rng(config, 101)
     sides = []
     for i in range(config.samples):
         h = random_hardy_function(sample_ensemble(config, 11, i, 1))
-        rep = perturbation_bounds(h, *harness._scalar_draws(rng))
+        rep = perturbation_bounds(h, *draws_alone(rng))
         sides.append((rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs, rep.rotation_rhs,
                       rep.split_rhs))
     return np.array(sides)
@@ -60,11 +73,11 @@ def identity_sides_alone(config):
     sides = np.empty((3, config.samples, 3))
     for i in range(config.samples):
         h = random_hardy_function(sample_ensemble(config, 0, i, 1))
-        rep = sincos_identity_sides(h, *harness._scalar_draws(rng))
+        rep = sincos_identity_sides(h, *draws_alone(rng))
         sides[0, i] = rep.lhs, rep.rhs, rep.rhs
     for i in range(config.samples):
         h = random_hardy_function(sample_ensemble(config, 1, i, 1))
-        lhs, rhs = decomposition_sides(h, harness._scalar_shift(rng))
+        lhs, rhs = decomposition_sides(h, shift_alone(rng))
         sides[1, i] = lhs, rhs, rhs
     for i in range(config.samples):
         cfg = sample_ensemble(config, 2, i, config.depth)
@@ -101,6 +114,66 @@ class TestEverySample:
         patch_sizes(monkeypatch, config, depth, chunk)
         assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
         assert block_starts(config, depth) == expected_starts(samples, chunk)
+
+
+def recorded_draws(monkeypatch, name):
+    """Spy on the harness's row function `name`: every call appends the draws
+    it was given (b, and w if any) to the returned list."""
+    calls, inner = [], getattr(harness, name)
+
+    def spy(grid, values, *draws):
+        calls.append(draws)
+        return inner(grid, values, *draws)
+
+    monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+def assert_same_bits(calls, expected):
+    """The draws of every call, concatenated, equal the expected (b, ...) draws bit for bit."""
+    for got, want in zip(zip(*calls), zip(*expected), strict=True):
+        assert np.array_equal(np.concatenate(got).view(np.uint64),
+                              np.array(want, dtype=np.complex128).view(np.uint64))
+
+
+def test_numpy_complex_exp_is_elementwise():
+    # the block's multipliers take one exp of all its angles: this is the
+    # numpy property that keeps them the angles' own
+    phi = 2 * np.pi * np.random.default_rng(4).random(100_003)
+    alone = [np.exp(1j * x) for x in phi.tolist()]
+    for start, stop in [(0, None), (1, None), (3, -2)]:  # every SIMD tail
+        assert np.array_equal(np.exp(1j * phi[start:stop]), alone[start:stop])
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("chunk", [2, 5])
+class TestBlockDraws:
+    """The scalar draws of a block equal, bit for bit, the same stream drawn one
+    sample at a time (normal, normal, uniform), across block and chunk boundaries."""
+
+    def config(self, monkeypatch, chunk, samples):
+        config = HarnessConfig(n_points=8, depth=1, max_degree=3, samples=samples, seed=2**70)
+        patch_sizes(monkeypatch, config, 1, chunk)
+        return config
+
+    def test_lemmas(self, monkeypatch, chunk, samples):
+        config = self.config(monkeypatch, chunk, samples)
+        calls = recorded_draws(monkeypatch, "_perturbation_rows")
+        harness._lemma_sides(config)
+        assert len(calls) == len(expected_starts(samples, chunk))
+        rng = harness._scalar_rng(config, 101)
+        assert_same_bits(calls, [draws_alone(rng) for _ in range(samples)])
+
+    def test_identities(self, monkeypatch, chunk, samples):
+        config = self.config(monkeypatch, chunk, samples)
+        sincos = recorded_draws(monkeypatch, "_sincos_rows")
+        split = recorded_draws(monkeypatch, "_split_rows")
+        harness._identity_sides(config)
+        assert len(sincos) == len(split) == len(expected_starts(samples, chunk))
+        # one stream: the sincos suite's (b, w), then the split suite's shifts
+        rng = harness._scalar_rng(config, 100)
+        assert_same_bits(sincos, [draws_alone(rng) for _ in range(samples)])
+        assert_same_bits(split, [(shift_alone(rng),) for _ in range(samples)])
 
 
 class TestRowWiseGate:

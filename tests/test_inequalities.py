@@ -32,7 +32,16 @@ from hardylab import (
     verify_chain,
 )
 
-from hardylab.inequalities import _chain_sides, _sign_modes, _stability_batch
+from hardylab.ensembles import ARITH_STRATA
+from hardylab.inequalities import (
+    _chain_sides,
+    _envelope_parts,
+    _perturbation_rows,
+    _sign_modes,
+    _split_rows,
+    _sincos_rows,
+    _stability_batch,
+)
 
 import oracles
 
@@ -64,6 +73,47 @@ class TestArithEnvelope:
         mu = np.array([1.0, 0.0, 3.0 + 4j])
         b = np.array([0.0, 0.0, 3.0 + 4j])
         np.testing.assert_allclose(arith_envelope(mu, b), [2.0, 0.0, 5.0])
+
+
+def envelope_cases(count, seed):
+    """count (mu, b) pairs: standard complex normals at every pair of the
+    ARITH_STRATA magnitudes, mu = b, mu = b = 0, subnormal and overflowing
+    moduli, as two complex arrays."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, count)) + 1j * rng.standard_normal((2, count))
+    scales = np.array(ARITH_STRATA + (1e-310, 1e155, 1e160, 1e300))
+    mu, b = z * scales[rng.integers(len(scales), size=(2, count))]
+    b[::7] = mu[::7]
+    mu[::11] = b[::11] = 0.0
+    return mu, b
+
+
+class TestRowEnvelope:
+    def test_numpy_complex_abs_is_elementwise(self):
+        # the row envelope takes |mu|, |b| and |mu - b| of a whole block: this
+        # is the numpy property that keeps each row's bits those of its own call
+        mu, b = envelope_cases(100_003, 1)
+        z = np.concatenate([mu, b, mu - b])
+        alone = np.array([np.abs(x) for x in z])
+        for start, stop in [(0, None), (1, None), (3, -2)]:  # every SIMD tail
+            assert np.array_equal(np.abs(z[start:stop]), alone[start:stop], equal_nan=True)
+
+    def test_rows_equal_the_scalar_call(self):
+        mu, b = envelope_cases(100_000, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            abs_mu, _, q = _envelope_parts(mu, b, rows=True)
+            alone = [arith_envelope(complex(m), complex(s)) for m, s in zip(mu, b)]
+        assert np.isinf(alone).any() and (np.array(alone) == 0.0).any()
+        assert np.array_equal(abs_mu + q, alone, equal_nan=True)
+
+    def test_arrays_square_as_products(self):
+        # the array route squares as x * x, the rows as pow; both are recorded
+        mu, b = envelope_cases(10_000, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.abs(mu - b)
+            assert np.array_equal(_envelope_parts(mu, b)[1], gap * gap, equal_nan=True)
+            assert np.array_equal(_envelope_parts(mu, b, rows=True)[1],
+                                  [x ** 2 for x in gap], equal_nan=True)
 
 
 class TestEnvelopeGapBound:
@@ -214,6 +264,46 @@ class TestPerturbationBounds:
             rep = perturbation_bounds(h, b, unit_phase(rng))
             assert (rep.shift_lhs, rep.split_rhs) == decomposition_sides(h, b)
             assert rep.split_residual == abs(rep.shift_lhs - rep.split_rhs) / rep.split_rhs
+
+
+class TestOverflow:
+    """Squares past float64's range give inf in every single-coordinate side, as
+    in the array paths; a Python float's ** 2 would raise OverflowError."""
+
+    def h(self, scale):
+        h = random_hardy_function(EnsembleConfig(seed=3, n_points=16, max_degree=7))
+        return GridFunction(h.grid, scale * h.values)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_sides_overflow_to_inf(self, scale):
+        h, b, w = self.h(scale), 0.3 - 0.8j, 1j
+        with pytest.warns(RuntimeWarning):
+            rep = perturbation_bounds(h, b, w)
+        with pytest.warns(RuntimeWarning):
+            split = decomposition_sides(h, b)
+        with pytest.warns(RuntimeWarning):
+            identity = sincos_identity_sides(h, b, w)
+        assert split == (math.inf, math.inf)
+        assert (identity.lhs, identity.rhs) == (math.inf, math.inf)
+        assert (rep.shift_lhs, rep.rotation_lhs, rep.rotation_rhs, rep.split_rhs) == (math.inf,) * 4
+        # 8 (a^2 - |mu|^2) + tail is inf - inf, as the chain's pointwise bound is on arrays
+        assert math.isnan(rep.shift_rhs)
+
+    def test_finite_rows_keep_their_bits_beside_an_overflowing_one(self):
+        grid, scales = make_grid(16), (1.0, 1e160, 1e150)
+        rows = np.stack([self.h(scale).values for scale in scales])
+        b, w = np.full(3, 0.3 - 0.8j), np.full(3, 1j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = [dataclasses.astuple(_perturbation_rows(grid, rows, b, w)),
+                     dataclasses.astuple(_sincos_rows(grid, rows, b, w)),
+                     _split_rows(grid, rows, b)]
+        assert all(any(np.isinf(x[1]) for x in sides) for sides in block)  # row 1 overflows
+        for i in (0, 2):
+            h = self.h(scales[i])
+            alone = [dataclasses.astuple(perturbation_bounds(h, b[i], w[i])),
+                     dataclasses.astuple(sincos_identity_sides(h, b[i], w[i])),
+                     decomposition_sides(h, b[i])]
+            assert [[x[i] for x in sides] for sides in block] == [list(x) for x in alone]
 
 
 @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
