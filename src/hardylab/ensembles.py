@@ -10,7 +10,9 @@ A run's sample i is seeded by the child seed SeedSequence([seed, tag, i]).
 ensemble_chunk draws the samples of a whole chunk at once: it computes every
 child seed and every substream's PCG64 seed words with numpy's SeedSequence
 hash written over uint32 arrays, one row per stream, so its draws equal
-per-sample seeding bit for bit (tests/test_ensembles.py pins this).  The
+per-sample seeding bit for bit (tests/test_ensembles.py pins this).  It is
+chunk_seed_words followed by draw_chunk; the harness hashes the seed words
+of a span of several chunks in one pass and then draws chunk by chunk.  The
 single-sample functions keep numpy's own SeedSequence.
 """
 
@@ -223,16 +225,33 @@ def ensemble_chunk(cfg: EnsembleConfig, tag: int, first: int, count: int,
     angles[k] of shape (count,) + (N,)*k stack the level-k draws along a
     leading sample axis; angles is [] when phases is False.
     """
+    return draw_chunk(cfg, chunk_seed_words(cfg, tag, first, count, phases))
+
+
+def chunk_seed_words(cfg: EnsembleConfig, tag: int, first: int, count: int,
+                     phases: bool = True) -> np.ndarray:
+    """The PCG64 seed words of every substream of samples first .. first+count-1
+    of the run (cfg.seed, tag), shape (count, streams, 4): per sample the
+    coefficient streams of levels 1..depth, then, when phases is True, the
+    phase streams of levels 0..depth-1.  Any run of samples may be cut into
+    chunks afterwards: each row depends on its own sample only."""
     tag = _check_integer(tag, "tag", 0)
     first = _check_integer(first, "first", 0)
     count = _check_integer(count, "count", 1)
-    n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
+    depth = cfg.depth
     keys = [(0, k) for k in range(1, depth + 1)] + ([(1, k) for k in range(depth)] if phases else [])
-    words = _stream_seeds(_child_seeds(cfg.seed, tag, first, count), keys)
-    seed_words = _seed_words_type()
+    return _stream_seeds(_child_seeds(cfg.seed, tag, first, count), keys)
+
+
+def draw_chunk(cfg: EnsembleConfig, words: np.ndarray) -> tuple:
+    """ensemble_chunk's (blocks, angles) for the samples whose seed words are the
+    rows of words (from chunk_seed_words); phases are drawn when words holds
+    their streams."""
+    n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
+    count, seed_words = len(words), _seed_words_type()
 
     def streams(key: int):
-        """Sample by sample, the generator of substream keys[key], made when it is drawn."""
+        """Sample by sample, the generator of substream `key`, made when it is drawn."""
         return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words[:, key])
 
     blocks = []
@@ -244,7 +263,7 @@ def ensemble_chunk(cfg: EnsembleConfig, tag: int, first: int, count: int,
             rng.standard_normal(out=row)
         blocks.append(_complex_normal(normals[:, 0], normals[:, 1]))
     angles = []
-    for k in range(depth if phases else 0):
+    for k in range(words.shape[1] - depth):
         # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
         phi = np.empty((count,) + (n,) * k)
         for rng, row in zip(streams(depth + k), phi.reshape(count, -1)):

@@ -23,7 +23,8 @@ from .ensembles import (
     _differences,
     _unit,
     arith_sample_batch,
-    ensemble_chunk,
+    chunk_seed_words,
+    draw_chunk,
 )
 from .inequalities import (
     CHAIN_CONSTANT,
@@ -39,7 +40,7 @@ from .inequalities import (
     residual_verdict,
     slack_verdict,
 )
-from .martingale import _check_degree, _check_size, _isometry_norms
+from .martingale import _check_degree, _check_size, _isometry_norms, _rows
 from .torus import GridFunction, _check_integer, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
@@ -223,7 +224,9 @@ def _identity_sides(config: HarnessConfig) -> np.ndarray:
         lhs, rhs = _split_rows(grid, _differences(grid, blocks)[0], b)
         sides[1, rows] = np.transpose([lhs, rhs, rhs])
     for rows, blocks, angles in _blocks(config, 2, config.depth):
-        norms = _isometry_norms(grid, _differences(grid, blocks), [_unit(phi) for phi in angles])
+        # the level arrays are dropped once laid out as rows
+        norms = _isometry_norms(grid, _rows(_differences(grid, blocks)),
+                                [_unit(phi) for phi in angles])
         sides[2, rows] = np.transpose(norms)
     return sides
 
@@ -279,15 +282,21 @@ _CHUNK_ENTRIES = 2**14
 
 def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: bool = True):
     """Yield (first sample, coefficient blocks, phase angles) per chunk of the
-    config's samples, drawn by ensemble_chunk for the run (config.seed, tag) at
-    the given depth (default config.depth): blocks[k-1] and angles[k] stack the
-    chunk's level-k draws along a leading sample axis."""
+    config's samples, drawn as ensemble_chunk draws them for the run
+    (config.seed, tag) at the given depth (default config.depth): blocks[k-1]
+    and angles[k] stack the chunk's level-k draws along a leading sample axis.
+
+    The seed words are hashed a span at a time: as many whole chunks as fit
+    _CHUNK_ENTRIES uint64 words, 4 per substream (at least one chunk)."""
     depth = config.depth if depth is None else depth
     cfg = EnsembleConfig(config.seed, config.n_points, depth, config.max_degree)
     entries = (config.max_degree + 1) * sum(config.n_points**k for k in range(depth))
     chunk = max(1, _CHUNK_ENTRIES // entries)
-    for first in range(0, config.samples, chunk):
-        yield first, *ensemble_chunk(cfg, tag, first, min(chunk, config.samples - first), phases)
+    span = chunk * max(1, _CHUNK_ENTRIES // (4 * depth * (2 if phases else 1)) // chunk)
+    for start in range(0, config.samples, span):
+        words = chunk_seed_words(cfg, tag, start, min(span, config.samples - start), phases)
+        for first in range(0, len(words), chunk):
+            yield start + first, *draw_chunk(cfg, words[first:first + chunk])
 
 
 # Grid entries per block of samples in the lemmas and identities suites: a

@@ -8,11 +8,14 @@ built on request.  Only MartingaleField(grid, depth, terminal) averages; the
 operations (conjugation-even and -odd parts, dyadic projection, transform)
 map stored differences to new ones.
 
-The mean check, the Hardy gate, the previsible norm and the transform
-isometry also run over differences stacked along a leading axis of M
-samples, shape (M,) + (N,)*k, each sample at its own scale (_scale_bound).
-is_hardy_martingale, previsible_norm and check_transform_isometry are the
-stack of one sample; a stacked sample's norms equal its own bit for bit.
+The mean check, the Hardy gate and the transform isometry run over rows:
+the differences of M samples (diffs[k-1] of shape (M,) + (N,)*k) laid out as
+one (M, R, N) array, R = 1 + N + ... + N^(depth-1), whose rows are the
+newest-coordinate slices of level 1, then of level 2, and so on (_rows).
+Every per-slice step is then one numpy call over the whole array, and
+per-level quantities are reductions over a level's run of rows.  Each
+sample keeps its own scale (_scale_bound).  A field is the block of one
+sample; a block's norms equal each sample's own bit for bit.
 """
 
 from __future__ import annotations
@@ -75,15 +78,43 @@ def _stack(parts) -> list:
     return [p[np.newaxis] for p in parts]
 
 
-def _scale_bound(base: complex, diffs) -> np.ndarray:
-    """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|, for
-    differences stacked along a leading sample axis: diffs[k-1] of shape (M,) + (N,)*k."""
-    return abs(base) + sum(np.abs(d).reshape(len(d), -1).max(axis=1, initial=0.0) for d in diffs)
+def _rows(diffs) -> np.ndarray:
+    """Differences stacked along a leading axis of M samples, diffs[k-1] of shape
+    (M,) + (N,)*k, as one (M, R, N) array of newest-coordinate slices, level
+    after level."""
+    count, n = len(diffs[0]), diffs[0].shape[-1]
+    return np.concatenate([d.reshape(count, -1, n) for d in diffs], axis=1)
 
 
-def _check_means(diffs, scale) -> None:
-    """Per sample of stacked differences, every mean over the newest axis must be
-    within 1e-12*scale + 8*2^-1074, for scale of shape (M,).
+def _level_starts(n: int, r: int) -> list:
+    """The first row of every level among R rows of N-point slices: 0, 1, 1 + N, ..."""
+    starts = [0]
+    while starts[-1] * n + 1 < r:
+        starts.append(starts[-1] * n + 1)
+    return starts
+
+
+def _levels(x: np.ndarray, n: int) -> list:
+    """Per level k, the level's entries along the last axis (one per row) of x,
+    as a view of shape lead + (N,)*(k-1)."""
+    bounds = _level_starts(n, x.shape[-1]) + [x.shape[-1]]
+    return [x[..., a:b].reshape(x.shape[:-1] + (n,) * k) for k, (a, b) in
+            enumerate(zip(bounds, bounds[1:]))]
+
+
+def _scale_bound(base: complex, moduli: np.ndarray) -> np.ndarray:
+    """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|,
+    from the moduli of rows, shape (M, R, N): shape (M,)."""
+    count, r, n = moduli.shape
+    # one long reduction per level, much faster than one per row; max is exact
+    maxima = np.maximum.reduceat(moduli.reshape(count, -1), [n * s for s in _level_starts(n, r)],
+                                 axis=1)
+    return abs(base) + sum(maxima.T)  # in level order
+
+
+def _check_means(rows: np.ndarray, scale) -> None:
+    """Per sample of rows, every mean over the newest axis must be within
+    1e-12*scale + 8*2^-1074, for scale of shape (M,).
 
     An inf or a NaN makes _scale_bound's scale, or else the drift, non-finite,
     so such parts are rejected without a separate pass over the data."""
@@ -92,13 +123,15 @@ def _check_means(diffs, scale) -> None:
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
-    for k, d in enumerate(diffs, start=1):
-        # the mean over the newest axis, largest per sample
-        drift = np.abs(d.sum(axis=-1)).reshape(len(d), -1).max(axis=1) / d.shape[-1]
-        held = drift <= tol
-        if not held.all():
-            raise ValueError(f"difference {k} has mean {drift[np.argmin(held)]:.3g} over its "
-                             f"newest axis, not 0")
+    # the mean over the newest axis, largest per sample and level
+    n = rows.shape[-1]
+    drift = np.maximum.reduceat(np.abs(rows.sum(axis=-1)), _level_starts(n, rows.shape[1]),
+                                axis=1) / n
+    held = drift <= tol[:, np.newaxis]
+    if not held.all():
+        k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample
+        raise ValueError(f"difference {k + 1} has mean {drift[np.argmin(held[:, k]), k]:.3g} "
+                         f"over its newest axis, not 0")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -129,8 +162,8 @@ class MartingaleField:
         if len(diffs) != depth:
             raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
         base = complex(base)
-        stacked = _stack(diffs)
-        _check_means(stacked, _scale_bound(base, stacked) if scale is None else scale)
+        rows = _rows(_stack(diffs))
+        _check_means(rows, _scale_bound(base, np.abs(rows)) if scale is None else scale)
         self.__dict__.update(grid=grid, depth=depth, base=base, diffs=diffs)  # frozen dataclass
 
     @property
@@ -139,9 +172,14 @@ class MartingaleField:
         return level(self, self.depth)
 
 
+def _unimodular(w):
+    """Where |w| (scalar or array) is within 1e-12 of 1; not at a NaN."""
+    return abs(abs(w) - 1.0) <= 1e-12
+
+
 def _require_unimodular(w, what: str):
     """w itself, once every |w| (scalar or array) is within 1e-12 of 1; a NaN fails."""
-    if not np.logical_and.reduce(abs(abs(w) - 1.0) <= 1e-12, axis=None):
+    if not np.logical_and.reduce(_unimodular(w), axis=None):
         raise ValueError(f"{what} is not unimodular")
     return w
 
@@ -201,7 +239,8 @@ def _derive(field: MartingaleField, base: complex, diffs) -> MartingaleField:
     """Result of an operation on `field`.  Its differences keep the source's round-off
     mean, which may dwarf their own size, so the check uses the source's scale."""
     out = object.__new__(MartingaleField)
-    out._store(field.grid, field.depth, base, diffs, _scale_bound(field.base, _stack(field.diffs)))
+    scale = _scale_bound(field.base, np.abs(_rows(_stack(field.diffs))))
+    out._store(field.grid, field.depth, base, diffs, scale)
     return out
 
 
@@ -217,19 +256,14 @@ def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
 
 def _root_mean(moments, depth: int, n: int) -> np.ndarray:
     """Per sample, the mean over grid^(n-1) of the root of the summed per-level
-    moments, for moments of shape (M,) + (N,)*(k-1): shape (M,)."""
-    roots = np.sqrt(_broadcast_sum(moments, depth, n))
-    return np.mean(roots.reshape(len(roots), -1), axis=1)
+    moments, for moments of shape lead + (N,)*(k-1): shape lead."""
+    lead = np.shape(moments[0])
+    return np.mean(np.sqrt(_broadcast_sum(moments, depth, n)).reshape(lead + (-1,)), axis=-1)
 
 
 def _level_moments(diffs) -> tuple:
     """q_k = mean |diff_k|^2 over the newest axis, for any leading axes."""
     return tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in diffs)
-
-
-def _previsible_norms(diffs) -> np.ndarray:
-    """previsible_norm per sample of stacked differences, shape (M,)."""
-    return _root_mean(_level_moments(diffs), len(diffs), diffs[0].shape[-1])
 
 
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
@@ -239,7 +273,8 @@ def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
 
 def previsible_norm(field: MartingaleField) -> float:
     """L^1 norm of the conditional square function sqrt(sum_k q_k)."""
-    return float(_previsible_norms(_stack(field.diffs))[0])
+    moments = _level_moments(_stack(field.diffs))
+    return float(_root_mean(moments, field.depth, field.grid.n_points)[0])
 
 
 def _even_part(diff: np.ndarray) -> np.ndarray:
@@ -282,16 +317,14 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     in vanishing differences, and junk carries no frequency information.
     The floor is (1e-13 * scale)^2, and a field with an inf or NaN fails.
     """
-    diffs = _stack(field.diffs)
-    return bool(_are_hardy(field.grid, diffs, _scale_bound(field.base, diffs), tol).all())
+    rows = _rows(_stack(field.diffs))
+    return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, np.abs(rows)), tol).all())
 
 
-def _are_hardy(grid: TorusGrid, diffs, scale: np.ndarray, tol: float) -> np.ndarray:
-    """is_hardy_martingale per sample of stacked differences, each sample at its
-    own scale (shape (M,)): one scale for the whole stack would put a small
-    sample's junk under the zero floor.  Returns (M,) verdicts."""
-    count, n = len(scale), grid.n_points
-    rows = np.concatenate([d.reshape(count, -1, n) for d in diffs], axis=1)  # one gate call
+def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
+    """is_hardy_martingale per sample of rows, each sample at its own scale
+    (shape (M,)): one scale for the whole block would put a small sample's junk
+    under the zero floor.  Returns (M,) verdicts."""
     return _rows_are_hardy(grid, rows, tol, scale[:, np.newaxis], 1e-13**2).all(axis=1)
 
 
@@ -303,34 +336,51 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     Im(w * slice) carry exactly half its energy.
     """
     _check_phases(phases, field.grid, field.depth)
-    cosine, transformed, _ = _isometry_norms(field.grid, _stack(field.diffs),
+    cosine, transformed, _ = _isometry_norms(field.grid, _rows(_stack(field.diffs)),
                                              _stack(phases.terms), field.base)
     return float(cosine[0]), float(transformed[0])
 
 
-def _isometry_norms(grid: TorusGrid, diffs, terms, base: complex = 0.0) -> tuple:
+def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0) -> tuple:
     """check_transform_isometry over M samples, plus each sample's previsible norm.
 
-    diffs[k-1], of shape (M,) + (N,)*k, stacks the samples' differences (their
+    rows, of shape (M, R, N), holds the samples' differences (_rows; their
     level-0 constant is base) and terms[k], of shape (M,) + (N,)*k, their
-    multipliers.  Each sample gets the checks of its own MartingaleField,
-    AdaptedPhases, Hardy gate, cosine_part and transform, at its own scale.
-    Returns the previsible norms of the cosine parts, of the transforms and of
-    the martingales themselves, each of shape (M,).
+    multipliers; terms beyond the depth of the rows are not used.  Each
+    sample gets the checks of its own MartingaleField, AdaptedPhases, Hardy
+    gate, cosine_part and transform, at its own scale.  Each step is one
+    numpy call over the rows, with the multipliers as one (M, R) array, and
+    the three moment arrays share one (3, M, R) buffer, each square taken
+    alone.  Returns the previsible norms of the cosine parts, of the
+    transforms and of the martingales themselves, each of shape (M,).
     """
-    scale = _scale_bound(base, diffs)
-    _check_means(diffs, scale)
-    terms = [_require_unimodular(w, f"term {k}") for k, w in enumerate(terms)]
-    if not _are_hardy(grid, diffs, scale, HARDY_GATE_TOL).all():
+    n = grid.n_points
+    depth = len(_level_starts(n, rows.shape[1]))
+    moduli = np.abs(rows)
+    scale = _scale_bound(base, moduli)
+    # sums of squares over the newest axis, as np.mean adds them: the cosine
+    # part, the transform and the martingale itself
+    moments = np.empty((3,) + rows.shape[:-1])
+    np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2])
+    del moduli
+    _check_means(rows, scale)
+    w = np.concatenate([t.reshape(len(t), -1) for t in terms[:depth]], axis=1)
+    held = _unimodular(w).all(axis=0)
+    if not held.all():
+        k = np.searchsorted(_level_starts(n, len(held)), np.argmin(held), side="right") - 1
+        raise ValueError(f"term {k} is not unimodular")
+    if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL).all():
         raise ValueError("transform isometry requires a Hardy martingale")
-    even = [_even_part(d) for d in diffs]
-    turned = [_turned(w, d) for w, d in zip(terms, diffs)]
-    for parts in (even, turned):
-        _check_means(parts, scale)  # as _derive does, at the source's scale
-    # the complex parts' norms in one pass, over a stack of 2M samples
-    stacked = [np.concatenate(parts) for parts in zip(even, diffs)]
-    cosine, own = _previsible_norms(stacked).reshape(2, -1)
-    return cosine, _previsible_norms(turned), own
+
+    def add_moments(i: int, part: np.ndarray) -> None:
+        _check_means(part, scale)  # as _derive does, at the source's scale
+        squares = np.abs(part)
+        np.add.reduce(np.square(squares, out=squares), axis=-1, out=moments[i])
+
+    add_moments(0, _even_part(rows))  # one part held at a time
+    add_moments(1, _turned(w, rows))
+    moments /= n  # the means, divided as np.mean divides
+    return tuple(_root_mean(_levels(moments, n), depth, n))
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

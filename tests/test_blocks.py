@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 from hardylab import (
+    AdaptedPhases,
+    EnsembleConfig,
     GridFunction,
     HarnessConfig,
     check_transform_isometry,
     decomposition_sides,
+    ensemble_chunk,
     field_from_differences,
     is_hardy,
     is_hardy_martingale,
@@ -28,7 +31,7 @@ from hardylab import (
 )
 from hardylab import cli, harness
 from hardylab.inequalities import _perturbation_rows, _sincos_rows, _split_rows
-from hardylab.martingale import _are_hardy, _isometry_norms, _scale_bound
+from hardylab.martingale import _are_hardy, _isometry_norms, _rows, _scale_bound
 from hardylab.torus import _rows_are_hardy
 from oracles import sample_ensemble
 
@@ -116,6 +119,27 @@ class TestEverySample:
         assert block_starts(config, depth) == expected_starts(samples, chunk)
 
 
+@pytest.mark.parametrize("phases", [True, False])
+@pytest.mark.parametrize("samples", [1, 7, 23])
+@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("n, depth, degree", [(4, 1, 1), (8, 2, 3), (16, 3, 5)])
+def test_chunks_equal_ensemble_chunk(monkeypatch, n, depth, degree, chunk, samples, phases):
+    # _chunks hashes the seed words of a span of whole chunks at once (at
+    # (8, 2, 3) with 2-sample chunks, a span of 2 chunks); every chunk it
+    # yields equals ensemble_chunk of that chunk alone, bit for bit
+    config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples,
+                           seed=2**70)
+    patch_sizes(monkeypatch, config, depth, chunk)
+    cfg = EnsembleConfig(config.seed, n, depth, degree)
+    got = list(harness._chunks(config, 2, phases=phases))
+    assert [first for first, _, _ in got] == list(range(0, samples, chunk))
+    for first, blocks, angles in got:
+        count = min(chunk, samples - first)
+        want_blocks, want_angles = ensemble_chunk(cfg, 2, first, count, phases)
+        for x, y in zip(blocks + angles, want_blocks + want_angles, strict=True):
+            assert x.shape[0] == count and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def recorded_draws(monkeypatch, name):
     """Spy on the harness's row function `name`: every call appends the draws
     it was given (b, and w if any) to the returned list."""
@@ -199,10 +223,10 @@ class TestRowWiseGate:
                                                               scale * np.ones((8, 3))]))
             fields.append(field_from_differences(grid, 2, 0.0, [scale * z,
                                                                 scale * np.outer(z, z.conj())]))
-        diffs = [np.stack([f.diffs[k] for f in fields]) for k in range(2)]
+        rows = _rows([np.stack([f.diffs[k] for f in fields]) for k in range(2)])
         alone = [is_hardy_martingale(f, 1e-8) for f in fields]
         assert alone == [True, False] * 4 + [True, True]
-        assert _are_hardy(grid, diffs, _scale_bound(0.0, diffs), 1e-8).tolist() == alone
+        assert _are_hardy(grid, rows, _scale_bound(0.0, np.abs(rows)), 1e-8).tolist() == alone
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("scale", [None, np.ones(3)])
@@ -240,11 +264,38 @@ class TestRowWiseGate:
         diffs[1][2] = diffs[1][2].conj()  # level 2 of sample 2 turns anti-analytic
         phases = random_adapted_phases(sample_ensemble(config, 2, 0, 2))
         with pytest.raises(ValueError) as from_block:
-            _isometry_norms(grid, diffs, [np.stack([w] * 5) for w in phases.terms])
+            _isometry_norms(grid, _rows(diffs), [np.stack([w] * 5) for w in phases.terms])
         with pytest.raises(ValueError) as from_alone:
             check_transform_isometry(field_from_differences(grid, 2, 0.0, [d[2] for d in diffs]),
                                      phases)
         assert str(from_block.value) == str(from_alone.value)
+
+    @pytest.mark.parametrize("fault", ["mean-1", "mean-3", "term-0", "term-2", "nan", "inf"])
+    def test_an_isometry_failure_mid_block_raises_as_alone(self, fault):
+        # sample 2 of a five-sample block fails one check; the block raises the
+        # message that check_transform_isometry gives that sample alone (its
+        # field and phases refuse it at construction)
+        grid = make_grid(8)
+        config = HarnessConfig(n_points=8, depth=3, max_degree=3)
+        fields = [random_hardy_martingale(sample_ensemble(config, 2, i, 3)) for i in range(5)]
+        phases = [random_adapted_phases(sample_ensemble(config, 2, i, 3)) for i in range(5)]
+        diffs = [np.stack([f.diffs[k] for f in fields]) for k in range(3)]
+        terms = [np.stack([p.terms[k] for p in phases]) for k in range(3)]
+        kind, _, level = fault.partition("-")
+        if kind == "mean":
+            diffs[int(level) - 1][2] += 0.25
+        elif kind == "term":
+            terms[int(level)].reshape(5, -1)[2, -1] *= 1.5  # a view: the stacks are contiguous
+        else:
+            diffs[1][2][3, 5] = np.nan if kind == "nan" else np.inf
+        with pytest.raises(ValueError) as from_block:
+            _isometry_norms(grid, _rows(diffs), terms)
+        with pytest.raises(ValueError) as from_alone:
+            check_transform_isometry(field_from_differences(grid, 3, 0.0, [d[2] for d in diffs]),
+                                     AdaptedPhases(grid, tuple(w[2] for w in terms)))
+        assert str(from_block.value) == str(from_alone.value)
+        assert {"mean": "difference", "term": "term", "nan": "finite",
+                "inf": "finite"}[kind] in str(from_block.value)
 
     @pytest.mark.parametrize("argv, deepest_only", [
         ("lemmas --n-points 8 --samples 7", False),
@@ -271,6 +322,8 @@ class TestRowWiseGate:
     # 3000 samples cross the 2048-sample chunk and many 256-row blocks
     ("lemmas", dict(n_points=16, max_degree=7, samples=3000)),
     ("identities", dict(n_points=16, depth=2, max_degree=5, samples=300)),
+    # the benchmark's shape: one sample per block of the isometry suite
+    ("identities", dict(n_points=16, depth=3, max_degree=5, samples=40)),
 ])
 def test_every_sample_at_the_default_sizes(command, settings):
     # an operation that rounds a stacked row unlike a lone one shows on few samples only

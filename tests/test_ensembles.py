@@ -18,7 +18,8 @@ from hardylab import (
     random_hardy_martingale,
     random_phase_angle_arrays,
 )
-from hardylab.ensembles import ARITH_STRATA, _child_seeds, _seed_words_type, _stream_seeds
+from hardylab.ensembles import (ARITH_STRATA, _child_seeds, _seed_words_type, _stream_seeds,
+                                chunk_seed_words, draw_chunk)
 
 import oracles
 
@@ -232,6 +233,20 @@ class TestChunkSeeding:
                 assert np.array_equal(x[j], y)
             for x, y in zip(angles, random_phase_angle_arrays(alone), strict=True):
                 assert np.array_equal(x[j], y)
+
+    @pytest.mark.parametrize("phases", [True, False])
+    @pytest.mark.parametrize("first", [0, 2**32 - 5, 2**64 - 9])
+    def test_a_span_cut_into_chunks_equals_each_chunk(self, first, phases):
+        # the seed words of a span, hashed at once, then drawn chunk by chunk;
+        # the span from 2**32 - 5 crosses the one-word/two-word sample index
+        cfg = EnsembleConfig(2**70, 8, 2, 3)
+        words = chunk_seed_words(cfg, 9, first, 9, phases)
+        assert words.shape == (9, 4 if phases else 2, 4)
+        for start in range(0, 9, 4):
+            got = draw_chunk(cfg, words[start:start + 4])
+            want = ensemble_chunk(cfg, 9, first + start, min(4, 9 - start), phases)
+            for x, y in zip(got[0] + got[1], want[0] + want[1], strict=True):
+                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
     def test_without_phases_the_coefficients_are_the_same(self):
         cfg = EnsembleConfig(7, 8, 2, 3)

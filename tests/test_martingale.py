@@ -287,6 +287,27 @@ class TestTransformIsometry:
             check_transform_isometry(F, constant_phases(grid, 1))
 
 
+class TestPhasesDeeperThanTheField:
+    """Phases may cover more levels than the field has; the levels beyond the
+    field's depth are not used."""
+
+    def setup_method(self):
+        self.F = random_hardy_martingale(EnsembleConfig(1, 8, 1, 3))
+        self.P = random_adapted_phases(EnsembleConfig(1, 8, 3, 3))
+        self.P1 = AdaptedPhases(self.F.grid, self.P.terms[:1])
+
+    def test_check_transform_isometry(self):
+        sides = check_transform_isometry(self.F, self.P)
+        assert sides == check_transform_isometry(self.F, self.P1)
+        # the pair's sides, bit for bit
+        assert [x.hex() for x in sides] == ['0x1.8453f1e3cd88fp-1', '0x1.8453f1e3cd890p-1']
+
+    def test_transform(self):
+        T, T1 = transform(self.F, self.P), transform(self.F, self.P1)
+        assert T.depth == 1 and T.base == T1.base
+        assert np.array_equal(T.diffs[0], T1.diffs[0])
+
+
 class TestIsHardyMartingale:
     def test_product_mode_is_hardy(self):
         assert is_hardy_martingale(product_mode_field(4), 1e-10)
