@@ -29,7 +29,9 @@ from .martingale import (
     _check_degree,
     _check_size,
     _coefficient_blocks,
-    field_from_differences,
+    _empty_rows,
+    _levels,
+    _owning,
 )
 from .torus import GridFunction, TorusGrid, _check_integer, make_grid
 
@@ -179,25 +181,25 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
     mode-1..d weights for every base point of level k.
     """
     blocks = [c[np.newaxis] for c in _coefficient_blocks(grid, coefficients)]
-    diffs = [d[0] for d in _differences(grid, blocks)]
-    return field_from_differences(grid, len(diffs), 0.0, diffs)
+    return _owning(grid, len(blocks), 0.0, _differences(grid, blocks)[0])
 
 
-def _differences(grid: TorusGrid, blocks) -> list:
-    """The Hardy differences sum_{m=1..d} c_m e^{im theta} of coefficient blocks
-    stacked along a leading sample axis: blocks[k-1] of shape (M, N^(k-1), d)
-    gives an array of shape (M,) + (N,)*k.  numpy's stacked product computes one
-    (N^(k-1), d) product per sample, so each sample rounds as it would alone."""
+def _differences(grid: TorusGrid, blocks) -> np.ndarray:
+    """The Hardy differences sum_{m=1..d} c_m e^{im theta} of M samples' coefficient blocks,
+    blocks[k-1] of shape (M, N^(k-1), d), as one (M, R, N) rows array.  Level k's stacked
+    product, written into its run of rows, rounds each sample's (N^(k-1), d) product alone."""
     n = grid.n_points
-    return [(c @ grid.analytic_modes(c.shape[-1])).reshape((len(c),) + (n,) * k)
-            for k, c in enumerate(blocks, start=1)]
+    rows = _empty_rows(n, len(blocks), (len(blocks[0]),))
+    for c, out in zip(blocks, _levels(rows, n)):
+        np.matmul(c, grid.analytic_modes(c.shape[-1]), out=out.reshape(c.shape[:-1] + (n,)))
+    return rows
 
 
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:
     """Random analytic polynomial sum_{m=1..d} c_m e^{im theta}."""
     grid = make_grid(cfg.n_points)
     coeff = _standard_complex(_stream(cfg, 0, 1), (1, 1, cfg.max_degree))
-    return GridFunction(grid, _differences(grid, [coeff])[0][0])
+    return GridFunction(grid, _differences(grid, [coeff])[0, 0])
 
 
 def random_coefficient_arrays(cfg: EnsembleConfig) -> list:

@@ -40,7 +40,7 @@ from .inequalities import (
     residual_verdict,
     slack_verdict,
 )
-from .martingale import _check_degree, _check_size, _isometry_norms, _rows
+from .martingale import _check_degree, _check_size, _isometry_norms
 from .torus import GridFunction, _check_integer, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
@@ -217,16 +217,15 @@ def _identity_sides(config: HarnessConfig) -> np.ndarray:
     rng = _scalar_rng(config, 100)
     sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))
     for rows, blocks, _ in _blocks(config, 0, 1, phases=False):
-        rep = _sincos_rows(grid, _differences(grid, blocks)[0], *_scalar_draws(rng, len(blocks[0])))
+        rep = _sincos_rows(grid, _differences(grid, blocks)[:, 0],
+                           *_scalar_draws(rng, len(blocks[0])))
         sides[0, rows] = np.transpose([rep.lhs, rep.rhs, rep.rhs])
     for rows, blocks, _ in _blocks(config, 1, 1, phases=False):
         b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
-        lhs, rhs = _split_rows(grid, _differences(grid, blocks)[0], b)
+        lhs, rhs = _split_rows(grid, _differences(grid, blocks)[:, 0], b)
         sides[1, rows] = np.transpose([lhs, rhs, rhs])
     for rows, blocks, angles in _blocks(config, 2, config.depth):
-        # the level arrays are dropped once laid out as rows
-        norms = _isometry_norms(grid, _rows(_differences(grid, blocks)),
-                                [_unit(phi) for phi in angles])
+        norms = _isometry_norms(grid, _differences(grid, blocks), [_unit(phi) for phi in angles])
         sides[2, rows] = np.transpose(norms)
     return sides
 
@@ -266,7 +265,7 @@ def _lemma_sides(config: HarnessConfig) -> np.ndarray:
     rng = _scalar_rng(config, 101)
     sides = np.empty((config.samples, 5))
     for rows, blocks, _ in _blocks(config, 11, 1, phases=False):
-        rep = _perturbation_rows(grid, _differences(grid, blocks)[0],
+        rep = _perturbation_rows(grid, _differences(grid, blocks)[:, 0],
                                  *_scalar_draws(rng, len(blocks[0])))
         sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
                                     rep.rotation_rhs, rep.split_rhs])

@@ -3,19 +3,19 @@
 A depth-n martingale is kept as its level-0 constant plus, per level k, a
 complex difference over grid^k (coordinate 1 slowest) whose mean over the
 newest coordinate is checked to be zero, so the filtration structure holds
-by construction.  Levels and the terminal array over grid^n are partial sums
+by construction.  The differences live in one read-only (R, N) array of rows,
+R = 1 + N + ... + N^(depth-1): the newest-coordinate slices of level 1, then
+of level 2, and so on; diffs[k-1], of shape (N,)*k, views level k's run of
+rows (_levels).  Levels and the terminal array over grid^n are partial sums
 built on request.  Only MartingaleField(grid, depth, terminal) averages; the
 operations (conjugation-even and -odd parts, dyadic projection, transform)
-map stored differences to new ones.
+map the rows to new ones.
 
-The mean check, the Hardy gate and the transform isometry run over rows:
-the differences of M samples (diffs[k-1] of shape (M,) + (N,)*k) laid out as
-one (M, R, N) array, R = 1 + N + ... + N^(depth-1), whose rows are the
-newest-coordinate slices of level 1, then of level 2, and so on (_rows).
-Every per-slice step is then one numpy call over the whole array, and
-per-level quantities are reductions over a level's run of rows.  Each
-sample keeps its own scale (_scale_bound).  A field is the block of one
-sample; a block's norms equal each sample's own bit for bit.
+The mean check, the Hardy gate and the transform isometry run over the rows
+of M samples as one (M, R, N) array, a field's being rows[np.newaxis]: each
+per-slice step is one numpy call, and per-level quantities are reductions over
+a level's run of rows.  Each sample keeps its own scale (_scale_bound); a
+block's norms equal each sample's own bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .torus import (
     _check_integer,
     _check_table,
     _require_same_grid,
+    _frozen,
     _rows_are_hardy,
     _stored,
 )
@@ -73,17 +74,9 @@ def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
     return blocks
 
 
-def _stack(parts) -> list:
-    """One sample's arrays as a stack of M = 1 samples."""
-    return [p[np.newaxis] for p in parts]
-
-
-def _rows(diffs) -> np.ndarray:
-    """Differences stacked along a leading axis of M samples, diffs[k-1] of shape
-    (M,) + (N,)*k, as one (M, R, N) array of newest-coordinate slices, level
-    after level."""
-    count, n = len(diffs[0]), diffs[0].shape[-1]
-    return np.concatenate([d.reshape(count, -1, n) for d in diffs], axis=1)
+def _empty_rows(n: int, depth: int, lead: tuple = ()) -> np.ndarray:
+    """A new complex array of shape lead + (R, N), R = 1 + N + ... + N^(depth-1)."""
+    return np.empty(lead + (sum(n**k for k in range(depth)), n), dtype=np.complex128)
 
 
 def _level_starts(n: int, r: int) -> list:
@@ -95,10 +88,10 @@ def _level_starts(n: int, r: int) -> list:
 
 
 def _levels(x: np.ndarray, n: int) -> list:
-    """Per level k, the level's entries along the last axis (one per row) of x,
-    as a view of shape lead + (N,)*(k-1)."""
-    bounds = _level_starts(n, x.shape[-1]) + [x.shape[-1]]
-    return [x[..., a:b].reshape(x.shape[:-1] + (n,) * k) for k, (a, b) in
+    """Per level k, the level's run of rows of x, of shape lead + (R, T), as a
+    view of shape lead + (N,)*(k-1) + (T,): for T = N, the level's differences."""
+    bounds = _level_starts(n, x.shape[-2]) + [x.shape[-2]]
+    return [x[..., a:b, :].reshape(x.shape[:-2] + (n,) * k + x.shape[-1:]) for k, (a, b) in
             enumerate(zip(bounds, bounds[1:]))]
 
 
@@ -136,14 +129,14 @@ def _check_means(rows: np.ndarray, scale) -> None:
 
 @dataclass(frozen=True, eq=False, init=False)
 class MartingaleField:
-    """Depth-n martingale: level-0 constant `base` and read-only differences,
-    diffs[k-1] of shape (N,)*k.  The constructor splits a terminal array into
-    these; field_from_differences stores given ones."""
+    """Depth-n martingale: level-0 constant `base` and its differences as one read-only
+    (R, N) array `rows` that it owns; diffs are views of it.  The constructor splits a
+    terminal array into these; field_from_differences copies given differences."""
 
     grid: TorusGrid
     depth: int
     base: complex
-    diffs: tuple
+    rows: np.ndarray
 
     def __init__(self, grid: TorusGrid, depth: int, terminal):
         n = _check_size(grid, depth)
@@ -152,24 +145,30 @@ class MartingaleField:
             raise ValueError(f"terminal must have shape {(n,) * depth}; got {levels[0].shape}")
         for _ in range(depth):
             levels.insert(0, levels[0].mean(axis=-1))  # levels[k] is level k
-        self._store(grid, depth, levels[0], [f - c[..., None] for c, f in zip(levels, levels[1:])])
+        rows = _empty_rows(n, depth)
+        for out, c, f in zip(_levels(rows, n), levels, levels[1:]):
+            np.subtract(f, c[..., np.newaxis], out=out)
+        _owning(grid, depth, levels[0], rows, field=self)
 
-    def _store(self, grid: TorusGrid, depth: int, base, diffs, scale=None) -> None:
-        """Store read-only copies of the parts after _check_means at scale, which
-        defaults to the parts' own _scale_bound."""
-        n = _check_size(grid, depth)
-        diffs = tuple(_stored(d, (n,) * k, f"difference {k}") for k, d in enumerate(diffs, start=1))
-        if len(diffs) != depth:
-            raise ValueError(f"expected {depth} difference arrays; got {len(diffs)}")
-        base = complex(base)
-        rows = _rows(_stack(diffs))
-        _check_means(rows, _scale_bound(base, np.abs(rows)) if scale is None else scale)
-        self.__dict__.update(grid=grid, depth=depth, base=base, diffs=diffs)  # frozen dataclass
+    @property
+    def diffs(self) -> tuple:
+        """Read-only views of the rows: diffs[k-1], of shape (N,)*k, is difference k."""
+        return tuple(_levels(self.rows, self.grid.n_points))
 
     @property
     def terminal(self) -> np.ndarray:
         """Values over grid^depth, assembled on every access and never stored."""
         return level(self, self.depth)
+
+
+def _owning(grid: TorusGrid, depth: int, base, rows, scale=None, field=None) -> MartingaleField:
+    """The field (by default a new instance) of base and rows, a new (R, N) array that it
+    takes over read-only once _check_means holds at scale (default: the rows' own)."""
+    base, block = complex(base), rows[np.newaxis]
+    _check_means(block, _scale_bound(base, np.abs(block)) if scale is None else scale)
+    field = object.__new__(MartingaleField) if field is None else field
+    field.__dict__.update(grid=grid, depth=depth, base=base, rows=_frozen(rows))  # frozen dataclass
+    return field
 
 
 def _unimodular(w):
@@ -228,53 +227,48 @@ def level(field: MartingaleField, k: int) -> np.ndarray:
 
 
 def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) -> MartingaleField:
-    """Field with level-0 constant `base` and the given differences, stored as
-    read-only copies; each must have mean zero over its newest coordinate."""
-    field = object.__new__(MartingaleField)
-    field._store(grid, depth, base, diffs)
-    return field
+    """Field with level-0 constant `base` and the given differences, any iterable of
+    them, copied into its rows; each must have mean zero over its newest coordinate."""
+    n = _check_size(grid, depth)
+    rows = _empty_rows(n, depth)
+    levels, count = _levels(rows, n), 0
+    for count, d in enumerate(diffs, start=1):
+        d = np.asarray(d, dtype=np.complex128)
+        if d.shape != (n,) * count:
+            raise ValueError(f"difference {count} must have shape {(n,) * count}; got {d.shape}")
+        if count <= depth:
+            levels[count - 1][...] = d
+    if count != depth:
+        raise ValueError(f"expected {depth} difference arrays; got {count}")
+    return _owning(grid, depth, base, rows)
 
 
-def _derive(field: MartingaleField, base: complex, diffs) -> MartingaleField:
-    """Result of an operation on `field`.  Its differences keep the source's round-off
+def _derive(field: MartingaleField, base: complex, rows: np.ndarray) -> MartingaleField:
+    """Result of an operation on `field`, with new rows.  These keep the source's round-off
     mean, which may dwarf their own size, so the check uses the source's scale."""
-    out = object.__new__(MartingaleField)
-    scale = _scale_bound(field.base, np.abs(_rows(_stack(field.diffs))))
-    out._store(field.grid, field.depth, base, diffs, scale)
-    return out
-
-
-def _broadcast_sum(moments, depth: int, n: int) -> np.ndarray:
-    """Sum per-level arrays (shape lead + (N,)*(k-1)) over the grid^(n-1) base.
-
-    lead is the shape of the level-1 moment: () for one martingale, (M,) for M samples."""
-    total = np.zeros(np.shape(moments[0]) + (n,) * (depth - 1))
-    for k, q in enumerate(moments, start=1):
-        total += q.reshape(q.shape + (1,) * (depth - k))
-    return total
+    scale = _scale_bound(field.base, np.abs(field.rows[np.newaxis]))
+    return _owning(field.grid, field.depth, base, rows, scale)
 
 
 def _root_mean(moments, depth: int, n: int) -> np.ndarray:
-    """Per sample, the mean over grid^(n-1) of the root of the summed per-level
-    moments, for moments of shape lead + (N,)*(k-1): shape lead."""
+    """Per sample, the mean over grid^(n-1) of the root of the summed per-level moments
+    (shape lead + (N,)*(k-1)): shape lead, () for one martingale and (M,) for M samples."""
     lead = np.shape(moments[0])
-    return np.mean(np.sqrt(_broadcast_sum(moments, depth, n)).reshape(lead + (-1,)), axis=-1)
-
-
-def _level_moments(diffs) -> tuple:
-    """q_k = mean |diff_k|^2 over the newest axis, for any leading axes."""
-    return tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in diffs)
+    total = np.zeros(lead + (n,) * (depth - 1))  # summed over the grid^(n-1) base
+    for k, q in enumerate(moments, start=1):
+        total += q.reshape(q.shape + (1,) * (depth - k))
+    return np.mean(np.sqrt(total, out=total).reshape(lead + (-1,)), axis=-1)
 
 
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
     """Conditional second moments q_k = E_{k-1}|diff_k|^2."""
-    return SquareFunctionProfile(_level_moments(field.diffs))
+    return SquareFunctionProfile(tuple(np.mean(np.abs(d) ** 2, axis=-1) for d in field.diffs))
 
 
 def previsible_norm(field: MartingaleField) -> float:
     """L^1 norm of the conditional square function sqrt(sum_k q_k)."""
-    moments = _level_moments(_stack(field.diffs))
-    return float(_root_mean(moments, field.depth, field.grid.n_points)[0])
+    moments = cond_square_profile(field).level_moments
+    return float(_root_mean(moments, field.depth, field.grid.n_points))
 
 
 def _even_part(diff: np.ndarray) -> np.ndarray:
@@ -294,18 +288,19 @@ def _turned(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 def cosine_part(field: MartingaleField) -> MartingaleField:
     """Differences averaged over conjugation of their newest coordinate."""
-    return _derive(field, field.base, [_even_part(d) for d in field.diffs])
+    return _derive(field, field.base, _even_part(field.rows))
 
 
 def sine_part(field: MartingaleField) -> MartingaleField:
     """Remainder of the even/odd split; differences are conjugation-odd."""
-    return _derive(field, 0.0, [_odd_part(d) for d in field.diffs])
+    return _derive(field, 0.0, _odd_part(field.rows))
 
 
 def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
     """Real martingale with differences Im(w_{k-1} * diff_k)."""
     _check_phases(phases, field.grid, field.depth)
-    return _derive(field, 0.0, [_turned(w, d) for w, d in zip(phases.terms, field.diffs)])
+    w = np.concatenate([t.ravel() for t in phases.terms[:field.depth]])  # one per row
+    return _derive(field, 0.0, _turned(w, field.rows).astype(np.complex128))
 
 
 def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
@@ -317,7 +312,7 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     in vanishing differences, and junk carries no frequency information.
     The floor is (1e-13 * scale)^2, and a field with an inf or NaN fails.
     """
-    rows = _rows(_stack(field.diffs))
+    rows = field.rows[np.newaxis]
     return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, np.abs(rows)), tol).all())
 
 
@@ -336,16 +331,16 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     Im(w * slice) carry exactly half its energy.
     """
     _check_phases(phases, field.grid, field.depth)
-    cosine, transformed, _ = _isometry_norms(field.grid, _rows(_stack(field.diffs)),
-                                             _stack(phases.terms), field.base)
+    cosine, transformed, _ = _isometry_norms(field.grid, field.rows[np.newaxis],
+                                             [t[np.newaxis] for t in phases.terms], field.base)
     return float(cosine[0]), float(transformed[0])
 
 
 def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0) -> tuple:
     """check_transform_isometry over M samples, plus each sample's previsible norm.
 
-    rows, of shape (M, R, N), holds the samples' differences (_rows; their
-    level-0 constant is base) and terms[k], of shape (M,) + (N,)*k, their
+    rows, of shape (M, R, N), holds the samples' differences (their level-0
+    constant is base) and terms[k], of shape (M,) + (N,)*k, their
     multipliers; terms beyond the depth of the rows are not used.  Each
     sample gets the checks of its own MartingaleField, AdaptedPhases, Hardy
     gate, cosine_part and transform, at its own scale.  Each step is one
@@ -380,7 +375,7 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     add_moments(0, _even_part(rows))  # one part held at a time
     add_moments(1, _turned(w, rows))
     moments /= n  # the means, divided as np.mean divides
-    return tuple(_root_mean(_levels(moments, n), depth, n))
+    return tuple(_root_mean([q[..., 0] for q in _levels(moments[..., np.newaxis], n)], depth, n))
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
@@ -410,4 +405,7 @@ def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int) -> np
 
 def dyadic_project(field: MartingaleField) -> MartingaleField:
     """Difference-wise conditional expectation given all coordinate signs."""
-    return _derive(field, field.base, [project_dyadic_cells(field.grid, d) for d in field.diffs])
+    rows = np.empty_like(field.rows)
+    for out, d in zip(_levels(rows, field.grid.n_points), field.diffs):
+        out[...] = project_dyadic_cells(field.grid, d)
+    return _derive(field, field.base, rows)

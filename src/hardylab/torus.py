@@ -179,9 +179,10 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     parts = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
         parts = parts / np.where(finite & (scale > 0), scale, 1.0)
-        coeffs = parts.view(np.complex128) @ grid.characters[: n // 2 + 1].conj().T  # m = -N/2 .. 0
-        bad = (coeffs.view(np.float64) ** 2 @ np.ones(n + 2)) / (n * n)
-        total = (parts**2 @ np.ones(2 * n)) / n
+        coeffs = (parts.view(np.complex128) @ grid.characters[: n // 2 + 1].conj().T).view(float)
+        bad = (np.square(coeffs, out=coeffs) @ np.ones(n + 2)) / (n * n)  # m = -N/2 .. 0
+        del coeffs  # both arrays are new: each is squared in place, one at a time
+        total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n
     return ((bad <= tol * tol * total) | (total <= zero_floor)) & finite[..., 0]
 
 

@@ -31,7 +31,7 @@ from hardylab import (
 )
 from hardylab import cli, harness
 from hardylab.inequalities import _perturbation_rows, _sincos_rows, _split_rows
-from hardylab.martingale import _are_hardy, _isometry_norms, _rows, _scale_bound
+from hardylab.martingale import _are_hardy, _isometry_norms, _levels, _scale_bound
 from hardylab.torus import _rows_are_hardy
 from oracles import sample_ensemble
 
@@ -223,7 +223,7 @@ class TestRowWiseGate:
                                                               scale * np.ones((8, 3))]))
             fields.append(field_from_differences(grid, 2, 0.0, [scale * z,
                                                                 scale * np.outer(z, z.conj())]))
-        rows = _rows([np.stack([f.diffs[k] for f in fields]) for k in range(2)])
+        rows = np.stack([f.rows for f in fields])
         alone = [is_hardy_martingale(f, 1e-8) for f in fields]
         assert alone == [True, False] * 4 + [True, True]
         assert _are_hardy(grid, rows, _scale_bound(0.0, np.abs(rows)), 1e-8).tolist() == alone
@@ -260,11 +260,12 @@ class TestRowWiseGate:
         grid = make_grid(8)
         config = HarnessConfig(n_points=8, depth=2, max_degree=3)
         fields = [random_hardy_martingale(sample_ensemble(config, 2, i, 2)) for i in range(5)]
-        diffs = [np.stack([f.diffs[k] for f in fields]) for k in range(2)]
+        rows = np.stack([f.rows for f in fields])
+        diffs = _levels(rows, 8)  # views of rows
         diffs[1][2] = diffs[1][2].conj()  # level 2 of sample 2 turns anti-analytic
         phases = random_adapted_phases(sample_ensemble(config, 2, 0, 2))
         with pytest.raises(ValueError) as from_block:
-            _isometry_norms(grid, _rows(diffs), [np.stack([w] * 5) for w in phases.terms])
+            _isometry_norms(grid, rows, [np.stack([w] * 5) for w in phases.terms])
         with pytest.raises(ValueError) as from_alone:
             check_transform_isometry(field_from_differences(grid, 2, 0.0, [d[2] for d in diffs]),
                                      phases)
@@ -279,7 +280,8 @@ class TestRowWiseGate:
         config = HarnessConfig(n_points=8, depth=3, max_degree=3)
         fields = [random_hardy_martingale(sample_ensemble(config, 2, i, 3)) for i in range(5)]
         phases = [random_adapted_phases(sample_ensemble(config, 2, i, 3)) for i in range(5)]
-        diffs = [np.stack([f.diffs[k] for f in fields]) for k in range(3)]
+        rows = np.stack([f.rows for f in fields])
+        diffs = _levels(rows, 8)  # views of rows
         terms = [np.stack([p.terms[k] for p in phases]) for k in range(3)]
         kind, _, level = fault.partition("-")
         if kind == "mean":
@@ -289,7 +291,7 @@ class TestRowWiseGate:
         else:
             diffs[1][2][3, 5] = np.nan if kind == "nan" else np.inf
         with pytest.raises(ValueError) as from_block:
-            _isometry_norms(grid, _rows(diffs), terms)
+            _isometry_norms(grid, rows, terms)
         with pytest.raises(ValueError) as from_alone:
             check_transform_isometry(field_from_differences(grid, 3, 0.0, [d[2] for d in diffs]),
                                      AdaptedPhases(grid, tuple(w[2] for w in terms)))
@@ -307,10 +309,11 @@ class TestRowWiseGate:
         differences = harness._differences
 
         def corrupted(grid, blocks):
-            diffs = differences(grid, blocks)
-            if len(diffs) > 1 or not deepest_only:
-                diffs[-1][len(diffs[-1]) // 2] = diffs[-1][len(diffs[-1]) // 2].conj()
-            return diffs
+            rows = differences(grid, blocks)
+            if len(blocks) > 1 or not deepest_only:
+                newest = _levels(rows, grid.n_points)[-1]  # a view of rows
+                newest[len(rows) // 2] = newest[len(rows) // 2].conj()
+            return rows
 
         monkeypatch.setattr(harness, "_differences", corrupted)
         assert cli.main(argv.split()) == 1

@@ -18,8 +18,9 @@ from hardylab import (
     random_hardy_martingale,
     random_phase_angle_arrays,
 )
-from hardylab.ensembles import (ARITH_STRATA, _child_seeds, _seed_words_type, _stream_seeds,
-                                chunk_seed_words, draw_chunk)
+from hardylab.ensembles import (ARITH_STRATA, _child_seeds, _differences, _seed_words_type,
+                                _stream_seeds, chunk_seed_words, draw_chunk)
+from hardylab.martingale import _levels
 
 import oracles
 
@@ -115,6 +116,28 @@ class TestHardyMartingale:
             random_hardy_martingale(
                 EnsembleConfig(seed=1, n_points=128, depth=4, max_degree=3)
             )
+
+
+
+class TestDifferencesRows:
+    # (N, depth, samples M, degree); level 1 alone at N = 64 is a one-row product per sample
+    CASES = ([(4, depth, 3, 1) for depth in range(1, 5)]
+             + [(8, depth, 2, 3) for depth in range(1, 5)]
+             + [(16, depth, 2, 7) for depth in range(1, 5)]
+             + [(64, depth, 2, 3) for depth in range(1, 4)]
+             + [(64, 1, count, 31) for count in (1, 3, 7)])
+
+    @pytest.mark.parametrize("n, depth, count, degree", CASES)
+    def test_each_level_is_its_own_product_bit_for_bit(self, n, depth, count, degree):
+        grid = make_grid(n)
+        rng = np.random.default_rng(n * depth + count)
+        blocks = [rng.standard_normal((count, n ** (k - 1), 2 * degree)).view(complex)
+                  for k in range(1, depth + 1)]
+        rows = _differences(grid, blocks)
+        assert rows.shape == (count, sum(n**k for k in range(depth)), n)
+        for k, (c, diff) in enumerate(zip(blocks, _levels(rows, n)), start=1):
+            expected = (c @ grid.analytic_modes(degree)).reshape((count,) + (n,) * k)
+            assert np.array_equal(diff.view(np.uint64), expected.view(np.uint64))
 
 
 class TestAdaptedPhases:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from hardylab import (
     is_hardy_martingale,
     level,
     make_grid,
+    martingale_from_coefficients,
     previsible_norm,
     project_dyadic_cells,
     random_adapted_phases,
+    random_coefficient_arrays,
     random_hardy_martingale,
     sine_part,
     transform,
@@ -540,6 +543,72 @@ class TestFieldFromDifferences:
         for stored, given in zip(AdaptedPhases(grid, terms).terms, terms):
             assert not stored.flags.writeable and not np.shares_memory(stored, given)
         assert not _sign_modes(grid, 1)[0].flags.writeable
+
+
+def every_kind_of_field():
+    """A depth-3 field from each constructor and from each operation."""
+    grid = make_grid(8)
+    cfg = EnsembleConfig(seed=17, n_points=8, depth=3, max_degree=3)
+    F = random_hardy_martingale(cfg)
+    terminal = np.random.default_rng(17).standard_normal((8, 8, 8)) + 0.5j
+    return {
+        "martingale_from_coefficients": F,
+        "terminal": MartingaleField(grid, 3, terminal),
+        "field_from_differences": field_from_differences(grid, 3, 1.5, F.diffs),
+        "cosine_part": cosine_part(F),
+        "sine_part": sine_part(F),
+        "transform": transform(F, random_adapted_phases(cfg)),
+        "dyadic_project": dyadic_project(F),
+    }
+
+
+class TestOneRowsArray:
+    @pytest.mark.parametrize("kind", list(every_kind_of_field()))
+    def test_diffs_are_read_only_views_of_the_rows(self, kind):
+        F = every_kind_of_field()[kind]
+        assert F.rows.shape == (1 + 8 + 64, 8) and F.rows.dtype == np.complex128
+        assert not F.rows.flags.writeable
+        for k, d in enumerate(F.diffs, start=1):
+            assert d.shape == (8,) * k and np.shares_memory(d, F.rows)
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[...] = 0.0
+
+    def test_field_from_differences_copies_any_iterable(self):
+        F = random_hardy_martingale(EnsembleConfig(seed=2, n_points=8, depth=3, max_degree=3))
+        given = [d.copy() for d in F.diffs]
+        for diffs in (given, iter(given), (d for d in given)):
+            G = field_from_differences(F.grid, 3, F.base, diffs)
+            np.testing.assert_array_equal(G.rows, F.rows)
+            assert not any(np.shares_memory(G.rows, d) for d in given)
+        with pytest.raises(ValueError, match="expected 3 difference arrays; got 2"):
+            field_from_differences(F.grid, 3, 0.0, iter(given[:2]))
+        with pytest.raises(ValueError, match="expected 3 difference arrays; got 4"):
+            field_from_differences(F.grid, 3, 0.0, iter(given + [np.zeros((8,) * 4)]))
+
+    @pytest.mark.parametrize("n, depth", [(16, 4), (8, 5)])
+    def test_each_operation_holds_about_two_rows_arrays_at_most(self, n, depth):
+        # the traced peak of each call, over the bytes of the one rows array
+        grid = make_grid(n)
+        cfg = EnsembleConfig(seed=5, n_points=n, depth=depth, max_degree=3)
+        coefficients, phases = random_coefficient_arrays(cfg), random_adapted_phases(cfg)
+        F = martingale_from_coefficients(grid, coefficients)
+        rows_bytes = sum(d.nbytes for d in F.diffs)
+        calls = {
+            "martingale_from_coefficients": lambda: martingale_from_coefficients(grid, coefficients),
+            "cosine_part": lambda: cosine_part(F),
+            "is_hardy_martingale": lambda: is_hardy_martingale(F, 1e-8),
+            "check_transform_isometry": lambda: check_transform_isometry(F, phases),
+        }
+        for name, call in calls.items():
+            call()  # the grid's cached tables are built outside the trace
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.25 * rows_bytes, (name, peak / rows_bytes)
 
 
 @st.composite

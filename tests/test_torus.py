@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab import GridFunction, inner_product, is_hardy, make_grid, sigma
+from hardylab.torus import _rows_are_hardy
 
 GRID_SIZES = [4, 8, 16, 32, 64, 128]
 
@@ -179,6 +180,18 @@ class TestIsHardy:
         for tol in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 is_hardy(grid_function(grid, np.ones(8)), tol)
+
+
+    @pytest.mark.parametrize("scale", [None, np.array([[2.0**-1030], [1.0], [2.0**1000]])])
+    def test_the_gate_leaves_its_rows_unchanged(self, scale):
+        # the gate squares its own temporaries in place, never the caller's rows
+        grid = make_grid(8)
+        rows = np.random.default_rng(3).standard_normal((3, 4, 16)).view(complex)
+        rows[0] *= 2.0**-1030
+        rows[1, 2, 5] = np.nan
+        before = rows.copy()
+        _rows_are_hardy(grid, rows, 1e-8, scale)
+        assert np.array_equal(rows.view(np.uint64), before.view(np.uint64))
 
 
 class TestRecoveryIdentities:
