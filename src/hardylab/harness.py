@@ -216,15 +216,15 @@ def _identity_sides(config: HarnessConfig) -> np.ndarray:
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 100)
     sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))
-    for rows, blocks, _ in _blocks(config, 0, 1, phases=False):
+    for rows, blocks, _ in _blocks(config, 0, 1, _BLOCK_ENTRIES, phases=False):
         rep = _sincos_rows(grid, _differences(grid, blocks)[:, 0],
                            *_scalar_draws(rng, len(blocks[0])))
         sides[0, rows] = np.transpose([rep.lhs, rep.rhs, rep.rhs])
-    for rows, blocks, _ in _blocks(config, 1, 1, phases=False):
+    for rows, blocks, _ in _blocks(config, 1, 1, _BLOCK_ENTRIES, phases=False):
         b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
         lhs, rhs = _split_rows(grid, _differences(grid, blocks)[:, 0], b)
         sides[1, rows] = np.transpose([lhs, rhs, rhs])
-    for rows, blocks, angles in _blocks(config, 2, config.depth):
+    for rows, blocks, angles in _blocks(config, 2, config.depth, _ISOMETRY_ENTRIES):
         norms = _isometry_norms(grid, _differences(grid, blocks), [_unit(phi) for phi in angles])
         sides[2, rows] = np.transpose(norms)
     return sides
@@ -264,7 +264,7 @@ def _lemma_sides(config: HarnessConfig) -> np.ndarray:
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 101)
     sides = np.empty((config.samples, 5))
-    for rows, blocks, _ in _blocks(config, 11, 1, phases=False):
+    for rows, blocks, _ in _blocks(config, 11, 1, _BLOCK_ENTRIES, phases=False):
         rep = _perturbation_rows(grid, _differences(grid, blocks)[:, 0],
                                  *_scalar_draws(rng, len(blocks[0])))
         sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
@@ -298,16 +298,22 @@ def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: b
             yield start + first, *draw_chunk(cfg, words[first:first + chunk])
 
 
-# Grid entries per block of samples in the lemmas and identities suites: a
-# block's rows share each numpy call, while its grid arrays stay small.
+# Grid entries per block of samples: a block's rows share each numpy call,
+# while its grid arrays stay bounded whatever the chunk holds.  The depth-1
+# suites (lemmas, and the first two identities suites) take blocks of
+# _BLOCK_ENTRIES; whole chunks there cost lemmas 2.9 MiB for no gain.  The
+# transform-isometry suite takes blocks of _ISOMETRY_ENTRIES, four of
+# _isometry_norms' slabs (a whole chunk of 10 samples at N16 d3), and
+# _isometry_norms bounds its temporaries to a slab.
 _BLOCK_ENTRIES = 2**12
+_ISOMETRY_ENTRIES = 2**16
 
 
-def _blocks(config: HarnessConfig, tag: int, depth: int, phases: bool = True):
+def _blocks(config: HarnessConfig, tag: int, depth: int, entries: int, phases: bool = True):
     """Yield (sample slice, coefficient blocks, phase angles) for the chunks of
-    _chunks, each cut into blocks of as many samples as hold _BLOCK_ENTRIES
-    grid entries over grid^1 .. grid^depth (at least one sample), in order."""
-    size = max(1, _BLOCK_ENTRIES // sum(config.n_points**k for k in range(1, depth + 1)))
+    _chunks, each cut into blocks of as many samples as hold `entries` grid
+    entries over grid^1 .. grid^depth (at least one sample), in order."""
+    size = max(1, entries // sum(config.n_points**k for k in range(1, depth + 1)))
     for first, blocks, angles in _chunks(config, tag, depth, phases):
         for start in range(0, len(blocks[0]), size):
             cut = slice(start, start + size)

@@ -12,10 +12,14 @@ operations (conjugation-even and -odd parts, dyadic projection, transform)
 map the rows to new ones.
 
 The mean check, the Hardy gate and the transform isometry run over the rows
-of M samples as one (M, R, N) array, a field's being rows[np.newaxis]: each
-per-slice step is one numpy call, and per-level quantities are reductions over
-a level's run of rows.  Each sample keeps its own scale (_scale_bound); a
-block's norms equal each sample's own bit for bit.
+of M samples as one (M, R, N) array, a field's being rows[np.newaxis].  The
+scale, the gate and the isometry walk it in contiguous slabs of at most
+_SLAB_ENTRIES entries (_slabs): whole samples where one fits, else runs of
+rows of one sample.  So their temporaries stay near one slab at any size, and
+what they keep per row (largest modulus, sums) is an (M, R) array; per-level
+quantities are reductions over a level's run of rows.  Each sample keeps its
+own scale (_scale_bound); a block's norms equal each sample's own bit for bit,
+wherever the slabs fall.
 """
 
 from __future__ import annotations
@@ -95,31 +99,65 @@ def _levels(x: np.ndarray, n: int) -> list:
             enumerate(zip(bounds, bounds[1:]))]
 
 
-def _scale_bound(base: complex, moduli: np.ndarray) -> np.ndarray:
+# Grid entries per slab of rows: the scale, the Hardy gate and the transform
+# isometry walk their rows a slab at a time, so their temporaries stay near
+# one slab whatever the rows' size.
+_SLAB_ENTRIES = 2**14
+
+
+def _slabs(shape: tuple) -> list:
+    """Index pairs (samples, rows) that cut an array of shape (M, R, N) into
+    contiguous slabs of at most _SLAB_ENTRIES entries, in order: whole samples
+    where one fits, else runs of rows of one sample (at least one row)."""
+    count, r, n = shape
+    if r * n <= _SLAB_ENTRIES:
+        step = _SLAB_ENTRIES // (r * n)
+        return [(slice(i, i + step), slice(None)) for i in range(0, count, step)]
+    step = max(1, _SLAB_ENTRIES // n)
+    return [(slice(i, i + 1), slice(a, a + step)) for i in range(count) for a in range(0, r, step)]
+
+
+def _row_peaks(rows: np.ndarray) -> np.ndarray:
+    """The largest modulus of every row of rows, shape (M, R, N): shape (M, R)."""
+    peaks = np.empty(rows.shape[:-1])
+    for s in _slabs(rows.shape):
+        np.max(np.abs(rows[s]), axis=-1, out=peaks[s])
+    return peaks
+
+
+def _scale_bound(base: complex, rows: np.ndarray, peaks=None) -> np.ndarray:
     """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|,
-    from the moduli of rows, shape (M, R, N): shape (M,)."""
-    count, r, n = moduli.shape
-    # one long reduction per level, much faster than one per row; max is exact
-    maxima = np.maximum.reduceat(moduli.reshape(count, -1), [n * s for s in _level_starts(n, r)],
-                                 axis=1)
+    for rows of shape (M, R, N), from their _row_peaks (taken if not given):
+    shape (M,)."""
+    peaks = _row_peaks(rows) if peaks is None else peaks
+    # max is exact, so the per-level maxima of the row peaks are the levels' own
+    maxima = np.maximum.reduceat(peaks, _level_starts(rows.shape[-1], rows.shape[1]), axis=1)
     return abs(base) + sum(maxima.T)  # in level order
 
 
-def _check_means(rows: np.ndarray, scale) -> None:
-    """Per sample of rows, every mean over the newest axis must be within
-    1e-12*scale + 8*2^-1074, for scale of shape (M,).
+def _drift(rows: np.ndarray) -> np.ndarray:
+    """|sum over the newest axis| of every row of rows, shape lead + (N,): shape lead."""
+    return np.abs(rows.sum(axis=-1))
 
-    An inf or a NaN makes _scale_bound's scale, or else the drift, non-finite,
-    so such parts are rejected without a separate pass over the data."""
+
+def _mean_tol(scale) -> np.ndarray:
+    """The bound 1e-12*scale + 8*2^-1074 on the means of a sample's rows, for
+    scale of shape (M,).  An inf or a NaN in the rows makes their own scale
+    non-finite, so they are rejected here, before any sum over them; under a
+    given scale, they make the drift non-finite, which _check_means rejects."""
     # averaging leaves a few ulps of mean; subnormal values round absolutely,
     # so a few units of 2^-1074 are slack too
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
+    return tol
+
+
+def _check_means(drift: np.ndarray, tol: np.ndarray, n: int) -> None:
+    """Per sample, every mean over the newest axis, from the _drift of its
+    rows (shape (M, R)), must be within its _mean_tol (shape (M,))."""
     # the mean over the newest axis, largest per sample and level
-    n = rows.shape[-1]
-    drift = np.maximum.reduceat(np.abs(rows.sum(axis=-1)), _level_starts(n, rows.shape[1]),
-                                axis=1) / n
+    drift = np.maximum.reduceat(drift, _level_starts(n, drift.shape[1]), axis=1) / n
     held = drift <= tol[:, np.newaxis]
     if not held.all():
         k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample
@@ -165,7 +203,8 @@ def _owning(grid: TorusGrid, depth: int, base, rows, scale=None, field=None) -> 
     """The field (by default a new instance) of base and rows, a new (R, N) array that it
     takes over read-only once _check_means holds at scale (default: the rows' own)."""
     base, block = complex(base), rows[np.newaxis]
-    _check_means(block, _scale_bound(base, np.abs(block)) if scale is None else scale)
+    tol = _mean_tol(_scale_bound(base, block) if scale is None else scale)
+    _check_means(_drift(block), tol, grid.n_points)
     field = object.__new__(MartingaleField) if field is None else field
     field.__dict__.update(grid=grid, depth=depth, base=base, rows=_frozen(rows))  # frozen dataclass
     return field
@@ -246,7 +285,7 @@ def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) ->
 def _derive(field: MartingaleField, base: complex, rows: np.ndarray) -> MartingaleField:
     """Result of an operation on `field`, with new rows.  These keep the source's round-off
     mean, which may dwarf their own size, so the check uses the source's scale."""
-    scale = _scale_bound(field.base, np.abs(field.rows[np.newaxis]))
+    scale = _scale_bound(field.base, field.rows[np.newaxis])
     return _owning(field.grid, field.depth, base, rows, scale)
 
 
@@ -313,14 +352,18 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     The floor is (1e-13 * scale)^2, and a field with an inf or NaN fails.
     """
     rows = field.rows[np.newaxis]
-    return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, np.abs(rows)), tol).all())
+    return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, rows), tol).all())
 
 
 def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
     """is_hardy_martingale per sample of rows, each sample at its own scale
     (shape (M,)): one scale for the whole block would put a small sample's junk
-    under the zero floor.  Returns (M,) verdicts."""
-    return _rows_are_hardy(grid, rows, tol, scale[:, np.newaxis], 1e-13**2).all(axis=1)
+    under the zero floor.  The rows are gated slab by slab; returns (M,) verdicts."""
+    held = np.ones(len(rows), dtype=bool)
+    for samples, part in _slabs(rows.shape):
+        held[samples] &= _rows_are_hardy(grid, rows[samples, part], tol,
+                                         scale[samples, np.newaxis], 1e-13**2).all(axis=1)
+    return held
 
 
 def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
@@ -343,22 +386,42 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     constant is base) and terms[k], of shape (M,) + (N,)*k, their
     multipliers; terms beyond the depth of the rows are not used.  Each
     sample gets the checks of its own MartingaleField, AdaptedPhases, Hardy
-    gate, cosine_part and transform, at its own scale.  Each step is one
-    numpy call over the rows, with the multipliers as one (M, R) array, and
-    the three moment arrays share one (3, M, R) buffer, each square taken
-    alone.  Returns the previsible norms of the cosine parts, of the
-    transforms and of the martingales themselves, each of shape (M,).
+    gate, cosine_part and transform, at its own scale, and the error of the
+    first check that fails over all samples, in that order.
+
+    The rows are walked twice in _slabs.  Pass 1 takes each row's largest
+    modulus and its sum of squares; from the (M, R) peaks follow the scale,
+    equal to _scale_bound's, and then the mean check and, on the multipliers
+    as one (M, R) array, the unimodularity check.  After the gate, pass 2
+    takes each slab's even part and then its turned part, one at a time, with
+    their sums and sums of squares; their mean checks follow.  So besides the
+    rows only (M, R) arrays and one slab's temporaries are held.  Returns the
+    previsible norms of the cosine parts, of the transforms and of the
+    martingales themselves, each of shape (M,).
     """
     n = grid.n_points
     depth = len(_level_starts(n, rows.shape[1]))
-    moduli = np.abs(rows)
-    scale = _scale_bound(base, moduli)
-    # sums of squares over the newest axis, as np.mean adds them: the cosine
-    # part, the transform and the martingale itself
+    slabs = _slabs(rows.shape)
+    # per row, in the order cosine part, transform, martingale: the sum of
+    # squares over the newest axis, as np.mean adds them
     moments = np.empty((3,) + rows.shape[:-1])
-    np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2])
+    peaks, *drifts = np.empty((3,) + rows.shape[:-1])  # the rows' largest moduli; the parts' _drift
+
+    def add_squares(i: int, s: tuple, moduli: np.ndarray) -> None:  # squared in place
+        np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[i][s])
+
+    def add_part(i: int, s: tuple, part: np.ndarray) -> None:
+        drifts[i][s] = _drift(part)
+        add_squares(i, s, np.abs(part))
+
+    for s in slabs:
+        moduli = np.abs(rows[s])
+        np.max(moduli, axis=-1, out=peaks[s])
+        add_squares(2, s, moduli)
     del moduli
-    _check_means(rows, scale)
+    scale = _scale_bound(base, rows, peaks)
+    tol = _mean_tol(scale)
+    _check_means(_drift(rows), tol, n)
     w = np.concatenate([t.reshape(len(t), -1) for t in terms[:depth]], axis=1)
     held = _unimodular(w).all(axis=0)
     if not held.all():
@@ -366,14 +429,11 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
         raise ValueError(f"term {k} is not unimodular")
     if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL).all():
         raise ValueError("transform isometry requires a Hardy martingale")
-
-    def add_moments(i: int, part: np.ndarray) -> None:
-        _check_means(part, scale)  # as _derive does, at the source's scale
-        squares = np.abs(part)
-        np.add.reduce(np.square(squares, out=squares), axis=-1, out=moments[i])
-
-    add_moments(0, _even_part(rows))  # one part held at a time
-    add_moments(1, _turned(w, rows))
+    for s in slabs:
+        add_part(0, s, _even_part(rows[s]))  # one part held at a time
+        add_part(1, s, _turned(w[s], rows[s]))
+    for drift in drifts:
+        _check_means(drift, tol, n)  # as _derive does, at the source's scale
     moments /= n  # the means, divided as np.mean divides
     return tuple(_root_mean([q[..., 0] for q in _levels(moments[..., np.newaxis], n)], depth, n))
 

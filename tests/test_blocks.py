@@ -6,6 +6,9 @@ seeding (tests/oracles.py).  The Hardy gates of a block give each row the
 verdict, or the error, that the row gets alone.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from hardylab import (
     GridFunction,
     HarnessConfig,
     check_transform_isometry,
+    cosine_part,
     decomposition_sides,
     ensemble_chunk,
     field_from_differences,
@@ -28,21 +32,24 @@ from hardylab import (
     random_hardy_function,
     random_hardy_martingale,
     sincos_identity_sides,
+    transform,
 )
-from hardylab import cli, harness
+from hardylab import cli, harness, martingale
 from hardylab.inequalities import _perturbation_rows, _sincos_rows, _split_rows
 from hardylab.martingale import _are_hardy, _isometry_norms, _levels, _scale_bound
 from hardylab.torus import _rows_are_hardy
 from oracles import sample_ensemble
 
 SHAPES = [(4, 1, 1), (8, 2, 3), (16, 3, 5), (16, 1, 7), (64, 1, 31)]
-BLOCK = 3  # samples per block of the deepest suite
+BLOCK = 3  # samples per block of every suite
 
 
 def patch_sizes(monkeypatch, config, depth, chunk):
-    """Blocks of BLOCK samples and chunks of `chunk` samples at the given depth."""
+    """Blocks of BLOCK samples, in the depth-1 suites and in the isometry suite
+    at the given depth, and chunks of `chunk` samples at that depth."""
     n, degree = config.n_points, config.max_degree
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", BLOCK * sum(n**k for k in range(1, depth + 1)))
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", BLOCK * n)
+    monkeypatch.setattr(harness, "_ISOMETRY_ENTRIES", BLOCK * sum(n**k for k in range(1, depth + 1)))
     monkeypatch.setattr(harness, "_CHUNK_ENTRIES",
                         chunk * (degree + 1) * sum(n**k for k in range(depth)))
 
@@ -90,8 +97,8 @@ def identity_sides_alone(config):
     return sides
 
 
-def block_starts(config, depth):
-    return [rows.start for rows, _, _ in harness._blocks(config, 0, depth, phases=False)]
+def block_starts(config, depth, entries):
+    return [rows.start for rows, _, _ in harness._blocks(config, 0, depth, entries, phases=False)]
 
 
 def expected_starts(samples, chunk):
@@ -109,14 +116,17 @@ class TestEverySample:
                                seed=20260809)
         patch_sizes(monkeypatch, config, 1, chunk)
         assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
-        assert block_starts(config, 1) == expected_starts(samples, chunk)
+        assert block_starts(config, 1, harness._BLOCK_ENTRIES) == expected_starts(samples, chunk)
 
     def test_identities(self, monkeypatch, n, depth, degree, chunk, samples):
         config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples,
                                seed=2**70)
         patch_sizes(monkeypatch, config, depth, chunk)
         assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
-        assert block_starts(config, depth) == expected_starts(samples, chunk)
+        # a depth-1 chunk holds as many coefficients as `chunk` samples at depth
+        depth_1_chunk = chunk * sum(n**k for k in range(depth))
+        assert block_starts(config, 1, harness._BLOCK_ENTRIES) == expected_starts(samples, depth_1_chunk)
+        assert block_starts(config, depth, harness._ISOMETRY_ENTRIES) == expected_starts(samples, chunk)
 
 
 @pytest.mark.parametrize("phases", [True, False])
@@ -226,7 +236,7 @@ class TestRowWiseGate:
         rows = np.stack([f.rows for f in fields])
         alone = [is_hardy_martingale(f, 1e-8) for f in fields]
         assert alone == [True, False] * 4 + [True, True]
-        assert _are_hardy(grid, rows, _scale_bound(0.0, np.abs(rows)), 1e-8).tolist() == alone
+        assert _are_hardy(grid, rows, _scale_bound(0.0, rows), 1e-8).tolist() == alone
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("scale", [None, np.ones(3)])
@@ -321,11 +331,104 @@ class TestRowWiseGate:
         assert ("transform isometry" if deepest_only else "analytic") in err
 
 
+def patch_slabs(monkeypatch, n, depth, cut):
+    """Slabs of 3 rows, so that a sample spans several slabs (cut "rows"), or
+    of 2 samples, so that a slab spans several samples (cut "samples")."""
+    per_sample = n * sum(n**k for k in range(depth))
+    monkeypatch.setattr(martingale, "_SLAB_ENTRIES", 3 * n if cut == "rows" else 2 * per_sample)
+
+
+def as_bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape, entries", [
+    ((5, 73, 8), 2 * 73 * 8 + 1), ((5, 73, 8), 3 * 8), ((5, 73, 8), 73 * 8),
+    ((5, 73, 8), 8 - 1), ((2, 1, 4), 2**14)])
+def test_slabs_tile_the_rows_in_order(shape, entries, monkeypatch):
+    # whole samples where one fits, else runs of rows of one sample (at least
+    # one row), each slab contiguous and within the entries where it can be
+    monkeypatch.setattr(martingale, "_SLAB_ENTRIES", entries)
+    order = np.arange(np.prod(shape[:2])).reshape(shape[:2])
+    slabs = martingale._slabs(shape)
+    assert np.array_equal(np.concatenate([order[s].ravel() for s in slabs]), order.ravel())
+    for s in slabs:
+        assert order[s].size * shape[2] <= max(entries, shape[2])
+        assert np.empty(shape)[s].flags.c_contiguous
+
+
+@pytest.mark.parametrize("cut", ["rows", "samples"])
+@pytest.mark.parametrize("n, depth, degree", SHAPES + [(8, 5, 3), (64, 3, 31)])
+def test_slabs_keep_every_isometry_side(monkeypatch, n, depth, degree, cut):
+    # each sample alone, at the default slabs and through the previsible norms
+    # of its cosine part and transform, which take no slabs
+    config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=5, seed=2**70)
+    grid = make_grid(n)
+    cfgs = [sample_ensemble(config, 2, i, depth) for i in range(config.samples)]
+    fields, phases = [random_hardy_martingale(c) for c in cfgs], [random_adapted_phases(c) for c in cfgs]
+    alone = [(*check_transform_isometry(F, P), previsible_norm(F)) for F, P in zip(fields, phases)]
+    parts = [(previsible_norm(cosine_part(F)), previsible_norm(transform(F, P)), previsible_norm(F))
+             for F, P in zip(fields, phases)]
+    assert np.array_equal(as_bits(alone), as_bits(parts))
+    patch_sizes(monkeypatch, config, depth, 3)  # chunks and blocks of 3: a slab crosses no block
+    patch_slabs(monkeypatch, n, depth, cut)
+    rows = np.stack([F.rows for F in fields])
+    terms = [np.stack(t) for t in zip(*(P.terms for P in phases))]
+    assert np.array_equal(as_bits(np.transpose(_isometry_norms(grid, rows, terms))), as_bits(alone))
+    assert np.array_equal(as_bits(harness._identity_sides(config)[2]), as_bits(alone))
+
+
+def inject(fault, i, diffs, terms):
+    """Sample i of a block fails one check: a mean (mean-k, difference k), a
+    multiplier (term-k), finiteness (nan, inf) or the gate (conj-k, difference k
+    turned anti-analytic).  diffs and terms are views of the block's arrays."""
+    kind, _, level = fault.partition("-")
+    if kind == "mean":
+        diffs[int(level) - 1][i] += 0.25
+    elif kind == "term":
+        terms[int(level)].reshape(len(terms[0]), -1)[i, -1] *= 1.5  # a contiguous stack
+    elif kind == "conj":
+        diffs[int(level) - 1][i] = diffs[int(level) - 1][i].conj()
+    else:
+        diffs[1][i][3, 5] = np.nan if kind == "nan" else np.inf
+
+
+# each fault, and a different one that is checked no earlier (or none): for two
+# means the first failing level wins, for two multipliers the first failing row
+LATER_FAULT = [("mean-1", "mean-3"), ("mean-3", "term-0"), ("term-0", "term-2"),
+               ("term-2", "conj-2"), ("nan", "mean-1"), ("inf", "term-0"), ("conj-2", "conj-3"),
+               ("conj-3", None)]
+
+
+@pytest.mark.parametrize("cut", ["rows", "samples"])
+@pytest.mark.parametrize("fault, second", LATER_FAULT)
+def test_a_fault_in_a_later_slab_raises_as_alone(monkeypatch, fault, second, cut):
+    # sample 3 of a five-sample block fails, and sample 1, in an earlier slab,
+    # fails a check made no earlier; the block raises what sample 3 raises alone
+    grid = make_grid(8)
+    config = HarnessConfig(n_points=8, depth=3, max_degree=3)
+    cfgs = [sample_ensemble(config, 2, i, 3) for i in range(5)]
+    rows = np.stack([random_hardy_martingale(c).rows for c in cfgs])
+    terms = [np.stack(t) for t in zip(*(random_adapted_phases(c).terms for c in cfgs))]
+    diffs = _levels(rows, 8)  # views of rows
+    inject(fault, 3, diffs, terms)
+    if second is not None:
+        inject(second, 1, diffs, terms)
+    with pytest.raises(ValueError) as from_alone:
+        check_transform_isometry(field_from_differences(grid, 3, 0.0, [d[3] for d in diffs]),
+                                 AdaptedPhases(grid, tuple(w[3] for w in terms)))
+    patch_slabs(monkeypatch, 8, 3, cut)
+    with pytest.raises(ValueError) as from_block:
+        _isometry_norms(grid, rows, terms)
+    assert str(from_block.value) == str(from_alone.value)
+
+
 @pytest.mark.parametrize("command, settings", [
     # 3000 samples cross the 2048-sample chunk and many 256-row blocks
     ("lemmas", dict(n_points=16, max_degree=7, samples=3000)),
     ("identities", dict(n_points=16, depth=2, max_degree=5, samples=300)),
-    # the benchmark's shape: one sample per block of the isometry suite
+    # the benchmark's shape: chunks of 10 samples, each one block of the
+    # isometry suite, 3 samples to a slab
     ("identities", dict(n_points=16, depth=3, max_degree=5, samples=40)),
 ])
 def test_every_sample_at_the_default_sizes(command, settings):
@@ -335,6 +438,23 @@ def test_every_sample_at_the_default_sizes(command, settings):
         assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
     else:
         assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
+
+
+@pytest.mark.parametrize("n, depth, degree, samples", [
+    (256, 1, 3, 1024), (256, 2, 3, 15), (64, 2, 3, 63)])
+def test_the_isometry_suite_holds_one_block_whatever_the_chunk(n, depth, degree, samples):
+    # a chunk is sized by its coefficients, so at large N and shallow depth it
+    # holds 4-15 MiB of rows (a whole chunk here); the suite's blocks of
+    # _ISOMETRY_ENTRIES grid entries keep its rows near 1 MiB
+    config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples, seed=7)
+    harness._identity_sides(replace(config, samples=1))  # the grid's cached tables are built outside the trace
+    tracemalloc.start()
+    try:
+        harness._identity_sides(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * harness._ISOMETRY_ENTRIES, peak / 2**20
 
 
 # Sides of the first samples at seed 12345, recorded bit for bit from the

@@ -610,6 +610,21 @@ class TestOneRowsArray:
                 tracemalloc.stop()
             assert peak <= 2.25 * rows_bytes, (name, peak / rows_bytes)
 
+    @pytest.mark.parametrize("n, depth, bound", [(16, 4, 1.5), (8, 5, 1.75)])
+    def test_the_transform_isometry_holds_one_slab_of_temporaries(self, n, depth, bound):
+        # its moduli, sums and parts are taken slab by slab; with temporaries the
+        # size of the rows, the traced peak reads 1.79 and 2.07 times their bytes
+        cfg = EnsembleConfig(seed=5, n_points=n, depth=depth, max_degree=3)
+        F, phases = random_hardy_martingale(cfg), random_adapted_phases(cfg)
+        check_transform_isometry(F, phases)  # the grid's cached tables are built outside the trace
+        tracemalloc.start()
+        try:
+            check_transform_isometry(F, phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * F.rows.nbytes, peak / F.rows.nbytes
+
 
 @st.composite
 def terminal_arrays(draw):
