@@ -63,10 +63,19 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """(re + 1j * im) / sqrt(2), elementwise, built in one complex buffer."""
-    z = 1j * im
-    z += re
-    z /= np.sqrt(2.0)
+    """(re + 1j * im) / sqrt(2), elementwise, for finite normals re and im.
+
+    numpy's complex division by sqrt(2) + 0j multiplies (re + im*0, im - re*0)
+    by 1/sqrt(2), so each part is scaled as a real, with the same bits, except
+    where re or im is +-0: those entries take the division itself, whose signed
+    zeros differ."""
+    z = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=np.complex128)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(re, scale, out=z.real)
+    np.multiply(im, scale, out=z.imag)
+    zero = (re == 0.0) | (im == 0.0)
+    if zero.any():
+        z[zero] = (re[zero] + 1j * im[zero]) / np.sqrt(2.0)
     return z
 
 
@@ -276,9 +285,17 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray) -> tuple:
 
 
 def _unit(phi) -> np.ndarray:
-    """exp(i phi), elementwise, renormalized to modulus 1 in the last ulp."""
-    w = np.exp(1j * np.asarray(phi, dtype=float))
-    return w / np.abs(w)
+    """exp(i phi), elementwise, renormalized to modulus 1 in the last ulp.
+
+    numpy's complex division w / |w| multiplies (re + im*0, im - re*0) by
+    1/(|w| + 0*0), so each part times 1/|w| has the same bits at every finite
+    phi.  A scalar phi gives a scalar."""
+    w = np.asarray(1j * np.asarray(phi, dtype=float))
+    np.exp(w, out=w)
+    scale = 1.0 / np.abs(w)
+    w.real *= scale
+    w.imag *= scale
+    return w[()]
 
 
 def phases_from_angles(grid: TorusGrid, angle_arrays) -> AdaptedPhases:

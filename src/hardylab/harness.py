@@ -183,9 +183,9 @@ def _scalar_draws(rng: np.random.Generator, count: int) -> tuple:
 
     Sample by sample the stream gives the two normals of b, then u uniform on
     [0, 1): phi = 2 pi u is uniform(0, 2 pi), the same bits, and w = e^{i phi}
-    is renormalized in Python-complex arithmetic: ensembles._unit's numpy
-    division differs in the last ulp on ~30% of angles.  numpy's complex exp
-    of an array equals its exp of each angle alone."""
+    is renormalized in Python-complex arithmetic: ensembles._unit, which has
+    the bits of numpy's complex division, differs in the last ulp on ~30% of
+    angles.  numpy's complex exp of an array equals its exp of each angle alone."""
     normals, u = np.empty((count, 2)), np.empty(count)
     for i, pair in enumerate(normals):
         rng.standard_normal(out=pair)

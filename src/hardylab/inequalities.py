@@ -27,7 +27,9 @@ _sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))), _split_form
 (|mu - b|^2 + r^2) and _gap_form ((a - |b|)^2).  The grid chain and the
 single-coordinate side functions use the integrals; _stability_batch uses
 only the closed forms, so comparing the two chains checks the identities
-that the closed forms stand for.
+that the closed forms stand for.  It evaluates them operation by operation,
+taking each modulus and square of a level once, with the forms' own bits
+(tests/test_inequalities.py pins them).
 
 The side functions evaluate a block of M rows at once, and the public
 sincos_identity_sides, decomposition_sides and perturbation_bounds are the
@@ -146,8 +148,8 @@ def _gap_form(a, b):
 
 
 def _envelope_parts(mu, b, rows: bool = False) -> tuple:
-    """|mu|, |mu - b|^2 and q = |mu - b|^2 / (|mu| + |b|), elementwise, with
-    q = 0 at mu = b = 0.  The envelope of (mu, b) is |mu| + q.
+    """|mu|, |mu - b|^2 and q = _envelope_share, elementwise.  The envelope of
+    (mu, b) is |mu| + q.
 
     An array's ** 2 is x * x, a scalar's is pow.  With rows, mu and b are a
     block of rows and each |mu - b| is squared as a scalar, so every entry
@@ -156,10 +158,16 @@ def _envelope_parts(mu, b, rows: bool = False) -> tuple:
     abs of each element (tests/test_inequalities.py pins both)."""
     mu, b = np.asarray(mu, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     abs_mu = np.abs(mu)
-    denom = abs_mu + np.abs(b)
     gap = np.abs(mu - b)
     gap_sq = np.array([x ** 2 for x in gap], dtype=float) if rows else gap ** 2
-    return abs_mu, gap_sq, np.where(denom > 0.0, gap_sq / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return abs_mu, gap_sq, _envelope_share(abs_mu, np.abs(b), gap_sq)
+
+
+def _envelope_share(abs_mu, abs_b, gap_sq) -> np.ndarray:
+    """q = |mu - b|^2 / (|mu| + |b|) from |mu|, |b| and |mu - b|^2, elementwise,
+    with q = 0 where |mu| + |b| is 0."""
+    denom = abs_mu + abs_b
+    return np.divide(gap_sq, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
 def _like_inputs(mu, b, *values) -> tuple:
@@ -360,31 +368,34 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases) -> Stability
     grid = field.grid
     sig = grid.sign_values
 
-    per_level = []
-    for w, g_k in zip(phases.terms, field.diffs):
+    nodes, moments = [], []
+    for w, g_k, q in zip(phases.terms, field.diffs, cond_square_profile(field).level_moments):
         u_k, mu_k, r_sq = _slice_parts(g_k, sig)
         b_k = project_dyadic_cells(grid, mu_k)
         b_col = b_k[..., np.newaxis]
-        per_level.append(tuple(np.asarray(x)[np.newaxis] for x in (
-            mu_k, b_k, arith_envelope(mu_k, b_k), np.sqrt(r_sq), _perturbed_moment(u_k, b_col, sig),
-            _transform_moment(g_k, b_col, w[..., np.newaxis], sig))))
-    base_moments = [q[np.newaxis] for q in cond_square_profile(field).level_moments]
-    return _first_sample(_chain_report(per_level, base_moments, field.depth, grid.n_points))
+        m, tq, mu, b, a, r = (np.asarray(x)[np.newaxis] for x in (
+            _perturbed_moment(u_k, b_col, sig),
+            _transform_moment(g_k, b_col, w[..., np.newaxis], sig),
+            mu_k, b_k, arith_envelope(mu_k, b_k), np.sqrt(r_sq)))
+        nodes.append((mu, b, a, r))
+        moments.append(np.stack([m, tq, q[np.newaxis], a**2 + r**2, np.abs(mu) ** 2,
+                                 np.abs(b) ** 2]))
+    return _first_sample(_chain_report(nodes, moments))
 
 
-def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityReport:
-    """Aggregate per-level (mu, b, a, r, m, tq) arrays and the conditional
-    second moments of G, each with a leading axis of M samples, into the
-    batch report's means, P-norms and ratio, one per sample."""
-    (sigma_coeffs, dyadic_coeffs, envelopes, residual_rms, perturbed_moments,
-     transform_moments) = zip(*per_level)
+def _chain_report(nodes, moments) -> StabilityReport:
+    """The batch report of per-level node arrays (mu, b, a, r) and per-level
+    moments, one (6, M) + grid^(k-1) array per level whose rows are the
+    perturbed, transform and base moments, a^2 + r^2, |mu|^2 and |b|^2: the
+    means, P-norms and ratio, one per sample, from one _root_mean of all six.
 
-    def root_mean(moments) -> np.ndarray:
-        return _root_mean(moments, depth, n)
-
-    perturbation_pnorm = root_mean(perturbed_moments)
-    transform_pnorm = root_mean(transform_moments)
-    base_pnorm = root_mean(base_moments)
+    The moments are consumed: the sum over grid^(n-1) is taken in the deepest
+    level's array, so the two rows that the report keeps are copied out of it
+    first."""
+    deepest = moments[-1]
+    kept = [q[:2] for q in moments[:-1]] + [deepest[:2].copy()]
+    (perturbation_pnorm, transform_pnorm, base_pnorm, envelope_mean, coeff_mean,
+     dyadic_mean) = _root_mean(moments, out=deepest)
 
     # a vanishing denominator (impossible for valid inputs; flagged by
     # verify_chain) gives 0 for a vanishing perturbation and inf otherwise
@@ -393,16 +404,17 @@ def _chain_report(per_level, base_moments, depth: int, n: int) -> StabilityRepor
     ratio = np.where(positive, perturbation_pnorm / np.sqrt(np.where(positive, denom_sq, 1.0)),
                      np.where(perturbation_pnorm == 0.0, 0.0, math.inf))
 
+    sigma_coeffs, dyadic_coeffs, envelopes, residual_rms = zip(*nodes)
     return StabilityReport(
         sigma_coeffs=sigma_coeffs,
         dyadic_coeffs=dyadic_coeffs,
         envelopes=envelopes,
         residual_rms=residual_rms,
-        perturbed_moments=perturbed_moments,
-        transform_moments=transform_moments,
-        envelope_mean=root_mean([a**2 + r**2 for a, r in zip(envelopes, residual_rms)]),
-        coeff_mean=root_mean([np.abs(m) ** 2 for m in sigma_coeffs]),
-        dyadic_mean=root_mean([np.abs(b) ** 2 for b in dyadic_coeffs]),
+        perturbed_moments=tuple(q[0] for q in kept),
+        transform_moments=tuple(q[1] for q in kept),
+        envelope_mean=envelope_mean,
+        coeff_mean=coeff_mean,
+        dyadic_mean=dyadic_mean,
         perturbation_pnorm=perturbation_pnorm,
         transform_pnorm=transform_pnorm,
         base_pnorm=base_pnorm,
@@ -460,24 +472,63 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     coefficient rows as _coefficient_blocks validates them, and terms[k-1], of
     shape (M,) + (N,)*(k-1), their level-k multipliers as AdaptedPhases
     validates them; terms may run deeper than blocks.
+
+    Per level the closed forms _split_form and _sincos_form, the envelope and
+    the moments of _chain_report are taken operation by operation, on the same
+    operands as the forms, so every value equals theirs; each modulus and
+    square is taken once, into the row of the level's moments that keeps it or,
+    until that row is written, that lends it its buffer.
     """
     n, count = grid.n_points, len(blocks[0])
-    per_level, base_moments = [], []
+    nodes, moments = [], []
     for k, (w, c) in enumerate(zip(terms, blocks), start=1):
         sigma, tau = _sign_modes(grid, c.shape[-1])
         # one (rows, d) product per sample, so each row rounds as it would alone
         mu = (c.reshape(count, -1, sigma.size) @ sigma).reshape((count,) + (n,) * (k - 1))
-        c = c.reshape(mu.shape + sigma.shape)
         b = _project_trailing_cells(grid, mu, k - 1)
-        # r^2 = mean|u - mu s|^2 as a sum of squares: the cos(m theta) are orthogonal
-        # with mean square 1/2.  Neither tau = 1 - 2|sigma|^2 nor r^2 = |c|^2/2 - |mu|^2
-        # may replace it: at d = N/2 - 1 tau is 0, both cancel below 0, and sqrt gives NaN.
-        r_sq = 0.5 * np.sum(np.abs(c - 2.0 * mu[..., np.newaxis] * sigma) ** 2, axis=-1)
-        r_sq += np.abs(mu) ** 2 * tau
-        per_level.append((mu, b, arith_envelope(mu, b), np.sqrt(r_sq), _split_form(mu, b, r_sq),
-                          _sincos_form(mu, b, w, r_sq)))
-        base_moments.append(2.0 * (r_sq + np.abs(mu) ** 2))
-    return _chain_report(per_level, base_moments, len(blocks), n)
+        r_sq = _residual_sq(c.reshape(mu.shape + sigma.shape), mu, sigma)
+        level = np.empty((6,) + mu.shape)  # in _chain_report's order
+        perturbed, transform, base, envelope, coeff, dyadic = level
+        abs_mu = np.abs(mu, out=envelope)
+        r_sq += np.square(abs_mu, out=coeff) * tau
+        np.square((w * mu).real, out=transform)  # r^2 + Re^2(w mu) + Im^2(w (mu - b))
+        np.add(r_sq, transform, out=transform)
+        gap = mu - b
+        transform += np.square((w * gap).imag, out=dyadic)
+        gap_sq = np.square(np.abs(gap, out=base), out=base)
+        del gap
+        np.add(gap_sq, r_sq, out=perturbed)  # |mu - b|^2 + r^2
+        abs_b = np.abs(b, out=dyadic)
+        a = _envelope_share(abs_mu, abs_b, gap_sq)
+        a += abs_mu  # the envelope |mu| + q
+        np.square(abs_b, out=dyadic)
+        r = np.sqrt(r_sq)
+        np.square(a, out=envelope)
+        envelope += np.square(r)
+        np.add(r_sq, coeff, out=base)
+        base *= 2.0  # sum_m |c_m|^2 = 2 (r^2 + |mu|^2)
+        nodes.append((mu, b, a, r))
+        moments.append(level)
+    return _chain_report(nodes, moments)
+
+
+def _residual_sq(c, mu, sigma) -> np.ndarray:
+    """r^2 = mean|u - mu s|^2 of every node, from its coefficient row c (shape
+    lead + (d,)) and mu = c.sigma, less |mu|^2 tau, which the caller adds.
+
+    It is a sum of squares, 0.5 sum_m |c_m - 2 mu sigma_m|^2: the cos(m theta) are
+    orthogonal with mean square 1/2.  Neither tau = 1 - 2|sigma|^2 nor r^2 =
+    |c|^2/2 - |mu|^2 may replace it: at d = N/2 - 1 tau is 0, both cancel below
+    0, and sqrt gives NaN.  The moduli are taken column by column, each product
+    and difference rounding as the broadcast ones would."""
+    twice = 2.0 * mu
+    column = np.empty_like(twice)
+    moduli = np.empty(c.shape)
+    for m, s in enumerate(sigma):
+        np.subtract(c[..., m], np.multiply(twice, s, out=column), out=column)
+        np.abs(column, out=moduli[..., m])
+    del twice, column
+    return 0.5 * np.sum(np.square(moduli, out=moduli), axis=-1)
 
 
 CHAIN_STEPS = ("dyadic-mean-convexity", "pointwise-perturbed-moment", "pnorm-envelope-split",
@@ -507,10 +558,11 @@ def _chain_sides(report: StabilityReport, slack: float) -> tuple:
 
     # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2), per sample at
     # its first entry of largest excess over all levels; a NaN entry is the one taken.
-    m, a, r, mu = (np.concatenate([np.reshape(x, (count, -1)) for x in per_level], axis=1)
+    m, a, r, mu = ([np.reshape(x, (count, -1)) for x in per_level]
                    for per_level in (report.perturbed_moments, report.envelopes,
                                      report.residual_rms, report.sigma_coeffs))
-    rhs_all = 8.0 * (a**2 + r**2 - np.abs(mu) ** 2)
+    m, rhs_all = (np.concatenate(x, axis=1) for x in (
+        m, [8.0 * (a**2 + r**2 - np.abs(mu) ** 2) for a, r, mu in zip(a, r, mu)]))
     worst = (np.arange(count), np.argmax(m - rhs_all, axis=1))
 
     gap_mean = np.maximum(ex - ey, 0.0)  # X >= Y pointwise; clamp round-off

@@ -289,14 +289,20 @@ def _derive(field: MartingaleField, base: complex, rows: np.ndarray) -> Martinga
     return _owning(field.grid, field.depth, base, rows, scale)
 
 
-def _root_mean(moments, depth: int, n: int) -> np.ndarray:
+def _root_mean(moments, out=None) -> np.ndarray:
     """Per sample, the mean over grid^(n-1) of the root of the summed per-level moments
-    (shape lead + (N,)*(k-1)): shape lead, () for one martingale and (M,) for M samples."""
-    lead = np.shape(moments[0])
-    total = np.zeros(lead + (n,) * (depth - 1))  # summed over the grid^(n-1) base
-    for k, q in enumerate(moments, start=1):
-        total += q.reshape(q.shape + (1,) * (depth - k))
-    return np.mean(np.sqrt(total, out=total).reshape(lead + (-1,)), axis=-1)
+    (level k's of shape lead + (N,)*(k-1)): shape lead, () for one martingale and (M,)
+    for M samples.  Each partial sum lives on its own level's grid and is spread over
+    the next level's newest axis, so every point adds the same terms in the same order
+    as a sum held over grid^(n-1) throughout.  Only the last sum spans grid^(n-1); it
+    is written into out (a new array by default), which may be the last level's
+    moments themselves."""
+    *shallow, deepest = moments
+    total = 0.0
+    for q in shallow:
+        total = (total + q)[..., np.newaxis]
+    total = np.add(total, deepest, out=np.empty(np.shape(deepest)) if out is None else out)
+    return np.mean(np.sqrt(total, out=total).reshape(np.shape(moments[0]) + (-1,)), axis=-1)
 
 
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
@@ -307,7 +313,7 @@ def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
 def previsible_norm(field: MartingaleField) -> float:
     """L^1 norm of the conditional square function sqrt(sum_k q_k)."""
     moments = cond_square_profile(field).level_moments
-    return float(_root_mean(moments, field.depth, field.grid.n_points))
+    return float(_root_mean(moments))
 
 
 def _even_part(diff: np.ndarray) -> np.ndarray:
@@ -339,7 +345,12 @@ def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
     """Real martingale with differences Im(w_{k-1} * diff_k)."""
     _check_phases(phases, field.grid, field.depth)
     w = np.concatenate([t.ravel() for t in phases.terms[:field.depth]])  # one per row
-    return _derive(field, 0.0, _turned(w, field.rows).astype(np.complex128))
+    rows = w[:, np.newaxis] * field.rows
+    # Im(w * diff), in the product's own buffer: a ufunc sees that the parts do
+    # not overlap, where an assignment would copy the imaginary parts first
+    np.positive(rows.imag, out=rows.real)
+    rows.imag = 0.0
+    return _derive(field, 0.0, rows)
 
 
 def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
@@ -435,16 +446,19 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     for drift in drifts:
         _check_means(drift, tol, n)  # as _derive does, at the source's scale
     moments /= n  # the means, divided as np.mean divides
-    return tuple(_root_mean([q[..., 0] for q in _levels(moments[..., np.newaxis], n)], depth, n))
+    return tuple(_root_mean([q[..., 0] for q in _levels(moments[..., np.newaxis], n)]))
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
-    """Average over the sign cells of every coordinate of arr.
+    """Average over the sign cells of every coordinate of arr, as a new array.
 
-    Both cells hold N/2 points and s^2 = 1, so per axis the average is the
-    rank-2 projection mean(f) + s*mean(s*f) onto span{1, s}.  Each axis is
-    first symmetrized over the pairing j <-> N-1-j (the cells are closed
-    under it), so conjugation-odd input projects to exact zero.  Every axis
+    Per axis the average is the rank-2 projection onto span{1, s}: each point
+    takes the mean of its cell, the N/2 points of its sign.  The cells are
+    closed under the pairing j <-> N-1-j, so each axis is first folded over it
+    (its first half plus its reversed second half), which leaves exact zeros
+    for conjugation-odd input, and the folded half's two quarters are then
+    summed into the two cell means.  So every axis shrinks from N to 2 before
+    any is spread back, and no step handles more than half of arr.  Every axis
     of arr must have length N.
     """
     arr = np.asarray(arr)
@@ -453,19 +467,34 @@ def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     return _project_trailing_cells(grid, arr, arr.ndim)
 
 
-def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int) -> np.ndarray:
+def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """project_dyadic_cells over the last n_axes axes of arr only; the axes
-    before them (a sample axis) are carried along."""
-    for axis in range(arr.ndim - n_axes, arr.ndim):
-        arr = 0.5 * (arr + np.flip(arr, axis=axis))
-        s = grid.sign_values.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
-        arr = arr.mean(axis, keepdims=True) + s * (s * arr).mean(axis, keepdims=True)
-    return arr if n_axes else arr.copy()  # a new array at every shape, 0-d too
+    before them (a sample axis) are carried along.  The result is written
+    into out, of arr's shape, when given."""
+    n = grid.n_points
+    half, quarter = n // 2, n // 4
+    first = arr.ndim - n_axes
+    means = arr.astype(np.result_type(arr, 1.0), copy=False)  # integers average to floats
+    for axis in range(first, arr.ndim):  # fold, then sum each quarter: N -> 2
+        lead, shape = (slice(None),) * axis, means.shape
+        quarters = shape[:axis] + (2, quarter) + shape[axis + 1:]
+        means = (means[lead + (slice(half),)] + means[lead + (slice(n - 1, half - 1, -1),)]
+                 ).reshape(quarters).sum(axis=axis + 1)
+        means /= half  # [positive cell, negative cell] along axis
+    # spread back, innermost axis first, so the widest copies come last
+    cell = (grid.sign_values < 0).astype(np.intp)
+    out = np.empty(arr.shape, means.dtype) if out is None else out
+    for axis in range(arr.ndim - 1, first - 1, -1):
+        means = np.take(means, cell, axis=axis, out=out if axis == first else None, mode="clip")
+    if not n_axes:  # nothing to average: the identity, still a new array
+        out[...] = means
+    return out
 
 
 def dyadic_project(field: MartingaleField) -> MartingaleField:
     """Difference-wise conditional expectation given all coordinate signs."""
     rows = np.empty_like(field.rows)
     for out, d in zip(_levels(rows, field.grid.n_points), field.diffs):
-        out[...] = project_dyadic_cells(field.grid, d)
+        _project_trailing_cells(field.grid, d, d.ndim, out)
     return _derive(field, field.base, rows)

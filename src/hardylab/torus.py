@@ -175,11 +175,15 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     n = grid.n_points
     # divided and squared as (re, im) pairs of reals: a complex division would
     # multiply by 1/scale, which overflows at a subnormal scale.  The squares are
-    # summed by matmul; numpy's reductions over a short last axis are slow.
+    # summed by matmul; numpy's reductions over a short last axis are slow.  The
+    # scaled rows are conjugated in place and multiplied by the table itself, not
+    # by a conjugated copy of it: their coefficients come out conjugated, with the
+    # same squares.
     parts = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
         parts = parts / np.where(finite & (scale > 0), scale, 1.0)
-        coeffs = (parts.view(np.complex128) @ grid.characters[: n // 2 + 1].conj().T).view(float)
+        scaled = parts.view(np.complex128)
+        coeffs = (np.conjugate(scaled, out=scaled) @ grid.characters[: n // 2 + 1].T).view(float)
         bad = (np.square(coeffs, out=coeffs) @ np.ones(n + 2)) / (n * n)  # m = -N/2 .. 0
         del coeffs  # both arrays are new: each is squared in place, one at a time
         total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n

@@ -92,6 +92,20 @@ def oracle_dyadic_terminal(terminal, n, depth):
     return out
 
 
+def oracle_project_trailing_cells(n, arr, n_axes):
+    """The sign-cell average over the last n_axes axes of arr, in the form the
+    package once used: per axis, a loop over the axes, symmetrise over the
+    pairing j <-> N-1-j and add mean(f) and s * mean(s f), the rank-2
+    projection onto span{1, s}.  A reference for the folded projection, which
+    agrees with it to round-off."""
+    signs = np.array(grid_signs(n))
+    for axis in range(arr.ndim - n_axes, arr.ndim):
+        arr = 0.5 * (arr + np.flip(arr, axis=axis))
+        s = signs.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+        arr = arr.mean(axis, keepdims=True) + s * (s * arr).mean(axis, keepdims=True)
+    return arr if n_axes else arr.copy()
+
+
 def oracle_single_step_stability(n):
     """Stability quantities for the depth-1 martingale zeta_1 with w_0 = 1,
     computed from scratch with scalar arithmetic."""

@@ -18,8 +18,9 @@ from hardylab import (
     random_hardy_martingale,
     random_phase_angle_arrays,
 )
-from hardylab.ensembles import (ARITH_STRATA, _child_seeds, _differences, _seed_words_type,
-                                _stream_seeds, chunk_seed_words, draw_chunk)
+from hardylab.ensembles import (ARITH_STRATA, _child_seeds, _complex_normal, _differences,
+                                _seed_words_type, _stream_seeds, _unit, chunk_seed_words,
+                                draw_chunk)
 from hardylab.martingale import _levels
 
 import oracles
@@ -154,6 +155,54 @@ class TestAdaptedPhases:
         b = random_adapted_phases(cfg)
         for x, y in zip(a.terms, b.terms):
             np.testing.assert_array_equal(x, y)
+
+
+def bits(x):
+    """x as uint64 words, so equal values compare bit for bit (signed zeros, NaNs)."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestRealScalings:
+    """_unit and _complex_normal scale real and imaginary parts by a real
+    reciprocal where numpy's complex division used to, with the same bits."""
+
+    def test_unit_equals_the_complex_division(self):
+        rng = np.random.default_rng(31)
+        phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 10**6), rng.uniform(-1e6, 1e6, 10**5),
+                              [0.0, -0.0, 5e-324, np.pi, 2.0 * np.pi, 1e6, -1e6, 1e-300]])
+        w = np.exp(1j * phi)
+        assert np.array_equal(bits(_unit(phi)), bits(w / np.abs(w)))
+        grid_shaped = phi[:8 * 64].reshape(8, 8, 8)  # any shape, as per-level angles come
+        w = np.exp(1j * grid_shaped)
+        assert np.array_equal(bits(_unit(grid_shaped)), bits(w / np.abs(w)))
+
+    @pytest.mark.parametrize("phi", [0.3, -2.5, np.float64(1e5), np.array(4.0), 0])
+    def test_a_scalar_angle_gives_a_scalar(self, phi):
+        w = np.exp(1j * np.asarray(phi, dtype=float))
+        unit = _unit(phi)
+        assert isinstance(unit, np.complex128)
+        assert np.array_equal(bits(np.array(unit)), bits(np.array(w / np.abs(w))))
+
+    def test_complex_normal_equals_the_complex_division(self):
+        rng = np.random.default_rng(32)
+        normals = rng.standard_normal((2, 10**6))
+        # every pair of zeros of both signs, subnormals and plain normals
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -1e-310, 0.7, -1.3]
+        pairs = np.array([(x, y) for x in special for y in special]).T
+        normals[:, :pairs.shape[1]] = pairs
+        re, im = normals
+        z = 1j * im
+        z += re
+        z /= np.sqrt(2.0)
+        assert np.array_equal(bits(_complex_normal(re, im)), bits(z))
+        # strided halves of one draw, as draw_chunk passes them
+        block = rng.standard_normal((3, 2, 5, 4))
+        block[1, :, 2] = -0.0
+        re, im = block[:, 0], block[:, 1]
+        z = 1j * im
+        z += re
+        z /= np.sqrt(2.0)
+        assert np.array_equal(bits(_complex_normal(re, im)), bits(z))
 
 
 class TestArithSampler:

@@ -32,16 +32,20 @@ from hardylab import (
     verify_chain,
 )
 
-from hardylab.ensembles import ARITH_STRATA
+from hardylab.ensembles import ARITH_STRATA, _unit
 from hardylab.inequalities import (
     _chain_sides,
     _envelope_parts,
     _perturbation_rows,
+    _residual_sq,
     _sign_modes,
+    _sincos_form,
+    _split_form,
     _split_rows,
     _sincos_rows,
     _stability_batch,
 )
+from hardylab.martingale import _project_trailing_cells
 
 import oracles
 
@@ -745,3 +749,91 @@ class TestBatchedChain:
                                  [np.stack(level) for level in zip(*(p.terms for p in phases))])
         assert_rows_equal(batch, [stability_report_from_coefficients(grid, c, p)
                                   for c, p in zip(coeffs, phases)])
+
+
+def bits(x):
+    """x as uint64 words, so equal values compare bit for bit (signed zeros, NaNs)."""
+    return np.ascontiguousarray(x, dtype=float if np.isrealobj(x) else complex).view(np.uint64)
+
+
+def closed_form_report(grid, blocks, terms) -> dict:
+    """_stability_batch's fields with every closed form taken as one expression,
+    each modulus and square where the form reads it, and each root mean summed
+    over grid^(n-1) level by level: the reference for the level loop, which takes
+    each of them once.  The projection b is the package's."""
+    n, count = grid.n_points, len(blocks[0])
+    per_level, base = [], []
+    for k, (w, c) in enumerate(zip(terms, blocks), start=1):
+        sigma, tau = _sign_modes(grid, c.shape[-1])
+        mu = (c.reshape(count, -1, sigma.size) @ sigma).reshape((count,) + (n,) * (k - 1))
+        c = c.reshape(mu.shape + sigma.shape)
+        b = _project_trailing_cells(grid, mu, k - 1)
+        r_sq = 0.5 * np.sum(np.abs(c - 2.0 * mu[..., np.newaxis] * sigma) ** 2, axis=-1)
+        r_sq += np.abs(mu) ** 2 * tau
+        per_level.append((mu, b, arith_envelope(mu, b), np.sqrt(r_sq), _split_form(mu, b, r_sq),
+                          _sincos_form(mu, b, w, r_sq)))
+        base.append(2.0 * (r_sq + np.abs(mu) ** 2))
+    mu, b, a, r, m, tq = zip(*per_level)
+
+    def root_mean(moments):
+        total = np.zeros((count,) + (n,) * (len(moments) - 1))
+        for k, q in enumerate(moments, start=1):
+            total += q.reshape(q.shape + (1,) * (len(moments) - k))
+        return np.mean(np.sqrt(total).reshape(count, -1), axis=-1)
+
+    return dict(sigma_coeffs=mu, dyadic_coeffs=b, envelopes=a, residual_rms=r,
+                perturbed_moments=m, transform_moments=tq,
+                envelope_mean=root_mean([x**2 + y**2 for x, y in zip(a, r)]),
+                coeff_mean=root_mean([np.abs(x) ** 2 for x in mu]),
+                dyadic_mean=root_mean([np.abs(x) ** 2 for x in b]),
+                perturbation_pnorm=root_mean(m), transform_pnorm=root_mean(tq),
+                base_pnorm=root_mean(base))
+
+
+class TestEachNodeQuantityOnce:
+    @pytest.mark.parametrize("n, depth, degree, count", [
+        (4, 4, 1, 6), (8, 1, 3, 5), (8, 3, 3, 9), (16, 2, 7, 4), (16, 3, 5, 2), (64, 2, 31, 3)])
+    def test_batch_fields_equal_the_closed_forms(self, n, depth, degree, count):
+        # every field and the pointwise step's sides, as uint64, against the forms
+        # taken one expression at a time; sample 0 is all zeros (mu = b = 0)
+        grid, rng = make_grid(n), np.random.default_rng(100 * n + 10 * depth + degree)
+        blocks = [(rng.standard_normal((count, n ** k, degree))
+                   + 1j * rng.standard_normal((count, n ** k, degree)))
+                  * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, n ** k, 1)) for k in range(depth)]
+        for c in blocks:
+            c[0] = 0.0
+        terms = [_unit(rng.uniform(0.0, 2.0 * np.pi, size=(count,) + (n,) * k))
+                 for k in range(depth)]
+        batch = _stability_batch(grid, blocks, terms)
+        expected = closed_form_report(grid, blocks, terms)
+        for name, value in expected.items():
+            got = getattr(batch, name)
+            if isinstance(value, tuple):
+                for k, (x, y) in enumerate(zip(got, value), start=1):
+                    assert np.array_equal(bits(x), bits(y)), (name, k)
+            else:
+                assert np.array_equal(bits(got), bits(value)), name
+        flat = [np.concatenate([np.reshape(x, (count, -1)) for x in expected[name]], axis=1)
+                for name in ("perturbed_moments", "envelopes", "residual_rms", "sigma_coeffs")]
+        m, a, r, mu = flat
+        rhs = 8.0 * (a**2 + r**2 - np.abs(mu) ** 2)
+        worst = (np.arange(count), np.argmax(m - rhs, axis=1))
+        lhs_sides, rhs_sides = _chain_sides(batch, 1e-10)[:2]
+        assert np.array_equal(bits(lhs_sides[1]), bits(m[worst]))
+        assert np.array_equal(bits(rhs_sides[1]), bits(rhs[worst]))
+
+    @pytest.mark.parametrize("degree, rows", [(1, 2**16), (3, 2**18), (7, 2**16), (31, 2**14)])
+    def test_residual_columns_equal_the_broadcast_product(self, degree, rows):
+        # about 10^6 coefficients in all; zeros of both signs, subnormal and
+        # scaled entries, and rows of zeros among them
+        sigma = _sign_modes(make_grid(64), degree)[0]
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal((1, rows, degree)) + 1j * rng.standard_normal((1, rows, degree))
+        c *= 10.0 ** rng.integers(-150, 150, size=c.shape)
+        special = np.array([0.0, -0.0, 5e-324, -2.0**-1070, 1e-310, 1.0, -3.5])
+        c.real.flat[:special.size ** 2] = np.repeat(special, special.size)
+        c.imag.flat[:special.size ** 2] = np.tile(special, special.size)
+        c[0, -3:] = 0.0
+        mu = c @ sigma
+        old = 0.5 * np.sum(np.abs(c - 2.0 * mu[..., np.newaxis] * sigma) ** 2, axis=-1)
+        assert np.array_equal(bits(_residual_sq(c, mu, sigma)), bits(old))

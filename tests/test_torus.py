@@ -182,6 +182,21 @@ class TestIsHardy:
                 is_hardy(grid_function(grid, np.ones(8)), tol)
 
 
+    def test_the_gate_copies_no_part_of_the_character_table(self):
+        # one N1024 row against the table itself: a conjugated copy of the table's
+        # analytic half, made on every call, took 8 MiB here
+        grid = make_grid(1024)
+        hardy, other = (grid_function(grid, np.exp(1j * m * grid.angles)) for m in (1, -1))
+        assert is_hardy(hardy, 1e-9)  # the table is built outside the trace
+        tracemalloc.start()
+        try:
+            verdicts = is_hardy(hardy, 1e-9), is_hardy(other, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts == (True, False)
+        assert peak < 2**18
+
     @pytest.mark.parametrize("scale", [None, np.array([[2.0**-1030], [1.0], [2.0**1000]])])
     def test_the_gate_leaves_its_rows_unchanged(self, scale):
         # the gate squares its own temporaries in place, never the caller's rows
