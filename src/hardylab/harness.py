@@ -13,7 +13,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .inequalities import (
     slack_verdict,
 )
 from .martingale import _check_degree, _check_size, _isometry_norms
-from .torus import GridFunction, _check_integer, inner_product, make_grid, sigma
+from .torus import GridFunction, _check_integer, _check_tolerance, inner_product, make_grid, sigma
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
 # exact dyadic cosine coefficients at N = 4 and N = 8
@@ -79,13 +78,7 @@ class HarnessConfig:
             _check_degree(grid, self.max_degree)
             for name, least in (("samples", 1), ("budget", 0)):
                 _check_integer(getattr(self, name), name, least)
-            try:  # stored as a plain float, so the config echo stays JSON
-                tol = float(self.tol) if isinstance(self.tol, Real) else math.nan
-            except OverflowError:  # an int such as 10**400
-                tol = math.inf
-            if isinstance(self.tol, bool) or not (math.isfinite(tol) and tol >= 0):
-                raise ValueError(f"tol must be a finite nonnegative real number; got {self.tol!r}")
-            object.__setattr__(self, "tol", tol)
+            object.__setattr__(self, "tol", _check_tolerance(self.tol))  # a float: JSON
             if not isinstance(self.resolutions, (list, tuple)) or not self.resolutions:
                 raise ValueError(f"resolutions must be a nonempty list of grid sizes; "
                                  f"got {self.resolutions!r}")

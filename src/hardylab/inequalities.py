@@ -69,7 +69,7 @@ from .martingale import (
     is_hardy_martingale,
     project_dyadic_cells,
 )
-from .torus import GridFunction, TorusGrid, _frozen, _rows_are_hardy
+from .torus import GridFunction, TorusGrid, _check_tolerance, _frozen, _rows_are_hardy
 
 # Tracked constant of the stability chain.  Factors, in order of use:
 # sqrt(8) from the square-function step, a further sqrt(8) entering under the
@@ -105,14 +105,16 @@ def slack_verdict(lhs, rhs, tol: float) -> tuple:
     it degrades gracefully to a relative test, which is the only float64-
     meaningful reading when both sides grow like the square of the inputs.
     """
+    tol = _check_tolerance(tol)
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     gap = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return gap, gap >= -tol
 
 
 def residual_verdict(lhs, rhs, scale, tol: float) -> tuple:
-    """(gap, passed) of lhs = rhs, elementwise over arrays of samples:
-    gap = |lhs - rhs| / max(scale, 1e-300), passed where gap <= tol."""
+    """(gap, passed) of lhs = rhs, elementwise over arrays of samples: gap =
+    |lhs - rhs| / max(scale, 1e-300), passed where gap <= tol (finite, >= 0)."""
+    tol = _check_tolerance(tol)
     gap = np.abs(np.subtract(lhs, rhs, dtype=float)) / np.maximum(scale, 1e-300)
     return gap, gap <= tol
 
@@ -541,8 +543,9 @@ def verify_chain(report: StabilityReport, slack: float = 1e-10) -> list:
 
     Violations are reported, never raised.  Returns one CheckRecord per step
     of CHAIN_STEPS, in that order, whose gap and verdict follow slack_verdict
-    with the given slack.
+    with the given slack, a finite nonnegative real number.
     """
+    slack = _check_tolerance(slack, "slack")
     sides = (x[:, 0].tolist() for x in _chain_sides(report, slack))
     return [CheckRecord(*step) for step in zip(CHAIN_STEPS, *sides)]
 

@@ -9,7 +9,8 @@ of level 2, and so on; diffs[k-1], of shape (N,)*k, views level k's run of
 rows (_levels).  Levels and the terminal array over grid^n are partial sums
 built on request.  Only MartingaleField(grid, depth, terminal) averages; the
 operations (conjugation-even and -odd parts, dyadic projection, transform)
-map the rows to new ones.
+map the rows to new ones, only checked finite (_derive): means are checked
+once, where rows come in (_owning, which builds every field; _isometry_norms).
 
 The mean check, the Hardy gate and the transform isometry run over the rows
 of M samples as one (M, R, N) array, a field's being rows[np.newaxis].  The
@@ -135,29 +136,20 @@ def _scale_bound(base: complex, rows: np.ndarray, peaks=None) -> np.ndarray:
     return abs(base) + sum(maxima.T)  # in level order
 
 
-def _drift(rows: np.ndarray) -> np.ndarray:
-    """|sum over the newest axis| of every row of rows, shape lead + (N,): shape lead."""
-    return np.abs(rows.sum(axis=-1))
-
-
-def _mean_tol(scale) -> np.ndarray:
-    """The bound 1e-12*scale + 8*2^-1074 on the means of a sample's rows, for
-    scale of shape (M,).  An inf or a NaN in the rows makes their own scale
-    non-finite, so they are rejected here, before any sum over them; under a
-    given scale, they make the drift non-finite, which _check_means rejects."""
+def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
+    """Per sample of rows, shape (M, R, N), every mean over the newest axis must
+    be within 1e-12*scale + 8*2^-1074 of 0, for scale of shape (M,), the rows'
+    _scale_bound.  An inf or a NaN in the rows makes that scale non-finite, so
+    they are rejected before any sum over them."""
     # averaging leaves a few ulps of mean; subnormal values round absolutely,
     # so a few units of 2^-1074 are slack too
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
-    return tol
-
-
-def _check_means(drift: np.ndarray, tol: np.ndarray, n: int) -> None:
-    """Per sample, every mean over the newest axis, from the _drift of its
-    rows (shape (M, R)), must be within its _mean_tol (shape (M,))."""
+    n = rows.shape[-1]
     # the mean over the newest axis, largest per sample and level
-    drift = np.maximum.reduceat(drift, _level_starts(n, drift.shape[1]), axis=1) / n
+    drift = np.maximum.reduceat(np.abs(rows.sum(axis=-1)), _level_starts(n, rows.shape[1]),
+                                axis=1) / n
     held = drift <= tol[:, np.newaxis]
     if not held.all():
         k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample
@@ -199,12 +191,11 @@ class MartingaleField:
         return level(self, self.depth)
 
 
-def _owning(grid: TorusGrid, depth: int, base, rows, scale=None, field=None) -> MartingaleField:
+def _owning(grid: TorusGrid, depth: int, base, rows, field=None) -> MartingaleField:
     """The field (by default a new instance) of base and rows, a new (R, N) array that it
-    takes over read-only once _check_means holds at scale (default: the rows' own)."""
+    takes over read-only once _check_means holds at the rows' own scale."""
     base, block = complex(base), rows[np.newaxis]
-    tol = _mean_tol(_scale_bound(base, block) if scale is None else scale)
-    _check_means(_drift(block), tol, grid.n_points)
+    _check_means(block, _scale_bound(base, block))
     field = object.__new__(MartingaleField) if field is None else field
     field.__dict__.update(grid=grid, depth=depth, base=base, rows=_frozen(rows))  # frozen dataclass
     return field
@@ -283,10 +274,15 @@ def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) ->
 
 
 def _derive(field: MartingaleField, base: complex, rows: np.ndarray) -> MartingaleField:
-    """Result of an operation on `field`, with new rows.  These keep the source's round-off
-    mean, which may dwarf their own size, so the check uses the source's scale."""
-    scale = _scale_bound(field.base, field.rows[np.newaxis])
-    return _owning(field.grid, field.depth, base, rows, scale)
+    """Result of an operation on `field`, with new rows that it takes over read-only, only
+    checked finite (values near 1e308 can overflow): their means are the source's, mapped,
+    plus rounding that a second check at the tolerance's edge can reject."""
+    if not np.isfinite(rows).all():
+        raise ValueError("martingale values must be finite")
+    derived = object.__new__(MartingaleField)
+    derived.__dict__.update(grid=field.grid, depth=field.depth, base=complex(base),
+                            rows=_frozen(rows))  # frozen dataclass
+    return derived
 
 
 def _root_mean(moments, out=None) -> np.ndarray:
@@ -405,10 +401,10 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     equal to _scale_bound's, and then the mean check and, on the multipliers
     as one (M, R) array, the unimodularity check.  After the gate, pass 2
     takes each slab's even part and then its turned part, one at a time, with
-    their sums and sums of squares; their mean checks follow.  So besides the
-    rows only (M, R) arrays and one slab's temporaries are held.  Returns the
-    previsible norms of the cosine parts, of the transforms and of the
-    martingales themselves, each of shape (M,).
+    their sums of squares (unchecked means, as in _derive; an overflow gives
+    an infinite norm).  So besides the rows only (M, R) arrays and one slab's
+    temporaries are held.  Returns the previsible norms of the cosine parts,
+    of the transforms and of the martingales themselves, each of shape (M,).
     """
     n = grid.n_points
     depth = len(_level_starts(n, rows.shape[1]))
@@ -416,14 +412,10 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     # per row, in the order cosine part, transform, martingale: the sum of
     # squares over the newest axis, as np.mean adds them
     moments = np.empty((3,) + rows.shape[:-1])
-    peaks, *drifts = np.empty((3,) + rows.shape[:-1])  # the rows' largest moduli; the parts' _drift
+    peaks = np.empty(rows.shape[:-1])  # the rows' largest moduli
 
     def add_squares(i: int, s: tuple, moduli: np.ndarray) -> None:  # squared in place
         np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[i][s])
-
-    def add_part(i: int, s: tuple, part: np.ndarray) -> None:
-        drifts[i][s] = _drift(part)
-        add_squares(i, s, np.abs(part))
 
     for s in slabs:
         moduli = np.abs(rows[s])
@@ -431,8 +423,7 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
         add_squares(2, s, moduli)
     del moduli
     scale = _scale_bound(base, rows, peaks)
-    tol = _mean_tol(scale)
-    _check_means(_drift(rows), tol, n)
+    _check_means(rows, scale)
     w = np.concatenate([t.reshape(len(t), -1) for t in terms[:depth]], axis=1)
     held = _unimodular(w).all(axis=0)
     if not held.all():
@@ -441,10 +432,8 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL).all():
         raise ValueError("transform isometry requires a Hardy martingale")
     for s in slabs:
-        add_part(0, s, _even_part(rows[s]))  # one part held at a time
-        add_part(1, s, _turned(w[s], rows[s]))
-    for drift in drifts:
-        _check_means(drift, tol, n)  # as _derive does, at the source's scale
+        add_squares(0, s, np.abs(_even_part(rows[s])))  # one part held at a time
+        add_squares(1, s, np.abs(_turned(w[s], rows[s])))
     moments /= n  # the means, divided as np.mean divides
     return tuple(_root_mean([q[..., 0] for q in _levels(moments[..., np.newaxis], n)]))
 

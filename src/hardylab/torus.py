@@ -17,8 +17,10 @@ layer shares live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -76,6 +78,17 @@ def _check_integer(value, name: str, least: int, most: int | None = None) -> int
         span = f">= {least}" if most is None else f"in {least}..{most}"
         raise ValueError(f"{name} must be an integer {span}; got {value!r}")
     return int(value)
+
+
+def _check_tolerance(value, name: str = "tol") -> float:
+    """The tolerance rule (a finite nonnegative real number, not a bool), as a plain float."""
+    try:
+        tol = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int such as 10**400
+        tol = math.inf
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be a finite nonnegative real number; got {value!r}")
+    return tol
 
 
 def _check_table(n: int) -> None:

@@ -33,6 +33,7 @@ from hardylab import (
 )
 
 from hardylab.ensembles import ARITH_STRATA, _unit
+from hardylab.harness import HarnessConfig, UsageError
 from hardylab.inequalities import (
     _chain_sides,
     _envelope_parts,
@@ -44,6 +45,7 @@ from hardylab.inequalities import (
     _split_rows,
     _sincos_rows,
     _stability_batch,
+    residual_verdict,
 )
 from hardylab.martingale import _project_trailing_cells
 
@@ -480,6 +482,24 @@ REPORT_ARRAYS = ("sigma_coeffs", "dyadic_coeffs", "envelopes", "residual_rms",
                  "perturbed_moments", "transform_moments")
 REPORT_NORMS = ("envelope_mean", "coeff_mean", "dyadic_mean", "perturbation_pnorm",
                 "transform_pnorm", "base_pnorm")
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, True, 10**400],
+                         ids=["inf", "nan", "-1", "True", "10**400"])
+def test_every_verdict_takes_a_finite_nonnegative_tolerance(tol):
+    # an infinite tolerance passed 5 <= 1 and every violated chain step, a NaN
+    # failed every check; each verdict now refuses them as the config does
+    grid = make_grid(4)
+    rep = stability_report(MartingaleField(grid, 1, np.zeros(4)),
+                           AdaptedPhases(grid, (np.asarray(1.0 + 0j),)))
+    for verdict, name in [(lambda: slack_verdict(5.0, 1.0, tol), "tol"),
+                          (lambda: residual_verdict(5.0, 1.0, 1.0, tol), "tol"),
+                          (lambda: verify_chain(rep, slack=tol), "slack")]:
+        with pytest.raises(ValueError, match=f"{name} must be a finite nonnegative real number"):
+            verdict()
+    with pytest.raises(UsageError, match="tol must be a finite nonnegative real number"):
+        HarnessConfig(tol=tol)
+    assert not slack_verdict(5.0, 1.0, 0)[1] and not residual_verdict(5.0, 1.0, 1.0, 1)[1]
 
 
 def assert_reports_agree(fast, ref, coeffs, rtol):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,8 +32,8 @@ from hardylab import (
     sine_part,
     transform,
 )
-from hardylab.inequalities import _sign_modes
-from hardylab.martingale import _project_trailing_cells
+from hardylab.inequalities import _sign_modes, residual_verdict
+from hardylab.martingale import _isometry_norms, _project_trailing_cells
 
 import oracles
 
@@ -289,6 +290,62 @@ class TestTransformIsometry:
         F = MartingaleField(grid, 1, np.exp(-1j * grid.angles))
         with pytest.raises(ValueError, match="Hardy"):
             check_transform_isometry(F, constant_phases(grid, 1))
+
+
+def near_tolerance_difference(grid, seed, u):
+    """A Hardy difference h on grid plus a constant of modulus (1 - 10^u) * 1e-12
+    * max|h|, a mean just under the tolerance, and a unimodular multiplier."""
+    rng = np.random.default_rng(seed)
+    degree = grid.n_points // 2 - 1
+    a = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    h = a @ grid.analytic_modes(degree)
+    c = (1 - 10.0**u) * 1e-12 * np.max(np.abs(h)) * np.exp(2j * np.pi * rng.random())
+    return h + c, np.exp(2j * np.pi * rng.random())
+
+
+# (seed, u) per N: valid fields whose cosine part, dyadic projection and
+# transform isometry raised "difference 1 has mean ... not 0" while derived
+# rows were checked again, their rounding past the tolerance the rows met
+NEAR_TOLERANCE = {8: [(26, -4), (377, -5)], 16: [(6, -6), (74, -5)], 64: [(72, -6), (367, -4)]}
+
+
+class TestMeansCheckedOnce:
+    @pytest.mark.parametrize("n", sorted(NEAR_TOLERANCE))
+    def test_every_operation_takes_a_mean_at_the_tolerance(self, n):
+        grid = make_grid(n)
+        fields, phases = [], []
+        for seed, u in NEAR_TOLERANCE[n]:
+            d, w = near_tolerance_difference(grid, seed, u)
+            assert 0.999 < abs(d.mean()) / (1e-12 * np.max(np.abs(d))) < 1.0
+            F, P = field_from_differences(grid, 1, 0.0, [d]), AdaptedPhases(grid, (np.array(w),))
+            for op in (cosine_part, sine_part, dyadic_project, lambda X: transform(X, P)):
+                op(F)
+            fields.append(F)
+            phases.append(P)
+        alone = [(*check_transform_isometry(F, P), previsible_norm(F))
+                 for F, P in zip(fields, phases)]
+        block = _isometry_norms(grid, np.stack([F.rows for F in fields]),
+                                [np.stack([P.terms[0] for P in phases])])
+        assert np.array_equal(np.transpose(block).view(np.uint64),
+                              np.array(alone).view(np.uint64))
+
+    def test_overflowing_rows_are_not_finite(self):
+        # the parts of values near 5e307 overflow: an operation refuses them,
+        # while the isometry's norms are infinite, as they are at 1e200, and
+        # fail the residual verdict
+        grid = make_grid(16)
+        phases = constant_phases(grid, 1)
+        for scale in (5e307, 1e200):
+            F = field_from_differences(grid, 1, 0.0, [
+                scale * (np.exp(1j * grid.angles) + np.exp(3j * grid.angles))])
+            with np.errstate(over="ignore", invalid="ignore"):
+                if scale > 1e300:
+                    for op in (cosine_part, dyadic_project):
+                        with pytest.raises(ValueError, match="martingale values must be finite"):
+                            op(F)
+                norms = check_transform_isometry(F, phases)
+                assert norms == (math.inf, math.inf)
+                assert not residual_verdict(*norms, norms[1], 1e-10)[1]
 
 
 class TestPhasesDeeperThanTheField:
