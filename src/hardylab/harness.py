@@ -205,19 +205,19 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
 
 def _identity_sides(config: HarnessConfig) -> np.ndarray:
     """lhs, rhs and the residual's scale of every sample of each identities
-    suite, shape (suites, samples, 3), evaluated one block of samples at a time."""
+    suite, shape (suites, samples, 3), evaluated one chunk of samples at a time."""
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 100)
     sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))
-    for rows, blocks, _ in _blocks(config, 0, 1, _BLOCK_ENTRIES, phases=False):
+    for rows, blocks, _ in _chunks(config, 0, 1, phases=False, entries=_BLOCK_ENTRIES):
         rep = _sincos_rows(grid, _differences(grid, blocks)[:, 0],
                            *_scalar_draws(rng, len(blocks[0])))
         sides[0, rows] = np.transpose([rep.lhs, rep.rhs, rep.rhs])
-    for rows, blocks, _ in _blocks(config, 1, 1, _BLOCK_ENTRIES, phases=False):
+    for rows, blocks, _ in _chunks(config, 1, 1, phases=False, entries=_BLOCK_ENTRIES):
         b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
         lhs, rhs = _split_rows(grid, _differences(grid, blocks)[:, 0], b)
         sides[1, rows] = np.transpose([lhs, rhs, rhs])
-    for rows, blocks, angles in _blocks(config, 2, config.depth, _ISOMETRY_ENTRIES):
+    for rows, blocks, angles in _chunks(config, 2, entries=_ISOMETRY_ENTRIES):
         norms = _isometry_norms(grid, _differences(grid, blocks), [_unit(phi) for phi in angles])
         sides[2, rows] = np.transpose(norms)
     return sides
@@ -253,11 +253,11 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
 def _lemma_sides(config: HarnessConfig) -> np.ndarray:
     """shift_lhs, shift_rhs, rotation_lhs, rotation_rhs and split_rhs of
     perturbation_bounds for every sample of the integral suites, shape
-    (samples, 5), evaluated one block of samples at a time."""
+    (samples, 5), evaluated one chunk of samples at a time."""
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 101)
     sides = np.empty((config.samples, 5))
-    for rows, blocks, _ in _blocks(config, 11, 1, _BLOCK_ENTRIES, phases=False):
+    for rows, blocks, _ in _chunks(config, 11, 1, phases=False, entries=_BLOCK_ENTRIES):
         rep = _perturbation_rows(grid, _differences(grid, blocks)[:, 0],
                                  *_scalar_draws(rng, len(blocks[0])))
         sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
@@ -265,53 +265,43 @@ def _lemma_sides(config: HarnessConfig) -> np.ndarray:
     return sides
 
 
-# Coefficients plus phases per chunk of samples: tens of small samples share
-# each call's overhead, while the chunk's temporaries stay near 1 MiB.  At
-# N8 d3, 2^16 is 10-25% faster than 2^14 but raises the peak RSS by ~4.7 MiB
-# (2^15: ~1.3 MiB; 2^12 takes ~1.7x as long), so the chunk stays at 2^14.
+# A chunk of samples is drawn and evaluated as one batch.  It holds at most
+# _CHUNK_ENTRIES coefficients plus phases: tens of small samples share each
+# call's overhead, while its temporaries stay near 1 MiB (at N8 d3, 2^16 is
+# 10-25% faster but raises the peak RSS by ~4.7 MiB, 2^15 by ~1.3 MiB; 2^12
+# takes ~1.7x as long).  The suites that hold its rows bound its grid entries
+# too: the depth-1 ones (lemmas, the first two identities suites) by
+# _BLOCK_ENTRIES, 256 samples at N16 (2^16 raises lemmas N16 at 2500
+# samples from 37.1 to 40.2 MiB for no gain); the transform-isometry suite
+# by _ISOMETRY_ENTRIES, four of _isometry_norms' slabs (10 samples at N16
+# d3, where the coefficients bind first).
 _CHUNK_ENTRIES = 2**14
+_BLOCK_ENTRIES = 2**12
+_ISOMETRY_ENTRIES = 2**16
 
 
-def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: bool = True):
-    """Yield (first sample, coefficient blocks, phase angles) per chunk of the
-    config's samples, drawn as ensemble_chunk draws them for the run
+def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: bool = True,
+            entries: int | None = None):
+    """Yield (sample slice, coefficient blocks, phase angles) per chunk of the
+    config's samples, in order, drawn as ensemble_chunk draws them for the run
     (config.seed, tag) at the given depth (default config.depth): blocks[k-1]
     and angles[k] stack the chunk's level-k draws along a leading sample axis.
+    A chunk fits _CHUNK_ENTRIES coefficients and phases and, given entries,
+    that many grid entries over grid^1 .. grid^depth (at least one sample).
 
     The seed words are hashed a span at a time: as many whole chunks as fit
     _CHUNK_ENTRIES uint64 words, 4 per substream (at least one chunk)."""
     depth = config.depth if depth is None else depth
     cfg = EnsembleConfig(config.seed, config.n_points, depth, config.max_degree)
-    entries = (config.max_degree + 1) * sum(config.n_points**k for k in range(depth))
-    chunk = max(1, _CHUNK_ENTRIES // entries)
+    slices = sum(cfg.n_points**k for k in range(depth))  # newest-coordinate slices per sample
+    chunk = _CHUNK_ENTRIES // ((cfg.max_degree + 1) * slices)
+    chunk = max(1, chunk if entries is None else min(chunk, entries // (cfg.n_points * slices)))
     span = chunk * max(1, _CHUNK_ENTRIES // (4 * depth * (2 if phases else 1)) // chunk)
     for start in range(0, config.samples, span):
         words = chunk_seed_words(cfg, tag, start, min(span, config.samples - start), phases)
         for first in range(0, len(words), chunk):
-            yield start + first, *draw_chunk(cfg, words[first:first + chunk])
-
-
-# Grid entries per block of samples: a block's rows share each numpy call,
-# while its grid arrays stay bounded whatever the chunk holds.  The depth-1
-# suites (lemmas, and the first two identities suites) take blocks of
-# _BLOCK_ENTRIES; whole chunks there cost lemmas 2.9 MiB for no gain.  The
-# transform-isometry suite takes blocks of _ISOMETRY_ENTRIES, four of
-# _isometry_norms' slabs (a whole chunk of 10 samples at N16 d3), and
-# _isometry_norms bounds its temporaries to a slab.
-_BLOCK_ENTRIES = 2**12
-_ISOMETRY_ENTRIES = 2**16
-
-
-def _blocks(config: HarnessConfig, tag: int, depth: int, entries: int, phases: bool = True):
-    """Yield (sample slice, coefficient blocks, phase angles) for the chunks of
-    _chunks, each cut into blocks of as many samples as hold `entries` grid
-    entries over grid^1 .. grid^depth (at least one sample), in order."""
-    size = max(1, entries // sum(config.n_points**k for k in range(1, depth + 1)))
-    for first, blocks, angles in _chunks(config, tag, depth, phases):
-        for start in range(0, len(blocks[0]), size):
-            cut = slice(start, start + size)
-            part = [c[cut] for c in blocks]
-            yield slice(first + start, first + start + len(part[0])), part, [a[cut] for a in angles]
+            blocks, angles = draw_chunk(cfg, words[first:first + chunk])
+            yield slice(start + first, start + first + len(blocks[0])), blocks, angles
 
 
 def _score(grid, blocks, angles):
@@ -364,8 +354,8 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
     best_state = None
     trace: list = []
 
-    for first, coeffs, angles in _chunks(config, 40):
-        rngs = [_scalar_rng(config, 41, s) for s in range(first, first + len(coeffs[0]))]
+    for samples, coeffs, angles in _chunks(config, 40):
+        rngs = [_scalar_rng(config, 41, s) for s in range(samples.start, samples.stop)]
         # a start draws its normals per step as a lone climb would: per level the
         # real and then the imaginary coefficient parts, then the angles by level
         shapes = [c.shape[1:] for c in coeffs for _ in (0, 1)] + [a.shape[1:] for a in angles]
@@ -391,7 +381,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
             for t, ratio in climb:
                 if ratio > best_ratio:
                     best_ratio, best = ratio, j
-                    trace.append({"start": first + j, "step": t, "ratio": ratio})
+                    trace.append({"start": samples.start + j, "step": t, "ratio": ratio})
         if best is not None:  # no later step of this start was accepted
             best_state = ([c[best] for c in coeffs], [a[best] for a in angles])
 

@@ -276,7 +276,8 @@ def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) ->
 def _derive(field: MartingaleField, base: complex, rows: np.ndarray) -> MartingaleField:
     """Result of an operation on `field`, with new rows that it takes over read-only, only
     checked finite (values near 1e308 can overflow): their means are the source's, mapped,
-    plus rounding that a second check at the tolerance's edge can reject."""
+    plus rounding that a second check at the tolerance's edge can reject.  Operations form
+    rows with overflow warnings off, so an overflow raises here whatever the filters."""
     if not np.isfinite(rows).all():
         raise ValueError("martingale values must be finite")
     derived = object.__new__(MartingaleField)
@@ -329,19 +330,22 @@ def _turned(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 def cosine_part(field: MartingaleField) -> MartingaleField:
     """Differences averaged over conjugation of their newest coordinate."""
-    return _derive(field, field.base, _even_part(field.rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _derive(field, field.base, _even_part(field.rows))
 
 
 def sine_part(field: MartingaleField) -> MartingaleField:
     """Remainder of the even/odd split; differences are conjugation-odd."""
-    return _derive(field, 0.0, _odd_part(field.rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _derive(field, 0.0, _odd_part(field.rows))
 
 
 def transform(field: MartingaleField, phases: AdaptedPhases) -> MartingaleField:
     """Real martingale with differences Im(w_{k-1} * diff_k)."""
     _check_phases(phases, field.grid, field.depth)
     w = np.concatenate([t.ravel() for t in phases.terms[:field.depth]])  # one per row
-    rows = w[:, np.newaxis] * field.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = w[:, np.newaxis] * field.rows
     # Im(w * diff), in the product's own buffer: a ufunc sees that the parts do
     # not overlap, where an assignment would copy the imaginary parts first
     np.positive(rows.imag, out=rows.real)
@@ -484,6 +488,7 @@ def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int,
 def dyadic_project(field: MartingaleField) -> MartingaleField:
     """Difference-wise conditional expectation given all coordinate signs."""
     rows = np.empty_like(field.rows)
-    for out, d in zip(_levels(rows, field.grid.n_points), field.diffs):
-        _project_trailing_cells(field.grid, d, d.ndim, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out, d in zip(_levels(rows, field.grid.n_points), field.diffs):
+            _project_trailing_cells(field.grid, d, d.ndim, out)
     return _derive(field, field.base, rows)

@@ -1,9 +1,9 @@
-"""The lemmas and identities suites evaluate blocks of samples at once.
+"""The lemmas and identities suites evaluate chunks of samples at once.
 
 Every recorded side must equal, bit for bit, what the public single-sample
 functions give for that sample alone, drawn through numpy's own per-sample
-seeding (tests/oracles.py).  The Hardy gates of a block give each row the
-verdict, or the error, that the row gets alone.
+seeding (tests/oracles.py).  The Hardy gates of a block of rows give each row
+the verdict, or the error, that the row gets alone.
 """
 
 import tracemalloc
@@ -41,15 +41,16 @@ from hardylab.torus import _rows_are_hardy
 from oracles import sample_ensemble
 
 SHAPES = [(4, 1, 1), (8, 2, 3), (16, 3, 5), (16, 1, 7), (64, 1, 31)]
-BLOCK = 3  # samples per block of every suite
+CAP = 3  # samples per chunk at most, by grid entries, in every suite
 
 
 def patch_sizes(monkeypatch, config, depth, chunk):
-    """Blocks of BLOCK samples, in the depth-1 suites and in the isometry suite
-    at the given depth, and chunks of `chunk` samples at that depth."""
+    """Chunks of `chunk` samples by coefficients and phases at the given depth,
+    and of at most CAP samples by grid entries, in the depth-1 suites and in
+    the isometry suite at that depth."""
     n, degree = config.n_points, config.max_degree
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", BLOCK * n)
-    monkeypatch.setattr(harness, "_ISOMETRY_ENTRIES", BLOCK * sum(n**k for k in range(1, depth + 1)))
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", CAP * n)
+    monkeypatch.setattr(harness, "_ISOMETRY_ENTRIES", CAP * sum(n**k for k in range(1, depth + 1)))
     monkeypatch.setattr(harness, "_CHUNK_ENTRIES",
                         chunk * (degree + 1) * sum(n**k for k in range(depth)))
 
@@ -97,36 +98,70 @@ def identity_sides_alone(config):
     return sides
 
 
-def block_starts(config, depth, entries):
-    return [rows.start for rows, _, _ in harness._blocks(config, 0, depth, entries, phases=False)]
+def recorded_chunks(monkeypatch):
+    """Spy on harness._chunks: every call appends the list of sample slices it
+    yields to the returned list, one list per suite, in the suites' order."""
+    calls, inner = [], harness._chunks
+
+    def spy(*args, **kwargs):
+        calls.append([])
+        for cut, blocks, angles in inner(*args, **kwargs):
+            calls[-1].append(cut)
+            yield cut, blocks, angles
+
+    monkeypatch.setattr(harness, "_chunks", spy)
+    return calls
 
 
-def expected_starts(samples, chunk):
-    """Blocks of BLOCK samples from the start of every chunk."""
-    return [first + j for first in range(0, samples, chunk)
-            for j in range(0, min(chunk, samples - first), BLOCK)]
+def tiling(samples, size):
+    """Slices of `size` samples from 0, the last one cut at `samples`."""
+    return [slice(start, min(start + size, samples)) for start in range(0, samples, size)]
 
 
-@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1])
-@pytest.mark.parametrize("chunk", [2, 5])  # chunk and block boundaries both fall inside runs
+@pytest.mark.parametrize("samples", [1, CAP - 1, CAP, CAP + 1])
+@pytest.mark.parametrize("chunk", [2, 5])  # below CAP the coefficients bind, above it the grid
 @pytest.mark.parametrize("n, depth, degree", SHAPES)
 class TestEverySample:
     def test_lemmas(self, monkeypatch, n, depth, degree, chunk, samples):
         config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples,
                                seed=20260809)
         patch_sizes(monkeypatch, config, 1, chunk)
+        chunks = recorded_chunks(monkeypatch)
         assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
-        assert block_starts(config, 1, harness._BLOCK_ENTRIES) == expected_starts(samples, chunk)
+        assert chunks == [tiling(samples, min(chunk, CAP))]
 
     def test_identities(self, monkeypatch, n, depth, degree, chunk, samples):
         config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples,
                                seed=2**70)
         patch_sizes(monkeypatch, config, depth, chunk)
+        chunks = recorded_chunks(monkeypatch)
         assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
-        # a depth-1 chunk holds as many coefficients as `chunk` samples at depth
-        depth_1_chunk = chunk * sum(n**k for k in range(depth))
-        assert block_starts(config, 1, harness._BLOCK_ENTRIES) == expected_starts(samples, depth_1_chunk)
-        assert block_starts(config, depth, harness._ISOMETRY_ENTRIES) == expected_starts(samples, chunk)
+        # _CHUNK_ENTRIES fits `chunk` samples at depth, so at depth 1 as many
+        # samples as those have newest-coordinate slices
+        depth_1 = tiling(samples, min(chunk * sum(n**k for k in range(depth)), CAP))
+        assert chunks == [depth_1, depth_1, tiling(samples, min(chunk, CAP))]
+
+
+# Samples per chunk at the default sizes, suite by suite: the lemmas and
+# identities shapes of the benchmark, a shape where the isometry suite's grid
+# entries bind (15 samples, against 63 by coefficients), and theorem's.
+@pytest.mark.parametrize("command, settings, sizes", [
+    ("lemmas", dict(n_points=16, max_degree=7), [256]),
+    ("identities", dict(n_points=16, depth=3, max_degree=5), [256, 256, 10]),
+    ("identities", dict(n_points=64, depth=2, max_degree=3), [64, 64, 15]),
+    ("theorem", dict(n_points=8, depth=3, max_degree=3), [56]),
+])
+def test_chunks_tile_the_samples(monkeypatch, command, settings, sizes):
+    # each suite evaluates chunks of C samples, the same C whatever the sample
+    # count, at multiples of C: checked at 1, C - 1, C, C + 1 and 2C + 1 samples
+    run = {"lemmas": harness._lemma_sides, "identities": harness._identity_sides,
+           "theorem": harness.cmd_theorem}[command]
+    chunks = recorded_chunks(monkeypatch)
+    counts = sorted({count for c in sizes for count in (1, c - 1, c, c + 1, 2 * c + 1)})
+    for samples in counts:
+        chunks.clear()
+        run(HarnessConfig(samples=samples, seed=7, **settings))
+        assert chunks == [tiling(samples, c) for c in sizes], samples
 
 
 @pytest.mark.parametrize("phases", [True, False])
@@ -142,10 +177,10 @@ def test_chunks_equal_ensemble_chunk(monkeypatch, n, depth, degree, chunk, sampl
     patch_sizes(monkeypatch, config, depth, chunk)
     cfg = EnsembleConfig(config.seed, n, depth, degree)
     got = list(harness._chunks(config, 2, phases=phases))
-    assert [first for first, _, _ in got] == list(range(0, samples, chunk))
-    for first, blocks, angles in got:
-        count = min(chunk, samples - first)
-        want_blocks, want_angles = ensemble_chunk(cfg, 2, first, count, phases)
+    assert [cut for cut, _, _ in got] == tiling(samples, chunk)
+    for cut, blocks, angles in got:
+        count = cut.stop - cut.start
+        want_blocks, want_angles = ensemble_chunk(cfg, 2, cut.start, count, phases)
         for x, y in zip(blocks + angles, want_blocks + want_angles, strict=True):
             assert x.shape[0] == count and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
@@ -179,11 +214,11 @@ def test_numpy_complex_exp_is_elementwise():
         assert np.array_equal(np.exp(1j * phi[start:stop]), alone[start:stop])
 
 
-@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("samples", [1, CAP - 1, CAP, CAP + 1])
 @pytest.mark.parametrize("chunk", [2, 5])
 class TestBlockDraws:
-    """The scalar draws of a block equal, bit for bit, the same stream drawn one
-    sample at a time (normal, normal, uniform), across block and chunk boundaries."""
+    """The scalar draws of a chunk equal, bit for bit, the same stream drawn one
+    sample at a time (normal, normal, uniform), across chunk boundaries."""
 
     def config(self, monkeypatch, chunk, samples):
         config = HarnessConfig(n_points=8, depth=1, max_degree=3, samples=samples, seed=2**70)
@@ -194,7 +229,7 @@ class TestBlockDraws:
         config = self.config(monkeypatch, chunk, samples)
         calls = recorded_draws(monkeypatch, "_perturbation_rows")
         harness._lemma_sides(config)
-        assert len(calls) == len(expected_starts(samples, chunk))
+        assert len(calls) == len(tiling(samples, min(chunk, CAP)))
         rng = harness._scalar_rng(config, 101)
         assert_same_bits(calls, [draws_alone(rng) for _ in range(samples)])
 
@@ -203,7 +238,7 @@ class TestBlockDraws:
         sincos = recorded_draws(monkeypatch, "_sincos_rows")
         split = recorded_draws(monkeypatch, "_split_rows")
         harness._identity_sides(config)
-        assert len(sincos) == len(split) == len(expected_starts(samples, chunk))
+        assert len(sincos) == len(split) == len(tiling(samples, min(chunk, CAP)))
         # one stream: the sincos suite's (b, w), then the split suite's shifts
         rng = harness._scalar_rng(config, 100)
         assert_same_bits(sincos, [draws_alone(rng) for _ in range(samples)])
@@ -370,7 +405,7 @@ def test_slabs_keep_every_isometry_side(monkeypatch, n, depth, degree, cut):
     parts = [(previsible_norm(cosine_part(F)), previsible_norm(transform(F, P)), previsible_norm(F))
              for F, P in zip(fields, phases)]
     assert np.array_equal(as_bits(alone), as_bits(parts))
-    patch_sizes(monkeypatch, config, depth, 3)  # chunks and blocks of 3: a slab crosses no block
+    patch_sizes(monkeypatch, config, depth, 3)  # chunks of 3 samples
     patch_slabs(monkeypatch, n, depth, cut)
     rows = np.stack([F.rows for F in fields])
     terms = [np.stack(t) for t in zip(*(P.terms for P in phases))]
@@ -424,11 +459,11 @@ def test_a_fault_in_a_later_slab_raises_as_alone(monkeypatch, fault, second, cut
 
 
 @pytest.mark.parametrize("command, settings", [
-    # 3000 samples cross the 2048-sample chunk and many 256-row blocks
+    # 3000 samples: twelve 256-sample chunks, the last one partial
     ("lemmas", dict(n_points=16, max_degree=7, samples=3000)),
     ("identities", dict(n_points=16, depth=2, max_degree=5, samples=300)),
-    # the benchmark's shape: chunks of 10 samples, each one block of the
-    # isometry suite, 3 samples to a slab
+    # the benchmark's shape: chunks of 10 samples in the isometry suite, 3
+    # samples to a slab
     ("identities", dict(n_points=16, depth=3, max_degree=5, samples=40)),
 ])
 def test_every_sample_at_the_default_sizes(command, settings):
@@ -443,9 +478,9 @@ def test_every_sample_at_the_default_sizes(command, settings):
 @pytest.mark.parametrize("n, depth, degree, samples", [
     (256, 1, 3, 1024), (256, 2, 3, 15), (64, 2, 3, 63)])
 def test_the_isometry_suite_holds_one_block_whatever_the_chunk(n, depth, degree, samples):
-    # a chunk is sized by its coefficients, so at large N and shallow depth it
-    # holds 4-15 MiB of rows (a whole chunk here); the suite's blocks of
-    # _ISOMETRY_ENTRIES grid entries keep its rows near 1 MiB
+    # by its coefficients alone, a chunk at large N and shallow depth would hold
+    # 4-15 MiB of rows (all the samples here); the suite's bound of
+    # _ISOMETRY_ENTRIES grid entries per chunk keeps its rows near 1 MiB
     config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples, seed=7)
     harness._identity_sides(replace(config, samples=1))  # the grid's cached tables are built outside the trace
     tracemalloc.start()
@@ -458,7 +493,7 @@ def test_the_isometry_suite_holds_one_block_whatever_the_chunk(n, depth, degree,
 
 
 # Sides of the first samples at seed 12345, recorded bit for bit from the
-# evaluation one sample at a time that the block path replaced.  The reference
+# evaluation one sample at a time that the chunk path replaced.  The reference
 # above is the same code at M = 1, so only these pins see the closed forms'
 # arithmetic move: array arithmetic (x ** 2 as x * x, numpy's complex abs)
 # changes the last bit of a side on about two samples in five.

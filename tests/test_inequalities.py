@@ -39,6 +39,8 @@ from hardylab.inequalities import (
     _envelope_parts,
     _perturbation_rows,
     _residual_sq,
+    _row_envelope,
+    _row_forms,
     _sign_modes,
     _sincos_form,
     _split_form,
@@ -105,21 +107,21 @@ class TestRowEnvelope:
             assert np.array_equal(np.abs(z[start:stop]), alone[start:stop], equal_nan=True)
 
     def test_rows_equal_the_scalar_call(self):
+        # the row route of _perturbation_rows: numpy's moduli of the whole block,
+        # then per row _row_envelope on Python scalars, squaring |mu - b| as pow
+        # (on numpy scalars where pow overflows)
         mu, b = envelope_cases(100_000, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            abs_mu, _, q = _envelope_parts(mu, b, rows=True)
+            rows = _row_forms(_row_envelope, np.abs(mu), np.abs(b), np.abs(mu - b))
             alone = [arith_envelope(complex(m), complex(s)) for m, s in zip(mu, b)]
         assert np.isinf(alone).any() and (np.array(alone) == 0.0).any()
-        assert np.array_equal(abs_mu + q, alone, equal_nan=True)
+        assert np.array_equal(rows, alone, equal_nan=True)
 
     def test_arrays_square_as_products(self):
-        # the array route squares as x * x, the rows as pow; both are recorded
         mu, b = envelope_cases(10_000, 3)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.abs(mu - b)
             assert np.array_equal(_envelope_parts(mu, b)[1], gap * gap, equal_nan=True)
-            assert np.array_equal(_envelope_parts(mu, b, rows=True)[1],
-                                  [x ** 2 for x in gap], equal_nan=True)
 
 
 class TestEnvelopeGapBound:

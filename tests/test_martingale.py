@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,20 +330,30 @@ class TestMeansCheckedOnce:
         assert np.array_equal(np.transpose(block).view(np.uint64),
                               np.array(alone).view(np.uint64))
 
+    @pytest.mark.parametrize("scale, ops", [(5e307, (cosine_part, dyadic_project)),
+                                            (6e307, (cosine_part, sine_part, dyadic_project))])
+    def test_overflowing_parts_raise_under_the_warning_filter(self, scale, ops):
+        # the parts of values near 1e308 overflow; with numpy's RuntimeWarnings
+        # as errors (the repo's filter), each operation still raises its
+        # ValueError, not the warning
+        grid = make_grid(16)
+        F = field_from_differences(grid, 1, 0.0, [
+            scale * (np.exp(1j * grid.angles) + np.exp(3j * grid.angles))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for op in ops:
+                with pytest.raises(ValueError, match="martingale values must be finite"):
+                    op(F)
+
     def test_overflowing_rows_are_not_finite(self):
-        # the parts of values near 5e307 overflow: an operation refuses them,
-        # while the isometry's norms are infinite, as they are at 1e200, and
-        # fail the residual verdict
+        # at values near 5e307 the isometry's norms are infinite, as they are
+        # at 1e200, and fail the residual verdict
         grid = make_grid(16)
         phases = constant_phases(grid, 1)
         for scale in (5e307, 1e200):
             F = field_from_differences(grid, 1, 0.0, [
                 scale * (np.exp(1j * grid.angles) + np.exp(3j * grid.angles))])
             with np.errstate(over="ignore", invalid="ignore"):
-                if scale > 1e300:
-                    for op in (cosine_part, dyadic_project):
-                        with pytest.raises(ValueError, match="martingale values must be finite"):
-                            op(F)
                 norms = check_transform_isometry(F, phases)
                 assert norms == (math.inf, math.inf)
                 assert not residual_verdict(*norms, norms[1], 1e-10)[1]
