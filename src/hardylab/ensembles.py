@@ -33,7 +33,7 @@ from .martingale import (
     _levels,
     _owning,
 )
-from .torus import GridFunction, TorusGrid, _check_integer, make_grid
+from .torus import GridFunction, TorusGrid, _check_integer, _WorkingSet, make_grid
 
 # Magnitude strata for the scalar sampler; chosen to hit exact zeros,
 # denormal-adjacent values, and both ends of the double's comfortable range.
@@ -62,14 +62,15 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return _complex_normal(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
-def _complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """(re + 1j * im) / sqrt(2), elementwise, for finite normals re and im.
+def _complex_normal(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(re + 1j * im) / sqrt(2), elementwise, for finite normals re and im,
+    written into out (a new array by default).
 
     numpy's complex division by sqrt(2) + 0j multiplies (re + im*0, im - re*0)
     by 1/sqrt(2), so each part is scaled as a real, with the same bits, except
     where re or im is +-0: those entries take the division itself, whose signed
     zeros differ."""
-    z = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=np.complex128)
+    z = np.empty(np.broadcast_shapes(re.shape, im.shape), np.complex128) if out is None else out
     scale = 1.0 / np.sqrt(2.0)
     np.multiply(re, scale, out=z.real)
     np.multiply(im, scale, out=z.imag)
@@ -193,12 +194,15 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
     return _owning(grid, len(blocks), 0.0, _differences(grid, blocks)[0])
 
 
-def _differences(grid: TorusGrid, blocks) -> np.ndarray:
+def _differences(grid: TorusGrid, blocks, work: _WorkingSet | None = None) -> np.ndarray:
     """The Hardy differences sum_{m=1..d} c_m e^{im theta} of M samples' coefficient blocks,
-    blocks[k-1] of shape (M, N^(k-1), d), as one (M, R, N) rows array.  Level k's stacked
-    product, written into its run of rows, rounds each sample's (N^(k-1), d) product alone."""
+    blocks[k-1] of shape (M, N^(k-1), d), as one (M, R, N) rows array, new or, given
+    work, its "rows" buffer.  Level k's stacked product, written into its run of rows,
+    rounds each sample's (N^(k-1), d) product alone."""
     n = grid.n_points
-    rows = _empty_rows(n, len(blocks), (len(blocks[0]),))
+    lead = (len(blocks[0]),)
+    rows = (_empty_rows(n, len(blocks), lead) if work is None else
+            work.take("rows", lead + (sum(n**k for k in range(len(blocks))), n), complex))
     for c, out in zip(blocks, _levels(rows, n)):
         np.matmul(c, grid.analytic_modes(c.shape[-1]), out=out.reshape(c.shape[:-1] + (n,)))
     return rows
@@ -254,12 +258,16 @@ def chunk_seed_words(cfg: EnsembleConfig, tag: int, first: int, count: int,
     return _stream_seeds(_child_seeds(cfg.seed, tag, first, count), keys)
 
 
-def draw_chunk(cfg: EnsembleConfig, words: np.ndarray) -> tuple:
+def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None = None) -> tuple:
     """ensemble_chunk's (blocks, angles) for the samples whose seed words are the
     rows of words (from chunk_seed_words); phases are drawn when words holds
-    their streams."""
+    their streams.  The draws are written into new arrays or, given work, into
+    its buffers, which the next chunk drawn into work overwrites.  Each level's
+    normals are drawn into work's "rows" buffer, which holds nothing until
+    _differences fills it from the blocks, and is as large as they are."""
     n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
     count, seed_words = len(words), _seed_words_type()
+    work = _WorkingSet() if work is None else work
 
     def streams(key: int):
         """Sample by sample, the generator of substream `key`, made when it is drawn."""
@@ -269,14 +277,16 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray) -> tuple:
     for k in range(1, depth + 1):
         # one draw per sample fills its real and then its imaginary part, in
         # stream order: the bits of two draws of shape (N^(k-1), d)
-        normals = np.empty((count, 2, n ** (k - 1), degree))
+        normals = work.take("rows", (count, 2, n ** (k - 1), degree))
         for rng, row in zip(streams(k - 1), normals):
             rng.standard_normal(out=row)
-        blocks.append(_complex_normal(normals[:, 0], normals[:, 1]))
+        blocks.append(_complex_normal(normals[:, 0], normals[:, 1],
+                                      work.take(f"blocks {k}", (count, n ** (k - 1), degree),
+                                                complex)))
     angles = []
     for k in range(words.shape[1] - depth):
         # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
-        phi = np.empty((count,) + (n,) * k)
+        phi = work.take(f"angles {k}", (count,) + (n,) * k)
         for rng, row in zip(streams(depth + k), phi.reshape(count, -1)):
             rng.random(out=row)
         phi *= 2.0 * np.pi
@@ -284,15 +294,17 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray) -> tuple:
     return blocks, angles
 
 
-def _unit(phi) -> np.ndarray:
-    """exp(i phi), elementwise, renormalized to modulus 1 in the last ulp.
+def _unit(phi, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i phi), elementwise, renormalized to modulus 1 in the last ulp, written
+    into out (a new array by default).
 
     numpy's complex division w / |w| multiplies (re + im*0, im - re*0) by
     1/(|w| + 0*0), so each part times 1/|w| has the same bits at every finite
     phi.  A scalar phi gives a scalar."""
-    w = np.asarray(1j * np.asarray(phi, dtype=float))
+    w = np.asarray(np.multiply(1j, np.asarray(phi, dtype=float), out=out))
     np.exp(w, out=w)
-    scale = 1.0 / np.abs(w)
+    scale = np.abs(w, out=np.empty(w.shape))  # an array even for a scalar phi
+    np.divide(1.0, scale, out=scale)
     w.real *= scale
     w.imag *= scale
     return w[()]

@@ -40,7 +40,15 @@ from .inequalities import (
     slack_verdict,
 )
 from .martingale import _check_degree, _check_size, _isometry_norms
-from .torus import GridFunction, _check_integer, _check_tolerance, inner_product, make_grid, sigma
+from .torus import (
+    GridFunction,
+    _check_integer,
+    _check_tolerance,
+    _WorkingSet,
+    inner_product,
+    make_grid,
+    sigma,
+)
 
 HALF_CIRCLE_MEAN = 2.0 / math.pi  # limit of the dyadic cosine coefficient
 # exact dyadic cosine coefficients at N = 4 and N = 8
@@ -217,8 +225,11 @@ def _identity_sides(config: HarnessConfig) -> np.ndarray:
         b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
         lhs, rhs = _split_rows(grid, _differences(grid, blocks)[:, 0], b)
         sides[1, rows] = np.transpose([lhs, rhs, rhs])
-    for rows, blocks, angles in _chunks(config, 2, entries=_ISOMETRY_ENTRIES):
-        norms = _isometry_norms(grid, _differences(grid, blocks), [_unit(phi) for phi in angles])
+    work = _WorkingSet()  # every array of the isometry suite's chunks, held from chunk to chunk
+    for rows, blocks, angles in _chunks(config, 2, entries=_ISOMETRY_ENTRIES, work=work):
+        terms = [_unit(phi, work.take(f"terms {k}", phi.shape, complex))
+                 for k, phi in enumerate(angles)]
+        norms = _isometry_norms(grid, _differences(grid, blocks, work), terms, work=work)
         sides[2, rows] = np.transpose(norms)
     return sides
 
@@ -274,20 +285,26 @@ def _lemma_sides(config: HarnessConfig) -> np.ndarray:
 # _BLOCK_ENTRIES, 256 samples at N16 (2^16 raises lemmas N16 at 2500
 # samples from 37.1 to 40.2 MiB for no gain); the transform-isometry suite
 # by _ISOMETRY_ENTRIES, four of _isometry_norms' slabs (10 samples at N16
-# d3, where the coefficients bind first).
+# d3, where the coefficients bind first).  That suite fills one working set,
+# 1.35 MiB at N16 d3 and sized at its first chunk, chunk after chunk: with
+# new arrays per chunk, that much sat near glibc's heap trim threshold, and
+# at some heap layouts was given back and faulted in again every chunk (7 to
+# 150 pages faulted per extra chunk, against about 1 with the set held).
 _CHUNK_ENTRIES = 2**14
 _BLOCK_ENTRIES = 2**12
 _ISOMETRY_ENTRIES = 2**16
 
 
 def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: bool = True,
-            entries: int | None = None):
+            entries: int | None = None, work: _WorkingSet | None = None):
     """Yield (sample slice, coefficient blocks, phase angles) per chunk of the
     config's samples, in order, drawn as ensemble_chunk draws them for the run
     (config.seed, tag) at the given depth (default config.depth): blocks[k-1]
     and angles[k] stack the chunk's level-k draws along a leading sample axis.
     A chunk fits _CHUNK_ENTRIES coefficients and phases and, given entries,
     that many grid entries over grid^1 .. grid^depth (at least one sample).
+    Given a working set, each chunk's draws are written into its buffers, so a
+    chunk's arrays are overwritten by the next one's.
 
     The seed words are hashed a span at a time: as many whole chunks as fit
     _CHUNK_ENTRIES uint64 words, 4 per substream (at least one chunk)."""
@@ -300,7 +317,7 @@ def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: b
     for start in range(0, config.samples, span):
         words = chunk_seed_words(cfg, tag, start, min(span, config.samples - start), phases)
         for first in range(0, len(words), chunk):
-            blocks, angles = draw_chunk(cfg, words[first:first + chunk])
+            blocks, angles = draw_chunk(cfg, words[first:first + chunk], work)
             yield slice(start + first, start + first + len(blocks[0])), blocks, angles
 
 

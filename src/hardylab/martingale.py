@@ -16,11 +16,14 @@ The mean check, the Hardy gate and the transform isometry run over the rows
 of M samples as one (M, R, N) array, a field's being rows[np.newaxis].  The
 scale, the gate and the isometry walk it in contiguous slabs of at most
 _SLAB_ENTRIES entries (_slabs): whole samples where one fits, else runs of
-rows of one sample.  So their temporaries stay near one slab at any size, and
-what they keep per row (largest modulus, sums) is an (M, R) array; per-level
-quantities are reductions over a level's run of rows.  Each sample keeps its
-own scale (_scale_bound); a block's norms equal each sample's own bit for bit,
-wherever the slabs fall.
+rows of one sample.  Each slab's moduli give every sample's largest modulus
+per level, one np.max per level and slab (_fold_maxima), and the isometry's
+sums per row, kept as an (M, R) array.  The isometry and the gate take their
+arrays, one real and one complex slab buffer among them, from a working set
+(torus._WorkingSet): a new one per call, or the one that a loop over chunks
+holds for a whole run, so that its chunks allocate nothing.  Each sample
+keeps its own scale (_scale_bound); a block's norms equal each sample's own
+bit for bit, wherever the slabs fall.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .torus import (
     _frozen,
     _rows_are_hardy,
     _stored,
+    _WorkingSet,
 )
 
 HARDY_GATE_TOL = 1e-8  # Hardy gate tol of check_transform_isometry and stability_report
@@ -118,21 +122,28 @@ def _slabs(shape: tuple) -> list:
     return [(slice(i, i + 1), slice(a, a + step)) for i in range(count) for a in range(0, r, step)]
 
 
-def _row_peaks(rows: np.ndarray) -> np.ndarray:
-    """The largest modulus of every row of rows, shape (M, R, N): shape (M, R)."""
-    peaks = np.empty(rows.shape[:-1])
-    for s in _slabs(rows.shape):
-        np.max(np.abs(rows[s]), axis=-1, out=peaks[s])
-    return peaks
+def _fold_maxima(maxima: np.ndarray, s: tuple, moduli: np.ndarray, bounds: list) -> None:
+    """Fold the moduli of slab s of an (M, R, N) rows array into maxima, each
+    sample's largest modulus per level so far, shape (M, levels): one np.max
+    over each level's run of rows in the slab.  bounds are the levels' first
+    rows, then R.  Max is exact and keeps a NaN, so the maxima do not depend
+    on where the slabs fall."""
+    samples, part = s
+    first = part.start or 0
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        a, b = max(a - first, 0), min(b - first, moduli.shape[1])
+        if a < b:
+            top = maxima[samples, k]  # a view
+            np.maximum(top, np.max(moduli[:, a:b], axis=(1, 2)), out=top)
 
 
-def _scale_bound(base: complex, rows: np.ndarray, peaks=None) -> np.ndarray:
+def _scale_bound(base: complex, rows: np.ndarray) -> np.ndarray:
     """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|,
-    for rows of shape (M, R, N), from their _row_peaks (taken if not given):
-    shape (M,)."""
-    peaks = _row_peaks(rows) if peaks is None else peaks
-    # max is exact, so the per-level maxima of the row peaks are the levels' own
-    maxima = np.maximum.reduceat(peaks, _level_starts(rows.shape[-1], rows.shape[1]), axis=1)
+    for rows of shape (M, R, N), from their level maxima: shape (M,)."""
+    bounds = _level_starts(rows.shape[-1], rows.shape[1]) + [rows.shape[1]]
+    maxima = np.zeros((len(rows), len(bounds) - 1))
+    for s in _slabs(rows.shape):
+        _fold_maxima(maxima, s, np.abs(rows[s]), bounds)
     return abs(base) + sum(maxima.T)  # in level order
 
 
@@ -308,24 +319,28 @@ def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
 
 
 def previsible_norm(field: MartingaleField) -> float:
-    """L^1 norm of the conditional square function sqrt(sum_k q_k)."""
-    moments = cond_square_profile(field).level_moments
-    return float(_root_mean(moments))
+    """L^1 norm of the conditional square function sqrt(sum_k q_k).
+
+    The differences are scaled by 2^-e, with 2^e just above the field's
+    _scale_bound, before they are squared, and the norm is scaled back: a
+    norm near 1e308 stays finite, and in the normal range, where a power of
+    two scales exactly, every bit is the unscaled computation's."""
+    e = math.frexp(_scale_bound(field.base, field.rows[np.newaxis])[0])[1]
+    rows = np.ldexp(field.rows.view(np.float64), -e).view(np.complex128)
+    moments = [np.mean(np.abs(d) ** 2, axis=-1) for d in _levels(rows, field.grid.n_points)]
+    return float(np.ldexp(_root_mean(moments), e))
 
 
-def _even_part(diff: np.ndarray) -> np.ndarray:
-    """Average of diff and its conjugation (newest coordinate reversed)."""
-    return 0.5 * (diff + diff[..., ::-1])
+def _even_part(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Average of diff and its conjugation (newest coordinate reversed), written
+    into out (a new array by default)."""
+    total = np.add(diff, diff[..., ::-1], out=out)
+    return np.multiply(0.5, total, out=total)
 
 
 def _odd_part(diff: np.ndarray) -> np.ndarray:
     # exact antisymmetry: reversing negates these values bit-for-bit
     return 0.5 * (diff - diff[..., ::-1])
-
-
-def _turned(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Im(w * diff), with w constant along the newest axis of diff."""
-    return (w[..., np.newaxis] * diff).imag
 
 
 def cosine_part(field: MartingaleField) -> MartingaleField:
@@ -366,14 +381,17 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, rows), tol).all())
 
 
-def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
+def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float,
+               work: _WorkingSet | None = None) -> np.ndarray:
     """is_hardy_martingale per sample of rows, each sample at its own scale
     (shape (M,)): one scale for the whole block would put a small sample's junk
-    under the zero floor.  The rows are gated slab by slab; returns (M,) verdicts."""
+    under the zero floor.  The rows are gated slab by slab, in work's slab
+    buffers (a new working set by default); returns (M,) verdicts."""
+    work = _WorkingSet() if work is None else work
     held = np.ones(len(rows), dtype=bool)
     for samples, part in _slabs(rows.shape):
         held[samples] &= _rows_are_hardy(grid, rows[samples, part], tol,
-                                         scale[samples, np.newaxis], 1e-13**2).all(axis=1)
+                                         scale[samples, np.newaxis], 1e-13**2, work).all(axis=1)
     return held
 
 
@@ -390,7 +408,8 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     return float(cosine[0]), float(transformed[0])
 
 
-def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0) -> tuple:
+def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0,
+                    work: _WorkingSet | None = None) -> tuple:
     """check_transform_isometry over M samples, plus each sample's previsible norm.
 
     rows, of shape (M, R, N), holds the samples' differences (their level-0
@@ -400,46 +419,54 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     gate, cosine_part and transform, at its own scale, and the error of the
     first check that fails over all samples, in that order.
 
-    The rows are walked twice in _slabs.  Pass 1 takes each row's largest
-    modulus and its sum of squares; from the (M, R) peaks follow the scale,
-    equal to _scale_bound's, and then the mean check and, on the multipliers
-    as one (M, R) array, the unimodularity check.  After the gate, pass 2
-    takes each slab's even part and then its turned part, one at a time, with
-    their sums of squares (unchecked means, as in _derive; an overflow gives
-    an infinite norm).  So besides the rows only (M, R) arrays and one slab's
-    temporaries are held.  Returns the previsible norms of the cosine parts,
-    of the transforms and of the martingales themselves, each of shape (M,).
+    The rows are walked twice in _slabs.  Pass 1 takes each slab's moduli,
+    their sums of squares per row and each sample's largest modulus per level;
+    from those maxima follow the scale, equal to _scale_bound's, and then the
+    mean check and, on the multipliers as one (M, R) array, the unimodularity
+    check.  After the gate, pass 2 takes each slab's even part and then its
+    turned part, one at a time, with their sums of squares (unchecked means,
+    as in _derive; an overflow gives an infinite norm).  Every array the
+    passes fill is taken from work (a new working set by default): the
+    (3, M, R) sums, the (M, levels) maxima, the multipliers, and one real and
+    one complex slab buffer that the gate shares.  Returns the previsible
+    norms of the cosine parts, of the transforms and of the martingales
+    themselves, each of shape (M,).
     """
     n = grid.n_points
-    depth = len(_level_starts(n, rows.shape[1]))
+    count, r = rows.shape[:2]
+    bounds = _level_starts(n, r) + [r]
+    work = _WorkingSet() if work is None else work
     slabs = _slabs(rows.shape)
     # per row, in the order cosine part, transform, martingale: the sum of
     # squares over the newest axis, as np.mean adds them
-    moments = np.empty((3,) + rows.shape[:-1])
-    peaks = np.empty(rows.shape[:-1])  # the rows' largest moduli
-
-    def add_squares(i: int, s: tuple, moduli: np.ndarray) -> None:  # squared in place
-        np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[i][s])
-
+    moments = work.take("moments", (3, count, r))
+    maxima = work.take("maxima", (count, len(bounds) - 1))
+    maxima[...] = 0.0
     for s in slabs:
-        moduli = np.abs(rows[s])
-        np.max(moduli, axis=-1, out=peaks[s])
-        add_squares(2, s, moduli)
-    del moduli
-    scale = _scale_bound(base, rows, peaks)
+        moduli = np.abs(rows[s], out=work.take("real", rows[s].shape))
+        _fold_maxima(maxima, s, moduli, bounds)
+        np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2][s])
+    scale = abs(base) + sum(maxima.T)  # in level order, as _scale_bound adds them
     _check_means(rows, scale)
-    w = np.concatenate([t.reshape(len(t), -1) for t in terms[:depth]], axis=1)
+    w = np.concatenate([t.reshape(count, -1) for t in terms[:len(bounds) - 1]], axis=1,
+                       out=work.take("multipliers", (count, r), complex))
     held = _unimodular(w).all(axis=0)
     if not held.all():
-        k = np.searchsorted(_level_starts(n, len(held)), np.argmin(held), side="right") - 1
+        k = np.searchsorted(bounds, np.argmin(held), side="right") - 1
         raise ValueError(f"term {k} is not unimodular")
-    if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL).all():
+    if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL, work).all():
         raise ValueError("transform isometry requires a Hardy martingale")
-    for s in slabs:
-        add_squares(0, s, np.abs(_even_part(rows[s])))  # one part held at a time
-        add_squares(1, s, np.abs(_turned(w[s], rows[s])))
+    for s in slabs:  # one part held at a time, in the complex slab buffer
+        part = work.take("complex", rows[s].shape, complex)
+        squares = work.take("real", rows[s].shape)
+        _even_part(rows[s], out=part)
+        np.add.reduce(np.square(np.abs(part, out=squares), out=squares), axis=-1, out=moments[0][s])
+        np.multiply(w[s][..., np.newaxis], rows[s], out=part)  # Im(w * diff) is part.imag
+        # |x|^2 is x * x bit for bit for a real x
+        np.add.reduce(np.square(part.imag, out=squares), axis=-1, out=moments[1][s])
     moments /= n  # the means, divided as np.mean divides
-    return tuple(_root_mean([q[..., 0] for q in _levels(moments[..., np.newaxis], n)]))
+    levels = [q[..., 0] for q in _levels(moments[..., np.newaxis], n)]
+    return tuple(_root_mean(levels, out=work.take("real", levels[-1].shape)))
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

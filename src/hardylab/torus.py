@@ -166,8 +166,32 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.vdot(g.values, f.values) / f.grid.n_points)
 
 
+class _WorkingSet:
+    """Arrays that a loop holds from one chunk to the next, one buffer per name.
+
+    take(name, shape, dtype) is a C-contiguous array of that shape over the start
+    of the name's buffer, which is allocated at the first take and again only when
+    a take outgrows it.  A loop over chunks thus sizes its buffers at its first,
+    full chunk, a shorter chunk gets leading views, and nothing is allocated or
+    freed from chunk to chunk.  A take keeps none of the values of an earlier one
+    under its name.  Most names hold one array of a chunk; "real" and "complex"
+    are scratch, each in use by one step at a time (the moduli and parts of a
+    slab, the scaled rows and coefficients of a gate)."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            buffer = self._buffers[name] = np.empty(size, np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
+
+
 def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
-                    zero_floor: float = -np.inf) -> np.ndarray:
+                    zero_floor: float = -np.inf, work: _WorkingSet | None = None) -> np.ndarray:
     """The spectral Hardy energy test: one verdict per row of rows, shape lead + (N,).
 
     Each row is divided by its scale before squaring, so the verdict is the
@@ -177,7 +201,8 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     energy at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.
     A row with an inf or a NaN fails (its mean coefficient is NaN), and so
     does a row with a non-finite scale.  The default floor admits no row by
-    energy alone.
+    energy alone.  The scaled rows and their coefficients are taken from
+    work's "complex" and "real" buffers (a new working set by default).
     """
     if not 0 < tol < np.inf:  # a NaN tol would fail every row, an infinite one pass e^{-i theta}
         raise ValueError(f"tol must be positive and finite; got {tol!r}")
@@ -186,20 +211,23 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     scale = np.asarray(scale, dtype=float)[..., np.newaxis]
     finite = np.isfinite(scale)
     n = grid.n_points
+    work = _WorkingSet() if work is None else work
     # divided and squared as (re, im) pairs of reals: a complex division would
     # multiply by 1/scale, which overflows at a subnormal scale.  The squares are
     # summed by matmul; numpy's reductions over a short last axis are slow.  The
     # scaled rows are conjugated in place and multiplied by the table itself, not
     # by a conjugated copy of it: their coefficients come out conjugated, with the
     # same squares.
-    parts = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    pairs = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    parts = work.take("complex", pairs.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
-        parts = parts / np.where(finite & (scale > 0), scale, 1.0)
+        np.divide(pairs, np.where(finite & (scale > 0), scale, 1.0), out=parts)
         scaled = parts.view(np.complex128)
-        coeffs = (np.conjugate(scaled, out=scaled) @ grid.characters[: n // 2 + 1].T).view(float)
+        coeffs = np.matmul(np.conjugate(scaled, out=scaled), grid.characters[: n // 2 + 1].T,
+                           out=work.take("real", scaled.shape[:-1] + (n // 2 + 1,), complex))
+        coeffs = coeffs.view(float)
         bad = (np.square(coeffs, out=coeffs) @ np.ones(n + 2)) / (n * n)  # m = -N/2 .. 0
-        del coeffs  # both arrays are new: each is squared in place, one at a time
-        total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n
+        total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n  # each squared in place
     return ((bad <= tol * tol * total) | (total <= zero_floor)) & finite[..., 0]
 
 

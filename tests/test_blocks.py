@@ -353,8 +353,8 @@ class TestRowWiseGate:
         # the conjugate of one sample's newest difference, in the middle of a block
         differences = harness._differences
 
-        def corrupted(grid, blocks):
-            rows = differences(grid, blocks)
+        def corrupted(grid, blocks, *work):
+            rows = differences(grid, blocks, *work)
             if len(blocks) > 1 or not deepest_only:
                 newest = _levels(rows, grid.n_points)[-1]  # a view of rows
                 newest[len(rows) // 2] = newest[len(rows) // 2].conj()
@@ -411,6 +411,68 @@ def test_slabs_keep_every_isometry_side(monkeypatch, n, depth, degree, cut):
     terms = [np.stack(t) for t in zip(*(P.terms for P in phases))]
     assert np.array_equal(as_bits(np.transpose(_isometry_norms(grid, rows, terms))), as_bits(alone))
     assert np.array_equal(as_bits(harness._identity_sides(config)[2]), as_bits(alone))
+
+
+def row_peak_scale(base, rows):
+    """The scale of rows, shape (M, R, N), by way of row peaks: each row's
+    largest modulus, then each level's largest, summed after |base| in level order."""
+    starts = martingale._level_starts(rows.shape[-1], rows.shape[1])
+    return abs(base) + sum(np.maximum.reduceat(np.max(np.abs(rows), -1), starts, 1).T)
+
+
+def scaled_fields(grid, config):
+    """The rows of fields at the scales of TestRowWiseGate, Hardy and not, of shape
+    (M, R, N) at the config's depth 2: the gate's cases and random martingales."""
+    z = np.exp(1j * grid.angles)
+    rows = []
+    for i, scale in enumerate(TestRowWiseGate.SCALES):
+        rows.append(martingale_from_coefficients(grid, [scale * np.ones((1, 2)),
+                                                        scale * np.ones((8, 3))]).rows)
+        rows.append(field_from_differences(grid, 2, 0.0, [scale * z,
+                                                          scale * np.outer(z, z.conj())]).rows)
+        rows.append(scale * random_hardy_martingale(sample_ensemble(config, 2, i, 2)).rows)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("cut", ["rows", "samples", None])
+def test_level_maxima_equal_the_row_peak_route(monkeypatch, cut):
+    # max is exact, so one np.max per level and slab gives the scale of the row
+    # peaks bit for bit, wherever the slabs fall; the isometry's scale is the
+    # one its mean check gets
+    grid, base = make_grid(8), 1.5 - 2j
+    rows = scaled_fields(grid, HarnessConfig(n_points=8, depth=2, max_degree=3, seed=3))
+    if cut is not None:
+        patch_slabs(monkeypatch, 8, 2, cut)
+    want = as_bits(row_peak_scale(base, rows))
+    assert np.array_equal(as_bits(_scale_bound(base, rows)), want)
+    seen, check = [], martingale._check_means
+    monkeypatch.setattr(martingale, "_check_means",
+                        lambda rows, scale: seen.append(scale) or check(rows, scale))
+    terms = [np.ones((len(rows),) + (8,) * k, complex) for k in range(2)]
+    # the conjugate levels fail the gate; squares of the 2^1000 rows overflow before it
+    with pytest.raises(ValueError, match="requires a Hardy martingale"), np.errstate(over="ignore"):
+        _isometry_norms(grid, rows, terms, base)
+    assert np.array_equal(as_bits(seen[0]), want)
+
+
+@pytest.mark.parametrize("cut", ["rows", "samples", None])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_non_finite_row_in_a_later_slab_is_not_finite(monkeypatch, cut, bad):
+    grid = make_grid(8)
+    config = HarnessConfig(n_points=8, depth=3, max_degree=3, seed=4)
+    cfgs = [sample_ensemble(config, 2, i, 3) for i in range(5)]
+    rows = np.stack([random_hardy_martingale(c).rows for c in cfgs])
+    terms = [np.stack(t) for t in zip(*(random_adapted_phases(c).terms for c in cfgs))]
+    rows[3, -2, 5] = bad  # in level 3, sample 3
+    if cut is not None:
+        patch_slabs(monkeypatch, 8, 3, cut)
+    scale = _scale_bound(0.0, rows)
+    assert np.isfinite(scale).tolist() == [True, True, True, False, True]
+    assert np.array_equal(as_bits(scale), as_bits(row_peak_scale(0.0, rows)), equal_nan=True)
+    with pytest.raises(ValueError, match="^martingale values must be finite$"):
+        _isometry_norms(grid, rows, terms)
+    with pytest.raises(ValueError, match="^martingale values must be finite$"):
+        field_from_differences(grid, 3, 0.0, [d[3] for d in _levels(rows, 8)])
 
 
 def inject(fault, i, diffs, terms):

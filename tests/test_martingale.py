@@ -34,7 +34,7 @@ from hardylab import (
     transform,
 )
 from hardylab.inequalities import _sign_modes, residual_verdict
-from hardylab.martingale import _isometry_norms, _project_trailing_cells
+from hardylab.martingale import _isometry_norms, _project_trailing_cells, _root_mean
 
 import oracles
 
@@ -175,6 +175,22 @@ class TestSquareFunction:
         scaled = MartingaleField(F.grid, F.depth, scale * F.terminal)
         for part in (cosine_part(scaled), sine_part(scaled)):
             assert part.depth == 2
+
+    def test_a_norm_near_the_largest_double_stays_finite(self):
+        # the moduli are scaled by a power of two before they are squared;
+        # squared unscaled, they overflowed and the norm read inf
+        grid = make_grid(16)
+        F = field_from_differences(grid, 1, 0.0, [1e160 * np.exp(1j * grid.angles)])
+        assert previsible_norm(F) == pytest.approx(1e160, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 3e120])
+    @pytest.mark.parametrize("n, depth, degree", [(8, 3, 3), (16, 2, 5), (4, 3, 1)])
+    def test_scaling_keeps_every_bit_in_the_normal_range(self, n, depth, degree, scale):
+        for seed in range(10):
+            F = random_hardy_martingale(EnsembleConfig(seed, n, depth, degree))
+            F = MartingaleField(F.grid, depth, scale * F.terminal)
+            unscaled = _root_mean(cond_square_profile(F).level_moments)
+            assert previsible_norm(F).hex() == float(unscaled).hex()
 
     def test_oracle_equivalence_small(self):
         cfg = EnsembleConfig(seed=12, n_points=4, depth=3, max_degree=1)
