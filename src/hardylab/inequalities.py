@@ -21,30 +21,27 @@ Each formula of the single-coordinate decomposition has one home.  Three
 slice integrals run over the last axis of (..., N) arrays, so they take one
 row or a whole level, whose b and w then end in an axis of length 1:
 _slice_parts (u, mu = <u,s> and r^2 = int |u - mu s|^2), _perturbed_moment
-(int |u - b s|^2) and _transform_moment (int Im^2(w (g - b s))).  Three
-closed forms are plain expressions over Python or numpy numbers:
-_sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))), _split_form
-(|mu - b|^2 + r^2) and _gap_form ((a - |b|)^2).  The grid chain and the
-single-coordinate side functions use the integrals; _stability_batch uses
-only the closed forms, so comparing the two chains checks the identities
-that the closed forms stand for.  It evaluates them operation by operation,
-taking each modulus and square of a level once, with the forms' own bits
-(tests/test_inequalities.py pins them).
+(int |u - b s|^2) and _transform_moment (int Im^2(w (g - b s))).  The grid
+chain and the single-coordinate side functions use the integrals;
+_stability_batch uses only their closed forms, the sine-cosine identity
+_sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))) and the orthogonal split
+|mu - b|^2 + r^2, so comparing the two chains checks the identities that the
+closed forms stand for.  It evaluates them operation by operation, taking
+each modulus and square of a level once, with the bits of each form taken as
+one expression (tests/test_inequalities.py pins them).
 
 The side functions evaluate a block of M rows at once, and the public
 sincos_identity_sides, decomposition_sides and perturbation_bounds are the
 block of one row.  _coordinate_rows gates the rows and shifts and runs the
-slice integrals over (M, N).  The envelopes of perturbation_bounds take
-numpy's moduli |mu|, |b| and |mu - b| of the whole block, which equal its
-moduli of each row alone.  Then _row_forms passes each row's Python scalars
-(.tolist()), these moduli among them, to the closed forms and to
-_row_envelope, which squares |mu - b| with pow, so their arithmetic stays
-Python's and every side equals the row's alone bit for bit.  Neither
-squares nor closed forms can become array arithmetic: x ** 2 is x * x on an
-array but pow on a Python or numpy float, and numpy's complex abs is not
-Python's; both change the last bit of many sides.  A row whose Python
-arithmetic overflows is evaluated on numpy scalars, so its overflowed sides
-are inf, as on arrays.
+slice integrals over (M, N).  The closed forms then take the (M,) columns
+whole, with the bits of Python-number arithmetic on each row, which every
+recorded side has: _pow2, _modulus and _product stand for Python's x ** 2,
+complex abs and complex product, where numpy's own (x * x, its own modulus
+and a product with fused multiply-adds) differ in the last bit.
+The envelopes of perturbation_bounds take numpy's moduli of the whole
+block (each row's own) and square |mu - b| with _pow2, as arith_envelope of
+one scalar pair does.  A side whose squares overflow is inf, with numpy's
+RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -141,10 +138,6 @@ def _sincos_form(mu, b, w, r_sq=0.0):
     return r_sq + (w * mu).real ** 2 + (w * (mu - b)).imag ** 2
 
 
-def _split_form(mu, b, r_sq):
-    return abs(mu - b) ** 2 + r_sq
-
-
 def _gap_form(a, b):
     return (a - abs(b)) ** 2
 
@@ -229,19 +222,19 @@ def _coordinate_rows(grid: TorusGrid, values, b, w=None) -> tuple:
     return b, mu, r_sq, _perturbed_moment(u, b_col, sig), moment
 
 
-def _row_forms(form, *columns) -> np.ndarray:
-    """form(*row) for every row of the (M,) columns, as an array with one entry
-    per row.  Each row gets Python scalars (.tolist()), so its arithmetic is
-    Python's and equals the row's alone bit for bit.  A row that overflows,
-    where a Python float's ** raises, is evaluated on numpy scalars instead,
-    whose ** gives inf with a RuntimeWarning, as the array paths do."""
-    values = []
-    for row in zip(*(c.tolist() for c in columns)):
-        try:
-            values.append(form(*row))
-        except OverflowError:
-            values.append(form(*(np.asarray(x)[()] for x in row)))
-    return np.array(values, dtype=float)
+def _pow2(x) -> np.ndarray:
+    """x ** 2 elementwise with a Python float's bits (libm's pow), inf past float64's range."""
+    return np.float_power(x, 2.0)
+
+
+def _modulus(z) -> np.ndarray:
+    """abs(z) elementwise with a Python complex's bits: libm's hypot of its parts."""
+    return np.hypot(z.real, z.imag)
+
+
+def _product(w, z) -> tuple:
+    """Re(w z) and Im(w z) elementwise with a Python complex product's bits (unfused)."""
+    return w.real * z.real - w.imag * z.imag, w.real * z.imag + w.imag * z.real
 
 
 @dataclass(frozen=True)
@@ -267,9 +260,9 @@ def _sincos_rows(grid: TorusGrid, values, b, w) -> IdentityReport:
     """sincos_identity_sides for every row of values with its b and w (see
     _coordinate_rows), as a report of (M,) arrays."""
     b, mu, tail, _, rhs = _coordinate_rows(grid, values, b, w)
+    w = np.asarray(w, dtype=np.complex128)
     # tail last: the recorded residuals round this way
-    lhs = _row_forms(lambda m, s, v, t: _sincos_form(m, s, v) + t,
-                     mu, b, np.asarray(w, dtype=np.complex128), tail)
+    lhs = _pow2(_product(w, mu)[0]) + _pow2(_product(w, mu - b)[1]) + tail
     return IdentityReport(lhs, rhs, residual_verdict(lhs, rhs, rhs, 0.0)[0])
 
 
@@ -281,7 +274,7 @@ def decomposition_sides(h: GridFunction, b: complex):
 def _split_rows(grid: TorusGrid, values, b) -> tuple:
     """decomposition_sides for every row of values with its b, as two (M,) arrays."""
     b, mu, tail, lhs, _ = _coordinate_rows(grid, values, b)
-    return lhs, _row_forms(_split_form, mu, b, tail)
+    return lhs, _pow2(_modulus(mu - b)) + tail
 
 
 @dataclass(frozen=True)
@@ -308,25 +301,21 @@ def perturbation_bounds(h: GridFunction, b: complex, w: complex) -> Perturbation
     return _first_sample(_perturbation_rows(h.grid, h.values[np.newaxis], [b], [w]))
 
 
-def _row_envelope(abs_mu: float, abs_b: float, gap: float) -> float:
-    """|mu| + q of one row from its block's numpy moduli, |mu - b| squared as a
-    scalar: arith_envelope(mu, b) of the row alone, bit for bit."""
-    denom = abs_mu + abs_b
-    return abs_mu + (gap ** 2 / denom if denom > 0.0 else 0.0)
-
-
-def _perturbation_forms(mu, b, tail, abs_mu, abs_b, gap) -> tuple:
-    """split_rhs, shift_rhs and rotation_lhs of one row, from its block's moduli."""
-    a = _row_envelope(abs_mu, abs_b, gap)
-    return _split_form(mu, b, tail), 8.0 * (a * a - abs(mu) ** 2) + tail, _gap_form(a, b) + tail
+def _scalar_envelopes(mu, b) -> np.ndarray:
+    """arith_envelope(mu_i, b_i) of each entry of the (M,) arrays called alone,
+    bit for bit: numpy's moduli of the whole block, |mu - b| squared as pow."""
+    abs_mu = np.abs(mu)
+    return abs_mu + _envelope_share(abs_mu, np.abs(b), _pow2(np.abs(mu - b)))
 
 
 def _perturbation_rows(grid: TorusGrid, values, b, w) -> PerturbationReport:
     """perturbation_bounds for every row of values with its b and w (see
     _coordinate_rows), as a report of (M,) arrays."""
     b, mu, tail, shift_lhs, moment = _coordinate_rows(grid, values, b, w)
-    split_rhs, shift_rhs, rotation_lhs = _row_forms(_perturbation_forms, mu, b, tail, np.abs(mu),
-                                                    np.abs(b), np.abs(mu - b)).T
+    a = _scalar_envelopes(mu, b)
+    split_rhs = _pow2(_modulus(mu - b)) + tail
+    shift_rhs = 8.0 * (a * a - _pow2(_modulus(mu))) + tail
+    rotation_lhs = _pow2(a - _modulus(b)) + tail
     return PerturbationReport(shift_lhs, shift_rhs, rotation_lhs, 8.0 * moment, split_rhs,
                               residual_verdict(shift_lhs, split_rhs, split_rhs, 0.0)[0])
 
@@ -478,9 +467,9 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     shape (M,) + (N,)*(k-1), their level-k multipliers as AdaptedPhases
     validates them; terms may run deeper than blocks.
 
-    Per level the closed forms _split_form and _sincos_form, the envelope and
-    the moments of _chain_report are taken operation by operation, on the same
-    operands as the forms, so every value equals theirs; each modulus and
+    Per level the closed forms _sincos_form and |mu - b|^2 + r^2, the envelope
+    and the moments of _chain_report are taken operation by operation, on the
+    same operands as the forms, so every value equals theirs; each modulus and
     square is taken once, into the row of the level's moments that keeps it or,
     until that row is written, that lends it its buffer.
     """

@@ -151,16 +151,24 @@ def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
     """Per sample of rows, shape (M, R, N), every mean over the newest axis must
     be within 1e-12*scale + 8*2^-1074 of 0, for scale of shape (M,), the rows'
     _scale_bound.  An inf or a NaN in the rows makes that scale non-finite, so
-    they are rejected before any sum over them."""
+    they are rejected before any sum over them.  A sample whose sums overflow is
+    summed again at 2^-e times its rows, e the frexp exponent of its scale."""
     # averaging leaves a few ulps of mean; subnormal values round absolutely,
     # so a few units of 2^-1074 are slack too
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
-    n = rows.shape[-1]
-    # the mean over the newest axis, largest per sample and level
-    drift = np.maximum.reduceat(np.abs(rows.sum(axis=-1)), _level_starts(n, rows.shape[1]),
-                                axis=1) / n
+    starts = _level_starts(rows.shape[-1], rows.shape[1])
+
+    def drift_of(x):  # the mean over the newest axis, largest per sample and level
+        return np.maximum.reduceat(np.abs(x.sum(axis=-1)), starts, axis=1) / x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = drift_of(rows)
+    far = ~np.isfinite(drift).all(axis=1)
+    if far.any():
+        e = np.frexp(scale[far])[1][:, np.newaxis]
+        scaled = np.ldexp(rows[far].view(np.float64), -e[..., np.newaxis]).view(np.complex128)
+        drift[far] = np.ldexp(drift_of(scaled), e)
     held = drift <= tol[:, np.newaxis]
     if not held.all():
         k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample

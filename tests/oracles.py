@@ -132,6 +132,29 @@ def oracle_single_step_stability(n):
     }
 
 
+def oracle_sincos_lhs(mu, b, w, tail):
+    """Re^2(w mu) + Im^2(w (mu - b)) + int |u - mu s|^2 of one row, on Python
+    complex numbers and floats with ** (libm's pow), the tail added last."""
+    return (w * mu).real ** 2 + (w * (mu - b)).imag ** 2 + tail
+
+
+def oracle_split_rhs(mu, b, tail):
+    """|mu - b|^2 + int |u - mu s|^2 of one row, with Python's complex abs and **."""
+    return abs(mu - b) ** 2 + tail
+
+
+def oracle_perturbation_forms(mu, b, tail):
+    """split_rhs, shift_rhs = 8 (a^2 - |mu|^2) + tail and rotation_lhs =
+    (a - |b|)^2 + tail of one row, on Python numbers.  The envelope a =
+    |mu| + |mu - b|^2 / (|mu| + |b|) takes numpy's complex moduli, as
+    arith_envelope does, and squares |mu - b| with **."""
+    abs_mu, abs_b, gap = (float(np.abs(np.complex128(z))) for z in (mu, b, mu - b))
+    denom = abs_mu + abs_b
+    a = abs_mu + (gap ** 2 / denom if denom > 0.0 else 0.0)
+    return (oracle_split_rhs(mu, b, tail), 8.0 * (a * a - abs(mu) ** 2) + tail,
+            (a - abs(b)) ** 2 + tail)
+
+
 def child_seed(seed, tag, i):
     """The seed of sample i of the run (seed, tag): SeedSequence([seed, tag, i])'s first word."""
     seq = np.random.SeedSequence(entropy=[int(seed), tag, i])

@@ -557,8 +557,11 @@ def test_the_isometry_suite_holds_one_block_whatever_the_chunk(n, depth, degree,
 # Sides of the first samples at seed 12345, recorded bit for bit from the
 # evaluation one sample at a time that the chunk path replaced.  The reference
 # above is the same code at M = 1, so only these pins see the closed forms'
-# arithmetic move: array arithmetic (x ** 2 as x * x, numpy's complex abs)
-# changes the last bit of a side on about two samples in five.
+# arithmetic move: they take Python-number bits on arrays (np.float_power,
+# np.hypot, products part by part), and numpy's own x ** 2 (x * x), complex
+# abs or fused complex product changes the last bit of a side on about two
+# samples in five.  A pin that fails on one machine only points at its numpy
+# build's SIMD dispatch (CI prints numpy.show_runtime()).
 LEMMA_BITS = [
     ('0x1.47f0c36faa17cp+2', '0x1.1570302e2ff1ep+5', '0x1.c9c3c6b2f7ef7p+2',
      '0x1.46deb60be424bp+5', '0x1.47f0c36faa17dp+2'),

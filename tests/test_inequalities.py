@@ -36,14 +36,16 @@ from hardylab.ensembles import ARITH_STRATA, _unit
 from hardylab.harness import HarnessConfig, UsageError
 from hardylab.inequalities import (
     _chain_sides,
+    _coordinate_rows,
     _envelope_parts,
+    _modulus,
     _perturbation_rows,
+    _pow2,
+    _product,
     _residual_sq,
-    _row_envelope,
-    _row_forms,
+    _scalar_envelopes,
     _sign_modes,
     _sincos_form,
-    _split_form,
     _split_rows,
     _sincos_rows,
     _stability_batch,
@@ -83,6 +85,9 @@ class TestArithEnvelope:
         np.testing.assert_allclose(arith_envelope(mu, b), [2.0, 0.0, 5.0])
 
 
+SIMD_TAILS = [(0, None), (1, None), (3, -2)]  # every SIMD tail
+
+
 def envelope_cases(count, seed):
     """count (mu, b) pairs: standard complex normals at every pair of the
     ARITH_STRATA magnitudes, mu = b, mu = b = 0, subnormal and overflowing
@@ -103,16 +108,15 @@ class TestRowEnvelope:
         mu, b = envelope_cases(100_003, 1)
         z = np.concatenate([mu, b, mu - b])
         alone = np.array([np.abs(x) for x in z])
-        for start, stop in [(0, None), (1, None), (3, -2)]:  # every SIMD tail
+        for start, stop in SIMD_TAILS:
             assert np.array_equal(np.abs(z[start:stop]), alone[start:stop], equal_nan=True)
 
     def test_rows_equal_the_scalar_call(self):
-        # the row route of _perturbation_rows: numpy's moduli of the whole block,
-        # then per row _row_envelope on Python scalars, squaring |mu - b| as pow
-        # (on numpy scalars where pow overflows)
+        # the envelope of _perturbation_rows: numpy's moduli of the whole block,
+        # |mu - b| squared as pow (inf where pow overflows)
         mu, b = envelope_cases(100_000, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _row_forms(_row_envelope, np.abs(mu), np.abs(b), np.abs(mu - b))
+            rows = _scalar_envelopes(mu, b)
             alone = [arith_envelope(complex(m), complex(s)) for m, s in zip(mu, b)]
         assert np.isinf(alone).any() and (np.array(alone) == 0.0).any()
         assert np.array_equal(rows, alone, equal_nan=True)
@@ -122,6 +126,50 @@ class TestRowEnvelope:
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.abs(mu - b)
             assert np.array_equal(_envelope_parts(mu, b)[1], gap * gap, equal_nan=True)
+
+
+class TestPythonBitsOnArrays:
+    """The single-coordinate sides take their closed forms over whole columns
+    with a Python number's bits on every element: numpy's float_power and hypot
+    call libm's pow and hypot per element, as Python's ** and complex abs do,
+    and a complex product written part by part rounds as Python's."""
+
+    def test_float_power_squares_as_python(self):
+        mu, b = envelope_cases(100_003, 4)
+        z = np.concatenate([mu, b, mu - b])
+        x = np.concatenate([z.real, z.imag, np.abs(z)])
+        alone, raised = [], []
+        for v in x.tolist():
+            try:
+                alone.append(v ** 2)
+            except OverflowError:
+                alone.append(math.inf)
+                raised.append(True)
+            else:
+                raised.append(False)
+        alone, raised = np.array(alone), np.array(raised)
+        assert raised.any() and (alone[~raised] > 0.0).any() and (alone == 0.0).any()
+        with np.errstate(over="ignore"):
+            for start, stop in SIMD_TAILS:
+                assert np.array_equal(_pow2(x[start:stop]), alone[start:stop])
+
+    def test_hypot_is_the_python_modulus(self):
+        mu, b = envelope_cases(100_003, 5)
+        z = np.concatenate([mu, b, mu - b])
+        alone = np.array([abs(c) for c in z.tolist()])
+        for start, stop in SIMD_TAILS:
+            assert np.array_equal(_modulus(z[start:stop]), alone[start:stop])
+
+    def test_parts_multiply_as_python(self):
+        mu, b = envelope_cases(100_003, 6)
+        z = np.concatenate([mu, b, mu - b])
+        w = _unit(np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, z.size))
+        alone = np.array([v * c for v, c in zip(w.tolist(), z.tolist())])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop in SIMD_TAILS:
+                re, im = _product(w[start:stop], z[start:stop])
+                assert np.array_equal(re, alone.real[start:stop], equal_nan=True)
+                assert np.array_equal(im, alone.imag[start:stop], equal_nan=True)
 
 
 class TestEnvelopeGapBound:
@@ -312,6 +360,31 @@ class TestOverflow:
                      dataclasses.astuple(sincos_identity_sides(h, b[i], w[i])),
                      decomposition_sides(h, b[i])]
             assert [[x[i] for x in sides] for sides in block] == [list(x) for x in alone]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 8, 16, 64]), st.integers(1, 256), st.floats(-150.0, 150.0),
+       st.integers(0, 2**32 - 1))
+def test_sides_equal_the_python_scalar_oracle(n, count, exponent, seed):
+    # the closed forms over whole columns against the Python-number forms of
+    # each row alone, bit for bit; rows of zeros (mu = 0), b = mu and b = 0 among them
+    grid, rng, degree = make_grid(n), np.random.default_rng(seed), n // 2 - 1
+    scale = 10.0 ** np.clip(exponent + rng.uniform(-5.0, 5.0, count), -150.0, 150.0)
+    c = rng.standard_normal((count, degree)) + 1j * rng.standard_normal((count, degree))
+    values = (c * scale[:, np.newaxis]) @ grid.analytic_modes(degree)
+    values[::7] = 0.0
+    b = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * scale
+    b[::5] = _coordinate_rows(grid, values, b)[1][::5]
+    b[::6] = 0.0
+    w = _unit(rng.uniform(0.0, 2.0 * np.pi, count))
+    _, mu, tail, _, _ = _coordinate_rows(grid, values, b, w)
+    expected = [(oracles.oracle_sincos_lhs(m, s, v, t), *oracles.oracle_perturbation_forms(m, s, t))
+                for m, s, v, t in zip(*(x.tolist() for x in (mu, b, w, tail)))]
+    rep = _perturbation_rows(grid, values, b, w)
+    got = [_sincos_rows(grid, values, b, w).lhs, _split_rows(grid, values, b)[1],
+           rep.shift_rhs, rep.rotation_lhs]
+    assert np.array_equal(bits(np.stack(got, axis=1)), bits(np.array(expected)))
+    assert np.array_equal(bits(rep.split_rhs), bits(got[1]))
 
 
 @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
@@ -776,6 +849,11 @@ class TestBatchedChain:
 def bits(x):
     """x as uint64 words, so equal values compare bit for bit (signed zeros, NaNs)."""
     return np.ascontiguousarray(x, dtype=float if np.isrealobj(x) else complex).view(np.uint64)
+
+
+def _split_form(mu, b, r_sq):
+    """|mu - b|^2 + r^2, int |u - b s|^2 by the orthogonal split."""
+    return abs(mu - b) ** 2 + r_sq
 
 
 def closed_form_report(grid, blocks, terms) -> dict:

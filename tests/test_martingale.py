@@ -638,6 +638,19 @@ class TestFieldFromDifferences:
         with pytest.raises(ValueError, match="difference 2"):
             field_from_differences(grid, 2, 0.0, [np.zeros(4), d2])
 
+    def test_means_near_the_top_of_float64_are_summed_scaled(self):
+        # finite values whose row sums overflow: summed unscaled, a mean of
+        # exactly 0 read inf and refused the field (a RuntimeWarning first
+        # where warnings are errors)
+        grid = make_grid(16)
+        modes = np.exp(1j * grid.angles) + np.exp(3j * grid.angles)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F = field_from_differences(grid, 1, 0.0, [8e307 * modes])
+            assert np.array_equal(F.diffs[0], 8e307 * modes)
+            with pytest.raises(ValueError, match=r"difference 1 has mean 8e\+307 "):
+                field_from_differences(grid, 1, 0.0, [4e307 * (2.0 + modes)])
+
     def test_stored_copies_are_read_only(self):
         grid = make_grid(4)
         rng = np.random.default_rng(5)
