@@ -49,17 +49,24 @@ _FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hardylab parser: every command by name and help line, and the flags
+    of `command` alone, or of every command when it is None.  A parser built for
+    one command parses its arguments and prints its help and the top-level help
+    exactly as the full parser does, with one command's add_argument calls
+    (each of which builds a HelpFormatter that asks for the terminal size)."""
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="Verification lab for martingale estimates on discretized torus products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (description, flags, _) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=description)
-        for name in flags.split() + ["seed", "tol", "out", "csv", "config"]:
-            kind, text = _FLAGS[name]
-            command_parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+    for name, (description, flags, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=description)
+        if command not in (None, name):
+            continue
+        for flag in flags.split() + ["seed", "tol", "out", "csv", "config"]:
+            kind, text = _FLAGS[flag]
+            command_parser.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind,
                                         default=None, help=text)
     return parser
 
@@ -118,8 +125,10 @@ def _summary_line(report) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so its first other word is the command
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         config = _build_config(args)
         report = COMMANDS[args.command](config)

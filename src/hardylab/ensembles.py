@@ -12,7 +12,9 @@ child seed and every substream's PCG64 seed words with numpy's SeedSequence
 hash written over uint32 arrays, one row per stream, so its draws equal
 per-sample seeding bit for bit (tests/test_ensembles.py pins this).  It is
 chunk_seed_words followed by draw_chunk; the harness hashes the seed words
-of a span of several chunks in one pass and then draws chunk by chunk.  The
+of a span of several chunks in one pass and then draws chunk by chunk.
+draw_chunk builds one PCG64 per sample and substream, all those of one
+substream on a single SeedWords that hands each its row of the words.  The
 single-sample functions keep numpy's own SeedSequence.
 """
 
@@ -169,17 +171,19 @@ def _stream_seeds(children: np.ndarray, keys) -> np.ndarray:
 
 @cache
 def _seed_words_type() -> type:
-    """A numpy ISeedSequence that hands PCG64 its seed words as computed ahead.
-    Built on first use, so importing the package does not load numpy.random."""
+    """A numpy ISeedSequence that hands PCG64s their seed words as computed ahead:
+    built on the (rows, 4) words of one stream key, it gives each PCG64 built on
+    it the next row.  Built on first use, so importing the package does not load
+    numpy.random."""
 
     class SeedWords(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("words",)
+        __slots__ = ("rows",)
 
         def __init__(self, words):
-            self.words = words
+            self.rows = iter(words)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for its 4 uint64 words, once
+            return next(self.rows)  # a PCG64 asks for its 4 uint64 words, once
 
     return SeedWords
 
@@ -266,20 +270,19 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None 
     normals are drawn into work's "rows" buffer, which holds nothing until
     _differences fills it from the blocks, and is as large as they are."""
     n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
-    count, seed_words = len(words), _seed_words_type()
+    count = len(words)
     work = _WorkingSet() if work is None else work
-
-    def streams(key: int):
-        """Sample by sample, the generator of substream `key`, made when it is drawn."""
-        return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words[:, key])
-
+    seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
+    # sample by sample, one generator per substream, made when it is drawn: the
+    # PCG64s of one substream are built on one SeedWords, which hands each its row
     blocks = []
     for k in range(1, depth + 1):
         # one draw per sample fills its real and then its imaginary part, in
         # stream order: the bits of two draws of shape (N^(k-1), d)
         normals = work.take("rows", (count, 2, n ** (k - 1), degree))
-        for rng, row in zip(streams(k - 1), normals):
-            rng.standard_normal(out=row)
+        seeds = seed_words(words[:, k - 1])
+        for row in normals:
+            generator(pcg64(seeds)).standard_normal(out=row)
         blocks.append(_complex_normal(normals[:, 0], normals[:, 1],
                                       work.take(f"blocks {k}", (count, n ** (k - 1), degree),
                                                 complex)))
@@ -287,8 +290,9 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None 
     for k in range(words.shape[1] - depth):
         # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
         phi = work.take(f"angles {k}", (count,) + (n,) * k)
-        for rng, row in zip(streams(depth + k), phi.reshape(count, -1)):
-            rng.random(out=row)
+        seeds = seed_words(words[:, depth + k])
+        for row in phi.reshape(count, -1):
+            generator(pcg64(seeds)).random(out=row)
         phi *= 2.0 * np.pi
         angles.append(phi)
     return blocks, angles

@@ -471,7 +471,9 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     and the moments of _chain_report are taken operation by operation, on the
     same operands as the forms, so every value equals theirs; each modulus and
     square is taken once, into the row of the level's moments that keeps it or,
-    until that row is written, that lends it its buffer.
+    until that row is written, that lends it its buffer.  r^2 is summed from
+    column-major moduli, one contiguous (nodes,) column per mode, in np.sum's
+    pairwise order (_residual_sq).
     """
     n, count = grid.n_points, len(blocks[0])
     nodes, moments = [], []
@@ -514,15 +516,40 @@ def _residual_sq(c, mu, sigma) -> np.ndarray:
     orthogonal with mean square 1/2.  Neither tau = 1 - 2|sigma|^2 nor r^2 =
     |c|^2/2 - |mu|^2 may replace it: at d = N/2 - 1 tau is 0, both cancel below
     0, and sqrt gives NaN.  The moduli are taken column by column, each product
-    and difference rounding as the broadcast ones would."""
+    and difference rounding as the broadcast ones would, into a column-major
+    (d,) + lead array, whose squares _pairwise_sum adds with the bits of np.sum
+    over a last axis of length d (numpy's slow reduction over a short axis)."""
     twice = 2.0 * mu
     column = np.empty_like(twice)
-    moduli = np.empty(c.shape)
+    squares = np.empty(sigma.shape + mu.shape)
     for m, s in enumerate(sigma):
         np.subtract(c[..., m], np.multiply(twice, s, out=column), out=column)
-        np.abs(column, out=moduli[..., m])
+        np.abs(column, out=squares[m])
     del twice, column
-    return 0.5 * np.sum(np.square(moduli, out=moduli), axis=-1)
+    return np.multiply(_pairwise_sum(np.square(squares, out=squares)), 0.5)
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1), bit for bit, of a C-contiguous x of nonnegative terms
+    whose last axis is the first axis of terms, in numpy's pairwise order: below
+    8 terms a left fold; up to 128, 8 accumulators, their fixed tree, then the
+    remaining terms in order; above, the two halves, cut at a multiple of 8.
+    The sums are taken in place in terms, into terms[0], which is returned."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]), out=terms[0])
+    total, rest = terms[0], 1
+    if n >= 8:
+        lanes, rest = terms[:8], n - n % 8
+        for i in range(8, rest, 8):
+            lanes += terms[i:i + 8]
+        lanes[0::2] += lanes[1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        lanes[0::4] += lanes[2::4]
+        total += lanes[4]
+    for x in terms[rest:]:
+        total += x
+    return total
 
 
 CHAIN_STEPS = ("dyadic-mean-convexity", "pointwise-perturbed-moment", "pnorm-envelope-split",

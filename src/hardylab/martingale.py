@@ -139,12 +139,24 @@ def _fold_maxima(maxima: np.ndarray, s: tuple, moduli: np.ndarray, bounds: list)
 
 def _scale_bound(base: complex, rows: np.ndarray) -> np.ndarray:
     """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|,
-    for rows of shape (M, R, N), from their level maxima: shape (M,)."""
+    for rows of shape (M, R, N), from their level maxima (_summed_scale): shape (M,)."""
     bounds = _level_starts(rows.shape[-1], rows.shape[1]) + [rows.shape[1]]
     maxima = np.zeros((len(rows), len(bounds) - 1))
     for s in _slabs(rows.shape):
         _fold_maxima(maxima, s, np.abs(rows[s]), bounds)
-    return abs(base) + sum(maxima.T)  # in level order
+    return _summed_scale(base, maxima)
+
+
+def _summed_scale(base: complex, maxima: np.ndarray) -> np.ndarray:
+    """|base| plus each sample's level maxima (shape (M, levels)), added in level
+    order: shape (M,).  Where that sum overflows though |base| and every maximum
+    are finite, the largest double stands for it, so a finite martingale keeps a
+    finite scale; an inf or a NaN among them still gives a non-finite one."""
+    with np.errstate(over="ignore"):
+        scale = abs(base) + sum(maxima.T)
+    past = np.isinf(scale) & np.isfinite(maxima).all(axis=1) & np.isfinite(abs(base))
+    scale[past] = np.finfo(float).max
+    return scale
 
 
 def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
@@ -454,7 +466,7 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
         moduli = np.abs(rows[s], out=work.take("real", rows[s].shape))
         _fold_maxima(maxima, s, moduli, bounds)
         np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2][s])
-    scale = abs(base) + sum(maxima.T)  # in level order, as _scale_bound adds them
+    scale = _summed_scale(base, maxima)
     _check_means(rows, scale)
     w = np.concatenate([t.reshape(count, -1) for t in terms[:len(bounds) - 1]], axis=1,
                        out=work.take("multipliers", (count, r), complex))

@@ -278,7 +278,16 @@ class TestChunkSeeding:
         for key, w in zip(keys, words):
             assert np.array_equal(w, _numpy_stream_words(child, key))
             seq = np.random.SeedSequence(entropy=child, spawn_key=key)
-            assert np.random.PCG64(_seed_words_type()(w)).state == np.random.PCG64(seq).state
+            assert np.random.PCG64(_seed_words_type()(w[np.newaxis])).state == np.random.PCG64(seq).state
+
+    @pytest.mark.parametrize("key", [(0, 1), (1, 0), (1, 3)])
+    def test_one_seed_words_seeds_each_row_in_turn(self, key):
+        # draw_chunk builds one SeedWords per stream key and a PCG64 per row on it
+        children = [0, 7, 2**32 - 1, 2**32, 2**64 - 1]
+        seeds = _seed_words_type()(_stream_seeds(np.array(children, np.uint64), [key])[:, 0])
+        for child in children:
+            seq = np.random.SeedSequence(entropy=child, spawn_key=key)
+            assert np.random.PCG64(seeds).state == np.random.PCG64(seq).state
 
     @settings(max_examples=60, deadline=None)
     @given(children=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),

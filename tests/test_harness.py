@@ -498,6 +498,37 @@ class TestCliEndToEnd:
             "seed", "tol", "out", "csv", "config"}
         assert cli._build_config(args) == HarnessConfig(samples=samples, budget=budget)
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_command_parser_acts_as_the_full_one(self, command, capsys):
+        # main registers the flags of the command it is given only
+        full, lean = cli.build_parser(), cli.build_parser(command)
+        argv = [command, "--seed", "3", "--tol", "1e-9", "--out", "r.json"]
+        for flag in cli._COMMANDS[command][1].split():
+            argv += ["--" + flag.replace("_", "-"), "4"]
+        assert lean.parse_args(argv) == full.parse_args(argv)
+        helps = []
+        for parser in (full, lean):
+            for words in ([command, "--help"], ["--help"]):
+                with pytest.raises(SystemExit) as exit_:
+                    parser.parse_args(words)
+                assert exit_.value.code == 0
+                helps.append(capsys.readouterr().out)
+        assert helps[:2] == helps[2:] and all(helps)
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        out = capsys.readouterr().out
+        assert exit_.value.code == 0
+        assert all(re.search(rf"^ +{command} ", out, re.M) for command in cli._COMMANDS), out
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["frobnicate", "theorem"],
+                                      ["theorem", "--frobnicate", "1"], ["--frobnicate", "theorem"]])
+    def test_unknown_command_or_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+
     def test_exit_one_on_failed_precondition(self, monkeypatch, capsys):
         # a ValueError inside a command is a mathematical failure, not a usage error
         def fail(config):

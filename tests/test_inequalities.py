@@ -937,3 +937,20 @@ class TestEachNodeQuantityOnce:
         mu = c @ sigma
         old = 0.5 * np.sum(np.abs(c - 2.0 * mu[..., np.newaxis] * sigma) ** 2, axis=-1)
         assert np.array_equal(bits(_residual_sq(c, mu, sigma)), bits(old))
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128, 512])
+    def test_residual_sums_in_numpy_order_at_every_degree(self, n):
+        # the column-major squares are added in np.sum's pairwise order over a last
+        # axis: a left fold below 8 terms, 8 accumulators and their tree from 8 on,
+        # halves from 129 on; rows scaled from 1e-150 to 1e150, each row's terms
+        # within a few decades
+        grid, rng = make_grid(n), np.random.default_rng(n)
+        for degree in range(1, n // 2):
+            sigma = _sign_modes(grid, degree)[0]
+            c = rng.standard_normal((2, 67, degree)) + 1j * rng.standard_normal((2, 67, degree))
+            c *= 10.0 ** (rng.uniform(-150.0, 150.0, size=(2, 67, 1))
+                          + rng.uniform(-2.0, 2.0, size=c.shape))
+            mu = c @ sigma
+            moduli = np.abs(c - 2.0 * mu[..., np.newaxis] * sigma)
+            expected = 0.5 * np.sum(moduli**2, axis=-1)
+            assert np.array_equal(bits(_residual_sq(c, mu, sigma)), bits(expected)), degree

@@ -651,6 +651,27 @@ class TestFieldFromDifferences:
             with pytest.raises(ValueError, match=r"difference 1 has mean 8e\+307 "):
                 field_from_differences(grid, 1, 0.0, [4e307 * (2.0 + modes)])
 
+    def test_level_maxima_summing_past_float64_keep_a_finite_scale(self):
+        # a finite field (its terminal 1e308 (s(theta_2) + i s(theta_1)) peaks at
+        # sqrt(2) 1e308) whose level maxima sum past float64, to 2e308: its scale
+        # must stay finite
+        grid = make_grid(8)
+        s = grid.sign_values
+        diffs = [1e308j * s, 1e308 * np.broadcast_to(s, (8, 8))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F = field_from_differences(grid, 2, 0.0, diffs)
+            assert previsible_norm(F) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+            # the isometry takes the same scale, then gates (its squares still overflow)
+            phases = AdaptedPhases(grid, (np.ones(()), np.ones(8)))
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="Hardy martingale"):
+                check_transform_isometry(F, phases)
+            for bad in (np.inf, np.nan):
+                d2 = diffs[1].copy()
+                d2[3] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    field_from_differences(grid, 2, 0.0, [diffs[0], d2])
+
     def test_stored_copies_are_read_only(self):
         grid = make_grid(4)
         rng = np.random.default_rng(5)
