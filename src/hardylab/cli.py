@@ -136,12 +136,10 @@ def main(argv=None) -> int:
             write_json_report(report, config.out)
         if config.csv:
             write_csv_report(report, config.csv)
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a failed mathematical precondition, not a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a ValueError is a failed mathematical precondition, not a usage error
+        return 1 if isinstance(exc, ValueError) else 2
     print(_summary_line(report))
     return 0 if report.aggregates["violation_count"] == 0 else 1
 

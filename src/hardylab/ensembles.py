@@ -31,9 +31,9 @@ from .martingale import (
     _check_degree,
     _check_size,
     _coefficient_blocks,
-    _empty_rows,
     _levels,
     _owning,
+    _row_count,
 )
 from .torus import GridFunction, TorusGrid, _check_integer, _WorkingSet, make_grid
 
@@ -204,9 +204,8 @@ def _differences(grid: TorusGrid, blocks, work: _WorkingSet | None = None) -> np
     work, its "rows" buffer.  Level k's stacked product, written into its run of rows,
     rounds each sample's (N^(k-1), d) product alone."""
     n = grid.n_points
-    lead = (len(blocks[0]),)
-    rows = (_empty_rows(n, len(blocks), lead) if work is None else
-            work.take("rows", lead + (sum(n**k for k in range(len(blocks))), n), complex))
+    shape = (len(blocks[0]), _row_count(n, len(blocks)), n)
+    rows = np.empty(shape, complex) if work is None else work.take("rows", shape, complex)
     for c, out in zip(blocks, _levels(rows, n)):
         np.matmul(c, grid.analytic_modes(c.shape[-1]), out=out.reshape(c.shape[:-1] + (n,)))
     return rows

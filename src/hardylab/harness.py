@@ -18,6 +18,7 @@ import numpy as np
 
 from .ensembles import (
     EnsembleConfig,
+    _child_seeds,
     _differences,
     _unit,
     arith_sample_batch,
@@ -29,6 +30,7 @@ from .inequalities import (
     CHAIN_STEPS,
     CheckRecord,
     _chain_sides,
+    _modulus,
     _perturbation_rows,
     _sincos_rows,
     _split_rows,
@@ -38,7 +40,7 @@ from .inequalities import (
     residual_verdict,
     slack_verdict,
 )
-from .martingale import _check_degree, _check_size, _isometry_norms
+from .martingale import _isometry_norms, _row_count
 from .torus import (
     GridFunction,
     _check_integer,
@@ -60,9 +62,10 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """The settings of one run.  Construction checks every setting with the
-    shared rules, raising UsageError, and resolves the max_degree default, so
-    every command takes its config as given."""
+    """The settings of one run.  Construction resolves the max_degree default
+    and checks every setting, the sample space's (seed, n_points, depth,
+    max_degree) by building their EnsembleConfig, raising UsageError, so every
+    command takes its config as given."""
 
     n_points: int = 8
     depth: int = 2
@@ -77,12 +80,10 @@ class HarnessConfig:
 
     def __post_init__(self):
         try:
-            _check_integer(self.seed, "seed", 0)
-            grid = make_grid(self.n_points)
-            _check_size(grid, self.depth)
             if self.max_degree is None:
-                object.__setattr__(self, "max_degree", min(3, grid.n_points // 2 - 1))
-            _check_degree(grid, self.max_degree)
+                n = make_grid(self.n_points).n_points
+                object.__setattr__(self, "max_degree", min(3, n // 2 - 1))
+            EnsembleConfig(self.seed, self.n_points, self.depth, self.max_degree)
             for name, least in (("samples", 1), ("budget", 0)):
                 _check_integer(getattr(self, name), name, least)
             object.__setattr__(self, "tol", _check_tolerance(self.tol))  # a float: JSON
@@ -183,17 +184,19 @@ def _scalar_draws(rng: np.random.Generator, count: int) -> tuple:
 
     Sample by sample the stream gives the two normals of b, then u uniform on
     [0, 1): phi = 2 pi u is uniform(0, 2 pi), the same bits, and w = e^{i phi}
-    is renormalized with the bits of CPython's z / abs(z) (hypot, then a quotient by h + 0j):
-    ensembles._unit, which has the bits of numpy's complex division, differs in
-    the last ulp on ~30% of angles.  numpy's complex exp of an array equals its
-    exp of each angle alone."""
+    is renormalized with the bits of CPython's z / abs(z), each part over the
+    modulus: its quotient by h + 0j adds only signed zeros, which change no
+    part here (Re w is never 0, and Im w is 0 only at u = 0, where it is +0).
+    ensembles._unit, which has the bits of numpy's complex division, differs
+    in the last ulp on ~30% of angles.  numpy's complex exp of an array equals
+    its exp of each angle alone."""
     normals, u = np.empty((count, 2)), np.empty(count)
     for i, pair in enumerate(normals):
         rng.standard_normal(out=pair)
         u[i] = rng.random()
     w = np.exp(1j * (2 * np.pi * u))
-    h = np.hypot(w.real, w.imag)
-    w.real, w.imag = (w.real + w.imag * 0.0) / h, (w.imag - w.real * 0.0) / h
+    h = _modulus(w)
+    w.real, w.imag = w.real / h, w.imag / h
     return _scalar_shifts(normals), w
 
 
@@ -243,7 +246,7 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     checks: list = []
     tol = config.tol
 
-    strata = np.random.SeedSequence([int(config.seed), 10, 0]).generate_state(1, np.uint64)
+    strata = _child_seeds(config.seed, 10, 0, 1)
     mu, b, w = arith_sample_batch(EnsembleConfig(int(strata[0]), config.n_points), config.samples)
     shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs = _lemma_sides(config).T
     bounds = {
@@ -312,7 +315,7 @@ def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: b
     _CHUNK_ENTRIES uint64 words, 4 per substream (at least one chunk)."""
     depth = config.depth if depth is None else depth
     cfg = EnsembleConfig(config.seed, config.n_points, depth, config.max_degree)
-    slices = sum(cfg.n_points**k for k in range(depth))  # newest-coordinate slices per sample
+    slices = _row_count(cfg.n_points, depth)  # newest-coordinate slices per sample
     chunk = _CHUNK_ENTRIES // ((cfg.max_degree + 1) * slices)
     chunk = max(1, chunk if entries is None else min(chunk, entries // (cfg.n_points * slices)))
     span = chunk * max(1, _CHUNK_ENTRIES // (4 * depth * (2 if phases else 1)) // chunk)

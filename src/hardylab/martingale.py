@@ -83,23 +83,24 @@ def _coefficient_blocks(grid: TorusGrid, coefficients) -> list:
     return blocks
 
 
-def _empty_rows(n: int, depth: int, lead: tuple = ()) -> np.ndarray:
-    """A new complex array of shape lead + (R, N), R = 1 + N + ... + N^(depth-1)."""
-    return np.empty(lead + (sum(n**k for k in range(depth)), n), dtype=np.complex128)
+def _row_count(n: int, depth: int) -> int:
+    """R = 1 + N + ... + N^(depth-1), the newest-coordinate slices of a depth-n martingale."""
+    return sum(n**k for k in range(depth))
 
 
-def _level_starts(n: int, r: int) -> list:
-    """The first row of every level among R rows of N-point slices: 0, 1, 1 + N, ..."""
-    starts = [0]
-    while starts[-1] * n + 1 < r:
-        starts.append(starts[-1] * n + 1)
-    return starts
+def _level_bounds(n: int, r: int) -> list:
+    """The first row of every level among R rows of N-point slices, then R:
+    0, 1, 1 + N, ..., R."""
+    bounds = [0]
+    while bounds[-1] * n + 1 < r:
+        bounds.append(bounds[-1] * n + 1)
+    return bounds + [r]
 
 
 def _levels(x: np.ndarray, n: int) -> list:
     """Per level k, the level's run of rows of x, of shape lead + (R, T), as a
     view of shape lead + (N,)*(k-1) + (T,): for T = N, the level's differences."""
-    bounds = _level_starts(n, x.shape[-2]) + [x.shape[-2]]
+    bounds = _level_bounds(n, x.shape[-2])
     return [x[..., a:b, :].reshape(x.shape[:-2] + (n,) * k + x.shape[-1:]) for k, (a, b) in
             enumerate(zip(bounds, bounds[1:]))]
 
@@ -140,7 +141,7 @@ def _fold_maxima(maxima: np.ndarray, s: tuple, moduli: np.ndarray, bounds: list)
 def _scale_bound(base: complex, rows: np.ndarray) -> np.ndarray:
     """|base| + sum_k max|diff_k| per sample, an upper bound on max|terminal|,
     for rows of shape (M, R, N), from their level maxima (_summed_scale): shape (M,)."""
-    bounds = _level_starts(rows.shape[-1], rows.shape[1]) + [rows.shape[1]]
+    bounds = _level_bounds(rows.shape[-1], rows.shape[1])
     maxima = np.zeros((len(rows), len(bounds) - 1))
     for s in _slabs(rows.shape):
         _fold_maxima(maxima, s, np.abs(rows[s]), bounds)
@@ -159,6 +160,13 @@ def _summed_scale(base: complex, maxima: np.ndarray) -> np.ndarray:
     return scale
 
 
+def _ldexp(x: np.ndarray, e) -> np.ndarray:
+    """x * 2^e as a new array, for a C-contiguous complex array x: each part
+    scaled as a real, so exactly wherever it stays normal.  e broadcasts
+    against the parts, x's float64 view, whose last axis is twice x's."""
+    return np.ldexp(x.view(np.float64), e).view(np.complex128)
+
+
 def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
     """Per sample of rows, shape (M, R, N), every mean over the newest axis must
     be within 1e-12*scale + 8*2^-1074 of 0, for scale of shape (M,), the rows'
@@ -170,7 +178,7 @@ def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
-    starts = _level_starts(rows.shape[-1], rows.shape[1])
+    starts = _level_bounds(rows.shape[-1], rows.shape[1])[:-1]
 
     def drift_of(x):  # the mean over the newest axis, largest per sample and level
         return np.maximum.reduceat(np.abs(x.sum(axis=-1)), starts, axis=1) / x.shape[-1]
@@ -179,8 +187,7 @@ def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
     far = ~np.isfinite(drift).all(axis=1)
     if far.any():
         e = np.frexp(scale[far])[1][:, np.newaxis]
-        scaled = np.ldexp(rows[far].view(np.float64), -e[..., np.newaxis]).view(np.complex128)
-        drift[far] = np.ldexp(drift_of(scaled), e)
+        drift[far] = np.ldexp(drift_of(_ldexp(rows[far], -e[..., np.newaxis])), e)
     held = drift <= tol[:, np.newaxis]
     if not held.all():
         k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample
@@ -201,15 +208,19 @@ class MartingaleField:
 
     def __init__(self, grid: TorusGrid, depth: int, terminal):
         n = _check_size(grid, depth)
-        levels = [np.asarray(terminal, dtype=np.complex128)]
-        if levels[0].shape != (n,) * depth:
-            raise ValueError(f"terminal must have shape {(n,) * depth}; got {levels[0].shape}")
+        terminal = np.asarray(terminal, dtype=np.complex128)
+        if terminal.shape != (n,) * depth:
+            raise ValueError(f"terminal must have shape {(n,) * depth}; got {terminal.shape}")
+        # averaged at 2^-e, e the exponent of the largest part (|z| itself can
+        # overflow), so that no sum overflows; exact in the normal range
+        e = math.frexp(max(np.max(np.abs(terminal.real)), np.max(np.abs(terminal.imag))))[1]
+        levels = [_ldexp(np.ascontiguousarray(terminal), -e)]
         for _ in range(depth):
             levels.insert(0, levels[0].mean(axis=-1))  # levels[k] is level k
-        rows = _empty_rows(n, depth)
+        rows = np.empty((_row_count(n, depth), n), dtype=np.complex128)
         for out, c, f in zip(_levels(rows, n), levels, levels[1:]):
             np.subtract(f, c[..., np.newaxis], out=out)
-        _owning(grid, depth, levels[0], rows, field=self)
+        _owning(grid, depth, _ldexp(levels[0].reshape(1), e)[0], _ldexp(rows, e), field=self)
 
     @property
     def diffs(self) -> tuple:
@@ -227,8 +238,15 @@ def _owning(grid: TorusGrid, depth: int, base, rows, field=None) -> MartingaleFi
     takes over read-only once _check_means holds at the rows' own scale."""
     base, block = complex(base), rows[np.newaxis]
     _check_means(block, _scale_bound(base, block))
+    return _assembled(grid, depth, base, rows, field)
+
+
+def _assembled(grid: TorusGrid, depth: int, base, rows, field=None) -> MartingaleField:
+    """The field (by default a new instance) of base and rows, which it takes over
+    read-only, unchecked."""
     field = object.__new__(MartingaleField) if field is None else field
-    field.__dict__.update(grid=grid, depth=depth, base=base, rows=_frozen(rows))  # frozen dataclass
+    # a frozen dataclass
+    field.__dict__.update(grid=grid, depth=depth, base=complex(base), rows=_frozen(rows))
     return field
 
 
@@ -291,7 +309,7 @@ def field_from_differences(grid: TorusGrid, depth: int, base: complex, diffs) ->
     """Field with level-0 constant `base` and the given differences, any iterable of
     them, copied into its rows; each must have mean zero over its newest coordinate."""
     n = _check_size(grid, depth)
-    rows = _empty_rows(n, depth)
+    rows = np.empty((_row_count(n, depth), n), dtype=np.complex128)
     levels, count = _levels(rows, n), 0
     for count, d in enumerate(diffs, start=1):
         d = np.asarray(d, dtype=np.complex128)
@@ -311,10 +329,7 @@ def _derive(field: MartingaleField, base: complex, rows: np.ndarray) -> Martinga
     rows with overflow warnings off, so an overflow raises here whatever the filters."""
     if not np.isfinite(rows).all():
         raise ValueError("martingale values must be finite")
-    derived = object.__new__(MartingaleField)
-    derived.__dict__.update(grid=field.grid, depth=field.depth, base=complex(base),
-                            rows=_frozen(rows))  # frozen dataclass
-    return derived
+    return _assembled(field.grid, field.depth, base, rows)
 
 
 def _root_mean(moments, out=None) -> np.ndarray:
@@ -346,8 +361,8 @@ def previsible_norm(field: MartingaleField) -> float:
     norm near 1e308 stays finite, and in the normal range, where a power of
     two scales exactly, every bit is the unscaled computation's."""
     e = math.frexp(_scale_bound(field.base, field.rows[np.newaxis])[0])[1]
-    rows = np.ldexp(field.rows.view(np.float64), -e).view(np.complex128)
-    moments = [np.mean(np.abs(d) ** 2, axis=-1) for d in _levels(rows, field.grid.n_points)]
+    moments = [np.mean(np.abs(d) ** 2, axis=-1)
+               for d in _levels(_ldexp(field.rows, -e), field.grid.n_points)]
     return float(np.ldexp(_root_mean(moments), e))
 
 
@@ -454,7 +469,7 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     """
     n = grid.n_points
     count, r = rows.shape[:2]
-    bounds = _level_starts(n, r) + [r]
+    bounds = _level_bounds(n, r)
     work = _WorkingSet() if work is None else work
     slabs = _slabs(rows.shape)
     # per row, in the order cosine part, transform, martingale: the sum of

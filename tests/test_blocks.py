@@ -416,7 +416,7 @@ def test_slabs_keep_every_isometry_side(monkeypatch, n, depth, degree, cut):
 def row_peak_scale(base, rows):
     """The scale of rows, shape (M, R, N), by way of row peaks: each row's
     largest modulus, then each level's largest, summed after |base| in level order."""
-    starts = martingale._level_starts(rows.shape[-1], rows.shape[1])
+    starts = martingale._level_bounds(rows.shape[-1], rows.shape[1])[:-1]
     return abs(base) + sum(np.maximum.reduceat(np.max(np.abs(rows), -1), starts, 1).T)
 
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -279,6 +281,12 @@ class TestChunkSeeding:
             assert np.array_equal(w, _numpy_stream_words(child, key))
             seq = np.random.SeedSequence(entropy=child, spawn_key=key)
             assert np.random.PCG64(_seed_words_type()(w[np.newaxis])).state == np.random.PCG64(seq).state
+
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        # SeedWords subclasses a numpy.random class, so it is built on first use:
+        # a run that draws nothing pays no numpy.random import
+        code = "import sys, hardylab; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
     @pytest.mark.parametrize("key", [(0, 1), (1, 0), (1, 3)])
     def test_one_seed_words_seeds_each_row_in_turn(self, key):

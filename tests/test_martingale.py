@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -70,6 +71,47 @@ class TestFieldConstruction:
         grid = make_grid(4)
         with pytest.raises(ValueError):
             MartingaleField(grid, 0, np.zeros(()))
+
+    def test_phases_validation(self):
+        grid = make_grid(4)
+        with pytest.raises(ValueError, match="at least one multiplier term is required"):
+            AdaptedPhases(grid, ())
+        with pytest.raises(ValueError, match=re.escape("term 1 must have shape (4,); got (5,)")):
+            AdaptedPhases(grid, (np.ones(()), np.ones(5)))
+
+    def test_a_terminal_near_the_largest_double_is_split(self):
+        # averaged unscaled, the terminal 1e308 (s(theta_2) + i s(theta_1))
+        # overflowed into inf and NaN levels, and the field was refused
+        grid = make_grid(8)
+        s = grid.sign_values
+        terminal = 1e308 * (s[np.newaxis, :] + 1j * s[:, np.newaxis])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F = MartingaleField(grid, 2, terminal)
+            assert np.array_equal(F.terminal, terminal)
+        for bad in (np.inf, np.nan):
+            refused = terminal.copy()
+            refused[3, 5] = bad
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+                MartingaleField(grid, 2, refused)
+
+    @pytest.mark.parametrize("n, depth", [(4, 1), (8, 2), (8, 3), (16, 2)])
+    def test_the_scaled_split_keeps_every_bit_in_the_normal_range(self, n, depth):
+        # the terminal is averaged at a power of two, which scales exactly: the
+        # base and rows are the unscaled averages' bit for bit, at every magnitude
+        grid = make_grid(n)
+        rng = np.random.default_rng(n + depth)
+        for k in range(-300, 301, 24):
+            shape = (n,) * depth
+            terminal = 10.0**k * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            levels = [terminal]
+            for _ in range(depth):
+                levels.insert(0, levels[0].mean(axis=-1))
+            F = MartingaleField(grid, depth, terminal)
+            assert np.array_equal(np.array([F.base]).view(np.uint64), levels[0].reshape(1).view(np.uint64))
+            for d, c, f in zip(F.diffs, levels, levels[1:]):
+                expected = f - c[..., np.newaxis]
+                assert np.array_equal(d.view(np.uint64), expected.view(np.uint64))
 
     def test_memory_guard(self):
         grid = make_grid(128)
@@ -628,6 +670,11 @@ class TestFieldFromDifferences:
         grid = make_grid(4)
         with pytest.raises(ValueError):
             field_from_differences(grid, 2, 0.0, [np.zeros(4)])
+
+    def test_wrong_shape_rejected(self):
+        grid = make_grid(4)
+        with pytest.raises(ValueError, match=re.escape("difference 2 must have shape (4, 4); got (4, 5)")):
+            field_from_differences(grid, 2, 0.0, [np.zeros(4), np.zeros((4, 5))])
 
     def test_nonzero_conditional_mean_rejected(self):
         grid = make_grid(4)

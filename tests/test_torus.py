@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,10 @@ class TestCharacterTable:
         given = np.arange(n, dtype=complex)
         stored = GridFunction(grid, given).values
         assert not stored.flags.writeable and not np.shares_memory(stored, given)
+
+    def test_stored_values_must_have_the_grid_shape(self):
+        with pytest.raises(ValueError, match=re.escape("values must have shape (4,); got (5,)")):
+            GridFunction(make_grid(4), np.zeros(5))
 
     def test_grid_size_is_guarded(self):
         # N itself is bounded by the guard: the grid's angles, signs and every
