@@ -23,7 +23,9 @@ arrays, one real and one complex slab buffer among them, from a working set
 (torus._WorkingSet): a new one per call, or the one that a loop over chunks
 holds for a whole run, so that its chunks allocate nothing.  Each sample
 keeps its own scale (_scale_bound); a block's norms equal each sample's own
-bit for bit, wherever the slabs fall.
+bit for bit, wherever the slabs fall.  Sums and squares of a sample whose
+scale lies beyond a fixed window are taken at a power of two and scaled
+back (_unit_scaled, the one scale rule); within it, rows are taken as they are.
 """
 
 from __future__ import annotations
@@ -160,34 +162,53 @@ def _summed_scale(base: complex, maxima: np.ndarray) -> np.ndarray:
     return scale
 
 
-def _ldexp(x: np.ndarray, e) -> np.ndarray:
-    """x * 2^e as a new array, for a C-contiguous complex array x: each part
-    scaled as a real, so exactly wherever it stays normal.  e broadcasts
-    against the parts, x's float64 view, whose last axis is twice x's."""
-    return np.ldexp(x.view(np.float64), e).view(np.complex128)
+# A sample's sums and squares are taken at 2^-e, 2^e just above its scale,
+# only where |e| > _SCALE_WINDOW (_unit_scaled).  Within the window its
+# moduli lie below 2^400, their squares below 2^800 and a sum of up to
+# MEMORY_GUARD_ENTRIES = 2^24 of them below 2^824, short of float64's 2^1024;
+# and a modulus within 2^-100 of the scale (2^-501 at least) squares to a
+# normal double (2^-1002 > 2^-1022), while a smaller one's square lies 2^-200
+# below the largest, under the rounding of any norm it enters.  So the step
+# would change no square or sum there, and the rows are taken as they are.
+_SCALE_WINDOW = 400
+
+
+def _unit_scaled(x: np.ndarray, scale: np.ndarray) -> tuple:
+    """x at 2^-e per sample, and e (shape (M,)), for x of shape (M, ...) and the
+    samples' scales, shape (M,) (or one scale, shape (1,), for any x): e is the
+    frexp exponent of a scale beyond the window, so that the sample's moduli
+    fall below 1, and 0 at every other scale, where x is taken as it is."""
+    e = np.frexp(scale)[1]
+    e[abs(e) <= _SCALE_WINDOW] = 0
+    return _ldexp(x, -e), e
+
+
+def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x * 2^e per sample, for a C-contiguous complex x of shape (M, ...) and e
+    of shape (M,) (or shape (1,), for any x): each part scaled as a real, so
+    exactly wherever it stays normal, into a new array; x itself where every
+    e is 0."""
+    if not e.any():
+        return x
+    return np.ldexp(x.view(np.float64), e.reshape((-1,) + (1,) * (x.ndim - 1))).view(np.complex128)
 
 
 def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
     """Per sample of rows, shape (M, R, N), every mean over the newest axis must
     be within 1e-12*scale + 8*2^-1074 of 0, for scale of shape (M,), the rows'
     _scale_bound.  An inf or a NaN in the rows makes that scale non-finite, so
-    they are rejected before any sum over them.  A sample whose sums overflow is
-    summed again at 2^-e times its rows, e the frexp exponent of its scale."""
+    they are rejected before any sum over them.  The means are taken at the
+    rows' _unit_scaled step and scaled back."""
     # averaging leaves a few ulps of mean; subnormal values round absolutely,
     # so a few units of 2^-1074 are slack too
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
+    x, e = _unit_scaled(rows, scale)
     starts = _level_bounds(rows.shape[-1], rows.shape[1])[:-1]
-
-    def drift_of(x):  # the mean over the newest axis, largest per sample and level
-        return np.maximum.reduceat(np.abs(x.sum(axis=-1)), starts, axis=1) / x.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = drift_of(rows)
-    far = ~np.isfinite(drift).all(axis=1)
-    if far.any():
-        e = np.frexp(scale[far])[1][:, np.newaxis]
-        drift[far] = np.ldexp(drift_of(_ldexp(rows[far], -e[..., np.newaxis])), e)
+    # the mean over the newest axis, largest per sample and level
+    drift = np.maximum.reduceat(np.abs(x.sum(axis=-1)), starts, axis=1) / x.shape[-1]
+    drift = np.ldexp(drift, e[:, np.newaxis])
     held = drift <= tol[:, np.newaxis]
     if not held.all():
         k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample
@@ -211,10 +232,11 @@ class MartingaleField:
         terminal = np.asarray(terminal, dtype=np.complex128)
         if terminal.shape != (n,) * depth:
             raise ValueError(f"terminal must have shape {(n,) * depth}; got {terminal.shape}")
-        # averaged at 2^-e, e the exponent of the largest part (|z| itself can
+        # averaged at the _unit_scaled step of the largest part (|z| itself can
         # overflow), so that no sum overflows; exact in the normal range
-        e = math.frexp(max(np.max(np.abs(terminal.real)), np.max(np.abs(terminal.imag))))[1]
-        levels = [_ldexp(np.ascontiguousarray(terminal), -e)]
+        parts = np.ascontiguousarray(terminal).view(np.float64)
+        *levels, e = _unit_scaled(parts.view(np.complex128),
+                                  np.array([max(parts.max(), -parts.min())]))
         for _ in range(depth):
             levels.insert(0, levels[0].mean(axis=-1))  # levels[k] is level k
         rows = np.empty((_row_count(n, depth), n), dtype=np.complex128)
@@ -250,14 +272,9 @@ def _assembled(grid: TorusGrid, depth: int, base, rows, field=None) -> Martingal
     return field
 
 
-def _unimodular(w):
-    """Where |w| (scalar or array) is within 1e-12 of 1; not at a NaN."""
-    return abs(abs(w) - 1.0) <= 1e-12
-
-
 def _require_unimodular(w, what: str):
     """w itself, once every |w| (scalar or array) is within 1e-12 of 1; a NaN fails."""
-    if not np.logical_and.reduce(_unimodular(w), axis=None):
+    if not np.logical_and.reduce(abs(abs(w) - 1.0) <= 1e-12, axis=None):
         raise ValueError(f"{what} is not unimodular")
     return w
 
@@ -356,14 +373,13 @@ def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
 def previsible_norm(field: MartingaleField) -> float:
     """L^1 norm of the conditional square function sqrt(sum_k q_k).
 
-    The differences are scaled by 2^-e, with 2^e just above the field's
-    _scale_bound, before they are squared, and the norm is scaled back: a
-    norm near 1e308 stays finite, and in the normal range, where a power of
-    two scales exactly, every bit is the unscaled computation's."""
-    e = math.frexp(_scale_bound(field.base, field.rows[np.newaxis])[0])[1]
-    moments = [np.mean(np.abs(d) ** 2, axis=-1)
-               for d in _levels(_ldexp(field.rows, -e), field.grid.n_points)]
-    return float(np.ldexp(_root_mean(moments), e))
+    The differences are squared at the _unit_scaled step of their own scale
+    (the base takes no part in the norm), and the norm is scaled back: a norm
+    near 1e308 stays finite, one near 1e-308 keeps its digits, and within the
+    window every bit is the unscaled computation's."""
+    rows, e = _unit_scaled(field.rows, _scale_bound(0.0, field.rows[np.newaxis]))
+    moments = [np.mean(np.abs(d) ** 2, axis=-1) for d in _levels(rows, field.grid.n_points)]
+    return float(np.ldexp(_root_mean(moments), e[0]))
 
 
 def _even_part(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -443,29 +459,32 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     return float(cosine[0]), float(transformed[0])
 
 
-def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0,
+def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np.ndarray = 0.0,
                     work: _WorkingSet | None = None) -> tuple:
     """check_transform_isometry over M samples, plus each sample's previsible norm.
 
     rows, of shape (M, R, N), holds the samples' differences (their level-0
-    constant is base) and terms[k], of shape (M,) + (N,)*k, their
-    multipliers; terms beyond the depth of the rows are not used.  Each
-    sample gets the checks of its own MartingaleField, AdaptedPhases, Hardy
-    gate, cosine_part and transform, at its own scale, and the error of the
-    first check that fails over all samples, in that order.
+    constant is base, or per sample of modulus base[i]) and terms[k], of
+    shape (M,) + (N,)*k, their multipliers; terms beyond the depth of the
+    rows are not used.  Each sample gets the checks of its own
+    MartingaleField, AdaptedPhases, Hardy gate, cosine_part and transform,
+    at its own scale, and the error of the first check that fails over all
+    samples, in that order.
 
     The rows are walked twice in _slabs.  Pass 1 takes each slab's moduli,
     their sums of squares per row and each sample's largest modulus per level;
     from those maxima follow the scale, equal to _scale_bound's, and then the
-    mean check and, on the multipliers as one (M, R) array, the unimodularity
-    check.  After the gate, pass 2 takes each slab's even part and then its
-    turned part, one at a time, with their sums of squares (unchecked means,
-    as in _derive; an overflow gives an infinite norm).  Every array the
-    passes fill is taken from work (a new working set by default): the
-    (3, M, R) sums, the (M, levels) maxima, the multipliers, and one real and
-    one complex slab buffer that the gate shares.  Returns the previsible
-    norms of the cosine parts, of the transforms and of the martingales
-    themselves, each of shape (M,).
+    mean check and, level by level, the multipliers' check.  After the gate,
+    pass 2 takes each slab's even part and then its turned part, one at a
+    time, with their sums of squares (unchecked means, as in _derive).  Every
+    array the passes fill is taken from work (a new working set by default):
+    the (3, M, R) sums, the (M, levels) maxima, the multipliers, and one real
+    and one complex slab buffer that the gate shares.  A sample whose
+    differences' scale lies beyond the window, where the passes' squares can
+    overflow or underflow, is taken again at its _unit_scaled step, in a
+    working set of its own, and its norms are scaled back.  Returns the
+    previsible norms of the cosine parts, of the transforms and of the
+    martingales themselves, each of shape (M,).
     """
     n = grid.n_points
     count, r = rows.shape[:2]
@@ -477,31 +496,42 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.
     moments = work.take("moments", (3, count, r))
     maxima = work.take("maxima", (count, len(bounds) - 1))
     maxima[...] = 0.0
-    for s in slabs:
-        moduli = np.abs(rows[s], out=work.take("real", rows[s].shape))
-        _fold_maxima(maxima, s, moduli, bounds)
-        np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2][s])
+    # squares and parts that overflow or underflow lie beyond the window: such
+    # samples are taken again at the end, each errstate block a fresh one
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for s in slabs:
+            moduli = np.abs(rows[s], out=work.take("real", rows[s].shape))
+            _fold_maxima(maxima, s, moduli, bounds)
+            np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2][s])
     scale = _summed_scale(base, maxima)
     _check_means(rows, scale)
-    w = np.concatenate([t.reshape(count, -1) for t in terms[:len(bounds) - 1]], axis=1,
+    terms = terms[:len(bounds) - 1]
+    w = np.concatenate([_require_unimodular(t, f"term {k}").reshape(count, -1)
+                        for k, t in enumerate(terms)], axis=1,
                        out=work.take("multipliers", (count, r), complex))
-    held = _unimodular(w).all(axis=0)
-    if not held.all():
-        k = np.searchsorted(bounds, np.argmin(held), side="right") - 1
-        raise ValueError(f"term {k} is not unimodular")
     if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL, work).all():
         raise ValueError("transform isometry requires a Hardy martingale")
-    for s in slabs:  # one part held at a time, in the complex slab buffer
-        part = work.take("complex", rows[s].shape, complex)
-        squares = work.take("real", rows[s].shape)
-        _even_part(rows[s], out=part)
-        np.add.reduce(np.square(np.abs(part, out=squares), out=squares), axis=-1, out=moments[0][s])
-        np.multiply(w[s][..., np.newaxis], rows[s], out=part)  # Im(w * diff) is part.imag
-        # |x|^2 is x * x bit for bit for a real x
-        np.add.reduce(np.square(part.imag, out=squares), axis=-1, out=moments[1][s])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for s in slabs:  # one part held at a time, in the complex slab buffer
+            part = work.take("complex", rows[s].shape, complex)
+            squares = work.take("real", rows[s].shape)
+            _even_part(rows[s], out=part)
+            np.add.reduce(np.square(np.abs(part, out=squares), out=squares), axis=-1,
+                          out=moments[0][s])
+            np.multiply(w[s][..., np.newaxis], rows[s], out=part)  # Im(w * diff) is part.imag
+            # |x|^2 is x * x bit for bit for a real x
+            np.add.reduce(np.square(part.imag, out=squares), axis=-1, out=moments[1][s])
     moments /= n  # the means, divided as np.mean divides
     levels = [q[..., 0] for q in _levels(moments[..., np.newaxis], n)]
-    return tuple(_root_mean(levels, out=work.take("real", levels[-1].shape)))
+    norms = _root_mean(levels, out=work.take("real", levels[-1].shape))
+    scaled, e = _unit_scaled(rows, _summed_scale(0.0, maxima))
+    far = e != 0
+    if far.any():  # with |base| at the same step, or the largest double past it
+        with np.errstate(over="ignore"):
+            base = np.minimum(np.ldexp(abs(base), -e[far]), np.finfo(float).max)
+            again = _isometry_norms(grid, scaled[far], [t[far] for t in terms], base, _WorkingSet())
+            norms[:, far] = np.ldexp(again, e[far])
+    return tuple(norms)
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from hardylab import (
     sine_part,
     transform,
 )
+from hardylab import martingale
 from hardylab.inequalities import _sign_modes, residual_verdict
 from hardylab.martingale import _isometry_norms, _project_trailing_cells, _root_mean
 
@@ -403,18 +404,81 @@ class TestMeansCheckedOnce:
                 with pytest.raises(ValueError, match="martingale values must be finite"):
                     op(F)
 
-    def test_overflowing_rows_are_not_finite(self):
-        # at values near 5e307 the isometry's norms are infinite, as they are
-        # at 1e200, and fail the residual verdict
+    def test_overflowing_squares_leave_the_norms_finite(self):
+        # at values near 5e307, as at 1e200, the isometry's squares overflow;
+        # its norms are taken again at 2^-e, and cos t + cos 3t and sin t + sin 3t
+        # have mean square 1, so both sides are the scale and pass the residual
+        # verdict (squared unscaled, they were (inf, inf) and failed it)
         grid = make_grid(16)
         phases = constant_phases(grid, 1)
         for scale in (5e307, 1e200):
             F = field_from_differences(grid, 1, 0.0, [
                 scale * (np.exp(1j * grid.angles) + np.exp(3j * grid.angles))])
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms = check_transform_isometry(F, phases)
-                assert norms == (math.inf, math.inf)
-                assert not residual_verdict(*norms, norms[1], 1e-10)[1]
+            norms = check_transform_isometry(F, phases)
+            assert norms == pytest.approx((scale, scale), rel=1e-15)
+            assert residual_verdict(*norms, norms[1], 1e-10)[1]
+
+
+def unscaled_norm(field):
+    """previsible_norm of field with no power-of-two step."""
+    return float(_root_mean(cond_square_profile(field).level_moments))
+
+
+@st.composite
+def scaled_cases(draw):
+    """(config, k, base): a random Hardy martingale's shape and seed, the power
+    k of the scale 10^k of its differences, and a base that is 0 or at least
+    10^20 times that scale."""
+    n, depth = draw(st.sampled_from([(4, 3), (8, 2), (16, 1)]))
+    config = EnsembleConfig(seed=draw(st.integers(0, 2**32 - 1)), n_points=n, depth=depth,
+                            max_degree=min(3, n // 2 - 1))
+    k = draw(st.integers(-300, 300))
+    large = k <= 280 and draw(st.booleans())
+    return config, k, 10.0 ** draw(st.integers(k + 20, 300)) if large else 0.0
+
+
+class TestOnePowerOfTwoStep:
+    """Every sum and square of a field whose scale lies beyond
+    martingale._SCALE_WINDOW is taken at 2^-e, e the frexp exponent of that
+    scale, and scaled back; within the window nothing is scaled."""
+
+    @pytest.mark.parametrize("base, scale", [(0.0, 1e160), (0.0, 1e-170), (1.0, 1e-170)])
+    def test_far_differences_keep_their_norms(self, base, scale):
+        # squared unscaled, e^{it} at 1e160 gave the isometry (inf, inf), and at
+        # 1e-170 a vacuous (0, 0) that the residual verdict passed; under base 1
+        # the previsible norm, scaled with the base, read 0 too
+        grid = make_grid(16)
+        F = field_from_differences(grid, 1, base, [scale * np.exp(1j * grid.angles)])
+        norms = check_transform_isometry(F, constant_phases(grid, 1))
+        assert norms == pytest.approx((scale / math.sqrt(2),) * 2, rel=1e-15, abs=0.0)
+        assert previsible_norm(F) == pytest.approx(scale, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_cases())
+    def test_every_reduction_scales_with_the_field(self, case):
+        config, k, base = case
+        scale = 10.0**k
+        unit, phases = random_hardy_martingale(config), random_adapted_phases(config)
+        grid, depth = unit.grid, config.depth
+        split = MartingaleField(grid, depth, unit.terminal)
+        # the differences at 10^k, under the base, and the terminal at 10^k
+        F = field_from_differences(grid, depth, base, [scale * d for d in unit.diffs])
+        T = MartingaleField(grid, depth, scale * unit.terminal)
+        for field, at_unit in ((F, unit), (T, split)):
+            got = (*check_transform_isometry(field, phases), previsible_norm(field))
+            want = (*check_transform_isometry(at_unit, phases), previsible_norm(at_unit))
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, np.multiply(want, scale), rtol=1e-15, atol=0)
+        largest = scale * np.max(np.abs(split.rows))
+        assert np.max(np.abs(T.rows - scale * split.rows)) <= 1e-15 * largest
+        rows = F.rows[np.newaxis]
+        scaled, e = martingale._unit_scaled(rows, martingale._scale_bound(0.0, rows))
+        if e[0] == 0:  # within the window: the unscaled bits, from the rows themselves
+            assert scaled is rows
+            want = (unscaled_norm(cosine_part(F)), unscaled_norm(transform(F, phases)),
+                    unscaled_norm(F))
+            got = (*check_transform_isometry(F, phases), previsible_norm(F))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestPhasesDeeperThanTheField:
@@ -709,9 +773,9 @@ class TestFieldFromDifferences:
             warnings.simplefilter("error", RuntimeWarning)
             F = field_from_differences(grid, 2, 0.0, diffs)
             assert previsible_norm(F) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
-            # the isometry takes the same scale, then gates (its squares still overflow)
+            # the isometry takes the same scale, then gates
             phases = AdaptedPhases(grid, (np.ones(()), np.ones(8)))
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="Hardy martingale"):
+            with pytest.raises(ValueError, match="Hardy martingale"):
                 check_transform_isometry(F, phases)
             for bad in (np.inf, np.nan):
                 d2 = diffs[1].copy()
@@ -828,6 +892,26 @@ class TestOneRowsArray:
         finally:
             tracemalloc.stop()
         assert peak <= bound * F.rows.nbytes, peak / F.rows.nbytes
+
+    def test_the_norm_and_the_split_hold_half_a_rows_array(self):
+        # beyond its result, previsible_norm holds the squared moduli of the
+        # deepest level, and the terminal constructor its levels' means and the
+        # mean check's row sums; with the whole field first copied at 2^-e,
+        # they read 1.50 and 2.09 times the rows
+        cfg = EnsembleConfig(seed=5, n_points=16, depth=5, max_degree=3)
+        F = random_hardy_martingale(cfg)
+        terminal = F.terminal
+        calls = {"previsible_norm": (lambda: previsible_norm(F), 0),  # a float
+                 "terminal": (lambda: MartingaleField(F.grid, 5, terminal), F.rows.nbytes)}
+        for name, (call, result_bytes) in calls.items():
+            call()  # the grid's cached tables are built outside the trace
+            tracemalloc.start()
+            try:
+                call()
+                held = tracemalloc.get_traced_memory()[1] - result_bytes
+            finally:
+                tracemalloc.stop()
+            assert held <= 0.55 * F.rows.nbytes, (name, held / F.rows.nbytes)
 
 
 @st.composite
