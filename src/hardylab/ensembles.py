@@ -14,12 +14,15 @@ per-sample seeding bit for bit (tests/test_ensembles.py pins this).  It is
 chunk_seed_words followed by draw_chunk; the harness hashes the seed words
 of a span of several chunks in one pass and then draws chunk by chunk.
 draw_chunk builds one PCG64 per sample and substream, all those of one
-substream on a single SeedWords that hands each its row of the words.  The
-single-sample functions keep numpy's own SeedSequence.
+substream on a single SeedWords that hands each its row of the words; a
+chunk with a large deepest level draws its coefficient streams on a helper
+thread while the calling thread draws its phase streams.  The single-sample
+functions keep numpy's own SeedSequence.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -261,40 +264,94 @@ def chunk_seed_words(cfg: EnsembleConfig, tag: int, first: int, count: int,
     return _stream_seeds(_child_seeds(cfg.seed, tag, first, count), keys)
 
 
-def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None = None) -> tuple:
+# A chunk whose deepest level holds at least this many coefficients draws its
+# coefficient streams on a helper thread while the calling thread draws its
+# phase streams and turns them into multipliers: the normals fill and
+# _complex_normal release the GIL, and so do the phases' fill and _unit.  At
+# the memory guard (N64 d4, 786,432 deepest coefficients) a chunk's draw
+# takes about 44 ms so, against 65 ms on one thread.  Below 2^18 a thread's
+# start and join cost more than it hides (with the helper, N8 d6 ran at
+# 0.95x and N16 d4 degree 7 at 0.98x).  Right after a threaded OpenBLAS call
+# (mu's product in the chain) the BLAS workers spin on the second core and
+# the helper gains nothing, so a run's later large samples gain less than
+# its first.  In the harness such a chunk is always one sample.
+_HELPER_COEFFICIENTS = 2**18
+
+
+def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None = None,
+               multipliers: bool = False) -> tuple:
     """ensemble_chunk's (blocks, angles) for the samples whose seed words are the
     rows of words (from chunk_seed_words); phases are drawn when words holds
-    their streams.  The draws are written into new arrays or, given work, into
-    its buffers, which the next chunk drawn into work overwrites.  Each level's
-    normals are drawn into work's "rows" buffer, which holds nothing until
-    _differences fills it from the blocks, and is as large as they are."""
+    their streams, and given multipliers, each level's angles come back as its
+    multipliers e^{i phi} (_unit).  The draws are written into new arrays or,
+    given work, into its buffers, which the next chunk drawn into work
+    overwrites.  Each level's normals are drawn into work's "rows" buffer,
+    which holds nothing until _differences fills it from the blocks, and is as
+    large as they are.  A chunk of at least _HELPER_COEFFICIENTS deepest
+    coefficients draws its coefficient streams on a helper thread, started and
+    joined within the call; every stream, and so every bit, is the same."""
     n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
     count = len(words)
     work = _WorkingSet() if work is None else work
     seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
+    # every buffer of the coefficients is taken here, on the calling thread, the
+    # deepest level's normals first, so that the shallower ones take its start
+    work.take("rows", (count, 2, n ** (depth - 1), degree))
+    blocks = [work.take(f"blocks {k}", (count, n ** (k - 1), degree), complex)
+              for k in range(1, depth + 1)]
+
     # sample by sample, one generator per substream, made when it is drawn: the
     # PCG64s of one substream are built on one SeedWords, which hands each its row
-    blocks = []
-    for k in range(1, depth + 1):
-        # one draw per sample fills its real and then its imaginary part, in
-        # stream order: the bits of two draws of shape (N^(k-1), d)
-        normals = work.take("rows", (count, 2, n ** (k - 1), degree))
-        seeds = seed_words(words[:, k - 1])
-        for row in normals:
-            generator(pcg64(seeds)).standard_normal(out=row)
-        blocks.append(_complex_normal(normals[:, 0], normals[:, 1],
-                                      work.take(f"blocks {k}", (count, n ** (k - 1), degree),
-                                                complex)))
-    angles = []
-    for k in range(words.shape[1] - depth):
-        # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
-        phi = work.take(f"angles {k}", (count,) + (n,) * k)
-        seeds = seed_words(words[:, depth + k])
-        for row in phi.reshape(count, -1):
-            generator(pcg64(seeds)).random(out=row)
-        phi *= 2.0 * np.pi
-        angles.append(phi)
-    return blocks, angles
+    def coefficients():
+        for k, out in enumerate(blocks, start=1):
+            # one draw per sample fills its real and then its imaginary part, in
+            # stream order: the bits of two draws of shape (N^(k-1), d)
+            normals = work.take("rows", (count, 2) + out.shape[1:])
+            seeds = seed_words(words[:, k - 1])
+            for row in normals:
+                generator(pcg64(seeds)).standard_normal(out=row)
+            _complex_normal(normals[:, 0], normals[:, 1], out)
+
+    def phases():
+        angles = []
+        for k in range(words.shape[1] - depth):
+            # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
+            phi = work.take(f"angles {k}", (count,) + (n,) * k)
+            seeds = seed_words(words[:, depth + k])
+            for row in phi.reshape(count, -1):
+                generator(pcg64(seeds)).random(out=row)
+            phi *= 2.0 * np.pi
+            angles.append(_unit(phi, work.take(f"terms {k}", phi.shape, complex))
+                          if multipliers else phi)
+        return angles
+
+    if count * n ** (depth - 1) * degree < _HELPER_COEFFICIENTS:
+        coefficients()
+        return blocks, phases()
+    return blocks, _beside(coefficients, phases)
+
+
+def _beside(aside, here):
+    """here() on the calling thread while aside() runs on a helper thread, started
+    and joined within the call: returns here()'s result once aside() is done,
+    and raises aside()'s exception, if any, on the calling thread."""
+    failed = []
+
+    def run():
+        try:
+            aside()
+        except BaseException as exc:  # handed to the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        result = here()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return result
 
 
 def _unit(phi, out: np.ndarray | None = None) -> np.ndarray:

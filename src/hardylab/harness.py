@@ -301,11 +301,13 @@ _ISOMETRY_ENTRIES = 2**16
 
 
 def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: bool = True,
-            entries: int | None = None, work: _WorkingSet | None = None):
+            entries: int | None = None, work: _WorkingSet | None = None,
+            multipliers: bool = False):
     """Yield (sample slice, coefficient blocks, phase angles) per chunk of the
     config's samples, in order, drawn as ensemble_chunk draws them for the run
     (config.seed, tag) at the given depth (default config.depth): blocks[k-1]
-    and angles[k] stack the chunk's level-k draws along a leading sample axis.
+    and angles[k] stack the chunk's level-k draws along a leading sample axis;
+    given multipliers, the angles come as their multipliers (draw_chunk).
     A chunk fits _CHUNK_ENTRIES coefficients and phases and, given entries,
     that many grid entries over grid^1 .. grid^depth (at least one sample).
     Given a working set, each chunk's draws are written into its buffers, so a
@@ -322,7 +324,7 @@ def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: b
     for start in range(0, config.samples, span):
         words = chunk_seed_words(cfg, tag, start, min(span, config.samples - start), phases)
         for first in range(0, len(words), chunk):
-            blocks, angles = draw_chunk(cfg, words[first:first + chunk], work)
+            blocks, angles = draw_chunk(cfg, words[first:first + chunk], work, multipliers)
             yield slice(start + first, start + first + len(blocks[0])), blocks, angles
 
 
@@ -339,8 +341,8 @@ def cmd_theorem(config: HarnessConfig) -> RunReport:
     checks: list = []
     grid = make_grid(config.n_points)
     ratios, sides = [], []
-    for _, blocks, angles in _chunks(config, 20):
-        rep = _score(grid, blocks, angles)
+    for _, blocks, terms in _chunks(config, 20, multipliers=True):
+        rep = _stability_batch(grid, blocks, terms)
         ratios.append(rep.ratio)
         sides.append(_chain_sides(rep, config.tol))
 
@@ -359,15 +361,36 @@ _SEARCH_COEFF_STEP = 0.2
 _SEARCH_PHASE_STEP = 0.25
 
 
+# A start's proposals are drawn this many steps at a time, in one call.
+_SEARCH_BLOCK_STEPS = 16
+
+
+def _search_noise(rngs, shapes, budget: int):
+    """Yield, for each of `budget` steps, the starts' proposal normals: one
+    (starts,) + shape array per shape, start j's drawn from rngs[j] in the order
+    of shapes.  Each start draws up to _SEARCH_BLOCK_STEPS steps' normals in one
+    call, whose stream order is that of the steps' draws one by one: the same
+    bits.  The arrays are views of the block, valid until the next step."""
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    for first in range(0, budget, _SEARCH_BLOCK_STEPS):
+        block = np.empty((len(rngs), min(_SEARCH_BLOCK_STEPS, budget - first), bounds[-1]))
+        for rng, out in zip(rngs, block):
+            rng.standard_normal(out=out)
+        for step in block.transpose(1, 0, 2):
+            yield [step[:, a:b].reshape((len(rngs),) + shape)
+                   for a, b, shape in zip(bounds, bounds[1:], shapes)]
+
+
 def cmd_constant_search(config: HarnessConfig) -> RunReport:
     """Multi-start stochastic hill climb on the final-ratio objective.
 
     Each of `samples` starts draws a fresh Hardy martingale and phase
     sequence, then runs `budget` Gaussian perturbation steps, accepting a
     step only when the ratio strictly increases.  Start s draws its
-    proposals from its own stream, so the starts of a chunk advance in
-    lockstep, one batch evaluation per step, and the best-so-far trace is
-    rebuilt in (start, step) order from each start's accepted steps.
+    proposals from its own stream, a block of steps at a time
+    (_search_noise), so the starts of a chunk advance in lockstep, one batch
+    evaluation per step, and the best-so-far trace is rebuilt in (start,
+    step) order from each start's accepted steps.
     """
     t0 = time.monotonic()
     grid = make_grid(config.n_points)
@@ -383,9 +406,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
         shapes = [c.shape[1:] for c in coeffs for _ in (0, 1)] + [a.shape[1:] for a in angles]
         current = _score(grid, coeffs, angles).ratio
         climbs = [[(0, ratio)] for ratio in current.tolist()]  # (step, ratio) per start
-        for t in range(1, config.budget + 1):
-            draws = [[rng.standard_normal(shape) for shape in shapes] for rng in rngs]
-            noise = [np.stack(x) for x in zip(*draws)]
+        for t, noise in enumerate(_search_noise(rngs, shapes, config.budget), start=1):
             prop_coeffs = [c + _SEARCH_COEFF_STEP * (re + 1j * im)
                            for c, re, im in zip(coeffs, noise[0::2], noise[1::2])]
             prop_angles = [a + _SEARCH_PHASE_STEP * z

@@ -28,7 +28,8 @@ _sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))) and the orthogonal split
 |mu - b|^2 + r^2, so comparing the two chains checks the identities that the
 closed forms stand for.  It evaluates them operation by operation, taking
 each modulus and square of a level once, with the bits of each form taken as
-one expression (tests/test_inequalities.py pins them).
+one expression (tests/test_inequalities.py pins them), over slabs of a
+level's nodes, so that its temporaries stay slab-sized.
 
 The side functions evaluate a block of M rows at once, and the public
 sincos_identity_sides, decomposition_sides and perturbation_bounds are the
@@ -59,6 +60,7 @@ from .martingale import (
     _check_phases,
     _coefficient_blocks,
     _even_part,
+    _node_slabs,
     _project_trailing_cells,
     _require_unimodular,
     _root_mean,
@@ -467,45 +469,59 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     shape (M,) + (N,)*(k-1), their level-k multipliers as AdaptedPhases
     validates them; terms may run deeper than blocks.
 
-    Per level the closed forms _sincos_form and |mu - b|^2 + r^2, the envelope
-    and the moments of _chain_report are taken operation by operation, on the
-    same operands as the forms, so every value equals theirs; each modulus and
-    square is taken once, into the row of the level's moments that keeps it or,
-    until that row is written, that lends it its buffer.  r^2 is summed from
-    column-major moduli, one contiguous (nodes,) column per mode, in np.sum's
-    pairwise order (_residual_sq).
+    Per level, mu is one (rows, d) product per sample, so that each row rounds
+    as it would alone, and b is its projection, which needs the whole level;
+    both are held whole.  Every other node quantity is elementwise, so it is
+    formed over slabs of the flattened (M N^(k-1),) node axis, each of at most
+    _SLAB_ENTRIES coefficients, and written into the level's arrays with
+    temporaries the size of a slab (_node_slab): no bit depends on the cuts.
     """
     n, count = grid.n_points, len(blocks[0])
     nodes, moments = [], []
     for k, (w, c) in enumerate(zip(terms, blocks), start=1):
         sigma, tau = _sign_modes(grid, c.shape[-1])
-        # one (rows, d) product per sample, so each row rounds as it would alone
         mu = (c.reshape(count, -1, sigma.size) @ sigma).reshape((count,) + (n,) * (k - 1))
         b = _project_trailing_cells(grid, mu, k - 1)
-        r_sq = _residual_sq(c.reshape(mu.shape + sigma.shape), mu, sigma)
         level = np.empty((6,) + mu.shape)  # in _chain_report's order
-        perturbed, transform, base, envelope, coeff, dyadic = level
-        abs_mu = np.abs(mu, out=envelope)
-        r_sq += np.square(abs_mu, out=coeff) * tau
-        np.square((w * mu).real, out=transform)  # r^2 + Re^2(w mu) + Im^2(w (mu - b))
-        np.add(r_sq, transform, out=transform)
-        gap = mu - b
-        transform += np.square((w * gap).imag, out=dyadic)
-        gap_sq = np.square(np.abs(gap, out=base), out=base)
-        del gap
-        np.add(gap_sq, r_sq, out=perturbed)  # |mu - b|^2 + r^2
-        abs_b = np.abs(b, out=dyadic)
-        a = _envelope_share(abs_mu, abs_b, gap_sq)
-        a += abs_mu  # the envelope |mu| + q
-        np.square(abs_b, out=dyadic)
-        r = np.sqrt(r_sq)
-        np.square(a, out=envelope)
-        envelope += np.square(r)
-        np.add(r_sq, coeff, out=base)
-        base *= 2.0  # sum_m |c_m|^2 = 2 (r^2 + |mu|^2)
+        a, r = np.empty(mu.shape), np.empty(mu.shape)
+        rows, level_flat = c.reshape(-1, sigma.size), level.reshape(6, -1)
+        flat = [x.reshape(-1) for x in (mu, b, w, a, r)]
+        for part in _node_slabs(mu.size, sigma.size):
+            _node_slab(rows[part], sigma, tau, *[x[part] for x in flat], level_flat[:, part])
         nodes.append((mu, b, a, r))
         moments.append(level)
     return _chain_report(nodes, moments)
+
+
+def _node_slab(c, sigma, tau, mu, b, w, a, r, level) -> None:
+    """One slab of _stability_batch's nodes: from the coefficient rows c, shape
+    (nodes, d), and the nodes' mu, b and w, write the envelope a, the residual
+    r and the six moment rows of level, shape (6, nodes).
+
+    The closed forms _sincos_form and |mu - b|^2 + r^2, the envelope and the
+    moments of _chain_report are taken operation by operation, on the same
+    operands as the forms, so every value equals theirs; each modulus and
+    square is taken once, into the row of the moments that keeps it or, until
+    that row is written, that lends it its buffer."""
+    perturbed, transform, base, envelope, coeff, dyadic = level
+    r_sq = _residual_sq(c, mu, sigma)
+    abs_mu = np.abs(mu, out=envelope)
+    r_sq += np.square(abs_mu, out=coeff) * tau
+    np.square((w * mu).real, out=transform)  # r^2 + Re^2(w mu) + Im^2(w (mu - b))
+    np.add(r_sq, transform, out=transform)
+    gap = mu - b
+    transform += np.square((w * gap).imag, out=dyadic)
+    gap_sq = np.square(np.abs(gap, out=base), out=base)
+    del gap
+    np.add(gap_sq, r_sq, out=perturbed)  # |mu - b|^2 + r^2
+    abs_b = np.abs(b, out=dyadic)
+    np.add(_envelope_share(abs_mu, abs_b, gap_sq), abs_mu, out=a)  # the envelope |mu| + q
+    np.square(abs_b, out=dyadic)
+    np.sqrt(r_sq, out=r)
+    np.square(a, out=envelope)
+    envelope += np.square(r)
+    np.add(r_sq, coeff, out=base)
+    base *= 2.0  # sum_m |c_m|^2 = 2 (r^2 + |mu|^2)
 
 
 def _residual_sq(c, mu, sigma) -> np.ndarray:

@@ -109,7 +109,9 @@ def _levels(x: np.ndarray, n: int) -> list:
 
 # Grid entries per slab of rows: the scale, the Hardy gate and the transform
 # isometry walk their rows a slab at a time, so their temporaries stay near
-# one slab whatever the rows' size.
+# one slab whatever the rows' size.  The chain's node quantities
+# (inequalities._stability_batch) walk a level's nodes in slabs of as many
+# coefficients (_node_slabs).
 _SLAB_ENTRIES = 2**14
 
 
@@ -123,6 +125,14 @@ def _slabs(shape: tuple) -> list:
         return [(slice(i, i + step), slice(None)) for i in range(0, count, step)]
     step = max(1, _SLAB_ENTRIES // n)
     return [(slice(i, i + 1), slice(a, a + step)) for i in range(count) for a in range(0, r, step)]
+
+
+def _node_slabs(nodes: int, width: int) -> list:
+    """Slices that cut a flattened axis of `nodes` items of `width` entries each
+    (a node's coefficient row) into slabs of at most _SLAB_ENTRIES entries, in
+    order (at least one item per slab)."""
+    step = max(1, _SLAB_ENTRIES // width)
+    return [slice(i, i + step) for i in range(0, nodes, step)]
 
 
 def _fold_maxima(maxima: np.ndarray, s: tuple, moduli: np.ndarray, bounds: list) -> None:
@@ -171,6 +181,16 @@ def _summed_scale(base: complex, maxima: np.ndarray) -> np.ndarray:
 # below the largest, under the rounding of any norm it enters.  So the step
 # would change no square or sum there, and the rows are taken as they are.
 _SCALE_WINDOW = 400
+
+# The Hardy gate passes a row whose mean energy is at most _ZERO_FLOOR times
+# its sample's scale squared untested, as junk at round-off of the field
+# (_are_hardy).  The isometry's norms read such a row as the gate does: where
+# it fails the gate's test at its own scale, it enters each of the three norms
+# as 0 (_isometry_norms).  The isometry holds for analytic rows only, and
+# 1 + 1e-170 e^{i theta} rounds to 1 + 1e-170 i sin(theta), whose cosine part
+# vanishes while its transform does not; an analytic row below the floor
+# keeps its norms, which agree.
+_ZERO_FLOOR = 1e-13**2
 
 
 def _unit_scaled(x: np.ndarray, scale: np.ndarray) -> tuple:
@@ -426,23 +446,27 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     Slices whose energy sits at round-off scale of the field (_scale_bound)
     count as zero: splitting a terminal array by averaging leaves ~1e-16 junk
     in vanishing differences, and junk carries no frequency information.
-    The floor is (1e-13 * scale)^2, and a field with an inf or NaN fails.
+    The floor is _ZERO_FLOOR, (1e-13 * scale)^2, and a field with an inf or
+    NaN fails.
     """
     rows = field.rows[np.newaxis]
     return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, rows), tol).all())
 
 
 def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float,
-               work: _WorkingSet | None = None) -> np.ndarray:
+               work: _WorkingSet | None = None, floored: np.ndarray | None = None) -> np.ndarray:
     """is_hardy_martingale per sample of rows, each sample at its own scale
     (shape (M,)): one scale for the whole block would put a small sample's junk
     under the zero floor.  The rows are gated slab by slab, in work's slab
-    buffers (a new working set by default); returns (M,) verdicts."""
+    buffers (a new working set by default); returns (M,) verdicts.  Given
+    floored, of shape (M, R), it is set where a row passed by the zero floor."""
     work = _WorkingSet() if work is None else work
     held = np.ones(len(rows), dtype=bool)
-    for samples, part in _slabs(rows.shape):
-        held[samples] &= _rows_are_hardy(grid, rows[samples, part], tol,
-                                         scale[samples, np.newaxis], 1e-13**2, work).all(axis=1)
+    for s in _slabs(rows.shape):
+        samples = s[0]
+        held[samples] &= _rows_are_hardy(grid, rows[s], tol, scale[samples, np.newaxis],
+                                         _ZERO_FLOOR, work,
+                                         None if floored is None else floored[s]).all(axis=1)
     return held
 
 
@@ -476,13 +500,16 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
     from those maxima follow the scale, equal to _scale_bound's, and then the
     mean check and, level by level, the multipliers' check.  After the gate,
     pass 2 takes each slab's even part and then its turned part, one at a
-    time, with their sums of squares (unchecked means, as in _derive).  Every
+    time, with their sums of squares (unchecked means, as in _derive).  The
+    three sums of every row that the gate passed by its zero floor and that is
+    not analytic at its own scale are then set to 0 (_ZERO_FLOOR).  Every
     array the passes fill is taken from work (a new working set by default):
-    the (3, M, R) sums, the (M, levels) maxima, the multipliers, and one real
-    and one complex slab buffer that the gate shares.  A sample whose
-    differences' scale lies beyond the window, where the passes' squares can
-    overflow or underflow, is taken again at its _unit_scaled step, in a
-    working set of its own, and its norms are scaled back.  Returns the
+    the (3, M, R) sums, the (M, levels) maxima, the multipliers, the (M, R)
+    mask of those rows, and one real and one complex slab buffer that the
+    gate shares.  A sample whose differences' scale lies beyond the window,
+    where the passes' squares can overflow or underflow, is taken again at
+    its _unit_scaled step, in a working set of its own, and its norms are
+    scaled back.  Returns the
     previsible norms of the cosine parts, of the transforms and of the
     martingales themselves, each of shape (M,).
     """
@@ -509,7 +536,8 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
     w = np.concatenate([_require_unimodular(t, f"term {k}").reshape(count, -1)
                         for k, t in enumerate(terms)], axis=1,
                        out=work.take("multipliers", (count, r), complex))
-    if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL, work).all():
+    junk = work.take("junk", (count, r), bool)  # passed by the floor, then not analytic
+    if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL, work, junk).all():
         raise ValueError("transform isometry requires a Hardy martingale")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for s in slabs:  # one part held at a time, in the complex slab buffer
@@ -521,6 +549,9 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
             np.multiply(w[s][..., np.newaxis], rows[s], out=part)  # Im(w * diff) is part.imag
             # |x|^2 is x * x bit for bit for a real x
             np.add.reduce(np.square(part.imag, out=squares), axis=-1, out=moments[1][s])
+    if junk.any():
+        junk[junk] = ~_rows_are_hardy(grid, rows[junk], HARDY_GATE_TOL)
+        np.copyto(moments, 0.0, where=junk)
     moments /= n  # the means, divided as np.mean divides
     levels = [q[..., 0] for q in _levels(moments[..., np.newaxis], n)]
     norms = _root_mean(levels, out=work.take("real", levels[-1].shape))

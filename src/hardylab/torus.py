@@ -191,7 +191,8 @@ class _WorkingSet:
 
 
 def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
-                    zero_floor: float = -np.inf, work: _WorkingSet | None = None) -> np.ndarray:
+                    zero_floor: float = -np.inf, work: _WorkingSet | None = None,
+                    floored: np.ndarray | None = None) -> np.ndarray:
     """The spectral Hardy energy test: one verdict per row of rows, shape lead + (N,).
 
     Each row is divided by its scale before squaring, so the verdict is the
@@ -201,8 +202,9 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     energy at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.
     A row with an inf or a NaN fails (its mean coefficient is NaN), and so
     does a row with a non-finite scale.  The default floor admits no row by
-    energy alone.  The scaled rows and their coefficients are taken from
-    work's "complex" and "real" buffers (a new working set by default).
+    energy alone; given floored, of the verdicts' shape, it is set where a row
+    passed so.  The scaled rows and their coefficients are taken from work's
+    "complex" and "real" buffers (a new working set by default).
     """
     if not 0 < tol < np.inf:  # a NaN tol would fail every row, an infinite one pass e^{-i theta}
         raise ValueError(f"tol must be positive and finite; got {tol!r}")
@@ -228,6 +230,8 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
         coeffs = coeffs.view(float)
         bad = (np.square(coeffs, out=coeffs) @ np.ones(n + 2)) / (n * n)  # m = -N/2 .. 0
         total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n  # each squared in place
+    if floored is not None:
+        np.logical_and(total <= zero_floor, finite[..., 0], out=floored)
     return ((bad <= tol * tol * total) | (total <= zero_floor)) & finite[..., 0]
 
 

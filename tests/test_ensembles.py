@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,7 +24,9 @@ from hardylab import (
 from hardylab.ensembles import (ARITH_STRATA, _child_seeds, _complex_normal, _differences,
                                 _seed_words_type, _stream_seeds, _unit, chunk_seed_words,
                                 draw_chunk)
+from hardylab import ensembles
 from hardylab.martingale import _levels
+from hardylab.torus import _WorkingSet
 
 import oracles
 
@@ -356,3 +359,93 @@ class TestChunkSeeding:
     def test_rejects_bad_sample_ranges(self, tag, first, count):
         with pytest.raises(ValueError):
             ensemble_chunk(EnsembleConfig(1, 8), tag, first, count)
+
+
+def assert_same_draws(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestHelperThreadDraw:
+    """A chunk of at least ensembles._HELPER_COEFFICIENTS deepest coefficients
+    draws its coefficient streams on a helper thread: the same streams, the
+    same bits, and the thread is gone when draw_chunk returns."""
+
+    @pytest.mark.parametrize("seed, shape, first, count", [
+        (2**70, (8, 3, 3), 5, 1), (0, (8, 3, 3), 0, 4), (12345, (16, 2, 7), 2**32 - 2, 3),
+        (9, (4, 1, 1), 0, 2)])
+    def test_helper_draw_equals_the_chunk(self, monkeypatch, thread_starts, seed, shape, first,
+                                          count):
+        n, depth, degree = shape
+        cfg = EnsembleConfig(seed, n, depth, degree)
+        blocks, angles = ensemble_chunk(cfg, 20, first, count)  # below the rule
+        assert thread_starts == []
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 1)
+        words = chunk_seed_words(cfg, 20, first, count)
+        for work in (None, _WorkingSet()):
+            got = draw_chunk(cfg, words, work)
+            assert_same_draws(got[0] + got[1], blocks + angles)
+            got = draw_chunk(cfg, words, work, multipliers=True)
+            assert_same_draws(got[0] + got[1], blocks + [_unit(phi) for phi in angles])
+        assert len(thread_starts) == 4
+        assert not any(t.is_alive() for t in thread_starts)
+
+    def test_a_held_working_set_under_fast_switching(self, monkeypatch):
+        # the helper reads the working set's buffers while the calling thread
+        # adds its own; chunk after chunk through one set, with the interpreter
+        # switching threads every microsecond, every draw equals the serial one
+        cfg = EnsembleConfig(5, 8, 3, 3)
+        words = chunk_seed_words(cfg, 1, 0, 24)
+        want = [draw_chunk(cfg, words[i:i + 3], multipliers=True) for i in range(0, 24, 3)]
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 1)
+        work, interval = _WorkingSet(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                for i, (blocks, terms) in zip(range(0, 24, 3), want):
+                    got = draw_chunk(cfg, words[i:i + 3], work, multipliers=True)
+                    assert_same_draws(got[0] + got[1], blocks + terms)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_rule_counts_the_deepest_coefficients(self, monkeypatch, thread_starts):
+        cfg = EnsembleConfig(3, 8, 3, 3)  # 8^2 * 3 = 192 deepest coefficients per sample
+        words = chunk_seed_words(cfg, 0, 0, 4)
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 4 * 192 + 1)
+        draw_chunk(cfg, words)
+        assert thread_starts == []
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 4 * 192)
+        draw_chunk(cfg, words)
+        assert len(thread_starts) == 1
+
+    def test_an_error_on_the_helper_is_raised_by_the_caller(self, monkeypatch):
+        cfg = EnsembleConfig(3, 8, 2, 3)
+        words = chunk_seed_words(cfg, 0, 0, 2)
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 1)
+        caller, raised_on = threading.get_ident(), []
+
+        def broken(*args):
+            raised_on.append(threading.get_ident())
+            raise RuntimeError("no normals")
+
+        monkeypatch.setattr(ensembles, "_complex_normal", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no normals$"):
+            draw_chunk(cfg, words, multipliers=True)
+        assert raised_on and caller not in raised_on
+        assert threading.active_count() == before
+
+    def test_an_error_on_the_caller_joins_the_helper(self, monkeypatch):
+        cfg = EnsembleConfig(3, 8, 2, 3)
+        words = chunk_seed_words(cfg, 0, 0, 2)
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 1)
+
+        def broken(*args):
+            raise RuntimeError("no multipliers")
+
+        monkeypatch.setattr(ensembles, "_unit", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no multipliers$"):
+            draw_chunk(cfg, words, multipliers=True)
+        assert threading.active_count() == before

@@ -143,6 +143,14 @@ class TestLemmasCommand:
 
 
 class TestTheoremCommand:
+    def test_no_helper_thread_below_the_rule(self, thread_starts):
+        # N8 d3 holds 8^2 * 3 deepest coefficients per sample, far below the rule;
+        # a sample at N8 d7 holds 8^6 * 3, above it, and draws on one helper
+        cmd_theorem(small_config(depth=3, samples=200))
+        assert thread_starts == []
+        cmd_theorem(small_config(depth=7, samples=1))
+        assert len(thread_starts) == 1
+
     def test_no_violations_and_ratio(self):
         report = cmd_theorem(small_config(samples=30))
         assert report.aggregates["violation_count"] == 0
@@ -291,6 +299,47 @@ class TestConstantSearch:
             CheckRecord("search/trace-monotone", 0.0, min_delta, min_delta, min_delta >= 0.0),
             CheckRecord("search/best-below-chain-constant", best_ratio, CHAIN_CONSTANT,
                         float(gap), bool(passed))]
+
+
+def per_step_noise(rngs, shapes, budget):
+    """The search's proposals drawn step by step: per start one standard_normal
+    call per shape, stacked over the starts."""
+    for _ in range(budget):
+        draws = [[rng.standard_normal(shape) for shape in shapes] for rng in rngs]
+        yield [np.stack(x) for x in zip(*draws)]
+
+
+class TestSearchProposalBlocks:
+    """Each start draws up to harness._SEARCH_BLOCK_STEPS steps' proposals in
+    one call: the same stream, so the same normals and the same report."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 15, 16, 17, 40])
+    def test_blocks_equal_the_per_step_draws(self, budget):
+        shapes = [(1,), (1,), (8, 3), (8, 3), (), (8,)]
+        block = harness._search_noise([np.random.default_rng(s) for s in (4, 5, 6)], shapes,
+                                      budget)
+        per_step = per_step_noise([np.random.default_rng(s) for s in (4, 5, 6)], shapes, budget)
+        steps = 0
+        for got, want in zip(block, per_step, strict=True):
+            steps += 1
+            for x, y in zip(got, want, strict=True):
+                assert x.shape == y.shape
+                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        assert steps == budget
+
+    @pytest.mark.parametrize("budget", [0, 1, 15, 16, 17, 40])
+    def test_report_equals_the_per_step_route(self, monkeypatch, budget):
+        # N8 d3 degree 3 at 5 starts, and at chunks of 2 + 2 + 1 starts
+        config = small_config(depth=3, samples=5, seed=20260809, budget=budget)
+        for chunk in (None, 2):
+            with monkeypatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(harness, "_CHUNK_ENTRIES", 4 * 73 * chunk)
+                got = cmd_constant_search(config).to_dict()
+                patch.setattr(harness, "_search_noise", per_step_noise)
+                want = cmd_constant_search(config).to_dict()
+            want["aggregates"]["runtime_seconds"] = got["aggregates"]["runtime_seconds"]
+            assert got == want
 
 
 class TestConvergenceCommand:

@@ -51,6 +51,7 @@ from hardylab.inequalities import (
     _stability_batch,
     residual_verdict,
 )
+from hardylab import martingale
 from hardylab.martingale import _project_trailing_cells
 
 import oracles
@@ -954,3 +955,73 @@ class TestEachNodeQuantityOnce:
             moduli = np.abs(c - 2.0 * mu[..., np.newaxis] * sigma)
             expected = 0.5 * np.sum(moduli**2, axis=-1)
             assert np.array_equal(bits(_residual_sq(c, mu, sigma)), bits(expected)), degree
+
+
+def same_bits(x, y) -> bool:
+    """x and y equal as uint64, but for the sign of a NaN: the sum of two NaNs
+    keeps one operand's, and which one numpy's add keeps depends on the length
+    of the arrays (a one-node slab keeps the other)."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(bits(np.where(nan, 0.0, x)),
+                                                                bits(np.where(nan, 0.0, y)))
+
+
+def assert_closed_forms(report, expected):
+    """Every field of report equals the closed_form_report fields (same_bits)."""
+    for name, value in expected.items():
+        got = getattr(report, name)
+        if isinstance(value, tuple):
+            for k, (x, y) in enumerate(zip(got, value, strict=True), start=1):
+                assert same_bits(x, y), (name, k)
+        else:
+            assert same_bits(got, value), name
+
+
+class TestNodeSlabs:
+    """_stability_batch forms every node quantity but mu and b over slabs of
+    the flattened node axis, each of at most martingale._SLAB_ENTRIES
+    coefficients: no bit depends on where the slabs fall."""
+
+    # at degree 3, slabs of 1, 7, 64 and 100 nodes: one node each, cuts inside
+    # and across samples, cuts on the deepest level's sample boundaries
+    @pytest.mark.parametrize("entries", [1, 21, 192, 300, 2**14])
+    def test_cut_levels_equal_the_closed_forms(self, monkeypatch, entries):
+        n, depth, degree, count = 8, 3, 3, 5
+        grid, rng = make_grid(n), np.random.default_rng(entries)
+        blocks = [(rng.standard_normal((count, n ** k, degree))
+                   + 1j * rng.standard_normal((count, n ** k, degree)))
+                  * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, n ** k, 1)) for k in range(depth)]
+        blocks[0][0] = blocks[1][0] = blocks[2][0] = 0.0  # a zero sample
+        blocks[2][1, 9] = np.nan  # a NaN coefficient row
+        blocks[2][3, 40, 1] = np.inf  # and an inf one
+        terms = [_unit(rng.uniform(0.0, 2.0 * np.pi, size=(count,) + (n,) * k))
+                 for k in range(depth)]
+        with np.errstate(all="ignore"):
+            expected = closed_form_report(grid, blocks, terms)
+            monkeypatch.setattr(martingale, "_SLAB_ENTRIES", entries)
+            assert_closed_forms(_stability_batch(grid, blocks, terms), expected)
+        assert np.isnan(expected["residual_rms"][2][1, 1, 1])
+        assert np.isnan(expected["sigma_coeffs"][2][3, 5, 0])
+
+    @pytest.mark.parametrize("entries", [1, 10, 64, 2**14])
+    def test_mixed_degrees_through_the_coefficient_report(self, monkeypatch, entries):
+        # slabs of a level hold entries // d_k nodes (at least one) of its own degree
+        n, degrees = 16, (7, 1, 5)
+        grid, rng = make_grid(n), np.random.default_rng(entries)
+        coefficients = [rng.standard_normal((n ** k, d)) + 1j * rng.standard_normal((n ** k, d))
+                        for k, d in enumerate(degrees)]
+        phases = random_adapted_phases(EnsembleConfig(entries, n, len(degrees)))
+        expected = closed_form_report(grid, [c[np.newaxis] for c in coefficients],
+                                      [w[np.newaxis] for w in phases.terms])
+        monkeypatch.setattr(martingale, "_SLAB_ENTRIES", entries)
+        report = stability_report_from_coefficients(grid, coefficients, phases)
+        assert_closed_forms(_batch_of_one(report), expected)
+
+
+def _batch_of_one(report):
+    """A one-sample StabilityReport as the batch of one sample."""
+    return dataclasses.replace(report, **{
+        f.name: (tuple(x[np.newaxis] for x in getattr(report, f.name))
+                 if isinstance(getattr(report, f.name), tuple)
+                 else np.array([getattr(report, f.name)]))
+        for f in dataclasses.fields(report)})

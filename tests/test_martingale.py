@@ -481,6 +481,52 @@ class TestOnePowerOfTwoStep:
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+# newest-coordinate shapes of mean zero, as functions of the grid's angles
+ANALYTIC_SHAPES = {"e^{it}": lambda t: np.exp(1j * t),
+                   "e^{it} + 2i e^{3it}": lambda t: np.exp(1j * t) + 2j * np.exp(3j * t)}
+OTHER_SHAPES = {"e^{-it}": lambda t: np.exp(-1j * t), "i sin t": lambda t: 1j * np.sin(t),
+                "cos 2t": lambda t: np.cos(2 * t)}
+
+
+class TestOneRoundOffFloor:
+    """A row that the Hardy gate passes by its zero floor, untested, enters the
+    isometry's norms as 0 where it is not analytic at its own scale, so a field
+    that passes the gate never fails the isometry through such rows."""
+
+    def test_a_rounded_terminal_reads_zero(self):
+        # 1 + 1e-170 e^{i theta_2} rounds to 1 + 1e-170 i sin(theta_2): the gate
+        # passes its differences by the floor, and the norms were (1.87e-186, 4.82e-171)
+        grid = make_grid(8)
+        F = MartingaleField(grid, 2, 1 + 1e-170 * np.exp(1j * grid.angles) * np.ones((8, 1)))
+        phases = random_adapted_phases(EnsembleConfig(3, 8, 2, 3))
+        assert is_hardy_martingale(F, 1e-8)
+        lhs, rhs = check_transform_isometry(F, phases)
+        assert (lhs, rhs) == (0.0, 0.0)
+        assert residual_verdict(lhs, rhs, previsible_norm(F), 1e-10)[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=st.integers(-270, 300), drop=st.integers(14, 40), depth=st.integers(1, 2),
+           shape=st.sampled_from(sorted(ANALYTIC_SHAPES) + sorted(OTHER_SHAPES)),
+           turn=st.floats(0.0, 2.0 * np.pi), terminal=st.booleans())
+    def test_differences_under_the_floor_never_fail_the_isometry(self, a, drop, depth, shape,
+                                                                 turn, terminal):
+        grid = make_grid(8)
+        base, small = 10.0**a * np.exp(1j * turn), 10.0 ** (a - drop)
+        row = small * {**ANALYTIC_SHAPES, **OTHER_SHAPES}[shape](grid.angles)
+        if terminal:  # each level's difference the shape in its newest coordinate
+            F = MartingaleField(grid, depth, base + sum(
+                row.reshape((1,) * k + (8,) + (1,) * (depth - k - 1)) for k in range(depth)))
+        else:
+            F = field_from_differences(grid, depth, base, [
+                np.broadcast_to(row, (8,) * k) for k in range(1, depth + 1)])
+        assert is_hardy_martingale(F, 1e-8)
+        lhs, rhs = check_transform_isometry(F, random_adapted_phases(EnsembleConfig(a % 7, 8,
+                                                                                    depth)))
+        assert residual_verdict(lhs, rhs, previsible_norm(F), 1e-10)[1], (lhs, rhs)
+        if shape in OTHER_SHAPES and not terminal:
+            assert (lhs, rhs) == (0.0, 0.0)
+
+
 class TestPhasesDeeperThanTheField:
     """Phases may cover more levels than the field has; the levels beyond the
     field's depth are not used."""
