@@ -42,6 +42,7 @@ from .inequalities import (
 )
 from .martingale import _isometry_norms, _row_count
 from .torus import (
+    MEMORY_GUARD_ENTRIES,
     GridFunction,
     _check_integer,
     _check_tolerance,
@@ -84,8 +85,10 @@ class HarnessConfig:
                 n = make_grid(self.n_points).n_points
                 object.__setattr__(self, "max_degree", min(3, n // 2 - 1))
             EnsembleConfig(self.seed, self.n_points, self.depth, self.max_degree)
-            for name, least in (("samples", 1), ("budget", 0)):
-                _check_integer(getattr(self, name), name, least)
+            # a run holds no per-sample array beyond lemmas' strata draws, which
+            # the guard bounds, and 2^24 samples take hours in any suite
+            for name, least, most in (("samples", 1, MEMORY_GUARD_ENTRIES), ("budget", 0, None)):
+                _check_integer(getattr(self, name), name, least, most)
             object.__setattr__(self, "tol", _check_tolerance(self.tol))  # a float: JSON
             if not isinstance(self.resolutions, (list, tuple)) or not self.resolutions:
                 raise ValueError(f"resolutions must be a nonempty list of grid sizes; "
@@ -143,18 +146,47 @@ def _check(check_id: str, lhs, rhs, verdict: tuple) -> CheckRecord:
     return CheckRecord(check_id, float(lhs), float(rhs), float(gap), bool(passed))
 
 
-def _scan(checks: list, suite: str, label: str, lhs, rhs, gap, passed) -> CheckRecord:
-    """Record one suite from per-sample arrays: first the worst sample i,
-    `suite/label(sample i)` with label "min-slack" (smallest gap) or
-    "max-residual" (largest gap), then `suite/sample-j` for every other
-    failing sample j, so each failing sample is counted once.  Returns the
-    worst record."""
+def _scan(checks: list, suite: str, label: str, index, lhs, rhs, gap, passed) -> CheckRecord:
+    """Record one suite from per-sample arrays, entry j that of sample index[j],
+    the entries in sample order (the worst one may come first): first the
+    worst entry i, `suite/label(sample index[i])` with label "min-slack"
+    (smallest gap) or "max-residual" (largest gap), then `suite/sample-index[j]`
+    for every failing entry j of another sample, so each failing sample is
+    counted once.  Returns the worst record."""
     i = int(_WORST[label](gap))
-    worst = _check(f"{suite}/{label}(sample {i})", lhs[i], rhs[i], (gap[i], passed[i]))
+    worst = _check(f"{suite}/{label}(sample {index[i]})", lhs[i], rhs[i], (gap[i], passed[i]))
     checks.append(worst)
-    checks += [_check(f"{suite}/sample-{j}", lhs[j], rhs[j], (gap[j], passed[j]))
-               for j in np.flatnonzero(np.logical_not(passed)) if j != i]
+    checks += [_check(f"{suite}/sample-{index[j]}", lhs[j], rhs[j], (gap[j], passed[j]))
+               for j in np.flatnonzero(np.logical_not(passed)).tolist() if index[j] != index[i]]
     return worst
+
+
+class _Record:
+    """The running record of one suite, folded chunk by chunk.  It holds pieces
+    of (index, lhs, rhs, gap, passed) arrays, copied out of the chunks': first
+    the worst sample so far, then each chunk's failing samples.  The worst of
+    two chunks is taken by _WORST over their two worst gaps, so the held worst
+    is the first extreme or NaN over all samples, as _WORST over the whole
+    run's gaps gives; no sample before it has an equal gap, so _scan over the
+    held pieces picks it again, in first place."""
+
+    def __init__(self, suite: str, label: str):
+        self.suite, self.label, self.held = suite, label, []
+
+    def add(self, rows: slice, *sides) -> None:
+        """Fold in the lhs, rhs, gap and passed arrays of the samples in rows."""
+        i = int(_WORST[self.label](sides[2]))
+        if not self.held or _WORST[self.label]([self.held[0][3][0], sides[2][i]]):
+            self.held[:1] = [[np.array([rows.start + i]), *(x[[i]] for x in sides)]]
+        if not sides[3].all():
+            failing = np.flatnonzero(np.logical_not(sides[3]))
+            self.held.append([rows.start + failing, *(x[failing] for x in sides)])
+
+    def scan(self, checks: list) -> CheckRecord:
+        """_scan over the held pieces, concatenated once; the indices go as Python
+        ints, which index and format faster than numpy's over many records."""
+        index, *sides = map(np.concatenate, zip(*self.held))
+        return _scan(checks, self.suite, self.label, index.tolist(), *sides)
 
 
 def _finish(command: str, config: HarnessConfig, checks: list,
@@ -208,35 +240,33 @@ def cmd_identities(config: HarnessConfig) -> RunReport:
     and the transform isometry for Hardy martingales."""
     t0 = time.monotonic()
     checks: list = []
-    max_residual = max(
-        _scan(checks, suite, "max-residual", lhs, rhs,
-              *residual_verdict(lhs, rhs, scale, config.tol)).gap
-        for suite, (lhs, rhs, scale) in zip(_IDENTITY_SUITES,
-                                            _identity_sides(config).transpose(0, 2, 1)))
+    records = {suite: _Record(suite, "max-residual") for suite in _IDENTITY_SUITES}
+    for suite, rows, (lhs, rhs, scale) in _identity_sides(config):
+        records[suite].add(rows, lhs, rhs, *residual_verdict(lhs, rhs, scale, config.tol))
+    max_residual = max(record.scan(checks).gap for record in records.values())
     return _finish("identities", config, checks, t0, {"max_residual": max_residual})
 
 
-def _identity_sides(config: HarnessConfig) -> np.ndarray:
-    """lhs, rhs and the residual's scale of every sample of each identities
-    suite, shape (suites, samples, 3), evaluated one chunk of samples at a time."""
+def _identity_sides(config: HarnessConfig):
+    """Yield (suite, sample slice, (lhs, rhs, scale)) per chunk of each
+    identities suite, in suite order: lhs, rhs and the residual's scale of the
+    chunk's samples.  The transform-isometry suite's sides are views of its
+    working set, which its next chunk overwrites."""
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 100)
-    sides = np.empty((len(_IDENTITY_SUITES), config.samples, 3))
     for rows, blocks, _ in _chunks(config, 0, 1, phases=False, entries=_BLOCK_ENTRIES):
         rep = _sincos_rows(grid, _differences(grid, blocks)[:, 0],
                            *_scalar_draws(rng, len(blocks[0])))
-        sides[0, rows] = np.transpose([rep.lhs, rep.rhs, rep.rhs])
+        yield _IDENTITY_SUITES[0], rows, (rep.lhs, rep.rhs, rep.rhs)
     for rows, blocks, _ in _chunks(config, 1, 1, phases=False, entries=_BLOCK_ENTRIES):
         b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
         lhs, rhs = _split_rows(grid, _differences(grid, blocks)[:, 0], b)
-        sides[1, rows] = np.transpose([lhs, rhs, rhs])
+        yield _IDENTITY_SUITES[1], rows, (lhs, rhs, rhs)
     work = _WorkingSet()  # every array of the isometry suite's chunks, held from chunk to chunk
-    for rows, blocks, angles in _chunks(config, 2, entries=_ISOMETRY_ENTRIES, work=work):
-        terms = [_unit(phi, work.take(f"terms {k}", phi.shape, complex))
-                 for k, phi in enumerate(angles)]
-        norms = _isometry_norms(grid, _differences(grid, blocks, work), terms, work=work)
-        sides[2, rows] = np.transpose(norms)
-    return sides
+    for rows, blocks, terms in _chunks(config, 2, entries=_ISOMETRY_ENTRIES, work=work,
+                                       multipliers=True):
+        yield _IDENTITY_SUITES[2], rows, _isometry_norms(
+            grid, _differences(grid, blocks, work), terms, work=work)
 
 
 def cmd_lemmas(config: HarnessConfig) -> RunReport:
@@ -246,39 +276,46 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     checks: list = []
     tol = config.tol
 
+    # The envelope suites take the whole strata draw at once: numpy evaluates
+    # w * (mu - b) of 2^14 entries and up as (mu - b) * w in place, and its
+    # complex product is not bitwise commutative, so a chunk's sides would
+    # round apart from the whole draw's.
     strata = _child_seeds(config.seed, 10, 0, 1)
     mu, b, w = arith_sample_batch(EnsembleConfig(int(strata[0]), config.n_points), config.samples)
-    shift_lhs, shift_rhs, rotation_lhs, rotation_rhs, split_rhs = _lemma_sides(config).T
-    bounds = {
-        "envelope-gap": envelope_gap_sides(mu, b, w),
-        "envelope-excess": envelope_excess_sides(mu, b),
-        "shift-bound": (shift_lhs, shift_rhs),
-        "rotation-bound": (rotation_lhs, rotation_rhs),
-    }
-    min_slack = min(_scan(checks, suite, "min-slack", lhs, rhs, *slack_verdict(lhs, rhs, tol)).gap
-                    for suite, (lhs, rhs) in bounds.items())
-    worst_split = _scan(checks, "perturbation-split", "max-residual", shift_lhs, split_rhs,
-                        *residual_verdict(shift_lhs, split_rhs, split_rhs, tol))
+    worst = [_slack_scan(checks, "envelope-gap", *envelope_gap_sides(mu, b, w), tol),
+             _slack_scan(checks, "envelope-excess", *envelope_excess_sides(mu, b), tol)]
 
+    shift, rotation = _Record("shift-bound", "min-slack"), _Record("rotation-bound", "min-slack")
+    split = _Record("perturbation-split", "max-residual")
+    for rows, rep in _lemma_sides(config):
+        shift.add(rows, rep.shift_lhs, rep.shift_rhs,
+                  *slack_verdict(rep.shift_lhs, rep.shift_rhs, tol))
+        rotation.add(rows, rep.rotation_lhs, rep.rotation_rhs,
+                     *slack_verdict(rep.rotation_lhs, rep.rotation_rhs, tol))
+        split.add(rows, rep.shift_lhs, rep.split_rhs,
+                  *residual_verdict(rep.shift_lhs, rep.split_rhs, rep.split_rhs, tol))
+    min_slack = min(record.gap for record in worst + [shift.scan(checks), rotation.scan(checks)])
     return _finish(
         "lemmas", config, checks, t0,
-        {"min_slack": min_slack, "max_split_residual": worst_split.gap},
+        {"min_slack": min_slack, "max_split_residual": split.scan(checks).gap},
     )
 
 
-def _lemma_sides(config: HarnessConfig) -> np.ndarray:
-    """shift_lhs, shift_rhs, rotation_lhs, rotation_rhs and split_rhs of
-    perturbation_bounds for every sample of the integral suites, shape
-    (samples, 5), evaluated one chunk of samples at a time."""
+def _slack_scan(checks: list, suite: str, lhs, rhs, tol: float) -> CheckRecord:
+    """_scan of a min-slack suite from the sides of every sample at once, which
+    are dropped on return (the next suite's are not held beside them)."""
+    return _scan(checks, suite, "min-slack", range(len(lhs)), lhs, rhs,
+                 *slack_verdict(lhs, rhs, tol))
+
+
+def _lemma_sides(config: HarnessConfig):
+    """Yield (sample slice, PerturbationReport) per chunk of the integral
+    suites: perturbation_bounds of the chunk's samples, as arrays."""
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 101)
-    sides = np.empty((config.samples, 5))
     for rows, blocks, _ in _chunks(config, 11, 1, phases=False, entries=_BLOCK_ENTRIES):
-        rep = _perturbation_rows(grid, _differences(grid, blocks)[:, 0],
-                                 *_scalar_draws(rng, len(blocks[0])))
-        sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
-                                    rep.rotation_rhs, rep.split_rhs])
-    return sides
+        yield rows, _perturbation_rows(grid, _differences(grid, blocks)[:, 0],
+                                       *_scalar_draws(rng, len(blocks[0])))
 
 
 # A chunk of samples is drawn and evaluated as one batch.  It holds at most
@@ -340,20 +377,18 @@ def cmd_theorem(config: HarnessConfig) -> RunReport:
     t0 = time.monotonic()
     checks: list = []
     grid = make_grid(config.n_points)
-    ratios, sides = [], []
-    for _, blocks, terms in _chunks(config, 20, multipliers=True):
+    records = [_Record(f"chain/{step}", "min-slack") for step in CHAIN_STEPS]
+    max_ratio = 0.0
+    for rows, blocks, terms in _chunks(config, 20, multipliers=True):
         rep = _stability_batch(grid, blocks, terms)
-        ratios.append(rep.ratio)
-        sides.append(_chain_sides(rep, config.tol))
+        max_ratio = max(max_ratio, *rep.ratio.tolist())
+        for record, *sides in zip(records, *_chain_sides(rep, config.tol)):
+            record.add(rows, *sides)
 
-    lhs, rhs, gap, passed = (np.concatenate(x, axis=1) for x in zip(*sides))
-    min_slack = min(_scan(checks, f"chain/{step}", "min-slack", lhs[k], rhs[k], gap[k],
-                          passed[k]).gap
-                    for k, step in enumerate(CHAIN_STEPS))
+    min_slack = min(record.scan(checks).gap for record in records)
     return _finish(
         "theorem", config, checks, t0,
-        {"max_ratio": max([0.0, *np.concatenate(ratios).tolist()]), "min_slack": min_slack,
-         "chain_constant": CHAIN_CONSTANT},
+        {"max_ratio": max_ratio, "min_slack": min_slack, "chain_constant": CHAIN_CONSTANT},
     )
 
 

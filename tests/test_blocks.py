@@ -98,6 +98,27 @@ def identity_sides_alone(config):
     return sides
 
 
+def lemma_sides(config):
+    """The shift_lhs, shift_rhs, rotation_lhs, rotation_rhs and split_rhs of
+    the reports that harness._lemma_sides yields chunk by chunk, joined into
+    shape (samples, 5); a sample it does not yield stays NaN."""
+    sides = np.full((config.samples, 5), np.nan)
+    for rows, rep in harness._lemma_sides(config):
+        sides[rows] = np.transpose([rep.shift_lhs, rep.shift_rhs, rep.rotation_lhs,
+                                    rep.rotation_rhs, rep.split_rhs])
+    return sides
+
+
+def identity_sides(config):
+    """The sides that harness._identity_sides yields chunk by chunk, joined into
+    shape (suites, samples, 3), each chunk copied as it comes (the isometry
+    suite's are views of its working set); a sample it does not yield stays NaN."""
+    sides = np.full((3, config.samples, 3), np.nan)
+    for suite, rows, chunk in harness._identity_sides(config):
+        sides[harness._IDENTITY_SUITES.index(suite), rows] = np.transpose(chunk)
+    return sides
+
+
 def recorded_chunks(monkeypatch):
     """Spy on harness._chunks: every call appends the list of sample slices it
     yields to the returned list, one list per suite, in the suites' order."""
@@ -127,7 +148,7 @@ class TestEverySample:
                                seed=20260809)
         patch_sizes(monkeypatch, config, 1, chunk)
         chunks = recorded_chunks(monkeypatch)
-        assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
+        assert np.array_equal(lemma_sides(config), lemma_sides_alone(config))
         assert chunks == [tiling(samples, min(chunk, CAP))]
 
     def test_identities(self, monkeypatch, n, depth, degree, chunk, samples):
@@ -135,7 +156,7 @@ class TestEverySample:
                                seed=2**70)
         patch_sizes(monkeypatch, config, depth, chunk)
         chunks = recorded_chunks(monkeypatch)
-        assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
+        assert np.array_equal(identity_sides(config), identity_sides_alone(config))
         # _CHUNK_ENTRIES fits `chunk` samples at depth, so at depth 1 as many
         # samples as those have newest-coordinate slices
         depth_1 = tiling(samples, min(chunk * sum(n**k for k in range(depth)), CAP))
@@ -154,7 +175,7 @@ class TestEverySample:
 def test_chunks_tile_the_samples(monkeypatch, command, settings, sizes):
     # each suite evaluates chunks of C samples, the same C whatever the sample
     # count, at multiples of C: checked at 1, C - 1, C, C + 1 and 2C + 1 samples
-    run = {"lemmas": harness._lemma_sides, "identities": harness._identity_sides,
+    run = {"lemmas": lemma_sides, "identities": identity_sides,
            "theorem": harness.cmd_theorem}[command]
     chunks = recorded_chunks(monkeypatch)
     counts = sorted({count for c in sizes for count in (1, c - 1, c, c + 1, 2 * c + 1)})
@@ -228,7 +249,7 @@ class TestBlockDraws:
     def test_lemmas(self, monkeypatch, chunk, samples):
         config = self.config(monkeypatch, chunk, samples)
         calls = recorded_draws(monkeypatch, "_perturbation_rows")
-        harness._lemma_sides(config)
+        lemma_sides(config)
         assert len(calls) == len(tiling(samples, min(chunk, CAP)))
         rng = harness._scalar_rng(config, 101)
         assert_same_bits(calls, [draws_alone(rng) for _ in range(samples)])
@@ -237,7 +258,7 @@ class TestBlockDraws:
         config = self.config(monkeypatch, chunk, samples)
         sincos = recorded_draws(monkeypatch, "_sincos_rows")
         split = recorded_draws(monkeypatch, "_split_rows")
-        harness._identity_sides(config)
+        identity_sides(config)
         assert len(sincos) == len(split) == len(tiling(samples, min(chunk, CAP)))
         # one stream: the sincos suite's (b, w), then the split suite's shifts
         rng = harness._scalar_rng(config, 100)
@@ -410,7 +431,7 @@ def test_slabs_keep_every_isometry_side(monkeypatch, n, depth, degree, cut):
     rows = np.stack([F.rows for F in fields])
     terms = [np.stack(t) for t in zip(*(P.terms for P in phases))]
     assert np.array_equal(as_bits(np.transpose(_isometry_norms(grid, rows, terms))), as_bits(alone))
-    assert np.array_equal(as_bits(harness._identity_sides(config)[2]), as_bits(alone))
+    assert np.array_equal(as_bits(identity_sides(config)[2]), as_bits(alone))
 
 
 def row_peak_scale(base, rows):
@@ -532,9 +553,9 @@ def test_every_sample_at_the_default_sizes(command, settings):
     # an operation that rounds a stacked row unlike a lone one shows on few samples only
     config = HarnessConfig(seed=12345, **settings)
     if command == "lemmas":
-        assert np.array_equal(harness._lemma_sides(config), lemma_sides_alone(config))
+        assert np.array_equal(lemma_sides(config), lemma_sides_alone(config))
     else:
-        assert np.array_equal(harness._identity_sides(config), identity_sides_alone(config))
+        assert np.array_equal(identity_sides(config), identity_sides_alone(config))
 
 
 @pytest.mark.parametrize("n, depth, degree, samples", [
@@ -544,10 +565,11 @@ def test_the_isometry_suite_holds_one_block_whatever_the_chunk(n, depth, degree,
     # 4-15 MiB of rows (all the samples here); the suite's bound of
     # _ISOMETRY_ENTRIES grid entries per chunk keeps its rows near 1 MiB
     config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, samples=samples, seed=7)
-    harness._identity_sides(replace(config, samples=1))  # the grid's cached tables are built outside the trace
+    identity_sides(replace(config, samples=1))  # the grid's cached tables are built outside the trace
     tracemalloc.start()
     try:
-        harness._identity_sides(config)
+        for _ in harness._identity_sides(config):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -586,9 +608,9 @@ IDENTITY_BITS = [
 
 
 def test_sides_keep_the_per_sample_bits():
-    lemmas = harness._lemma_sides(HarnessConfig(n_points=16, max_degree=7, samples=4, seed=12345))
+    lemmas = lemma_sides(HarnessConfig(n_points=16, max_degree=7, samples=4, seed=12345))
     assert [tuple(x.hex() for x in row) for row in lemmas.tolist()] == LEMMA_BITS
-    identities = harness._identity_sides(
+    identities = identity_sides(
         HarnessConfig(n_points=8, depth=2, max_degree=3, samples=3, seed=12345))
     for suite, bits in zip(identities.tolist(), IDENTITY_BITS):
         # the first two suites record rhs again as the residual's scale

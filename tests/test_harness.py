@@ -187,7 +187,7 @@ class TestTheoremCommand:
             steps.append(verify_chain(rep, slack=config.tol))
         for k, step in enumerate(harness.CHAIN_STEPS):
             records = [sample[k] for sample in steps]
-            _scan(checks, f"chain/{step}", "min-slack",
+            _scan(checks, f"chain/{step}", "min-slack", range(config.samples),
                   *(np.array([getattr(r, name) for r in records])
                     for name in ("lhs", "rhs", "gap", "passed")))
 
@@ -398,11 +398,11 @@ class TestReportPlumbing:
         checks = []
         lhs, rhs = np.array([0.0, 2.0, 3.0, 1.0]), np.ones(4)
         gap, passed = np.array([0.5, -0.5, -2 / 3, 0.0]), np.array([True, False, False, True])
-        worst = _scan(checks, "chain/step", "min-slack", lhs, rhs, gap, passed)
+        worst = _scan(checks, "chain/step", "min-slack", range(4), lhs, rhs, gap, passed)
         assert worst == CheckRecord("chain/step/min-slack(sample 2)", 3.0, 1.0, -2 / 3, False)
         assert checks == [worst, CheckRecord("chain/step/sample-1", 2.0, 1.0, -0.5, False)]
-        worst = _scan(checks, "split", "max-residual", [1.0, 1.5], [1.0, 1.0], [0.0, 0.5],
-                      [True, False])
+        worst = _scan(checks, "split", "max-residual", range(2), [1.0, 1.5], [1.0, 1.0],
+                      [0.0, 0.5], [True, False])
         assert worst.check_id == "split/max-residual(sample 1)"
         assert sum(1 for c in checks if not c.passed) == 3
         json.dumps(RunReport("x", {}, checks).to_dict())  # plain floats and bools

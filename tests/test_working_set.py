@@ -24,7 +24,7 @@ from hardylab import (
     random_adapted_phases,
     random_hardy_martingale,
 )
-from hardylab import cli, harness
+from hardylab import cli, ensembles, harness
 from hardylab.ensembles import _differences, _unit, chunk_seed_words, draw_chunk
 from hardylab.martingale import _isometry_norms, _levels
 from hardylab.torus import _WorkingSet
@@ -74,7 +74,7 @@ class TestHeldBuffersAreSafe:
     def test_a_run_after_an_isometry_failure(self, monkeypatch, capsys, tmp_path, fault, message):
         # sample 5 of the third 10-sample chunk fails, in the suite's held buffers
         argv = N16D3 + ["--samples", "40"]
-        unit, differences = harness._unit, harness._differences
+        unit, differences = ensembles._unit, harness._differences
         chunks = []
 
         def bad_unit(phi, out=None):
@@ -93,7 +93,7 @@ class TestHeldBuffersAreSafe:
             return rows
 
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_unit", bad_unit)
+            patch.setattr(ensembles, "_unit", bad_unit)
             patch.setattr(harness, "_differences", bad_differences)
             assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -132,7 +132,9 @@ class TestHeldBuffersAreSafe:
         # at N64 d3 a sample has 4161 rows of 64 entries, so its slabs are runs
         # of rows, and a chunk holds one sample
         config = HarnessConfig(n_points=64, depth=3, max_degree=3, samples=3, seed=5)
-        sides = harness._identity_sides(config)[2]
+        sides = np.concatenate([np.transpose(norms) for suite, _, norms
+                                in harness._identity_sides(config)
+                                if suite == "transform-isometry"])
         for i, row in enumerate(sides):
             cfg = sample_ensemble(config, 2, i, 3)
             field = random_hardy_martingale(cfg)
