@@ -146,29 +146,13 @@ def _check(check_id: str, lhs, rhs, verdict: tuple) -> CheckRecord:
     return CheckRecord(check_id, float(lhs), float(rhs), float(gap), bool(passed))
 
 
-def _scan(checks: list, suite: str, label: str, index, lhs, rhs, gap, passed) -> CheckRecord:
-    """Record one suite from per-sample arrays, entry j that of sample index[j],
-    the entries in sample order (the worst one may come first): first the
-    worst entry i, `suite/label(sample index[i])` with label "min-slack"
-    (smallest gap) or "max-residual" (largest gap), then `suite/sample-index[j]`
-    for every failing entry j of another sample, so each failing sample is
-    counted once.  Returns the worst record."""
-    i = int(_WORST[label](gap))
-    worst = _check(f"{suite}/{label}(sample {index[i]})", lhs[i], rhs[i], (gap[i], passed[i]))
-    checks.append(worst)
-    checks += [_check(f"{suite}/sample-{index[j]}", lhs[j], rhs[j], (gap[j], passed[j]))
-               for j in np.flatnonzero(np.logical_not(passed)).tolist() if index[j] != index[i]]
-    return worst
-
-
 class _Record:
-    """The running record of one suite, folded chunk by chunk.  It holds pieces
-    of (index, lhs, rhs, gap, passed) arrays, copied out of the chunks': first
-    the worst sample so far, then each chunk's failing samples.  The worst of
-    two chunks is taken by _WORST over their two worst gaps, so the held worst
-    is the first extreme or NaN over all samples, as _WORST over the whole
-    run's gaps gives; no sample before it has an equal gap, so _scan over the
-    held pieces picks it again, in first place."""
+    """The running record of one suite, folded chunk by chunk (a whole-run
+    draw is one chunk).  It holds pieces of (index, lhs, rhs, gap, passed)
+    arrays, copied out of the chunks': first the worst sample so far, then
+    each chunk's failing samples.  The worst of two chunks is taken by _WORST
+    over their two worst gaps, so the held worst is the first extreme or NaN
+    over all samples, as _WORST over the whole run's gaps gives."""
 
     def __init__(self, suite: str, label: str):
         self.suite, self.label, self.held = suite, label, []
@@ -183,10 +167,21 @@ class _Record:
             self.held.append([rows.start + failing, *(x[failing] for x in sides)])
 
     def scan(self, checks: list) -> CheckRecord:
-        """_scan over the held pieces, concatenated once; the indices go as Python
-        ints, which index and format faster than numpy's over many records."""
-        index, *sides = map(np.concatenate, zip(*self.held))
-        return _scan(checks, self.suite, self.label, index.tolist(), *sides)
+        """Append the suite's records to checks: first the worst sample i,
+        `suite/label(sample i)` with label "min-slack" (smallest gap) or
+        "max-residual" (largest gap), then `suite/sample-j` for every failing
+        sample j other than i, in sample order, so each failing sample is
+        counted once.  Returns the worst record.  The held pieces are
+        concatenated once, the indices as Python ints, which index and format
+        faster than numpy's over many records."""
+        index, lhs, rhs, gap, passed = map(np.concatenate, zip(*self.held))
+        index = index.tolist()
+        worst = _check(f"{self.suite}/{self.label}(sample {index[0]})", lhs[0], rhs[0],
+                       (gap[0], passed[0]))
+        checks.append(worst)
+        checks += [_check(f"{self.suite}/sample-{index[j]}", lhs[j], rhs[j], (gap[j], passed[j]))
+                   for j in np.flatnonzero(np.logical_not(passed)).tolist() if index[j] != index[0]]
+        return worst
 
 
 def _finish(command: str, config: HarnessConfig, checks: list,
@@ -254,14 +249,14 @@ def _identity_sides(config: HarnessConfig):
     working set, which its next chunk overwrites."""
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 100)
-    for rows, blocks, _ in _chunks(config, 0, 1, phases=False, entries=_BLOCK_ENTRIES):
-        rep = _sincos_rows(grid, _differences(grid, blocks)[:, 0],
-                           *_scalar_draws(rng, len(blocks[0])))
+    for rows, values in _coordinate_values(config, 0):
+        rep = _sincos_rows(grid, values, *_scalar_draws(rng, len(values)))
         yield _IDENTITY_SUITES[0], rows, (rep.lhs, rep.rhs, rep.rhs)
-    for rows, blocks, _ in _chunks(config, 1, 1, phases=False, entries=_BLOCK_ENTRIES):
-        b = _scalar_shifts(rng.standard_normal((len(blocks[0]), 2)))
-        lhs, rhs = _split_rows(grid, _differences(grid, blocks)[:, 0], b)
+    for rows, values in _coordinate_values(config, 1):
+        b = _scalar_shifts(rng.standard_normal((len(values), 2)))
+        lhs, rhs = _split_rows(grid, values, b)
         yield _IDENTITY_SUITES[1], rows, (lhs, rhs, rhs)
+    del values  # the last chunk's differences are not held through the isometry suite
     work = _WorkingSet()  # every array of the isometry suite's chunks, held from chunk to chunk
     for rows, blocks, terms in _chunks(config, 2, entries=_ISOMETRY_ENTRIES, work=work,
                                        multipliers=True):
@@ -282,30 +277,29 @@ def cmd_lemmas(config: HarnessConfig) -> RunReport:
     # round apart from the whole draw's.
     strata = _child_seeds(config.seed, 10, 0, 1)
     mu, b, w = arith_sample_batch(EnsembleConfig(int(strata[0]), config.n_points), config.samples)
-    worst = [_slack_scan(checks, "envelope-gap", *envelope_gap_sides(mu, b, w), tol),
-             _slack_scan(checks, "envelope-excess", *envelope_excess_sides(mu, b), tol)]
+    # each envelope suite's sides are one chunk, dropped before the next suite's
+    gap, excess = _Record("envelope-gap", "min-slack"), _Record("envelope-excess", "min-slack")
+    gap.add(slice(0, config.samples), *_slack_sides(*envelope_gap_sides(mu, b, w), tol))
+    excess.add(slice(0, config.samples), *_slack_sides(*envelope_excess_sides(mu, b), tol))
 
     shift, rotation = _Record("shift-bound", "min-slack"), _Record("rotation-bound", "min-slack")
     split = _Record("perturbation-split", "max-residual")
     for rows, rep in _lemma_sides(config):
-        shift.add(rows, rep.shift_lhs, rep.shift_rhs,
-                  *slack_verdict(rep.shift_lhs, rep.shift_rhs, tol))
-        rotation.add(rows, rep.rotation_lhs, rep.rotation_rhs,
-                     *slack_verdict(rep.rotation_lhs, rep.rotation_rhs, tol))
+        shift.add(rows, *_slack_sides(rep.shift_lhs, rep.shift_rhs, tol))
+        rotation.add(rows, *_slack_sides(rep.rotation_lhs, rep.rotation_rhs, tol))
         split.add(rows, rep.shift_lhs, rep.split_rhs,
                   *residual_verdict(rep.shift_lhs, rep.split_rhs, rep.split_rhs, tol))
-    min_slack = min(record.gap for record in worst + [shift.scan(checks), rotation.scan(checks)])
+    min_slack = min(record.scan(checks).gap for record in (gap, excess, shift, rotation))
     return _finish(
         "lemmas", config, checks, t0,
         {"min_slack": min_slack, "max_split_residual": split.scan(checks).gap},
     )
 
 
-def _slack_scan(checks: list, suite: str, lhs, rhs, tol: float) -> CheckRecord:
-    """_scan of a min-slack suite from the sides of every sample at once, which
-    are dropped on return (the next suite's are not held beside them)."""
-    return _scan(checks, suite, "min-slack", range(len(lhs)), lhs, rhs,
-                 *slack_verdict(lhs, rhs, tol))
+def _slack_sides(lhs, rhs, tol: float) -> tuple:
+    """lhs, rhs and their slack_verdict (gap, passed): what _Record.add takes
+    from a min-slack suite."""
+    return (lhs, rhs, *slack_verdict(lhs, rhs, tol))
 
 
 def _lemma_sides(config: HarnessConfig):
@@ -313,9 +307,8 @@ def _lemma_sides(config: HarnessConfig):
     suites: perturbation_bounds of the chunk's samples, as arrays."""
     grid = make_grid(config.n_points)
     rng = _scalar_rng(config, 101)
-    for rows, blocks, _ in _chunks(config, 11, 1, phases=False, entries=_BLOCK_ENTRIES):
-        yield rows, _perturbation_rows(grid, _differences(grid, blocks)[:, 0],
-                                       *_scalar_draws(rng, len(blocks[0])))
+    for rows, values in _coordinate_values(config, 11):
+        yield rows, _perturbation_rows(grid, values, *_scalar_draws(rng, len(values)))
 
 
 # A chunk of samples is drawn and evaluated as one batch.  It holds at most
@@ -323,15 +316,16 @@ def _lemma_sides(config: HarnessConfig):
 # call's overhead, while its temporaries stay near 1 MiB (at N8 d3, 2^16 is
 # 10-25% faster but raises the peak RSS by ~4.7 MiB, 2^15 by ~1.3 MiB; 2^12
 # takes ~1.7x as long).  The suites that hold its rows bound its grid entries
-# too: the depth-1 ones (lemmas, the first two identities suites) by
-# _BLOCK_ENTRIES, 256 samples at N16 (2^16 raises lemmas N16 at 2500
-# samples from 37.1 to 40.2 MiB for no gain); the transform-isometry suite
-# by _ISOMETRY_ENTRIES, four of _isometry_norms' slabs (10 samples at N16
-# d3, where the coefficients bind first).  That suite fills one working set,
-# 1.35 MiB at N16 d3 and sized at its first chunk, chunk after chunk: with
-# new arrays per chunk, that much sat near glibc's heap trim threshold, and
-# at some heap layouts was given back and faulted in again every chunk (7 to
-# 150 pages faulted per extra chunk, against about 1 with the set held).
+# too: the depth-1 ones (lemmas, the first two identities suites;
+# _coordinate_values) by _BLOCK_ENTRIES, 256 samples at N16 (2^16 raises
+# lemmas N16 at 2500 samples from 37.1 to 40.2 MiB for no gain); the
+# transform-isometry suite by _ISOMETRY_ENTRIES, four of _isometry_norms'
+# slabs (10 samples at N16 d3, where the coefficients bind first).  That suite
+# fills one working set, 1.35 MiB at N16 d3 and sized at its first chunk,
+# chunk after chunk: with new arrays per chunk, that much sat near glibc's
+# heap trim threshold, and at some heap layouts was given back and faulted in
+# again every chunk (7 to 150 pages faulted per extra chunk, against about 1
+# with the set held).
 _CHUNK_ENTRIES = 2**14
 _BLOCK_ENTRIES = 2**12
 _ISOMETRY_ENTRIES = 2**16
@@ -363,6 +357,15 @@ def _chunks(config: HarnessConfig, tag: int, depth: int | None = None, phases: b
         for first in range(0, len(words), chunk):
             blocks, angles = draw_chunk(cfg, words[first:first + chunk], work, multipliers)
             yield slice(start + first, start + first + len(blocks[0])), blocks, angles
+
+
+def _coordinate_values(config: HarnessConfig, tag: int):
+    """Yield (sample slice, (M, N) values) per chunk of the run (config.seed,
+    tag) at depth 1, as _chunks draws it with no phases and at most
+    _BLOCK_ENTRIES grid entries: each sample's one difference over the grid."""
+    grid = make_grid(config.n_points)
+    for rows, blocks, _ in _chunks(config, tag, 1, phases=False, entries=_BLOCK_ENTRIES):
+        yield rows, _differences(grid, blocks)[:, 0]
 
 
 def _score(grid, blocks, angles):

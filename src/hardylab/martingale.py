@@ -26,6 +26,10 @@ keeps its own scale (_scale_bound); a block's norms equal each sample's own
 bit for bit, wherever the slabs fall.  Sums and squares of a sample whose
 scale lies beyond a fixed window are taken at a power of two and scaled
 back (_unit_scaled, the one scale rule); within it, rows are taken as they are.
+The terminal split, the mean check, previsible_norm and
+check_transform_isometry each take that step first and reduce the stepped
+rows once; the batch isometry (_isometry_norms) refuses a sample beyond the
+window.
 """
 
 from __future__ import annotations
@@ -121,10 +125,8 @@ def _slabs(shape: tuple) -> list:
     where one fits, else runs of rows of one sample (at least one row)."""
     count, r, n = shape
     if r * n <= _SLAB_ENTRIES:
-        step = _SLAB_ENTRIES // (r * n)
-        return [(slice(i, i + step), slice(None)) for i in range(0, count, step)]
-    step = max(1, _SLAB_ENTRIES // n)
-    return [(slice(i, i + 1), slice(a, a + step)) for i in range(count) for a in range(0, r, step)]
+        return [(samples, slice(None)) for samples in _node_slabs(count, r * n)]
+    return [(slice(i, i + 1), part) for i in range(count) for part in _node_slabs(r, n)]
 
 
 def _node_slabs(nodes: int, width: int) -> list:
@@ -475,30 +477,39 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
 
     For a Hardy martingale the two agree to round-off: conditioned on the
     past, the newest slice is analytic, and both the even part and
-    Im(w * slice) carry exactly half its energy.
+    Im(w * slice) carry exactly half its energy.  The differences are taken
+    at the _unit_scaled step of their own scale, with |base| at the same step
+    (the largest double where that overflows), and the norms are scaled back.
     """
     _check_phases(phases, field.grid, field.depth)
-    cosine, transformed, _ = _isometry_norms(field.grid, field.rows[np.newaxis],
-                                             [t[np.newaxis] for t in phases.terms], field.base)
-    return float(cosine[0]), float(transformed[0])
+    rows, e = _unit_scaled(field.rows[np.newaxis], _scale_bound(0.0, field.rows[np.newaxis]))
+    with np.errstate(over="ignore"):
+        base = min(np.ldexp(abs(field.base), -e[0]), np.finfo(float).max)
+    cosine, transformed, _ = _isometry_norms(field.grid, rows,
+                                             [t[np.newaxis] for t in phases.terms], base)
+    return float(np.ldexp(cosine[0], e[0])), float(np.ldexp(transformed[0], e[0]))
 
 
-def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np.ndarray = 0.0,
+def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0,
                     work: _WorkingSet | None = None) -> tuple:
     """check_transform_isometry over M samples, plus each sample's previsible norm.
 
     rows, of shape (M, R, N), holds the samples' differences (their level-0
-    constant is base, or per sample of modulus base[i]) and terms[k], of
-    shape (M,) + (N,)*k, their multipliers; terms beyond the depth of the
-    rows are not used.  Each sample gets the checks of its own
-    MartingaleField, AdaptedPhases, Hardy gate, cosine_part and transform,
-    at its own scale, and the error of the first check that fails over all
-    samples, in that order.
+    constant is base) and terms[k], of shape (M,) + (N,)*k, their
+    multipliers; terms beyond the depth of the rows are not used.  Each
+    sample gets the checks of its own MartingaleField, AdaptedPhases, Hardy
+    gate, cosine_part and transform, at its own scale, and the error of the
+    first check that fails over all samples, in that order.
 
     The rows are walked twice in _slabs.  Pass 1 takes each slab's moduli,
     their sums of squares per row and each sample's largest modulus per level;
     from those maxima follow the scale, equal to _scale_bound's, and then the
-    mean check and, level by level, the multipliers' check.  After the gate,
+    mean check, the window check and, level by level, the multipliers' check.
+    A sample whose differences' scale lies beyond the window, where the
+    passes' squares can overflow or underflow, fails the window check with a
+    ValueError: such rows are taken at their _unit_scaled step first
+    (check_transform_isometry), so no batch reads the vacuous norms of
+    squares taken unscaled.  After the gate,
     pass 2 takes each slab's even part and then its turned part, one at a
     time, with their sums of squares (unchecked means, as in _derive).  The
     three sums of every row that the gate passed by its zero floor and that is
@@ -506,12 +517,8 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
     array the passes fill is taken from work (a new working set by default):
     the (3, M, R) sums, the (M, levels) maxima, the multipliers, the (M, R)
     mask of those rows, and one real and one complex slab buffer that the
-    gate shares.  A sample whose differences' scale lies beyond the window,
-    where the passes' squares can overflow or underflow, is taken again at
-    its _unit_scaled step, in a working set of its own, and its norms are
-    scaled back.  Returns the
-    previsible norms of the cosine parts, of the transforms and of the
-    martingales themselves, each of shape (M,).
+    gate shares.  Returns the previsible norms of the cosine parts, of the
+    transforms and of the martingales themselves, each of shape (M,).
     """
     n = grid.n_points
     count, r = rows.shape[:2]
@@ -523,8 +530,8 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
     moments = work.take("moments", (3, count, r))
     maxima = work.take("maxima", (count, len(bounds) - 1))
     maxima[...] = 0.0
-    # squares and parts that overflow or underflow lie beyond the window: such
-    # samples are taken again at the end, each errstate block a fresh one
+    # squares that overflow lie beyond the window, whose samples are refused
+    # below; within it, squares of the smallest moduli may underflow
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for s in slabs:
             moduli = np.abs(rows[s], out=work.take("real", rows[s].shape))
@@ -532,6 +539,8 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
             np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2][s])
     scale = _summed_scale(base, maxima)
     _check_means(rows, scale)
+    if _unit_scaled(rows, _summed_scale(0.0, maxima))[1].any():
+        raise ValueError("isometry rows must lie within the scale window (_unit_scaled)")
     terms = terms[:len(bounds) - 1]
     w = np.concatenate([_require_unimodular(t, f"term {k}").reshape(count, -1)
                         for k, t in enumerate(terms)], axis=1,
@@ -554,15 +563,7 @@ def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex | np
         np.copyto(moments, 0.0, where=junk)
     moments /= n  # the means, divided as np.mean divides
     levels = [q[..., 0] for q in _levels(moments[..., np.newaxis], n)]
-    norms = _root_mean(levels, out=work.take("real", levels[-1].shape))
-    scaled, e = _unit_scaled(rows, _summed_scale(0.0, maxima))
-    far = e != 0
-    if far.any():  # with |base| at the same step, or the largest double past it
-        with np.errstate(over="ignore"):
-            base = np.minimum(np.ldexp(abs(base), -e[far]), np.finfo(float).max)
-            again = _isometry_norms(grid, scaled[far], [t[far] for t in terms], base, _WorkingSet())
-            norms[:, far] = np.ldexp(again, e[far])
-    return tuple(norms)
+    return tuple(_root_mean(levels, out=work.take("real", levels[-1].shape)))
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ vectorized reduction paths in the package.  Only practical for tiny grids.
 
 The per-sample seeding at the end is numpy's own SeedSequence, one sample at a
 time: the reference that the harness's chunked seeding must equal bit for bit.
+The suite records at the very end are those of a whole run's arrays, the
+reference for the harness's running records, folded chunk by chunk.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from hardylab import EnsembleConfig
+from hardylab import CheckRecord, EnsembleConfig
 
 
 def grid_angles(n):
@@ -165,3 +167,18 @@ def sample_ensemble(config, tag, i, depth):
     """The EnsembleConfig that sample i of the run (config.seed, tag) draws from alone."""
     return EnsembleConfig(seed=child_seed(config.seed, tag, i), n_points=config.n_points,
                           depth=depth, max_degree=config.max_degree)
+
+
+def oracle_suite_records(suite, label, lhs, rhs, gap, passed):
+    """The records of one suite from the per-sample arrays of its whole run:
+    first the worst sample i, the first np.argmin ("min-slack") or np.argmax
+    ("max-residual") of the gaps, which is the first NaN where there is one,
+    as `suite/label(sample i)`; then every other failing sample j, in sample
+    order, as `suite/sample-j`."""
+    i = int((np.argmin if label == "min-slack" else np.argmax)(gap))
+
+    def record(check_id, j):
+        return CheckRecord(check_id, float(lhs[j]), float(rhs[j]), float(gap[j]), bool(passed[j]))
+
+    return [record(f"{suite}/{label}(sample {i})", i)] + [
+        record(f"{suite}/sample-{j}", j) for j in range(len(gap)) if not passed[j] and j != i]

@@ -35,9 +35,8 @@ from hardylab import (
     write_json_report,
 )
 from hardylab import cli, harness, inequalities
-from hardylab.harness import _scan
 from hardylab.inequalities import residual_verdict
-from oracles import sample_ensemble
+from oracles import oracle_suite_records, sample_ensemble
 
 
 def small_config(**kw):
@@ -187,9 +186,9 @@ class TestTheoremCommand:
             steps.append(verify_chain(rep, slack=config.tol))
         for k, step in enumerate(harness.CHAIN_STEPS):
             records = [sample[k] for sample in steps]
-            _scan(checks, f"chain/{step}", "min-slack", range(config.samples),
-                  *(np.array([getattr(r, name) for r in records])
-                    for name in ("lhs", "rhs", "gap", "passed")))
+            checks += oracle_suite_records(f"chain/{step}", "min-slack",
+                                           *(np.array([getattr(r, name) for r in records])
+                                             for name in ("lhs", "rhs", "gap", "passed")))
 
         # batch rows round as lone samples do, so the records are equal bit for bit
         assert report.checks == checks
@@ -398,11 +397,16 @@ class TestReportPlumbing:
         checks = []
         lhs, rhs = np.array([0.0, 2.0, 3.0, 1.0]), np.ones(4)
         gap, passed = np.array([0.5, -0.5, -2 / 3, 0.0]), np.array([True, False, False, True])
-        worst = _scan(checks, "chain/step", "min-slack", range(4), lhs, rhs, gap, passed)
+        record = harness._Record("chain/step", "min-slack")
+        record.add(slice(0, 4), lhs, rhs, gap, passed)  # the whole run as one chunk
+        worst = record.scan(checks)
         assert worst == CheckRecord("chain/step/min-slack(sample 2)", 3.0, 1.0, -2 / 3, False)
         assert checks == [worst, CheckRecord("chain/step/sample-1", 2.0, 1.0, -0.5, False)]
-        worst = _scan(checks, "split", "max-residual", range(2), [1.0, 1.5], [1.0, 1.0],
-                      [0.0, 0.5], [True, False])
+        record = harness._Record("split", "max-residual")
+        for i in range(2):  # one chunk per sample
+            record.add(slice(i, i + 1), *(np.array(x[i:i + 1]) for x in
+                                          ([1.0, 1.5], [1.0, 1.0], [0.0, 0.5], [True, False])))
+        worst = record.scan(checks)
         assert worst.check_id == "split/max-residual(sample 1)"
         assert sum(1 for c in checks if not c.passed) == 3
         json.dumps(RunReport("x", {}, checks).to_dict())  # plain floats and bools

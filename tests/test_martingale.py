@@ -406,7 +406,7 @@ class TestMeansCheckedOnce:
 
     def test_overflowing_squares_leave_the_norms_finite(self):
         # at values near 5e307, as at 1e200, the isometry's squares overflow;
-        # its norms are taken again at 2^-e, and cos t + cos 3t and sin t + sin 3t
+        # its rows are taken at 2^-e first, and cos t + cos 3t and sin t + sin 3t
         # have mean square 1, so both sides are the scale and pass the residual
         # verdict (squared unscaled, they were (inf, inf) and failed it)
         grid = make_grid(16)
@@ -452,6 +452,23 @@ class TestOnePowerOfTwoStep:
         norms = check_transform_isometry(F, constant_phases(grid, 1))
         assert norms == pytest.approx((scale / math.sqrt(2),) * 2, rel=1e-15, abs=0.0)
         assert previsible_norm(F) == pytest.approx(scale, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("base, scale", [(0.0, 1e160), (0.0, 1e-170), (1.0, 1e-170)])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_batch_sample_beyond_the_window_is_refused(self, base, scale, first):
+        # the batch isometry refuses a far sample beside an in-window one, so a
+        # batch caller cannot get the vacuous (0, 0) of squares taken unscaled;
+        # the one-field check takes the same field at its step first
+        grid = make_grid(16)
+        near = field_from_differences(grid, 1, 0.0, [np.exp(1j * grid.angles)])
+        far = field_from_differences(grid, 1, base, [scale * np.exp(1j * grid.angles)])
+        rows = np.stack([far.rows, near.rows] if first else [near.rows, far.rows])
+        with pytest.raises(ValueError, match="within the scale window"):
+            _isometry_norms(grid, rows, [np.ones(2, complex)], base)
+        norms = check_transform_isometry(far, constant_phases(grid, 1))
+        assert norms == pytest.approx((scale / math.sqrt(2),) * 2, rel=1e-15, abs=0.0)
+        assert check_transform_isometry(near, constant_phases(grid, 1)) == pytest.approx(
+            (1 / math.sqrt(2),) * 2, rel=1e-15, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(scaled_cases())

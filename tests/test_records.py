@@ -1,10 +1,11 @@
 """Each suite folds its chunks into one running record (harness._Record).
 
 The record keeps the worst sample so far and each chunk's failing samples,
-and then records them through _scan.  Its records must equal those of _scan
-over the whole run's arrays, however the samples are cut into chunks: the
-worst sample is the first extreme or the first NaN in sample order, and every
-other failing sample follows once, in sample order.
+and then records them (_Record.scan).  Its records must equal those of the
+whole run's arrays (oracles.oracle_suite_records), however the samples are
+cut into chunks, a whole run as one chunk among them: the worst sample is the
+first extreme or the first NaN in sample order, and every other failing
+sample follows once, in sample order.
 """
 
 import math
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from hardylab import EnsembleConfig, HarnessConfig, UsageError, cmd_lemmas, envelope_gap_sides
 from hardylab.ensembles import _child_seeds, arith_sample_batch
-from hardylab.harness import _Record, _scan
+from hardylab.harness import _Record
 from hardylab.torus import MEMORY_GUARD_ENTRIES
+from oracles import oracle_suite_records
 
 LABELS = ["min-slack", "max-residual"]
 
@@ -36,10 +38,14 @@ def folded(label, cuts, lhs, rhs, gap, passed):
 
 
 def whole(label, lhs, rhs, gap, passed):
-    """The records of _scan over the whole run's arrays."""
-    checks = []
-    worst = _scan(checks, "suite", label, range(len(gap)), lhs, rhs, gap, passed)
-    return repr(worst), [repr(c) for c in checks]
+    """The oracle's records of the whole run's arrays."""
+    checks = oracle_suite_records("suite", label, lhs, rhs, gap, passed)
+    return repr(checks[0]), [repr(c) for c in checks]
+
+
+def check_ids(got):
+    """The check ids of the records that folded or whole gives, in order."""
+    return [re.match(r"CheckRecord\(check_id='([^']*)'", c).group(1) for c in got[1]]
 
 
 def arrays(gap, passed):
@@ -64,6 +70,42 @@ class TestFold:
     def test_any_cuts_equal_the_whole_run(self, run, label):
         cuts, sides = run
         assert folded(label, cuts, *sides) == whole(label, *sides)
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs(), st.sampled_from(LABELS))
+    def test_the_whole_run_as_one_chunk(self, run, label):
+        # the envelope suites add their whole strata draw at once
+        _, sides = run
+        assert folded(label, [], *sides) == whole(label, *sides)
+
+    @pytest.mark.parametrize("cuts", [[], [1], [2], [1, 2, 3]])
+    def test_a_nan_worst(self, cuts):
+        # the first NaN is the worst under either label, and a later NaN or
+        # extreme finite gap does not displace it
+        sides = arrays([-1.0, math.nan, 1.0, math.nan], [False, True, False, False])
+        for label in LABELS:
+            got = folded(label, cuts, *sides)
+            assert got == whole(label, *sides)
+            assert got[0].startswith(f"CheckRecord(check_id='suite/{label}(sample 1)'")
+            assert "gap=nan" in got[0]
+
+    @pytest.mark.parametrize("label, extreme", [("min-slack", -1.0), ("max-residual", 1.0)])
+    def test_equal_worst_gaps_on_both_sides_of_a_cut(self, label, extreme):
+        # the earlier one passes and stays the worst; the later one fails and
+        # is listed after it
+        sides = arrays([0.0, extreme, extreme, 0.0], [True, True, False, True])
+        got = folded(label, [2], *sides)
+        assert got == whole(label, *sides)
+        assert check_ids(got) == [f"suite/{label}(sample 1)", "suite/sample-2"]
+
+    @pytest.mark.parametrize("cuts", [[], [1], [3], [1, 2, 3, 4]])
+    def test_a_failing_worst_is_listed_first_and_once(self, cuts):
+        # sample 3 is the worst and fails; sample 1, failing, is the worst
+        # of the first chunk for some cuts and must still be listed
+        sides = arrays([0.5, -0.5, 0.25, -1.0, 0.0], [True, False, True, False, False])
+        got = folded("min-slack", cuts, *sides)
+        assert got == whole("min-slack", *sides)
+        assert check_ids(got) == ["suite/min-slack(sample 3)", "suite/sample-1", "suite/sample-4"]
 
     @pytest.mark.parametrize("label, extreme", [("min-slack", -1.0), ("max-residual", 1.0)])
     def test_equal_worst_gaps_across_a_cut_keep_the_first(self, label, extreme):
