@@ -14,10 +14,12 @@ per-sample seeding bit for bit (tests/test_ensembles.py pins this).  It is
 chunk_seed_words followed by draw_chunk; the harness hashes the seed words
 of a span of several chunks in one pass and then draws chunk by chunk.
 draw_chunk builds one PCG64 per sample and substream, all those of one
-substream on a single SeedWords that hands each its row of the words; a
-chunk with a large deepest level draws its coefficient streams on a helper
-thread while the calling thread draws its phase streams.  The single-sample
-functions keep numpy's own SeedSequence.
+substream on a single SeedWords that hands each its row of the words.  A
+chunk with a large deepest level draws only that level's normals on a helper
+thread, real halves first, while the calling thread draws the phases, turns
+them into multipliers, draws the shallower levels and scales the real halves
+as soon as they land.  The single-sample functions keep numpy's own
+SeedSequence.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return _complex_normal(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
 def _complex_normal(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(re + 1j * im) / sqrt(2), elementwise, for finite normals re and im,
     written into out (a new array by default).
@@ -76,9 +81,14 @@ def _complex_normal(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = Non
     where re or im is +-0: those entries take the division itself, whose signed
     zeros differ."""
     z = np.empty(np.broadcast_shapes(re.shape, im.shape), np.complex128) if out is None else out
-    scale = 1.0 / np.sqrt(2.0)
-    np.multiply(re, scale, out=z.real)
-    np.multiply(im, scale, out=z.imag)
+    np.multiply(re, _SQRT_HALF, out=z.real)
+    return _imaginary_normal(re, im, z)
+
+
+def _imaginary_normal(re: np.ndarray, im: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The rest of _complex_normal(re, im, z) once z.real holds re / sqrt(2):
+    the imaginary part, then the entries where re or im is +-0."""
+    np.multiply(im, _SQRT_HALF, out=z.imag)
     zero = (re == 0.0) | (im == 0.0)
     if zero.any():
         z[zero] = (re[zero] + 1j * im[zero]) / np.sqrt(2.0)
@@ -264,17 +274,18 @@ def chunk_seed_words(cfg: EnsembleConfig, tag: int, first: int, count: int,
     return _stream_seeds(_child_seeds(cfg.seed, tag, first, count), keys)
 
 
-# A chunk whose deepest level holds at least this many coefficients draws its
-# coefficient streams on a helper thread while the calling thread draws its
-# phase streams and turns them into multipliers: the normals fill and
-# _complex_normal release the GIL, and so do the phases' fill and _unit.  At
-# the memory guard (N64 d4, 786,432 deepest coefficients) a chunk's draw
-# takes about 44 ms so, against 65 ms on one thread.  Below 2^18 a thread's
-# start and join cost more than it hides (with the helper, N8 d6 ran at
-# 0.95x and N16 d4 degree 7 at 0.98x).  Right after a threaded OpenBLAS call
-# (mu's product in the chain) the BLAS workers spin on the second core and
-# the helper gains nothing, so a run's later large samples gain less than
-# its first.  In the harness such a chunk is always one sample.
+# A chunk whose deepest level holds at least this many coefficients draws that
+# level's normals on a helper thread, real halves first, while the calling
+# thread draws the phases, turns them into multipliers and draws the shallower
+# levels, all of which release the GIL in numpy's fills, exp and products; the
+# caller then scales the real halves as soon as they land, and the imaginary
+# ones after the join.  At the memory guard (N64 d4, 786,432 deepest
+# coefficients) a chunk's draw takes about 38 ms so, against 62 ms on one
+# thread (medians of 15 fresh processes each).  Below 2^18 a thread's start and
+# join cost more than it hides (N8 d6 ran at 0.95x and N16 d4 degree 7 at
+# 0.98x).  The chain keeps OpenBLAS's worker asleep
+# (inequalities._PRODUCT_ENTRIES), so no BLAS spin takes the second core from
+# a run's later large samples.  In the harness such a chunk is one sample.
 _HELPER_COEFFICIENTS = 2**18
 
 
@@ -285,38 +296,45 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None 
     their streams, and given multipliers, each level's angles come back as its
     multipliers e^{i phi} (_unit).  The draws are written into new arrays or,
     given work, into its buffers, which the next chunk drawn into work
-    overwrites.  Each level's normals are drawn into work's "rows" buffer,
-    which holds nothing until _differences fills it from the blocks, and is as
-    large as they are.  A chunk of at least _HELPER_COEFFICIENTS deepest
-    coefficients draws its coefficient streams on a helper thread, started and
-    joined within the call; every stream, and so every bit, is the same."""
+    overwrites.  The deepest level's normals are drawn into work's "rows"
+    buffer, which holds nothing once the call returns and is as large as that
+    level's block.  A chunk of at least _HELPER_COEFFICIENTS deepest
+    coefficients draws those normals on a helper thread, started and joined
+    within the call, and its shallower levels' normals into the start of the
+    deepest level's block; every stream, and so every bit, is the same."""
     n, depth, degree = cfg.n_points, cfg.depth, cfg.max_degree
     count = len(words)
     work = _WorkingSet() if work is None else work
     seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
     # every buffer of the coefficients is taken here, on the calling thread, the
-    # deepest level's normals first, so that the shallower ones take its start
-    work.take("rows", (count, 2, n ** (depth - 1), degree))
+    # deepest level's normals first, so that the shallower ones may take its start
+    deepest = work.take("rows", (count, 2, n ** (depth - 1), degree))
     blocks = [work.take(f"blocks {k}", (count, n ** (k - 1), degree), complex)
               for k in range(1, depth + 1)]
 
     # sample by sample, one generator per substream, made when it is drawn: the
     # PCG64s of one substream are built on one SeedWords, which hands each its row
-    def coefficients():
-        for k, out in enumerate(blocks, start=1):
+    def generators(k):
+        seeds = seed_words(words[:, k - 1])
+        return (generator(pcg64(seeds)) for _ in range(count))
+
+    def coefficients(levels, buffer):
+        for k in levels:
             # one draw per sample fills its real and then its imaginary part, in
             # stream order: the bits of two draws of shape (N^(k-1), d)
-            normals = work.take("rows", (count, 2) + out.shape[1:])
-            seeds = seed_words(words[:, k - 1])
-            for row in normals:
-                generator(pcg64(seeds)).standard_normal(out=row)
+            out = blocks[k - 1]
+            normals = work.take(buffer, (count, 2) + out.shape[1:])
+            for rng, row in zip(generators(k), normals):
+                rng.standard_normal(out=row)
             _complex_normal(normals[:, 0], normals[:, 1], out)
 
     def phases():
         angles = []
         for k in range(words.shape[1] - depth):
             # uniform(0, 2 pi) is 0 + 2 pi * random() in numpy's C code: the same bits
-            phi = work.take(f"angles {k}", (count,) + (n,) * k)
+            # angles turned into multipliers are dropped at once, so no buffer holds them
+            shape = (count,) + (n,) * k
+            phi = np.empty(shape) if multipliers else work.take(f"angles {k}", shape)
             seeds = seed_words(words[:, depth + k])
             for row in phi.reshape(count, -1):
                 generator(pcg64(seeds)).random(out=row)
@@ -326,27 +344,60 @@ def draw_chunk(cfg: EnsembleConfig, words: np.ndarray, work: _WorkingSet | None 
         return angles
 
     if count * n ** (depth - 1) * degree < _HELPER_COEFFICIENTS:
-        coefficients()
+        coefficients(range(1, depth + 1), "rows")
         return blocks, phases()
-    return blocks, _beside(coefficients, phases)
+
+    def here(landed):
+        angles = phases()
+        # the deepest block holds nothing until the real halves land, so the
+        # shallower levels' normals are drawn into its start
+        coefficients(range(1, depth), f"blocks {depth}")
+        landed()
+        np.multiply(deepest[:, 0], _SQRT_HALF, out=blocks[-1].real)
+        return angles
+
+    angles = _beside(lambda event: _normal_halves(list(generators(depth)), deepest, event), here)
+    _imaginary_normal(deepest[:, 0], deepest[:, 1], blocks[-1])
+    return blocks, angles
+
+
+def _normal_halves(rngs, normals: np.ndarray, landed: threading.Event) -> None:
+    """Fill normals, shape (count, 2) + block shape, sample by sample from the
+    generators rngs: every sample's real half, setting landed, then every
+    sample's imaginary half.  A generator's two fills give the bits of one
+    fill of both halves."""
+    for half in (0, 1):
+        for rng, row in zip(rngs, normals):
+            rng.standard_normal(out=row[half])
+        landed.set()
 
 
 def _beside(aside, here):
-    """here() on the calling thread while aside() runs on a helper thread, started
-    and joined within the call: returns here()'s result once aside() is done,
-    and raises aside()'s exception, if any, on the calling thread."""
-    failed = []
+    """here(landed) on the calling thread while aside(event) runs on a helper
+    thread, started and joined within the call: returns here()'s result once
+    aside() is done, and raises aside()'s exception, if any, on the calling
+    thread.  aside sets the threading.Event it is given when the part of its
+    work that here waits for is done; here waits for it by calling landed(),
+    which raises aside()'s exception instead if aside fails first."""
+    failed, event = [], threading.Event()
 
     def run():
         try:
-            aside()
+            aside(event)
         except BaseException as exc:  # handed to the calling thread
             failed.append(exc)
+        finally:
+            event.set()
+
+    def landed():
+        event.wait()
+        if failed:
+            raise failed[0]
 
     helper = threading.Thread(target=run)
     helper.start()
     try:
-        result = here()
+        result = here(landed)
     finally:
         helper.join()
     if failed:

@@ -29,12 +29,14 @@ from .inequalities import (
     CHAIN_CONSTANT,
     CHAIN_STEPS,
     CheckRecord,
-    _chain_sides,
+    _Pointwise,
+    _chain_fold,
     _modulus,
     _perturbation_rows,
+    _ratio,
     _sincos_rows,
     _split_rows,
-    _stability_batch,
+    _step_sides,
     envelope_excess_sides,
     envelope_gap_sides,
     residual_verdict,
@@ -368,24 +370,29 @@ def _coordinate_values(config: HarnessConfig, tag: int):
         yield rows, _differences(grid, blocks)[:, 0]
 
 
-def _score(grid, blocks, angles):
-    """The batch chain report of one chunk, its angles turned into multipliers."""
-    return _stability_batch(grid, blocks, [_unit(phi) for phi in angles])
+def _score(grid, blocks, angles, work: _WorkingSet) -> np.ndarray:
+    """The chain ratio of every sample of one chunk, its angles turned into
+    multipliers, folded in work's buffers."""
+    means = _chain_fold(grid, blocks, [_unit(phi) for phi in angles], work)
+    return _ratio(*means[:3])
 
 
 def cmd_theorem(config: HarnessConfig) -> RunReport:
     """Full stability chain over a random Hardy ensemble; records per-step
     margins and the empirical maximum of the final ratio.  The chain is
-    evaluated over chunks of samples at once."""
+    evaluated over chunks of samples at once, each drawn and folded in one
+    working set held for the run (_chain_fold)."""
     t0 = time.monotonic()
     checks: list = []
     grid = make_grid(config.n_points)
     records = [_Record(f"chain/{step}", "min-slack") for step in CHAIN_STEPS]
     max_ratio = 0.0
-    for rows, blocks, terms in _chunks(config, 20, multipliers=True):
-        rep = _stability_batch(grid, blocks, terms)
-        max_ratio = max(max_ratio, *rep.ratio.tolist())
-        for record, *sides in zip(records, *_chain_sides(rep, config.tol)):
+    work = _WorkingSet()
+    for rows, blocks, terms in _chunks(config, 20, work=work, multipliers=True):
+        pointwise = _Pointwise(len(blocks[0]))
+        means = _chain_fold(grid, blocks, terms, work, pointwise)
+        max_ratio = max(max_ratio, *_ratio(*means[:3]).tolist())
+        for record, *sides in zip(records, *_step_sides(means, pointwise, config.tol)):
             record.add(rows, *sides)
 
     min_slack = min(record.scan(checks).gap for record in records)
@@ -431,7 +438,7 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
     step) order from each start's accepted steps.
     """
     t0 = time.monotonic()
-    grid = make_grid(config.n_points)
+    grid, work = make_grid(config.n_points), _WorkingSet()
 
     best_ratio = -math.inf
     best_state = None
@@ -442,14 +449,14 @@ def cmd_constant_search(config: HarnessConfig) -> RunReport:
         # a start draws its normals per step as a lone climb would: per level the
         # real and then the imaginary coefficient parts, then the angles by level
         shapes = [c.shape[1:] for c in coeffs for _ in (0, 1)] + [a.shape[1:] for a in angles]
-        current = _score(grid, coeffs, angles).ratio
+        current = _score(grid, coeffs, angles, work)
         climbs = [[(0, ratio)] for ratio in current.tolist()]  # (step, ratio) per start
         for t, noise in enumerate(_search_noise(rngs, shapes, config.budget), start=1):
             prop_coeffs = [c + _SEARCH_COEFF_STEP * (re + 1j * im)
                            for c, re, im in zip(coeffs, noise[0::2], noise[1::2])]
             prop_angles = [a + _SEARCH_PHASE_STEP * z
                            for a, z in zip(angles, noise[2 * len(coeffs):])]
-            ratio = _score(grid, prop_coeffs, prop_angles).ratio
+            ratio = _score(grid, prop_coeffs, prop_angles, work)
             accept = ratio > current
             for state, prop in zip([current, *coeffs, *angles],
                                    [ratio, *prop_coeffs, *prop_angles]):

@@ -13,9 +13,11 @@ The chain has two entry points that return the same StabilityReport.  The
 reference, stability_report(field, phases), gates any martingale over grid^n
 and integrates over it.  stability_report_from_coefficients(grid,
 coefficients, phases) reads each node's coefficient row once, for mu and r^2,
-and gets every other per-level quantity from the sine-cosine identity;
-theorem and constant-search evaluate it over a leading sample axis, with
-_stability_batch, whose rows equal the one-sample report bit for bit.
+and gets every other per-level quantity from the sine-cosine identity.  Over a
+leading sample axis it is one route, _chain_fold, which folds the chain level
+by level into the root means and the pointwise step's worst: theorem and
+constant-search take those alone, and _stability_batch keeps each level's
+arrays as well; a batch row equals the one-sample report bit for bit.
 
 Each formula of the single-coordinate decomposition has one home.  Three
 slice integrals run over the last axis of (..., N) arrays, so they take one
@@ -23,7 +25,7 @@ row or a whole level, whose b and w then end in an axis of length 1:
 _slice_parts (u, mu = <u,s> and r^2 = int |u - mu s|^2), _perturbed_moment
 (int |u - b s|^2) and _transform_moment (int Im^2(w (g - b s))).  The grid
 chain and the single-coordinate side functions use the integrals;
-_stability_batch uses only their closed forms, the sine-cosine identity
+_chain_fold uses only their closed forms, the sine-cosine identity
 _sincos_form (r^2 + Re^2(w mu) + Im^2(w(mu - b))) and the orthogonal split
 |mu - b|^2 + r^2, so comparing the two chains checks the identities that the
 closed forms stand for.  It evaluates them operation by operation, taking
@@ -59,16 +61,24 @@ from .martingale import (
     MartingaleField,
     _check_phases,
     _coefficient_blocks,
+    _cell_means,
+    _cells,
     _even_part,
-    _node_slabs,
-    _project_trailing_cells,
     _require_unimodular,
     _root_mean,
+    _slabs,
     cond_square_profile,
     is_hardy_martingale,
     project_dyadic_cells,
 )
-from .torus import GridFunction, TorusGrid, _check_tolerance, _frozen, _rows_are_hardy
+from .torus import (
+    GridFunction,
+    TorusGrid,
+    _check_tolerance,
+    _frozen,
+    _rows_are_hardy,
+    _WorkingSet,
+)
 
 # Tracked constant of the stability chain.  Factors, in order of use:
 # sqrt(8) from the square-function step, a further sqrt(8) entering under the
@@ -364,7 +374,7 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases) -> Stability
     grid = field.grid
     sig = grid.sign_values
 
-    nodes, moments = [], []
+    levels, moments = [], []
     for w, g_k, q in zip(phases.terms, field.diffs, cond_square_profile(field).level_moments):
         u_k, mu_k, r_sq = _slice_parts(g_k, sig)
         b_k = project_dyadic_cells(grid, mu_k)
@@ -373,49 +383,38 @@ def stability_report(field: MartingaleField, phases: AdaptedPhases) -> Stability
             _perturbed_moment(u_k, b_col, sig),
             _transform_moment(g_k, b_col, w[..., np.newaxis], sig),
             mu_k, b_k, arith_envelope(mu_k, b_k), np.sqrt(r_sq)))
-        nodes.append((mu, b, a, r))
-        moments.append(np.stack([m, tq, q[np.newaxis], a**2 + r**2, np.abs(mu) ** 2,
+        levels.append((mu, b, a, r, m, tq))
+        moments.append(np.stack([m, tq, q[np.newaxis], *_node_moments(a, r, mu),
                                  np.abs(b) ** 2]))
-    return _first_sample(_chain_report(nodes, moments))
+    return _first_sample(_report(levels, _root_mean(moments)))
 
 
-def _chain_report(nodes, moments) -> StabilityReport:
-    """The batch report of per-level node arrays (mu, b, a, r) and per-level
-    moments, one (6, M) + grid^(k-1) array per level whose rows are the
-    perturbed, transform and base moments, a^2 + r^2, |mu|^2 and |b|^2: the
-    means, P-norms and ratio, one per sample, from one _root_mean of all six.
+def _node_moments(a, r, mu) -> tuple:
+    """a^2 + r^2 and |mu|^2 of whole node arrays: two of the chain's moments,
+    which _node_slab takes operation by operation, with the same bits."""
+    return a**2 + r**2, np.abs(mu) ** 2
 
-    The moments are consumed: the sum over grid^(n-1) is taken in the deepest
-    level's array, so the two rows that the report keeps are copied out of it
-    first."""
-    deepest = moments[-1]
-    kept = [q[:2] for q in moments[:-1]] + [deepest[:2].copy()]
-    (perturbation_pnorm, transform_pnorm, base_pnorm, envelope_mean, coeff_mean,
-     dyadic_mean) = _root_mean(moments, out=deepest)
 
-    # a vanishing denominator (impossible for valid inputs; flagged by
-    # verify_chain) gives 0 for a vanishing perturbation and inf otherwise
-    denom_sq = transform_pnorm * base_pnorm
+# The six root means of the chain, in the row order of every level's moments:
+# the perturbed, transform and base moments, a^2 + r^2, |mu|^2 and |b|^2.
+_MEANS = ("perturbation_pnorm", "transform_pnorm", "base_pnorm", "envelope_mean", "coeff_mean",
+          "dyadic_mean")
+
+
+def _report(levels, means) -> StabilityReport:
+    """The batch report of per-level (mu, b, a, r, perturbed moment, transform
+    moment) arrays and the six root means, shape (6, M) in _MEANS order."""
+    return StabilityReport(*zip(*levels), **dict(zip(_MEANS, means)), ratio=_ratio(*means[:3]))
+
+
+def _ratio(perturbation, transform, base) -> np.ndarray:
+    """||U - E(U|D)||_P / sqrt(||T_W(G - E(G|D))||_P ||G||_P) per sample.  A
+    vanishing denominator (impossible for valid inputs; flagged by verify_chain)
+    gives 0 for a vanishing perturbation and inf otherwise."""
+    denom_sq = transform * base
     positive = denom_sq > 0.0
-    ratio = np.where(positive, perturbation_pnorm / np.sqrt(np.where(positive, denom_sq, 1.0)),
-                     np.where(perturbation_pnorm == 0.0, 0.0, math.inf))
-
-    sigma_coeffs, dyadic_coeffs, envelopes, residual_rms = zip(*nodes)
-    return StabilityReport(
-        sigma_coeffs=sigma_coeffs,
-        dyadic_coeffs=dyadic_coeffs,
-        envelopes=envelopes,
-        residual_rms=residual_rms,
-        perturbed_moments=tuple(q[0] for q in kept),
-        transform_moments=tuple(q[1] for q in kept),
-        envelope_mean=envelope_mean,
-        coeff_mean=coeff_mean,
-        dyadic_mean=dyadic_mean,
-        perturbation_pnorm=perturbation_pnorm,
-        transform_pnorm=transform_pnorm,
-        base_pnorm=base_pnorm,
-        ratio=ratio,
-    )
+    return np.where(positive, perturbation / np.sqrt(np.where(positive, denom_sq, 1.0)),
+                    np.where(perturbation == 0.0, 0.0, math.inf))
 
 
 def _first_sample(batch):
@@ -467,39 +466,141 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     blocks[k-1], of shape (M, N^(k-1), d_k), holds every sample's level-k
     coefficient rows as _coefficient_blocks validates them, and terms[k-1], of
     shape (M,) + (N,)*(k-1), their level-k multipliers as AdaptedPhases
-    validates them; terms may run deeper than blocks.
+    validates them; terms may run deeper than blocks.  It is _chain_fold, which
+    reduces the chunk level by level (mu in row blocks that keep OpenBLAS's
+    worker asleep, b from the level's cell means, every other node quantity
+    slab by slab into running root-mean totals), with each level's node
+    arrays kept in new arrays."""
+    levels = []
+    return _report(levels, _chain_fold(grid, blocks, terms, _WorkingSet(), levels=levels))
 
-    Per level, mu is one (rows, d) product per sample, so that each row rounds
-    as it would alone, and b is its projection, which needs the whole level;
-    both are held whole.  Every other node quantity is elementwise, so it is
-    formed over slabs of the flattened (M N^(k-1),) node axis, each of at most
-    _SLAB_ENTRIES coefficients, and written into the level's arrays with
-    temporaries the size of a slab (_node_slab): no bit depends on the cuts.
-    """
-    n, count = grid.n_points, len(blocks[0])
-    nodes, moments = [], []
+
+# mu's products are cut into blocks of rows of at most this many coefficients.
+# OpenBLAS (0.3.31 measured) runs a complex matrix-vector product of rows * d
+# >= 4096 on its worker threads: at d = 3, 1365 rows leave the worker idle and
+# 1366 rows wake it.  A woken worker then spins on the second core of a
+# 2-core host and slows every pass after it: at the memory guard the level-4
+# product took 12.4-15.3 ms against 2.9-3.4 ms on one thread, and the node
+# slabs after it about twice as long.
+_PRODUCT_ENTRIES = 4095
+
+
+def _sigma_product(c, sigma, out) -> np.ndarray:
+    """mu = c @ sigma for the (M, rows, d) coefficient rows c, written into out,
+    of shape (M, rows): one product per sample and block of rows
+    (_product_blocks).  A lone row rounds apart from the rows of a larger
+    product; blocks of two rows and more round as the whole level's product
+    does (tests/test_inequalities.py checks the bits)."""
+    for part in _product_blocks(*c.shape[1:]):
+        np.matmul(c[:, part], sigma, out=out[:, part])
+    return out
+
+
+def _product_blocks(rows: int, d: int) -> list:
+    """Slices that cut `rows` rows of d coefficients into blocks as even as may
+    be, of at most max(2, _PRODUCT_ENTRIES // d) rows each and none of one row:
+    one row is one block, and an odd count cut into blocks of two ends in one
+    of three."""
+    blocks = max(1, min(-(-rows // max(2, _PRODUCT_ENTRIES // d)), rows // 2))
+    return [slice(i * rows // blocks, (i + 1) * rows // blocks) for i in range(blocks)]
+
+
+def _chain_fold(grid: TorusGrid, blocks, terms, work: _WorkingSet,
+                pointwise: _Pointwise | None = None, levels: list | None = None) -> np.ndarray:
+    """The stability chain of M samples (blocks and terms as _stability_batch
+    takes them), folded level by level: the six root means, shape (6, M) in
+    _MEANS order, and, given pointwise, the pointwise step's nodes added to it.
+
+    Per level, mu is one product per sample and block of rows (_sigma_product)
+    and b is read from the level's cell means (martingale._cell_means).  Every
+    other node quantity is formed over slabs of whole samples or of runs of one
+    sample's nodes that share parents (martingale._slabs: a parent is a node of
+    the level above, with N children), with slab-sized temporaries
+    (_node_slab), and folded at once into the pointwise step and into the
+    root-mean totals: each node's six moments plus its parent's total, the
+    terms of _root_mean in its order.  Only the totals and each slab's worst
+    node per sample outlive a level; the deepest level's totals take work's
+    "rows" buffer, where draw_chunk leaves the dead normals.  Given levels, a list, each
+    level's (mu, b, a, r, perturbed moment, transform moment) is appended in
+    new arrays of shape (M,) + (N,)*(k-1)."""
+    n, count, depth = grid.n_points, len(blocks[0]), len(blocks)
+    total = np.zeros((6, count, 1))  # of level 0: one parent per sample
+    parent_cells = child_cells = np.zeros(1, np.intp)
     for k, (w, c) in enumerate(zip(terms, blocks), start=1):
         sigma, tau = _sign_modes(grid, c.shape[-1])
-        mu = (c.reshape(count, -1, sigma.size) @ sigma).reshape((count,) + (n,) * (k - 1))
-        b = _project_trailing_cells(grid, mu, k - 1)
-        level = np.empty((6,) + mu.shape)  # in _chain_report's order
-        a, r = np.empty(mu.shape), np.empty(mu.shape)
-        rows, level_flat = c.reshape(-1, sigma.size), level.reshape(6, -1)
-        flat = [x.reshape(-1) for x in (mu, b, w, a, r)]
-        for part in _node_slabs(mu.size, sigma.size):
-            _node_slab(rows[part], sigma, tau, *[x[part] for x in flat], level_flat[:, part])
-        nodes.append((mu, b, a, r))
-        moments.append(level)
-    return _chain_report(nodes, moments)
+        shape = (count,) + (n,) * (k - 1)
+        parents, children = total.shape[-1], n if k > 1 else 1
+        split = (count, parents, children)
+        parent_cells = (2 * parent_cells[:, np.newaxis] + child_cells).reshape(-1)
+        child_cells = _cells(grid) if k > 1 else child_cells
+        mu = np.empty(split, complex) if levels is not None else work.take("mu", split, complex)
+        _sigma_product(c.reshape(count, -1, sigma.size), sigma, mu.reshape(count, -1))
+        means = _cell_means(grid, mu.reshape(shape), k - 1).reshape(count, -1, min(children, 2))
+        # b, a, r and the perturbed and transform moments, when kept
+        kept = levels is not None and [np.empty(split, t) for t in (complex,) + (float,) * 4]
+        level = work.take("rows" if k == depth else f"total {k % 2}", (6,) + split)
+        nodes = (c.reshape(split + (-1,)), mu, w.reshape(split))
+        for s, p in _slabs((count, parents, children * sigma.size)):
+            c_s, mu_s, w_s = (x[s, p] for x in nodes)
+            b, a, r = (x[s, p] for x in kept[:3]) if kept else (
+                np.empty(mu_s.shape, t) for t in (complex, float, float))
+            np.take(np.take(means[s], parent_cells[p], axis=1), child_cells, axis=2, out=b,
+                    mode="clip")
+            rows = level[:, s, p]
+            _node_slab(c_s, sigma, tau, mu_s, b, w_s, a, r, rows)
+            if pointwise is not None:
+                pointwise.add(s, rows[0], _pointwise_rhs(rows[3], rows[4]))
+            if kept:
+                kept[3][s, p], kept[4][s, p] = rows[:2]
+            np.add(total[:, s, p, np.newaxis], rows, out=rows)
+        if kept:
+            levels.append(tuple(x.reshape(shape) for x in [mu] + kept))
+        total = level.reshape(6, count, -1)
+    return np.mean(np.sqrt(total, out=total), axis=-1)
+
+
+def _pointwise_rhs(envelope, coeff):
+    """The pointwise step's right side 8 (a^2 + r^2 - |mu|^2) from a^2 + r^2 and |mu|^2."""
+    return 8.0 * (envelope - coeff)
+
+
+class _Pointwise:
+    """The pointwise step's worst over M samples, folded in node order: per
+    sample, the first node of largest excess m - rhs over all levels, a NaN
+    excess taken first (as np.argmax over all the levels' nodes at once takes
+    it), and that node's sides lhs = m and rhs (sides()).  Each add keeps only
+    its slab's first worst node per sample."""
+
+    def __init__(self, count: int):
+        self.count, self.held = count, []
+
+    def add(self, samples: slice, m, rhs) -> None:
+        """Fold in the next nodes of the samples in `samples`, m and rhs of
+        shape (samples,) + the nodes' shape."""
+        m, rhs = m.reshape(len(m), -1), rhs.reshape(len(m), -1)
+        excess = m - rhs
+        at = (np.arange(len(m)), np.argmax(excess, axis=1))
+        self.held.append((np.arange(self.count)[samples], excess[at], m[at], rhs[at]))
+
+    def sides(self) -> tuple:
+        """(lhs, rhs) of every sample's worst node, each of shape (M,).  A
+        stable sort of the held nodes by sample, NaN first, then by excess,
+        largest first, puts each sample's first worst node first."""
+        index, excess, lhs, rhs = map(np.concatenate, zip(*self.held))
+        nan = np.isnan(excess)
+        order = np.lexsort((-np.where(nan, 0.0, excess), ~nan, index))
+        first = order[np.flatnonzero(np.diff(index[order], prepend=-1))]
+        return lhs[first], rhs[first]
 
 
 def _node_slab(c, sigma, tau, mu, b, w, a, r, level) -> None:
-    """One slab of _stability_batch's nodes: from the coefficient rows c, shape
-    (nodes, d), and the nodes' mu, b and w, write the envelope a, the residual
-    r and the six moment rows of level, shape (6, nodes).
+    """One slab of _chain_fold's nodes: from the coefficient rows c, shape
+    nodes + (d,), and the nodes' mu, b and w, write the envelope a, the
+    residual r and the six moment rows of level, shape (6,) + nodes, in
+    _MEANS order.
 
     The closed forms _sincos_form and |mu - b|^2 + r^2, the envelope and the
-    moments of _chain_report are taken operation by operation, on the same
+    moments are taken operation by operation, on the same
     operands as the forms, so every value equals theirs; each modulus and
     square is taken once, into the row of the moments that keeps it or, until
     that row is written, that lends it its buffer."""
@@ -588,30 +689,34 @@ def verify_chain(report: StabilityReport, slack: float = 1e-10) -> list:
 def _chain_sides(report: StabilityReport, slack: float) -> tuple:
     """lhs, rhs, gap and passed of verify_chain as arrays of shape (5, M): one
     row per step of CHAIN_STEPS, one column per sample of a batch report (a
-    one-sample report is the batch M = 1)."""
+    one-sample report is the batch M = 1).  The pointwise step folds the
+    report's levels, one slab each, as _chain_fold folds the nodes."""
     count = np.size(report.perturbation_pnorm)
-    ex, ey, ez, pp, tp, bp = (np.reshape(x, count) for x in (
-        report.envelope_mean, report.coeff_mean, report.dyadic_mean,
-        report.perturbation_pnorm, report.transform_pnorm, report.base_pnorm))
+    pointwise = _Pointwise(count)
+    for m, a, r, mu in zip(report.perturbed_moments, report.envelopes, report.residual_rms,
+                           report.sigma_coeffs):
+        m, a, r, mu = (np.reshape(x, (count, -1)) for x in (m, a, r, mu))
+        pointwise.add(slice(None), m, _pointwise_rhs(*_node_moments(a, r, mu)))
+    means = np.reshape([getattr(report, name) for name in _MEANS], (6, count))
+    return _step_sides(means, pointwise, slack)
 
+
+def _step_sides(means, pointwise: _Pointwise, slack: float) -> tuple:
+    """_chain_sides from the six root means, shape (6, M) in _MEANS order, and
+    the pointwise step's worst."""
+    pp, tp, bp, ex, ey, ez = means
     # Pointwise: E_{k-1}|u_k - b_k s_k|^2 <= 8*(a_k^2 + r_k^2 - |mu_k|^2), per sample at
     # its first entry of largest excess over all levels; a NaN entry is the one taken.
-    m, a, r, mu = ([np.reshape(x, (count, -1)) for x in per_level]
-                   for per_level in (report.perturbed_moments, report.envelopes,
-                                     report.residual_rms, report.sigma_coeffs))
-    m, rhs_all = (np.concatenate(x, axis=1) for x in (
-        m, [8.0 * (a**2 + r**2 - np.abs(mu) ** 2) for a, r, mu in zip(a, r, mu)]))
-    worst = (np.arange(count), np.argmax(m - rhs_all, axis=1))
-
     gap_mean = np.maximum(ex - ey, 0.0)  # X >= Y pointwise; clamp round-off
     denom_sq = tp * bp
     positive = denom_sq > 0.0
-    lhs = np.stack([ez, m[worst], pp, ex - ez, pp])
+    worst_lhs, worst_rhs = pointwise.sides()
+    lhs = np.stack([ez, worst_lhs, pp, ex - ez, pp])
     rhs = np.stack([
         # averaging onto the sign cells can only shrink the mean of the
         # square-function of the sigma coefficients
         ey,
-        rhs_all[worst],
+        worst_rhs,
         # ||U - E(U|D)||_P <= sqrt(8) * (E(X-Y))^(1/2) * (E(X+Y))^(1/2)
         np.sqrt(8.0) * np.sqrt(gap_mean) * np.sqrt(ex + ey),
         # E(X - Z) <= sqrt(8) * ||T_W(G - E(G|D))||_P

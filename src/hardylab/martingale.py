@@ -114,8 +114,9 @@ def _levels(x: np.ndarray, n: int) -> list:
 # Grid entries per slab of rows: the scale, the Hardy gate and the transform
 # isometry walk their rows a slab at a time, so their temporaries stay near
 # one slab whatever the rows' size.  The chain's node quantities
-# (inequalities._stability_batch) walk a level's nodes in slabs of as many
-# coefficients (_node_slabs).
+# (inequalities._chain_fold) walk a level's nodes in slabs of as many
+# coefficients, cut the same way: a parent node, with its N children of d
+# coefficients each, stands for a row.
 _SLAB_ENTRIES = 2**14
 
 
@@ -589,24 +590,37 @@ def _project_trailing_cells(grid: TorusGrid, arr: np.ndarray, n_axes: int,
     """project_dyadic_cells over the last n_axes axes of arr only; the axes
     before them (a sample axis) are carried along.  The result is written
     into out, of arr's shape, when given."""
-    n = grid.n_points
-    half, quarter = n // 2, n // 4
-    first = arr.ndim - n_axes
-    means = arr.astype(np.result_type(arr, 1.0), copy=False)  # integers average to floats
-    for axis in range(first, arr.ndim):  # fold, then sum each quarter: N -> 2
-        lead, shape = (slice(None),) * axis, means.shape
-        quarters = shape[:axis] + (2, quarter) + shape[axis + 1:]
-        means = (means[lead + (slice(half),)] + means[lead + (slice(n - 1, half - 1, -1),)]
-                 ).reshape(quarters).sum(axis=axis + 1)
-        means /= half  # [positive cell, negative cell] along axis
+    means, first = _cell_means(grid, arr, n_axes), arr.ndim - n_axes
     # spread back, innermost axis first, so the widest copies come last
-    cell = (grid.sign_values < 0).astype(np.intp)
+    cell = _cells(grid)
     out = np.empty(arr.shape, means.dtype) if out is None else out
     for axis in range(arr.ndim - 1, first - 1, -1):
         means = np.take(means, cell, axis=axis, out=out if axis == first else None, mode="clip")
     if not n_axes:  # nothing to average: the identity, still a new array
         out[...] = means
     return out
+
+
+def _cells(grid: TorusGrid) -> np.ndarray:
+    """The sign cell of every grid point along one axis: 0 positive, 1 negative."""
+    return (grid.sign_values < 0).astype(np.intp)
+
+
+def _cell_means(grid: TorusGrid, arr: np.ndarray, n_axes: int) -> np.ndarray:
+    """The means of arr over the sign cells of its last n_axes axes, shape
+    arr.shape[:-n_axes] + (2,)*n_axes, index 0 the positive cell and 1 the
+    negative one along each axis: what _project_trailing_cells spreads back.
+    Given no axes, arr itself (as floats)."""
+    n = grid.n_points
+    half, quarter = n // 2, n // 4
+    means = arr.astype(np.result_type(arr, 1.0), copy=False)  # integers average to floats
+    for axis in range(arr.ndim - n_axes, arr.ndim):  # fold, then sum each quarter: N -> 2
+        lead, shape = (slice(None),) * axis, means.shape
+        quarters = shape[:axis] + (2, quarter) + shape[axis + 1:]
+        means = (means[lead + (slice(half),)] + means[lead + (slice(n - 1, half - 1, -1),)]
+                 ).reshape(quarters).sum(axis=axis + 1)
+        means /= half  # [positive cell, negative cell] along axis
+    return means
 
 
 def dyadic_project(field: MartingaleField) -> MartingaleField:

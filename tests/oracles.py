@@ -182,3 +182,13 @@ def oracle_suite_records(suite, label, lhs, rhs, gap, passed):
 
     return [record(f"{suite}/{label}(sample {i})", i)] + [
         record(f"{suite}/sample-{j}", j) for j in range(len(gap)) if not passed[j] and j != i]
+
+
+def oracle_pointwise(m_levels, rhs_levels):
+    """The pointwise step's (lhs, rhs) per sample from whole per-level (M, nodes)
+    arrays of its two sides: the levels' nodes concatenated in level order and
+    the first np.argmax of m - rhs taken per sample, which is the first NaN
+    where there is one."""
+    m, rhs = (np.concatenate(x, axis=1) for x in (m_levels, rhs_levels))
+    worst = (np.arange(len(m)), np.argmax(m - rhs, axis=1))
+    return m[worst], rhs[worst]

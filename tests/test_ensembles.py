@@ -429,11 +429,27 @@ class TestHelperThreadDraw:
             raised_on.append(threading.get_ident())
             raise RuntimeError("no normals")
 
-        monkeypatch.setattr(ensembles, "_complex_normal", broken)
+        monkeypatch.setattr(ensembles, "_normal_halves", broken)  # the helper's whole task
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^no normals$"):
             draw_chunk(cfg, words, multipliers=True)
         assert raised_on and caller not in raised_on
+        assert threading.active_count() == before
+
+    def test_an_error_after_the_real_halves_is_raised_by_the_caller(self, monkeypatch):
+        # the caller has scaled the real halves and waits at the join
+        cfg = EnsembleConfig(3, 8, 2, 3)
+        words = chunk_seed_words(cfg, 0, 0, 2)
+        monkeypatch.setattr(ensembles, "_HELPER_COEFFICIENTS", 1)
+
+        def broken(rngs, normals, landed):
+            landed.set()
+            raise RuntimeError("no imaginary halves")
+
+        monkeypatch.setattr(ensembles, "_normal_halves", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no imaginary halves$"):
+            draw_chunk(cfg, words, multipliers=True)
         assert threading.active_count() == before
 
     def test_an_error_on_the_caller_joins_the_helper(self, monkeypatch):

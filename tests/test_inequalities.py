@@ -35,6 +35,9 @@ from hardylab import (
 from hardylab.ensembles import ARITH_STRATA, _unit
 from hardylab.harness import HarnessConfig, UsageError
 from hardylab.inequalities import (
+    _PRODUCT_ENTRIES,
+    _Pointwise,
+    _chain_fold,
     _chain_sides,
     _coordinate_rows,
     _envelope_parts,
@@ -42,17 +45,22 @@ from hardylab.inequalities import (
     _perturbation_rows,
     _pow2,
     _product,
+    _product_blocks,
+    _ratio,
     _residual_sq,
     _scalar_envelopes,
     _sign_modes,
     _sincos_form,
     _split_rows,
     _sincos_rows,
+    _sigma_product,
     _stability_batch,
+    _step_sides,
     residual_verdict,
 )
 from hardylab import martingale
 from hardylab.martingale import _project_trailing_cells
+from hardylab.torus import _WorkingSet
 
 import oracles
 
@@ -1025,3 +1033,165 @@ def _batch_of_one(report):
                  if isinstance(getattr(report, f.name), tuple)
                  else np.array([getattr(report, f.name)]))
         for f in dataclasses.fields(report)})
+
+
+class TestBlockedSigmaProduct:
+    """mu's product in blocks of rows (_sigma_product) equals the whole level's
+    c @ sigma bit for bit, and only a level of one row has a one-row block."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_the_whole_product(self, data):
+        n = data.draw(st.sampled_from([8, 16, 32, 64]))
+        d = data.draw(st.integers(1, n // 2 - 1))
+        step = _PRODUCT_ENTRIES // d
+        # any count of rows, and counts that leave one row beyond whole blocks
+        rows = data.draw(st.one_of(st.integers(1, 3 * step),
+                                   st.integers(1, 3).map(lambda q: q * step + 1)))
+        count = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        c = rng.standard_normal((count, rows, d)) + 1j * rng.standard_normal((count, rows, d))
+        c *= 10.0 ** rng.uniform(-3.0, 3.0, size=(count, rows, 1))
+        sigma = _sign_modes(make_grid(n), d)[0]
+        got = _sigma_product(c, sigma, np.empty((count, rows), complex))
+        assert np.array_equal(bits(got), bits(c @ sigma))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 10**5), d=st.integers(1, 2047))
+    def test_the_block_rule(self, rows, d):
+        # up to the largest degree of any grid (N = 4096): blocks in order, as
+        # even as may be, within the bound where two rows fit it, never of one row
+        parts = _product_blocks(rows, d)
+        assert parts[0].start == 0 and parts[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        sizes = [part.stop - part.start for part in parts]
+        assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2 or rows == 1)
+        step = _PRODUCT_ENTRIES // d
+        assert max(sizes) <= max(step, 2) or (step <= 2 and max(sizes) == 3)
+
+    @pytest.mark.parametrize("n, depth, d", [(64, 4, 3), (8, 8, 3), (32, 4, 15), (64, 3, 31)])
+    def test_every_level_of_the_harness_shapes(self, n, depth, d):
+        # N8 d8's deepest level is 8^7 rows; N64 d4's 64^3, 193 blocks of about 1358
+        sigma, rng = _sign_modes(make_grid(n), d)[0], np.random.default_rng(n + d)
+        for k in range(1, depth + 1):
+            c = rng.standard_normal((1, n ** (k - 1), d)) + 1j * rng.standard_normal(
+                (1, n ** (k - 1), d))
+            got = _sigma_product(c, sigma, np.empty(c.shape[:2], complex))
+            assert np.array_equal(bits(got), bits(c @ sigma)), k
+
+
+def _cut(data, count, nodes):
+    """The slabs of one level of `count` samples of `nodes` nodes each, cut as
+    martingale._slabs cuts them, at drawn points: runs of whole samples, or
+    runs of one sample's nodes.  Yields (samples slice, nodes slice)."""
+    if data.draw(st.booleans()):
+        step = data.draw(st.integers(1, count))
+        for i in range(0, count, step):
+            yield slice(i, i + step), slice(None)
+        return
+    for i in range(count):
+        cuts = sorted(data.draw(st.sets(st.integers(1, nodes - 1), max_size=3))) if nodes > 1 else []
+        for a, b in zip([0] + cuts, cuts + [nodes]):
+            yield slice(i, i + 1), slice(a, b)
+
+
+class TestPointwiseFold:
+    """_Pointwise folds the pointwise step slab by slab in node order and takes
+    what the concatenate-then-argmax route (oracles.oracle_pointwise) takes:
+    the first largest excess over all levels, a NaN taken first."""
+
+    @staticmethod
+    def fold(levels, cuts):
+        m, rhs = levels
+        fold = _Pointwise(len(m[0]))
+        for x, y, slabs in zip(m, rhs, cuts):
+            for s, p in slabs:
+                fold.add(s, x[s, p], y[s, p])
+        return fold
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_cuts_equal_the_whole_route(self, data):
+        count = data.draw(st.integers(1, 4))
+        widths = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # few distinct values, so equal excesses meet within and across slabs and levels
+        m, rhs = ([rng.integers(0, 3, size=(count, w)) * 0.5 for w in widths] for _ in (0, 1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            k = data.draw(st.integers(0, len(widths) - 1))
+            j, i = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, widths[k] - 1))
+            data.draw(st.sampled_from([m, rhs]))[k][j, i] = data.draw(
+                st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]))
+        cuts = [list(_cut(data, count, w)) for w in widths]
+        with np.errstate(invalid="ignore"):
+            got = self.fold((m, rhs), cuts).sides()
+            want = oracles.oracle_pointwise(m, rhs)
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(bits(x), bits(y))
+
+    @pytest.mark.parametrize("case", ["tie", "later-nan", "first-slab-nan", "all-minus-inf"])
+    def test_the_named_cases(self, case):
+        # two samples, levels of 1, 3 and 4 nodes; the deepest level cut in two
+        # runs per sample
+        m = [np.array([[1.0], [0.0]]), np.array([[2.0, 5.0, 5.0], [1.0, 0.0, 3.0]]),
+             np.array([[5.0, 0.0, 1.0, 4.0], [0.0, 3.0, 2.0, 0.0]])]
+        rhs = [np.zeros((2, w)) for w in (1, 3, 4)]
+        if case == "later-nan":
+            m[2][0, 3] = np.nan
+        if case == "first-slab-nan":
+            m[0][1, 0] = np.nan
+            m[2][1, 1] = np.nan
+        if case == "all-minus-inf":
+            rhs = [np.full((2, w), np.inf) for w in (1, 3, 4)]
+        cuts = [[(slice(0, 2), slice(None))], [(slice(0, 1), slice(None)), (slice(1, 2), slice(None))],
+                [(slice(j, j + 1), p) for j in (0, 1) for p in (slice(0, 2), slice(2, 4))]]
+        with np.errstate(invalid="ignore"):
+            got = self.fold((m, rhs), cuts).sides()
+            want = oracles.oracle_pointwise(m, rhs)
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(bits(x), bits(y))
+        # a tie keeps level 2's first 5 and its 3 against level 3's equal ones; a
+        # NaN wins over an earlier larger excess and is kept against later ones
+        expected = {"tie": [5.0, 3.0], "later-nan": [np.nan, 3.0],
+                    "first-slab-nan": [5.0, np.nan], "all-minus-inf": [1.0, 0.0]}[case]
+        np.testing.assert_array_equal(got[0], expected)
+
+
+class TestChainFold:
+    """The theorem's route, _chain_fold without kept levels and _step_sides,
+    gives the chain sides and ratio of the kept report's route (_chain_sides),
+    wherever the slabs fall and whatever its working set held before."""
+
+    @pytest.mark.parametrize("entries", [1, 21, 192, 300, 2**14])
+    @pytest.mark.parametrize("n, depth, degree, count", [
+        (8, 3, 3, 5), (16, 3, 7, 2), (8, 1, 3, 4), (4, 4, 1, 3)])
+    def test_sides_equal_the_report_route(self, monkeypatch, entries, n, depth, degree, count):
+        grid, rng = make_grid(n), np.random.default_rng(entries + n)
+
+        def draw(count):
+            blocks = [(rng.standard_normal((count, n ** k, degree))
+                       + 1j * rng.standard_normal((count, n ** k, degree)))
+                      * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, n ** k, 1))
+                      for k in range(depth)]
+            terms = [_unit(rng.uniform(0.0, 2.0 * np.pi, size=(count,) + (n,) * k))
+                     for k in range(depth)]
+            return blocks, terms
+
+        blocks, terms = draw(count)
+        blocks[0][0] = 0.0  # a zero coefficient row, a NaN and an inf one
+        blocks[-1][-1, -1] = np.nan
+        blocks[-1][0, 0, -1] = np.inf
+        work = _WorkingSet()
+        monkeypatch.setattr(martingale, "_SLAB_ENTRIES", entries)
+        with np.errstate(all="ignore"):
+            _chain_fold(grid, *draw(count + 2), work)  # buffers left holding another chunk
+            pointwise = _Pointwise(count)
+            means = _chain_fold(grid, blocks, terms, work, pointwise)
+            got = _step_sides(means, pointwise, 1e-10)
+            report = _stability_batch(grid, blocks, terms)
+            want = _chain_sides(report, 1e-10)
+            ratio = _ratio(*means[:3])  # cmd_theorem's
+        for x, y in zip(got, want, strict=True):
+            assert same_bits(np.asarray(x, float), np.asarray(y, float))
+        assert same_bits(ratio, report.ratio)
+        assert not want[3][1].all()  # the NaN row fails the pointwise step

@@ -1,10 +1,13 @@
-"""The transform-isometry suite holds its per-chunk working set for a whole run.
+"""The transform-isometry suite and theorem hold their per-chunk working set
+for a whole run.
 
-Every array a chunk of the suite fills (its draws, multipliers and rows, the
-isometry's sums and level maxima, one real and one complex slab buffer) is
-allocated at the run's first chunk and filled chunk after chunk.  These tests
-check that the reports do not depend on what the buffers held before, and that
-the process's page faults do not grow with the number of chunks.
+Every array a chunk of the isometry suite fills (its draws, multipliers and
+rows, the isometry's sums and level maxima, one real and one complex slab
+buffer), and every array a theorem chunk is drawn and folded into (the
+coefficient blocks and multipliers, the deepest normals, mu and the root-mean
+totals), is allocated at the run's first chunk and filled chunk after chunk.  These tests check that the reports do not depend on what
+the buffers held before, and that the process's page faults do not grow with
+the number of chunks.
 """
 
 import json
@@ -31,6 +34,7 @@ from hardylab.torus import _WorkingSet
 from oracles import sample_ensemble
 
 N16D3 = ["identities", "--n-points", "16", "--depth", "3", "--max-degree", "5"]
+THEOREM_N16D4 = ["theorem", "--n-points", "16", "--depth", "4", "--max-degree", "7"]
 
 
 def report_of(path):
@@ -57,6 +61,12 @@ class TestHeldBuffersAreSafe:
     def test_a_short_last_chunk(self, tmp_path):
         # 403 samples: forty 10-sample chunks, then one of 3 in leading views
         argv = N16D3 + ["--samples", "403"]
+        assert in_process_report(argv, tmp_path / "a.json") == fresh_report(argv, tmp_path / "b.json")
+
+    def test_a_short_last_theorem_chunk(self, tmp_path):
+        # N8 d3: 115 samples are two 56-sample chunks, then one of 3 in leading views
+        argv = ["theorem", "--n-points", "8", "--depth", "3", "--max-degree", "3",
+                "--samples", "115"]
         assert in_process_report(argv, tmp_path / "a.json") == fresh_report(argv, tmp_path / "b.json")
 
     def test_a_run_after_a_run_of_another_shape(self, tmp_path):
@@ -153,11 +163,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stde
 """
 
 
-def minor_faults(samples: int, padding: int) -> int:
-    """ru_minflt over cli.main of identities N16 d3 deg5, in a fresh process
-    whose environment carries an extra variable of `padding` characters."""
+def minor_faults(samples: int, padding: int, argv=N16D3) -> int:
+    """ru_minflt over cli.main of argv (identities N16 d3 deg5 by default), in a
+    fresh process whose environment carries an extra variable of `padding`
+    characters."""
     env = dict(os.environ, HARDYLAB_TEST_PADDING="x" * padding)
-    result = subprocess.run([sys.executable, "-c", FAULTS, *N16D3, "--samples", str(samples)],
+    result = subprocess.run([sys.executable, "-c", FAULTS, *argv, "--samples", str(samples)],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return int(result.stderr.split()[-1])
@@ -173,3 +184,13 @@ def test_page_faults_do_not_grow_with_the_chunks(padding):
     # four sizes, and up to 150 at others
     growth = minor_faults(400, padding) - minor_faults(10, padding)
     assert growth <= 4 * 39, growth / 39
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as Linux counts it")
+@pytest.mark.parametrize("padding", [0, 150, 500, 1000])
+def test_theorem_page_faults_do_not_grow_with_the_chunks(padding):
+    # at N16 d4 degree 7 a chunk is one sample, so 200 samples run 190 more
+    # chunks than 10 do.  The held working set reads about no page per extra
+    # chunk; fresh arrays per chunk read 58
+    growth = minor_faults(200, padding, THEOREM_N16D4) - minor_faults(10, padding, THEOREM_N16D4)
+    assert growth <= 2 * 190, growth / 190
