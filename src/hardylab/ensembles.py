@@ -36,9 +36,8 @@ from .martingale import (
     _check_degree,
     _check_size,
     _coefficient_blocks,
-    _levels,
+    _differences,
     _owning,
-    _row_count,
 )
 from .torus import GridFunction, TorusGrid, _check_integer, _WorkingSet, make_grid
 
@@ -209,19 +208,6 @@ def martingale_from_coefficients(grid: TorusGrid, coefficients) -> MartingaleFie
     """
     blocks = [c[np.newaxis] for c in _coefficient_blocks(grid, coefficients)]
     return _owning(grid, len(blocks), 0.0, _differences(grid, blocks)[0])
-
-
-def _differences(grid: TorusGrid, blocks, work: _WorkingSet | None = None) -> np.ndarray:
-    """The Hardy differences sum_{m=1..d} c_m e^{im theta} of M samples' coefficient blocks,
-    blocks[k-1] of shape (M, N^(k-1), d), as one (M, R, N) rows array, new or, given
-    work, its "rows" buffer.  Level k's stacked product, written into its run of rows,
-    rounds each sample's (N^(k-1), d) product alone."""
-    n = grid.n_points
-    shape = (len(blocks[0]), _row_count(n, len(blocks)), n)
-    rows = np.empty(shape, complex) if work is None else work.take("rows", shape, complex)
-    for c, out in zip(blocks, _levels(rows, n)):
-        np.matmul(c, grid.analytic_modes(c.shape[-1]), out=out.reshape(c.shape[:-1] + (n,)))
-    return rows
 
 
 def random_hardy_function(cfg: EnsembleConfig) -> GridFunction:

@@ -262,8 +262,7 @@ def _identity_sides(config: HarnessConfig):
     work = _WorkingSet()  # every array of the isometry suite's chunks, held from chunk to chunk
     for rows, blocks, terms in _chunks(config, 2, entries=_ISOMETRY_ENTRIES, work=work,
                                        multipliers=True):
-        yield _IDENTITY_SUITES[2], rows, _isometry_norms(
-            grid, _differences(grid, blocks, work), terms, work=work)
+        yield _IDENTITY_SUITES[2], rows, _isometry_norms(grid, blocks, terms, work=work)
 
 
 def cmd_lemmas(config: HarnessConfig) -> RunReport:
@@ -321,13 +320,14 @@ def _lemma_sides(config: HarnessConfig):
 # too: the depth-1 ones (lemmas, the first two identities suites;
 # _coordinate_values) by _BLOCK_ENTRIES, 256 samples at N16 (2^16 raises
 # lemmas N16 at 2500 samples from 37.1 to 40.2 MiB for no gain); the
-# transform-isometry suite by _ISOMETRY_ENTRIES, four of _isometry_norms'
-# slabs (10 samples at N16 d3, where the coefficients bind first).  That suite
-# fills one working set, 1.35 MiB at N16 d3 and sized at its first chunk,
-# chunk after chunk: with new arrays per chunk, that much sat near glibc's
-# heap trim threshold, and at some heap layouts was given back and faulted in
-# again every chunk (7 to 150 pages faulted per extra chunk, against about 1
-# with the set held).
+# transform-isometry suite by _ISOMETRY_ENTRIES (10 samples at N16 d3, where
+# the coefficients bind first), which bounds its per-row sums and marks: its
+# walk builds the rows slab by slab from the coefficients and never holds
+# them whole (_isometry_norms).  That suite fills one working set, 1.2 MiB at
+# N16 d3 and sized at its first chunk, chunk after chunk: with new arrays per
+# chunk, that much sat near glibc's heap trim threshold, and at some heap
+# layouts was given back and faulted in again every chunk (7 to 150 pages
+# faulted per extra chunk, against about 1 with the set held).
 _CHUNK_ENTRIES = 2**14
 _BLOCK_ENTRIES = 2**12
 _ISOMETRY_ENTRIES = 2**16

@@ -490,7 +490,10 @@ def _sigma_product(c, sigma, out) -> np.ndarray:
     of shape (M, rows): one product per sample and block of rows
     (_product_blocks).  A lone row rounds apart from the rows of a larger
     product; blocks of two rows and more round as the whole level's product
-    does (tests/test_inequalities.py checks the bits)."""
+    does (tests/test_inequalities.py checks the bits).  What reads mu next
+    starts with a dispatched add (_cell_means' fold), so no numpy reduction
+    runs straight after the product, where it would take about 7x as long
+    (torus._rows_are_hardy)."""
     for part in _product_blocks(*c.shape[1:]):
         np.matmul(c[:, part], sigma, out=out[:, part])
     return out

@@ -14,22 +14,32 @@ once, where rows come in (_owning, which builds every field; _isometry_norms).
 
 The mean check, the Hardy gate and the transform isometry run over the rows
 of M samples as one (M, R, N) array, a field's being rows[np.newaxis].  The
-scale, the gate and the isometry walk it in contiguous slabs of at most
-_SLAB_ENTRIES entries (_slabs): whole samples where one fits, else runs of
-rows of one sample.  Each slab's moduli give every sample's largest modulus
-per level, one np.max per level and slab (_fold_maxima), and the isometry's
-sums per row, kept as an (M, R) array.  The isometry and the gate take their
-arrays, one real and one complex slab buffer among them, from a working set
+scale and the gate walk it in contiguous slabs of at most _SLAB_ENTRIES
+entries (_slabs): whole samples where one fits, else runs of rows of one
+sample.  Each slab's moduli give every sample's largest modulus per level,
+one reduceat per slab (_fold_maxima).  The transform isometry
+(_isometry_norms) walks its rows once, in slabs of at most _WALK_ENTRIES cut
+level by level: each slab gives the scale's maxima, the mean check's row
+sums, the gate's verdicts and the three norms' sums per row, before any
+check is made.  Its rows are either an (M, R, N) array or are built slab by
+slab from the samples' coefficient blocks (_built_rows), so that the suite's
+chunks never hold their rows whole.  _differences and the walk cut every
+level's product on one grid of blocks (_product_rows), so that both issue
+the same products and build the same bits.  The walk takes its arrays, one
+real and two complex slab buffers among them, from a working set
 (torus._WorkingSet): a new one per call, or the one that a loop over chunks
-holds for a whole run, so that its chunks allocate nothing.  Each sample
-keeps its own scale (_scale_bound); a block's norms equal each sample's own
-bit for bit, wherever the slabs fall.  Sums and squares of a sample whose
-scale lies beyond a fixed window are taken at a power of two and scaled
-back (_unit_scaled, the one scale rule); within it, rows are taken as they are.
+holds for a whole run, so that its chunks allocate nothing.  Each sample keeps its own scale
+(_scale_bound); a block's norms equal each sample's own bit for bit,
+wherever the slabs fall.  Sums and squares of a sample whose scale lies
+beyond a fixed window are taken at a power of two and scaled back
+(_unit_scaled, the one scale rule); within it, rows are taken as they are.
 The terminal split, the mean check, previsible_norm and
 check_transform_isometry each take that step first and reduce the stepped
-rows once; the batch isometry (_isometry_norms) refuses a sample beyond the
-window.
+rows once; the batch isometry refuses a sample beyond the window.  The mean
+rule (_mean_rule), the gate rule (torus._gate_rule) and the gate's energy at
+m <= 0 (torus._gate_energy) each have one home, which the field checks and
+the walk share; the walk gates its rows unscaled, so its verdicts agree with
+is_hardy_martingale's outside a band of rounding at the tolerance.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ from .torus import (
     _check_table,
     _require_same_grid,
     _frozen,
+    _gate_energy,
+    _gate_rule,
     _rows_are_hardy,
     _stored,
     _WorkingSet,
@@ -120,37 +132,113 @@ def _levels(x: np.ndarray, n: int) -> list:
 _SLAB_ENTRIES = 2**14
 
 
-def _slabs(shape: tuple) -> list:
+# Grid entries per slab of the transform isometry's walk (_isometry_norms),
+# whose slabs take three arrays of 40 bytes an entry in all (the rows, one
+# part, their squares).  Its per-slab calls cost about 100 us, as much as 4000
+# entries' arithmetic; at 1.5 * 2^14 the slab arrays of a 10-sample N16 d3
+# chunk (two slabs) hold less than its whole rows array and gate buffers did
+# (1.2 MB), where 2^15 raised the peak RSS of identities N16 d3 by 0.6 MiB.
+_WALK_ENTRIES = 3 * 2**13
+
+# The isometry's complex matrix products (its rows from their coefficients,
+# its gate's coefficients) are cut into blocks of rows of at most this many
+# multiply-adds (rows * N * columns).  OpenBLAS (0.3.31 measured) runs a
+# larger complex matrix product on its worker threads: (rows, 16) @ (16, 9)
+# leaves the worker idle at 448 rows and wakes it at 456.  A woken worker
+# competes for the second core of a 2-core host, and a product that waits on
+# it can stall: one fresh identities run at N16 d3, 400 samples, took 0.92 s
+# against 0.10 s.  The matrix-vector products are inequalities._PRODUCT_ENTRIES'.
+_PRODUCT_MACS = 2**16
+
+
+def _product_rows(n: int, degree: int) -> int:
+    """Rows per block of a level's product from its coefficients (_built_rows):
+    an even number, within _PRODUCT_MACS multiply-adds and one walk slab.  Every
+    level is cut on this one grid from its first row, by _differences and by
+    the walk's slabs alike, so both issue the same products and get the same
+    bits from any BLAS.  That the rows also keep the bits of one product per
+    level, as the pinned reports have them, rests on the BLAS kernel: with
+    OpenBLAS 0.3.31's Haswell kernel (measured), blocks of an even number of
+    rows at even offsets round as the whole level, and a lone row, which numpy
+    gives its matrix-vector routine, rounds apart."""
+    return max(2, min(_PRODUCT_MACS // degree, _WALK_ENTRIES) // n // 2 * 2)
+
+
+def _slabs(shape: tuple, quanta: list | None = None) -> list:
     """Index pairs (samples, rows) that cut an array of shape (M, R, N) into
     contiguous slabs of at most _SLAB_ENTRIES entries, in order: whole samples
-    where one fits, else runs of rows of one sample (at least one row)."""
+    where one fits, else runs of rows of one sample (at least one row).  Given
+    quanta, one per level, the rows are a martingale's (R = 1 + N + ... +
+    N^(n-1)), the slabs hold up to _WALK_ENTRIES entries, and a sample that
+    does not fit is cut level by level: level k in runs of a multiple of
+    quanta[k-1] rows (at least one) from its first row, so that a slab of
+    rows built from coefficients holds whole product blocks (_product_rows)."""
     count, r, n = shape
-    if r * n <= _SLAB_ENTRIES:
-        return [(samples, slice(None)) for samples in _node_slabs(count, r * n)]
-    return [(slice(i, i + 1), part) for i in range(count) for part in _node_slabs(r, n)]
+    entries = _SLAB_ENTRIES if quanta is None else _WALK_ENTRIES
+    if r * n <= entries:
+        step = entries // (r * n)
+        return [(slice(i, i + step), slice(None)) for i in range(0, count, step)]
+    if quanta is None:
+        step = max(1, entries // n)
+        runs = [slice(i, i + step) for i in range(0, r, step)]
+    else:
+        bounds = _level_bounds(n, r)
+        runs = [slice(i, min(i + step, b)) for q, a, b in zip(quanta, bounds, bounds[1:])
+                for step in [max(q, entries // n // q * q)] for i in range(a, b, step)]
+    return [(slice(i, i + 1), part) for i in range(count) for part in runs]
 
 
-def _node_slabs(nodes: int, width: int) -> list:
-    """Slices that cut a flattened axis of `nodes` items of `width` entries each
-    (a node's coefficient row) into slabs of at most _SLAB_ENTRIES entries, in
-    order (at least one item per slab)."""
-    step = max(1, _SLAB_ENTRIES // width)
-    return [slice(i, i + step) for i in range(0, nodes, step)]
-
-
-def _fold_maxima(maxima: np.ndarray, s: tuple, moduli: np.ndarray, bounds: list) -> None:
-    """Fold the moduli of slab s of an (M, R, N) rows array into maxima, each
-    sample's largest modulus per level so far, shape (M, levels): one np.max
-    over each level's run of rows in the slab.  bounds are the levels' first
-    rows, then R.  Max is exact and keeps a NaN, so the maxima do not depend
-    on where the slabs fall."""
-    samples, part = s
+def _level_pieces(bounds: list, part: slice) -> list:
+    """(k, rows, local) for each level k + 1 that the rows `part` of a slab
+    meet: rows, the level's rows among them, as a slice of the level's own
+    run, and local, where they lie in the slab.  bounds are the levels' first
+    rows, then R."""
     first = part.start or 0
-    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        a, b = max(a - first, 0), min(b - first, moduli.shape[1])
-        if a < b:
-            top = maxima[samples, k]  # a view
-            np.maximum(top, np.max(moduli[:, a:b], axis=(1, 2)), out=top)
+    stop = bounds[-1] if part.stop is None else min(part.stop, bounds[-1])
+    return [(k, slice(lo - a, hi - a), slice(lo - first, hi - first))
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            for lo, hi in [(max(a, first), min(b, stop))] if lo < hi]
+
+
+def _fold_maxima(maxima: np.ndarray, samples: slice, pieces: list, values: np.ndarray) -> None:
+    """Fold the values of one slab, of shape (samples, rows, T), into maxima,
+    each sample's largest value per level so far, shape (M, levels): one
+    np.maximum.reduceat over the slab's level pieces (_level_pieces), then one
+    np.maximum.  Max is exact and keeps a NaN, so the maxima do not depend on
+    where the slabs fall."""
+    width = values.shape[-1]
+    top = maxima[samples, pieces[0][0]:pieces[-1][0] + 1]  # a view
+    np.maximum(top, np.maximum.reduceat(values.reshape(len(values), -1),
+                                        [local.start * width for _, _, local in pieces], axis=1),
+               out=top)
+
+
+def _differences(grid: TorusGrid, blocks, work: _WorkingSet | None = None) -> np.ndarray:
+    """The Hardy differences sum_{m=1..d} c_m e^{im theta} of M samples' coefficient blocks,
+    blocks[k-1] of shape (M, N^(k-1), d), as one (M, R, N) rows array, new or, given
+    work, its "rows" buffer: every level's product in its blocks (_built_rows)."""
+    n = grid.n_points
+    shape = (len(blocks[0]), _row_count(n, len(blocks)), n)
+    rows = np.empty(shape, complex) if work is None else work.take("rows", shape, complex)
+    return _built_rows(grid, blocks, slice(None), _level_pieces(_level_bounds(n, shape[1]),
+                                                                slice(None)), rows)
+
+
+def _built_rows(grid: TorusGrid, blocks, samples: slice, pieces: list,
+                out: np.ndarray) -> np.ndarray:
+    """The rows that _differences builds from blocks, of the samples and level
+    pieces (_level_pieces) of one slab, written into out, of the slab's shape.
+    Each piece starts on its level's grid of product blocks (_product_rows) and
+    ends on it or at the level's end, as _slabs cuts them, and is built block
+    by block: the products, and so the bits, of _differences."""
+    for k, rows, local in pieces:
+        c = blocks[k][samples]
+        modes, shift = grid.analytic_modes(c.shape[-1]), local.start - rows.start
+        step = _product_rows(grid.n_points, c.shape[-1])
+        for a in range(rows.start, rows.stop, step):
+            b = min(a + step, rows.stop)
+            np.matmul(c[:, a:b], modes, out=out[:, a + shift:b + shift])
+    return out
 
 
 def _scale_bound(base: complex, rows: np.ndarray) -> np.ndarray:
@@ -158,8 +246,8 @@ def _scale_bound(base: complex, rows: np.ndarray) -> np.ndarray:
     for rows of shape (M, R, N), from their level maxima (_summed_scale): shape (M,)."""
     bounds = _level_bounds(rows.shape[-1], rows.shape[1])
     maxima = np.zeros((len(rows), len(bounds) - 1))
-    for s in _slabs(rows.shape):
-        _fold_maxima(maxima, s, np.abs(rows[s]), bounds)
+    for samples, part in _slabs(rows.shape):
+        _fold_maxima(maxima, samples, _level_pieces(bounds, part), np.abs(rows[samples, part]))
     return _summed_scale(base, maxima)
 
 
@@ -198,12 +286,19 @@ _ZERO_FLOOR = 1e-13**2
 
 def _unit_scaled(x: np.ndarray, scale: np.ndarray) -> tuple:
     """x at 2^-e per sample, and e (shape (M,)), for x of shape (M, ...) and the
-    samples' scales, shape (M,) (or one scale, shape (1,), for any x): e is the
-    frexp exponent of a scale beyond the window, so that the sample's moduli
-    fall below 1, and 0 at every other scale, where x is taken as it is."""
+    samples' scales, shape (M,) (or one scale, shape (1,), for any x): e is
+    _step's exponent, so that the moduli of a sample beyond the window fall
+    below 1, and x is taken as it is at every other scale."""
+    e = _step(scale)
+    return _ldexp(x, -e), e
+
+
+def _step(scale: np.ndarray) -> np.ndarray:
+    """The frexp exponent of each scale beyond the window, and 0 at every other
+    scale (a non-finite one too): the one scale rule's step."""
     e = np.frexp(scale)[1]
     e[abs(e) <= _SCALE_WINDOW] = 0
-    return _ldexp(x, -e), e
+    return e
 
 
 def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -217,21 +312,33 @@ def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
-    """Per sample of rows, shape (M, R, N), every mean over the newest axis must
-    be within 1e-12*scale + 8*2^-1074 of 0, for scale of shape (M,), the rows'
-    _scale_bound.  An inf or a NaN in the rows makes that scale non-finite, so
-    they are rejected before any sum over them.  The means are taken at the
-    rows' _unit_scaled step and scaled back."""
+    """The mean rule (_mean_rule) for rows of shape (M, R, N) at scale, shape
+    (M,), the rows' _scale_bound."""
+    _mean_rule(_drifts(rows, scale), scale)
+
+
+def _drifts(rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per sample of rows, shape (M, R, N), and level, the largest modulus of a
+    mean over the newest axis, taken at the rows' _unit_scaled step (by scale,
+    shape (M,)) and scaled back: shape (M, levels)."""
+    x, e = _unit_scaled(rows, scale)
+    starts = _level_bounds(rows.shape[-1], rows.shape[1])[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale fails the rule first
+        drift = np.maximum.reduceat(np.abs(x.sum(axis=-1)), starts, axis=1) / x.shape[-1]
+    return np.ldexp(drift, e[:, np.newaxis])
+
+
+def _mean_rule(drift: np.ndarray, scale: np.ndarray) -> None:
+    """Per sample, every mean over the newest axis must be within 1e-12*scale +
+    8*2^-1074 of 0: drift, of shape (M, levels), holds each sample's largest
+    modulus of such a mean per level, and scale, shape (M,), is the samples'
+    _scale_bound.  An inf or a NaN in the rows makes that scale non-finite, and
+    such rows fail first, whatever their drift."""
     # averaging leaves a few ulps of mean; subnormal values round absolutely,
     # so a few units of 2^-1074 are slack too
     tol = 1e-12 * scale + 8 * math.ulp(0.0)
     if not np.isfinite(tol).all():
         raise ValueError("martingale values must be finite")
-    x, e = _unit_scaled(rows, scale)
-    starts = _level_bounds(rows.shape[-1], rows.shape[1])[:-1]
-    # the mean over the newest axis, largest per sample and level
-    drift = np.maximum.reduceat(np.abs(x.sum(axis=-1)), starts, axis=1) / x.shape[-1]
-    drift = np.ldexp(drift, e[:, np.newaxis])
     held = drift <= tol[:, np.newaxis]
     if not held.all():
         k = int(np.argmin(held.all(axis=0)))  # the first failing level, at its first failing sample
@@ -379,13 +486,20 @@ def _root_mean(moments, out=None) -> np.ndarray:
     the next level's newest axis, so every point adds the same terms in the same order
     as a sum held over grid^(n-1) throughout.  Only the last sum spans grid^(n-1); it
     is written into out (a new array by default), which may be the last level's
-    moments themselves."""
+    moments themselves.  The sum before it is spread one newest-axis column at a
+    time: numpy gives a broadcast operand iterator buffers of up to 8192 entries
+    per call, while a strided column needs none, so with a contiguous last level
+    and out the call allocates next to nothing."""
     *shallow, deepest = moments
-    total = 0.0
-    for q in shallow:
-        total = (total + q)[..., np.newaxis]
-    total = np.add(total, deepest, out=np.empty(np.shape(deepest)) if out is None else out)
-    return np.mean(np.sqrt(total, out=total).reshape(np.shape(moments[0]) + (-1,)), axis=-1)
+    out = np.empty(np.shape(deepest)) if out is None else out
+    if not shallow:
+        np.add(0.0, deepest, out=out)
+    total = shallow[0] if shallow else None
+    for q in shallow[1:]:
+        total = total[..., np.newaxis] + q
+    for j in range(np.shape(deepest)[-1] if shallow else 0):
+        np.add(total, deepest[..., j], out=out[..., j])
+    return np.mean(np.sqrt(out, out=out).reshape(np.shape(moments[0]) + (-1,)), axis=-1)
 
 
 def cond_square_profile(field: MartingaleField) -> SquareFunctionProfile:
@@ -456,20 +570,17 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
     return bool(_are_hardy(field.grid, rows, _scale_bound(field.base, rows), tol).all())
 
 
-def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float,
-               work: _WorkingSet | None = None, floored: np.ndarray | None = None) -> np.ndarray:
+def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
     """is_hardy_martingale per sample of rows, each sample at its own scale
     (shape (M,)): one scale for the whole block would put a small sample's junk
-    under the zero floor.  The rows are gated slab by slab, in work's slab
-    buffers (a new working set by default); returns (M,) verdicts.  Given
-    floored, of shape (M, R), it is set where a row passed by the zero floor."""
-    work = _WorkingSet() if work is None else work
+    under the zero floor.  The rows are gated slab by slab, in one working
+    set's slab buffers; returns (M,) verdicts."""
+    work = _WorkingSet()
     held = np.ones(len(rows), dtype=bool)
     for s in _slabs(rows.shape):
         samples = s[0]
         held[samples] &= _rows_are_hardy(grid, rows[s], tol, scale[samples, np.newaxis],
-                                         _ZERO_FLOOR, work,
-                                         None if floored is None else floored[s]).all(axis=1)
+                                         _ZERO_FLOOR, work).all(axis=1)
     return held
 
 
@@ -491,80 +602,169 @@ def check_transform_isometry(field: MartingaleField, phases: AdaptedPhases):
     return float(np.ldexp(cosine[0], e[0])), float(np.ldexp(transformed[0], e[0]))
 
 
-def _isometry_norms(grid: TorusGrid, rows: np.ndarray, terms, base: complex = 0.0,
+def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
                     work: _WorkingSet | None = None) -> tuple:
     """check_transform_isometry over M samples, plus each sample's previsible norm.
 
-    rows, of shape (M, R, N), holds the samples' differences (their level-0
-    constant is base) and terms[k], of shape (M,) + (N,)*k, their
-    multipliers; terms beyond the depth of the rows are not used.  Each
-    sample gets the checks of its own MartingaleField, AdaptedPhases, Hardy
-    gate, cosine_part and transform, at its own scale, and the error of the
-    first check that fails over all samples, in that order.
+    rows holds the samples' differences (their level-0 constant is base): an
+    (M, R, N) array, or the coefficient blocks that _differences takes, from
+    which each slab's rows are built (_built_rows), so that no (M, R, N) array
+    is ever held.  terms[k], of shape (M,) + (N,)*k, are their multipliers;
+    terms beyond the depth of the rows are not used.  Each sample gets the
+    checks of its own MartingaleField, AdaptedPhases, Hardy gate, cosine_part
+    and transform, at its own scale, and the error of the first check that
+    fails over all samples, in that order.
 
-    The rows are walked twice in _slabs.  Pass 1 takes each slab's moduli,
-    their sums of squares per row and each sample's largest modulus per level;
-    from those maxima follow the scale, equal to _scale_bound's, and then the
-    mean check, the window check and, level by level, the multipliers' check.
-    A sample whose differences' scale lies beyond the window, where the
-    passes' squares can overflow or underflow, fails the window check with a
+    The rows are walked once, in _slabs whose cuts fall on the levels' grids
+    of product blocks (_product_rows).  Each slab gives its moduli, with each
+    sample's largest modulus per level and the rows' sums of squares; its even
+    part and then its turned part Im(w * row), one at a time in one buffer,
+    with their sums of squares; its rows' sums over the newest axis, largest
+    per sample and level; and the gate's product with the grid's gate_table,
+    taken on the rows as they are (they lie within the scale window, so
+    neither the product nor its squares overflow), whose energy at m <= 0
+    (torus._gate_energy) marks each row analytic or not (_gate_rule).  Taken
+    unscaled, against the mean energy of the rows' own sums of squares, these
+    marks equal torus._rows_are_hardy's outside a band of rounding at the
+    tolerance.  The steps are ordered so that no reduction along the newest
+    axis directly follows a product (torus._rows_are_hardy says why).
+
+    After the walk come the scale, equal to _scale_bound's; the mean rule
+    (_mean_rule; a sample beyond the window at that scale has its means taken
+    again at its _unit_scaled step, as _check_means takes them); the window
+    check; the multipliers' check; and the gate, which passes a row that is
+    analytic or whose mean energy is at most _ZERO_FLOOR times its sample's
+    scale squared.  A sample whose differences' scale lies beyond the window,
+    where the squares can overflow or underflow, fails the window check with a
     ValueError: such rows are taken at their _unit_scaled step first
     (check_transform_isometry), so no batch reads the vacuous norms of
-    squares taken unscaled.  After the gate,
-    pass 2 takes each slab's even part and then its turned part, one at a
-    time, with their sums of squares (unchecked means, as in _derive).  The
-    three sums of every row that the gate passed by its zero floor and that is
-    not analytic at its own scale are then set to 0 (_ZERO_FLOOR).  Every
-    array the passes fill is taken from work (a new working set by default):
-    the (3, M, R) sums, the (M, levels) maxima, the multipliers, the (M, R)
-    mask of those rows, and one real and one complex slab buffer that the
-    gate shares.  Returns the previsible norms of the cosine parts, of the
+    squares taken unscaled.  The three sums of every row that the floor passed
+    and that is not analytic at its own scale (torus._rows_are_hardy, on the
+    row rebuilt from its product block) are then set to 0 (_ZERO_FLOOR).
+    Every array of the walk is taken from work (a new working set by
+    default): the (3, M, R) sums, the deepest level's laid out on its own as
+    one contiguous (3, M, N^(n-1)) array for _root_mean, the (2, M, levels)
+    maxima, the (M, R) marks of the analytic and of the floored rows, and the
+    slab buffers.  Returns the previsible norms of the cosine parts, of the
     transforms and of the martingales themselves, each of shape (M,).
     """
     n = grid.n_points
-    count, r = rows.shape[:2]
+    built = not isinstance(rows, np.ndarray)
+    count, r = (len(rows[0]), _row_count(n, len(rows))) if built else rows.shape[:2]
     bounds = _level_bounds(n, r)
+    deep = bounds[-2]  # the deepest level's first row
     work = _WorkingSet() if work is None else work
-    slabs = _slabs(rows.shape)
-    # per row, in the order cosine part, transform, martingale: the sum of
-    # squares over the newest axis, as np.mean adds them
-    moments = work.take("moments", (3, count, r))
-    maxima = work.take("maxima", (count, len(bounds) - 1))
+    sums = work.take("moments", (3 * count * r,))
+    shallow = sums[:3 * count * deep].reshape(3, count, deep)
+    deepest = sums[3 * count * deep:].reshape(3, count, r - deep)
+    maxima = work.take("maxima", (2, count, len(bounds) - 1))  # of the moduli and the row sums
     maxima[...] = 0.0
+    analytic = work.take("analytic", (count, r), bool)
+    terms = [t.reshape(count, -1) for t in terms[:len(bounds) - 1]]
+    quanta = [_product_rows(n, c.shape[-1]) for c in rows] if built else [1] * (len(bounds) - 1)
     # squares that overflow lie beyond the window, whose samples are refused
     # below; within it, squares of the smallest moduli may underflow
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for s in slabs:
-            moduli = np.abs(rows[s], out=work.take("real", rows[s].shape))
-            _fold_maxima(maxima, s, moduli, bounds)
-            np.add.reduce(np.square(moduli, out=moduli), axis=-1, out=moments[2][s])
-    scale = _summed_scale(base, maxima)
-    _check_means(rows, scale)
-    if _unit_scaled(rows, _summed_scale(0.0, maxima))[1].any():
-        raise ValueError("isometry rows must lie within the scale window (_unit_scaled)")
-    terms = terms[:len(bounds) - 1]
-    w = np.concatenate([_require_unimodular(t, f"term {k}").reshape(count, -1)
-                        for k, t in enumerate(terms)], axis=1,
-                       out=work.take("multipliers", (count, r), complex))
-    junk = work.take("junk", (count, r), bool)  # passed by the floor, then not analytic
-    if not _are_hardy(grid, rows, scale, HARDY_GATE_TOL, work, junk).all():
-        raise ValueError("transform isometry requires a Hardy martingale")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for s in slabs:  # one part held at a time, in the complex slab buffer
-            part = work.take("complex", rows[s].shape, complex)
-            squares = work.take("real", rows[s].shape)
-            _even_part(rows[s], out=part)
-            np.add.reduce(np.square(np.abs(part, out=squares), out=squares), axis=-1,
-                          out=moments[0][s])
-            np.multiply(w[s][..., np.newaxis], rows[s], out=part)  # Im(w * diff) is part.imag
+        for samples, part in _slabs((count, r, n), quanta):
+            pieces = _level_pieces(bounds, part)
+            shape = (len(range(count)[samples]), len(range(r)[part]), n)
+            x = (_built_rows(grid, rows, samples, pieces, work.take("rows", shape, complex))
+                 if built else rows[samples, part])
+            row_sums = work.take("sums", (3,) + shape[:2])  # cosine part, transform, martingale
+            squares = np.abs(x, out=work.take("real", shape))
+            _fold_maxima(maxima[0], samples, pieces, squares)
+            np.add.reduce(np.square(squares, out=squares), axis=-1, out=row_sums[2])
+            turned = work.take("complex", shape, complex)  # one part at a time
+            _even_part(x, out=turned)
+            np.add.reduce(np.square(np.abs(turned, out=squares), out=squares), axis=-1,
+                          out=row_sums[0])
+            w = work.take("w", shape[:2], complex)
+            np.concatenate([terms[k][samples, level_rows] for k, level_rows, _ in pieces],
+                           axis=1, out=w)
+            np.multiply(w[..., np.newaxis], x, out=turned)  # Im(w * row) is turned.imag
             # |x|^2 is x * x bit for bit for a real x
-            np.add.reduce(np.square(part.imag, out=squares), axis=-1, out=moments[1][s])
-    if junk.any():
-        junk[junk] = ~_rows_are_hardy(grid, rows[junk], HARDY_GATE_TOL)
-        np.copyto(moments, 0.0, where=junk)
-    moments /= n  # the means, divided as np.mean divides
-    levels = [q[..., 0] for q in _levels(moments[..., np.newaxis], n)]
-    return tuple(_root_mean(levels, out=work.take("real", levels[-1].shape)))
+            np.add.reduce(np.square(turned.imag, out=squares), axis=-1, out=row_sums[1])
+            _fold_maxima(maxima[1], samples, pieces, np.abs(x.sum(axis=-1))[..., np.newaxis])
+            bad = _gate_energy(_gate_product(grid, x.reshape(-1, n), work.take(
+                "complex", (shape[0] * shape[1], n // 2 + 1), complex)), n)
+            analytic[samples, part] = _gate_rule(bad.reshape(shape[:2]), row_sums[2] / n,
+                                                 HARDY_GATE_TOL)
+            lo = part.start or 0  # the slab's rows lo .. lo + shape[1]
+            if lo < deep:
+                shallow[:, samples, lo:lo + shape[1]] = row_sums[:, :, :deep - lo]
+            if lo + shape[1] > deep:
+                deepest[:, samples, max(lo - deep, 0):lo + shape[1] - deep] = \
+                    row_sums[:, :, max(deep - lo, 0):]
+    sums /= n  # the means, divided as np.mean divides
+    _isometry_checks(grid, rows, terms, base, maxima, analytic, shallow, deepest, work)
+    levels = [q[..., 0] for q in _levels(shallow[..., np.newaxis], n)] if deep else []
+    levels.append(deepest.reshape((3, count) + (n,) * (len(bounds) - 2)))
+    return tuple(_root_mean(levels, out=levels[-1]))
+
+
+def _gate_product(grid: TorusGrid, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ grid.gate_table for rows x of shape (rows, N), written into out: as
+    many blocks of equal rows as fit _PRODUCT_MACS, in one stacked product, then
+    the rows left over."""
+    table = grid.gate_table
+    step = max(1, _PRODUCT_MACS // table.size)
+    whole = len(x) // step * step
+    np.matmul(x[:whole].reshape(-1, step, x.shape[-1]), table,
+              out=out[:whole].reshape(-1, step, out.shape[-1]))
+    if whole < len(x):
+        np.matmul(x[whole:], table, out=out[whole:])
+    return out
+
+
+def _isometry_checks(grid: TorusGrid, rows, terms, base: complex, maxima: np.ndarray,
+                     analytic: np.ndarray, shallow: np.ndarray, deepest: np.ndarray,
+                     work: _WorkingSet) -> None:
+    """The checks of _isometry_norms after its walk, in its order, from the
+    walk's level maxima (of the moduli, then of the row sums), the rows'
+    analytic marks and their mean squares, split at the deepest level as the
+    walk lays them out; the mean squares of the junk rows are then set to 0."""
+    n, (count, r) = grid.n_points, analytic.shape
+    deep = shallow.shape[-1]
+    scale = _summed_scale(base, maxima[0])
+    drift = maxima[1] / n
+    far = _step(scale) != 0
+    if far.any():  # beyond the window the mean check takes its means at the step
+        drift[far] = _drifts(rows[far] if isinstance(rows, np.ndarray)
+                             else _differences(grid, [b[far] for b in rows]), scale[far])
+    _mean_rule(drift, scale)
+    if _step(_summed_scale(0.0, maxima[0])).any():
+        raise ValueError("isometry rows must lie within the scale window (_unit_scaled)")
+    for k, t in enumerate(terms):
+        _require_unimodular(t, f"term {k}")
+    floored = work.take("floored", (count, r), bool)
+    with np.errstate(over="ignore", under="ignore"):  # a floor past float64's range
+        limit = (_ZERO_FLOOR * scale * scale)[:, np.newaxis]
+    np.less_equal(shallow[2], limit, out=floored[:, :deep])
+    np.less_equal(deepest[2], limit, out=floored[:, deep:])
+    if not np.logical_or(analytic, floored, out=analytic).all():
+        raise ValueError("transform isometry requires a Hardy martingale")
+    i, j = np.nonzero(floored)
+    if len(i):
+        alone = rows[i, j] if isinstance(rows, np.ndarray) else np.array(
+            [_built_row(grid, rows, a, b) for a, b in zip(i, j)])
+        junk = ~_rows_are_hardy(grid, alone, HARDY_GATE_TOL)
+        i, j = i[junk], j[junk]
+        shallow[:, i[j < deep], j[j < deep]] = 0.0
+        deepest[:, i[j >= deep], j[j >= deep] - deep] = 0.0
+
+
+def _built_row(grid: TorusGrid, blocks, i: int, j: int) -> np.ndarray:
+    """Row j of sample i of the rows that _differences builds from blocks,
+    taken from the product of its block (_product_rows), with its bits."""
+    n = grid.n_points
+    bounds = _level_bounds(n, _row_count(n, len(blocks)))
+    k = int(np.searchsorted(bounds, j, side="right")) - 1  # the row's level, less one
+    step = _product_rows(n, blocks[k].shape[-1])
+    a = bounds[k] + (j - bounds[k]) // step * step
+    b = min(a + step, bounds[k + 1])
+    out = np.empty((1, b - a, n), complex)
+    return _built_rows(grid, blocks, slice(i, i + 1), _level_pieces(bounds, slice(a, b)),
+                       out)[0, j - a]
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

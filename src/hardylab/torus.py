@@ -60,6 +60,13 @@ class TorusGrid:
         _check_table(self.n_points)
         return _frozen(np.exp(1j * np.outer(self.frequencies, self.angles)))
 
+    @cached_property
+    def gate_table(self) -> np.ndarray:
+        """The Hardy gate's product table, shape (N, N/2 + 1): column m + N/2 holds
+        e^{-im theta_j} for m = -N/2 .. 0, so that rows @ gate_table are N times
+        their coefficients at m <= 0.  Built on first use, as the character table is."""
+        return _frozen(np.ascontiguousarray(self.characters[: self.n_points // 2 + 1].conj().T))
+
     def analytic_modes(self, degree: int) -> np.ndarray:
         """Rows e^{im theta_j} for m = 1..degree, a read-only slice of the table."""
         first = self.n_points // 2 + 1
@@ -191,20 +198,18 @@ class _WorkingSet:
 
 
 def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
-                    zero_floor: float = -np.inf, work: _WorkingSet | None = None,
-                    floored: np.ndarray | None = None) -> np.ndarray:
+                    zero_floor: float = -np.inf, work: _WorkingSet | None = None) -> np.ndarray:
     """The spectral Hardy energy test: one verdict per row of rows, shape lead + (N,).
 
     Each row is divided by its scale before squaring, so the verdict is the
     same at every magnitude.  The default scale is the row's largest modulus;
     a given scale (one per sample, say) broadcasts over lead.  A row passes
-    iff its mean energy is at most zero_floor (in units of scale^2), or the
-    energy at m <= 0 (mean, negatives, Nyquist) is at most tol^2 times it.
-    A row with an inf or a NaN fails (its mean coefficient is NaN), and so
-    does a row with a non-finite scale.  The default floor admits no row by
-    energy alone; given floored, of the verdicts' shape, it is set where a row
-    passed so.  The scaled rows and their coefficients are taken from work's
-    "complex" and "real" buffers (a new working set by default).
+    the gate rule (_gate_rule) with its energy at m <= 0 (mean, negatives,
+    Nyquist) and its mean energy, in units of scale^2.  A row with an inf or a
+    NaN fails (its mean coefficient is NaN), and so does a row with a
+    non-finite scale.  The default floor admits no row by energy alone.  The
+    scaled rows and their coefficients are taken from work's "complex" and
+    "real" buffers (a new working set by default).
     """
     if not 0 < tol < np.inf:  # a NaN tol would fail every row, an infinite one pass e^{-i theta}
         raise ValueError(f"tol must be positive and finite; got {tol!r}")
@@ -215,24 +220,35 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     n = grid.n_points
     work = _WorkingSet() if work is None else work
     # divided and squared as (re, im) pairs of reals: a complex division would
-    # multiply by 1/scale, which overflows at a subnormal scale.  The squares are
-    # summed by matmul; numpy's reductions over a short last axis are slow.  The
-    # scaled rows are conjugated in place and multiplied by the table itself, not
-    # by a conjugated copy of it: their coefficients come out conjugated, with the
-    # same squares.
+    # multiply by 1/scale, which overflows at a subnormal scale.  The squares
+    # are summed by matmul, not by a numpy reduction along the short last axis:
+    # on OpenBLAS hosts such a reduction run straight after a BLAS product
+    # takes about 7x as long (160 against 21 us over (3, 273, 16) reals), until
+    # a dispatched loop such as np.add or np.max over an array has run.
     pairs = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     parts = work.take("complex", pairs.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
         np.divide(pairs, np.where(finite & (scale > 0), scale, 1.0), out=parts)
         scaled = parts.view(np.complex128)
-        coeffs = np.matmul(np.conjugate(scaled, out=scaled), grid.characters[: n // 2 + 1].T,
-                           out=work.take("real", scaled.shape[:-1] + (n // 2 + 1,), complex))
-        coeffs = coeffs.view(float)
-        bad = (np.square(coeffs, out=coeffs) @ np.ones(n + 2)) / (n * n)  # m = -N/2 .. 0
+        bad = _gate_energy(np.matmul(scaled, grid.gate_table, out=work.take(
+            "real", scaled.shape[:-1] + (n // 2 + 1,), complex)), n)
         total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n  # each squared in place
-    if floored is not None:
-        np.logical_and(total <= zero_floor, finite[..., 0], out=floored)
-    return ((bad <= tol * tol * total) | (total <= zero_floor)) & finite[..., 0]
+    return _gate_rule(bad, total, tol, zero_floor) & finite[..., 0]
+
+
+def _gate_energy(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the energy at m <= 0 (m = -N/2 .. 0) from coeffs, the rows'
+    product with grid.gate_table (N times those coefficients), which it
+    squares in place: shape coeffs.shape[:-1]."""
+    pairs = coeffs.view(float)
+    return (np.square(pairs, out=pairs) @ np.ones(n + 2)) / (n * n)
+
+
+def _gate_rule(bad, total, tol: float, zero_floor=-np.inf):
+    """The Hardy gate's rule, per row: a row passes iff its energy at m <= 0,
+    bad (_gate_energy), is at most tol^2 times its mean energy, total, or
+    total is at most zero_floor (in the same units).  A NaN fails."""
+    return (bad <= tol * tol * total) | (total <= zero_floor)
 
 
 def is_hardy(f: GridFunction, tol: float) -> bool:

@@ -8,9 +8,12 @@ the verdict, or the error, that the row gets alone.
 
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import (
     AdaptedPhases,
@@ -25,10 +28,12 @@ from hardylab import (
     is_hardy,
     is_hardy_martingale,
     make_grid,
+    MartingaleField,
     martingale_from_coefficients,
     perturbation_bounds,
     previsible_norm,
     random_adapted_phases,
+    random_coefficient_arrays,
     random_hardy_function,
     random_hardy_martingale,
     sincos_identity_sides,
@@ -36,7 +41,16 @@ from hardylab import (
 )
 from hardylab import cli, harness, martingale
 from hardylab.inequalities import _perturbation_rows, _sincos_rows, _split_rows
-from hardylab.martingale import _are_hardy, _isometry_norms, _levels, _scale_bound
+from hardylab.martingale import (
+    HARDY_GATE_TOL,
+    _are_hardy,
+    _built_rows,
+    _isometry_norms,
+    _level_bounds,
+    _level_pieces,
+    _levels,
+    _scale_bound,
+)
 from hardylab.torus import _rows_are_hardy
 from oracles import sample_ensemble
 
@@ -371,27 +385,36 @@ class TestRowWiseGate:
         ("identities --n-points 8 --depth 2 --samples 7", True),
     ], ids=["lemmas", "identities", "transform-isometry"])
     def test_the_cli_exits_one(self, monkeypatch, capsys, argv, deepest_only):
-        # the conjugate of one sample's newest difference, in the middle of a block
-        differences = harness._differences
+        # the conjugate of one sample's newest difference, in the middle of a
+        # block: the depth-1 suites' rows are built by _differences, and the
+        # isometry suite's walk is fed those rows in place of its coefficients
+        differences, norms = harness._differences, harness._isometry_norms
 
         def corrupted(grid, blocks, *work):
             rows = differences(grid, blocks, *work)
-            if len(blocks) > 1 or not deepest_only:
-                newest = _levels(rows, grid.n_points)[-1]  # a view of rows
-                newest[len(rows) // 2] = newest[len(rows) // 2].conj()
+            newest = _levels(rows, grid.n_points)[-1]  # a view of rows
+            newest[len(rows) // 2] = newest[len(rows) // 2].conj()
             return rows
 
-        monkeypatch.setattr(harness, "_differences", corrupted)
+        if deepest_only:
+            monkeypatch.setattr(harness, "_isometry_norms", lambda grid, blocks, *args, **kwargs:
+                                norms(grid, corrupted(grid, blocks), *args, **kwargs))
+        else:
+            monkeypatch.setattr(harness, "_differences", corrupted)
         assert cli.main(argv.split()) == 1
         err = capsys.readouterr().err
         assert ("transform isometry" if deepest_only else "analytic") in err
 
 
 def patch_slabs(monkeypatch, n, depth, cut):
-    """Slabs of 3 rows, so that a sample spans several slabs (cut "rows"), or
-    of 2 samples, so that a slab spans several samples (cut "samples")."""
+    """Slabs of 3 rows (the isometry's walk cuts each level into runs of 3,
+    or of its 2-row product blocks where it builds its rows), so that a
+    sample spans several slabs (cut "rows"), or of 2 samples, so that a slab
+    spans several samples (cut "samples")."""
     per_sample = n * sum(n**k for k in range(depth))
-    monkeypatch.setattr(martingale, "_SLAB_ENTRIES", 3 * n if cut == "rows" else 2 * per_sample)
+    entries = 3 * n if cut == "rows" else 2 * per_sample
+    monkeypatch.setattr(martingale, "_SLAB_ENTRIES", entries)
+    monkeypatch.setattr(martingale, "_WALK_ENTRIES", entries)
 
 
 def as_bits(x):
@@ -466,9 +489,9 @@ def test_level_maxima_equal_the_row_peak_route(monkeypatch, cut):
         patch_slabs(monkeypatch, 8, 2, cut)
     want = as_bits(row_peak_scale(base, rows))
     assert np.array_equal(as_bits(_scale_bound(base, rows)), want)
-    seen, check = [], martingale._check_means
-    monkeypatch.setattr(martingale, "_check_means",
-                        lambda rows, scale: seen.append(scale) or check(rows, scale))
+    seen, rule = [], martingale._mean_rule
+    monkeypatch.setattr(martingale, "_mean_rule",
+                        lambda drift, scale: seen.append(scale) or rule(drift, scale))
     terms = [np.ones((len(rows),) + (8,) * k, complex) for k in range(2)]
     # the rows at 2^-1030, 2^-1000 and 2^1000 lie beyond the scale window, which
     # the batch refuses right after the mean check, before any gate or norm
@@ -540,6 +563,133 @@ def test_a_fault_in_a_later_slab_raises_as_alone(monkeypatch, fault, second, cut
     with pytest.raises(ValueError) as from_block:
         _isometry_norms(grid, rows, terms)
     assert str(from_block.value) == str(from_alone.value)
+
+
+@pytest.mark.parametrize("n, depth, degree", [(4, 4, 1), (8, 3, 3), (16, 3, 5), (12, 2, 5)])
+def test_the_walk_from_coefficients_keeps_every_norm(monkeypatch, n, depth, degree):
+    # the suite's route, the walk fed the coefficient blocks, gives each sample
+    # the bits of check_transform_isometry and previsible_norm on its own field,
+    # also where its slabs cut levels mid-way: with slabs of 7 rows, every
+    # level is built in products of 6 rows, and a level's short last block
+    # (4 of 16 rows, say) is a slab of its own
+    config = HarnessConfig(n_points=n, depth=depth, max_degree=degree, seed=31)
+    grid = make_grid(n)
+    cfgs = [sample_ensemble(config, 2, i, depth) for i in range(4)]
+    coefficients = [random_coefficient_arrays(c) for c in cfgs]
+    phases = [random_adapted_phases(c) for c in cfgs]
+    blocks = [np.stack(level) for level in zip(*coefficients)]
+    terms = [np.stack(t) for t in zip(*(P.terms for P in phases))]
+    for walk_rows in (None, 7):
+        if walk_rows:
+            monkeypatch.setattr(martingale, "_WALK_ENTRIES", walk_rows * n)
+            assert martingale._product_rows(n, degree) == 6
+        # the fields are built by _differences on the same grid of products
+        fields = [martingale_from_coefficients(grid, c) for c in coefficients]
+        alone = [(*check_transform_isometry(F, P), previsible_norm(F))
+                 for F, P in zip(fields, phases)]
+        got = np.transpose(_isometry_norms(grid, blocks, terms))
+        assert np.array_equal(as_bits(got), as_bits(alone))
+
+
+@st.composite
+def product_grids(draw):
+    """A shape (N, depth, degree), and the rows of its product blocks and of
+    the walk's slabs, a slab at least one block."""
+    shape = draw(st.sampled_from([(8, 3, 3), (16, 3, 5), (64, 3, 3), (32, 2, 15)]))
+    block = draw(st.integers(2, 40))
+    return shape, block, draw(st.integers(block, 120))
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_grids(), st.integers(0, 2**32 - 1))
+def test_the_walk_builds_the_rows_of_differences(grid_rows, seed):
+    # the walk's slabs, cut on the levels' grids of product blocks, issue
+    # _differences' own products, so they build its bits on any BLAS.  Those
+    # blocks, an even number of rows at even offsets, also round as one
+    # product per level (OpenBLAS measured), which the pinned reports rest on
+    (n, depth, degree), block, slab = grid_rows
+    grid, rng = make_grid(n), np.random.default_rng(seed)
+    blocks = [rng.standard_normal((2, n**k, degree)) + 1j * rng.standard_normal((2, n**k, degree))
+              for k in range(depth)]
+    whole = np.concatenate([np.matmul(c, grid.analytic_modes(degree)) for c in blocks], axis=1)
+    bounds = _level_bounds(n, whole.shape[1])
+    with patch.object(martingale, "_PRODUCT_MACS", block * degree * n), \
+            patch.object(martingale, "_WALK_ENTRIES", slab * n):
+        quanta = [martingale._product_rows(n, degree)] * depth
+        assert quanta[0] == block // 2 * 2
+        rows = martingale._differences(grid, blocks)
+        built = np.empty_like(whole)
+        for samples, part in martingale._slabs(whole.shape, quanta):
+            _built_rows(grid, blocks, samples, _level_pieces(bounds, part), built[samples, part])
+    assert np.array_equal(built.view(np.uint64), rows.view(np.uint64))
+    assert np.array_equal(rows.view(np.uint64), whole.view(np.uint64))
+
+
+def test_the_mean_check_comes_before_the_gate_and_the_window():
+    # a sample that fails both the mean check and the gate raises the mean's
+    # error; a sample beyond the scale window (and nothing else) raises the window's
+    grid = make_grid(8)
+    config = HarnessConfig(n_points=8, depth=3, max_degree=3, seed=9)
+    cfgs = [sample_ensemble(config, 2, i, 3) for i in range(3)]
+    rows = np.stack([random_hardy_martingale(c).rows for c in cfgs])
+    terms = [np.stack(t) for t in zip(*(random_adapted_phases(c).terms for c in cfgs))]
+    bad = rows.copy()
+    diffs = _levels(bad, 8)  # views of bad
+    diffs[1][1] = diffs[1][1].conj()
+    diffs[2][1] += 0.25
+    with pytest.raises(ValueError, match="^difference 3 has mean"):
+        _isometry_norms(grid, bad, terms)
+    far = rows.copy()
+    far[2] *= 2.0**500
+    with pytest.raises(ValueError, match="within the scale window"):
+        _isometry_norms(grid, far, terms)
+
+
+def gate_cases(grid):
+    """Depth-2 fields whose gate verdicts hang on one row: junk that the zero
+    floor passes, a Nyquist row, and rows with energy at m <= 0 at 0.999 and
+    1.001 times the gate's tolerance."""
+    n = grid.n_points
+    z = np.exp(1j * grid.angles)
+    # 1 + 1e-170 e^{i theta_2} rounds to 1 + 1e-170 i sin(theta_2): level 2 is
+    # junk, not analytic at its own scale, that the zero floor passes
+    junk = MartingaleField(grid, 2, 1 + 1e-170 * z * np.ones((n, 1)))
+    nyquist = field_from_differences(grid, 2, 0.0, [z, np.outer(z, grid.characters[0])])
+    fields = [junk, nyquist]
+    for ratio in (0.999, 1.001):
+        eps = ratio * HARDY_GATE_TOL / np.sqrt(1 - (ratio * HARDY_GATE_TOL) ** 2)
+        row = z + eps * z.conj()  # energy at m <= 0 is eps^2 / (1 + eps^2) of the whole
+        fields.append(field_from_differences(grid, 2, 0.0, [z, np.outer(np.ones(n), row)]))
+    return fields
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_gate_verdicts_equal_is_hardy_martingale(n):
+    # the walk (check_transform_isometry, which takes the junk field's rows at
+    # their step first) gates its rows unscaled, against their own sums of
+    # squares: outside a band of rounding at the tolerance, here 0.999 and
+    # 1.001 of it, it refuses exactly the fields that is_hardy_martingale fails
+    grid = make_grid(n)
+    fields = gate_cases(grid)
+    assert [is_hardy_martingale(F, HARDY_GATE_TOL) for F in fields] == [True, False, True, False]
+    junk = fields[0].rows[1:]
+    assert np.abs(junk).max() > 0 and not _rows_are_hardy(grid, junk, HARDY_GATE_TOL).all()
+    phases = AdaptedPhases(grid, (np.ones(()), np.ones(n)))
+    for F in fields:
+        if is_hardy_martingale(F, HARDY_GATE_TOL):
+            assert check_transform_isometry(F, phases) == ((0.0, 0.0) if F is fields[0] else
+                                                           (previsible_norm(cosine_part(F)),
+                                                            previsible_norm(transform(F, phases))))
+        else:
+            with pytest.raises(ValueError, match="requires a Hardy martingale"):
+                check_transform_isometry(F, phases)
+    # in one block, the 0.999 row passes beside a sample that fails
+    terms = [np.ones(2, complex), np.ones((2, n), complex)]
+    assert np.isfinite(_isometry_norms(grid, fields[2].rows[np.newaxis], [t[:1] for t in terms])
+                       [0]).all()
+    for failing in fields[1], fields[3]:
+        with pytest.raises(ValueError, match="requires a Hardy martingale"):
+            _isometry_norms(grid, np.stack([fields[2].rows, failing.rows]), terms)
 
 
 @pytest.mark.parametrize("command, settings", [

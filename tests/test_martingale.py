@@ -956,6 +956,26 @@ class TestOneRowsArray:
             tracemalloc.stop()
         assert peak <= bound * F.rows.nbytes, peak / F.rows.nbytes
 
+    def test_the_root_mean_allocates_less_than_a_deepest_level(self):
+        # the isometry's walk lays each chunk's deepest level of moments out on
+        # its own; _root_mean then adds, roots and averages it in place.  With a
+        # broadcast or strided operand numpy allocated iterator buffers: 128,144
+        # bytes per call on an N16 d3 chunk of 10, twice the 61,440 of the level
+        rng = np.random.default_rng(4)
+        moments = rng.random((3, 10, 1 + 16 + 256))
+        shallow, deepest = moments[..., :17].copy(), moments[..., 17:].copy()
+        levels = [shallow[..., 0], shallow[..., 1:], deepest.reshape(3, 10, 16, 16)]
+        want = _root_mean([level.copy() for level in levels])
+        _root_mean([level.copy() for level in levels], out=np.empty((3, 10, 16, 16)))
+        tracemalloc.start()
+        try:
+            got = _root_mean(levels, out=levels[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert peak < deepest.nbytes, peak
+
     def test_the_norm_and_the_split_hold_half_a_rows_array(self):
         # beyond its result, previsible_norm holds the squared moduli of the
         # deepest level, and the terminal constructor its levels' means and the

@@ -1,9 +1,9 @@
 """The transform-isometry suite and theorem hold their per-chunk working set
 for a whole run.
 
-Every array a chunk of the isometry suite fills (its draws, multipliers and
-rows, the isometry's sums and level maxima, one real and one complex slab
-buffer), and every array a theorem chunk is drawn and folded into (the
+Every array a chunk of the isometry suite fills (its draws, the walk's sums,
+row marks and level maxima, and its slab buffers, the slab's rows among
+them), and every array a theorem chunk is drawn and folded into (the
 coefficient blocks and multipliers, the deepest normals, mu and the root-mean
 totals), is allocated at the run's first chunk and filled chunk after chunk.  These tests check that the reports do not depend on what
 the buffers held before, and that the process's page faults do not grow with
@@ -84,7 +84,7 @@ class TestHeldBuffersAreSafe:
     def test_a_run_after_an_isometry_failure(self, monkeypatch, capsys, tmp_path, fault, message):
         # sample 5 of the third 10-sample chunk fails, in the suite's held buffers
         argv = N16D3 + ["--samples", "40"]
-        unit, differences = ensembles._unit, harness._differences
+        unit, norms = ensembles._unit, harness._isometry_norms
         chunks = []
 
         def bad_unit(phi, out=None):
@@ -93,18 +93,17 @@ class TestHeldBuffersAreSafe:
                 w[5, 3] *= 1.5
             return w
 
-        def bad_differences(grid, blocks, *work):
-            rows = differences(grid, blocks, *work)
-            if len(blocks) == 3:  # the isometry suite's
-                if fault == "gate" and len(chunks) == 2:
-                    newest = _levels(rows, grid.n_points)[-1]  # a view of rows
-                    newest[5] = newest[5].conj()
-                chunks.append(rows)
-            return rows
+        def bad_norms(grid, blocks, terms, **kwargs):
+            if fault == "gate" and len(chunks) == 2:  # the walk is fed the rows instead
+                blocks = _differences(grid, blocks)
+                newest = _levels(blocks, grid.n_points)[-1]  # a view of the rows
+                newest[5] = newest[5].conj()
+            chunks.append(blocks)
+            return norms(grid, blocks, terms, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(ensembles, "_unit", bad_unit)
-            patch.setattr(harness, "_differences", bad_differences)
+            patch.setattr(harness, "_isometry_norms", bad_norms)
             assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert in_process_report(argv, tmp_path / "a.json") == fresh_report(argv, tmp_path / "b.json")
