@@ -3,19 +3,22 @@
 
 Each run is one argv of scripts/verify_all.py's RUNS, plus the two identities
 shapes that hold the most memory (one sample at the memory guard, N64 d4, and
-one at N4 d12).  Every repeat of every run is a fresh Python process that
-imports numpy.random and hardylab.cli before its timer starts, then times one
-call of cli.main.  It records the call's wall time, the process's peak RSS
-(ru_maxrss) and the minor page faults of the call (ru_minflt), and the file
-gives the median and the interquartile range of each over the repeats.
+one at N4 d12) and two N64 shapes of degree 31, whose gate products are cut
+into blocks (torus._blas_product).  Every repeat of every run is a fresh
+Python process that imports numpy.random and hardylab.cli before its timer
+starts, then times one call of cli.main.  It records the call's wall time,
+the process's peak RSS (ru_maxrss) and the minor page faults of the call
+(ru_minflt), and the file gives the median and the interquartile range of
+each over the repeats.
 
-    python scripts/bench.py --label 36 [--repeats 5]
-    python scripts/bench.py --label 36 --against ../parent --against-label 35
+    python scripts/bench.py --label 37 [--repeats 5]
+    python scripts/bench.py --label 37 --against ../parent --against-label 37-parent
 
 With --against, the runs of a second checkout (its src/ is imported) alternate
-with this one's, run by run and repeat by repeat, and its numbers go to
-BENCH_<against-label>.json: the host's speed drifts, so compare two checkouts
-only from one such run.  Every run takes verify_all.py's seed, SEED.
+with this one's, run by run, the side that runs first changing from repeat to
+repeat, and its numbers go to BENCH_<against-label>.json: the host's speed
+drifts, so compare two checkouts only from one such run.  Every run takes
+verify_all.py's seed, SEED.
 """
 
 import argparse
@@ -37,6 +40,8 @@ RUNS = next(ast.literal_eval(node.value) for node in
 EXTRA = {
     "identities-guard": "identities --n-points 64 --depth 4 --max-degree 3 --samples 1",
     "identities-deep": "identities --n-points 4 --depth 12 --max-degree 1 --samples 1",
+    "lemmas-n64": "lemmas --n-points 64 --max-degree 31 --samples 4000",
+    "identities-n64d2": "identities --n-points 64 --depth 2 --max-degree 31 --samples 200",
 }
 SEED = 20260809
 
@@ -117,7 +122,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for repeat in range(args.repeats):
             for name, argv in runs.items():
-                for label, checkout in sides.items():
+                for label, checkout in list(sides.items())[::(-1) ** repeat]:
                     values[label][name].append(
                         measure(checkout / "src", argv, pathlib.Path(scratch) / f"{name}.json"))
                     print(f"repeat {repeat + 1}/{args.repeats} {label} {name}: "

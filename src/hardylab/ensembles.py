@@ -269,9 +269,9 @@ def chunk_seed_words(cfg: EnsembleConfig, tag: int, first: int, count: int,
 # coefficients) a chunk's draw takes about 38 ms so, against 62 ms on one
 # thread (medians of 15 fresh processes each).  Below 2^18 a thread's start and
 # join cost more than it hides (N8 d6 ran at 0.95x and N16 d4 degree 7 at
-# 0.98x).  The chain keeps OpenBLAS's worker asleep
-# (inequalities._PRODUCT_ENTRIES), so no BLAS spin takes the second core from
-# a run's later large samples.  In the harness such a chunk is one sample.
+# 0.98x).  The chain keeps OpenBLAS's worker asleep (torus._blas_product),
+# so no BLAS spin takes the second core from a run's later large samples.  In
+# the harness such a chunk is one sample.
 _HELPER_COEFFICIENTS = 2**18
 
 

@@ -12,12 +12,14 @@ for a Hardy martingale G with cosine part U and unimodular adapted W.
 The chain has two entry points that return the same StabilityReport.  The
 reference, stability_report(field, phases), gates any martingale over grid^n
 and integrates over it.  stability_report_from_coefficients(grid,
-coefficients, phases) reads each node's coefficient row once, for mu and r^2,
-and gets every other per-level quantity from the sine-cosine identity.  Over a
-leading sample axis it is one route, _chain_fold, which folds the chain level
-by level into the root means and the pointwise step's worst: theorem and
-constant-search take those alone, and _stability_batch keeps each level's
-arrays as well; a batch row equals the one-sample report bit for bit.
+coefficients, phases) reads each node's coefficient row once, for mu and r^2
+(mu = c.sigma, one product through torus._blas_product, as every matrix
+product of the lab is), and gets every other per-level quantity from the
+sine-cosine identity.  Over a leading sample axis it is one route,
+_chain_fold, which folds the chain level by level into the root means and
+the pointwise step's worst: theorem and constant-search take those alone,
+and _stability_batch keeps each level's arrays as well; a batch row equals
+the one-sample report bit for bit.
 
 Each formula of the single-coordinate decomposition has one home.  Three
 slice integrals run over the last axis of (..., N) arrays, so they take one
@@ -76,6 +78,7 @@ from .torus import (
     TorusGrid,
     _check_tolerance,
     _frozen,
+    _blas_product,
     _rows_are_hardy,
     _WorkingSet,
 )
@@ -467,45 +470,12 @@ def _stability_batch(grid: TorusGrid, blocks, terms) -> StabilityReport:
     coefficient rows as _coefficient_blocks validates them, and terms[k-1], of
     shape (M,) + (N,)*(k-1), their level-k multipliers as AdaptedPhases
     validates them; terms may run deeper than blocks.  It is _chain_fold, which
-    reduces the chunk level by level (mu in row blocks that keep OpenBLAS's
-    worker asleep, b from the level's cell means, every other node quantity
-    slab by slab into running root-mean totals), with each level's node
-    arrays kept in new arrays."""
+    reduces the chunk level by level (mu in torus._blas_product's blocks, b
+    from the level's cell means, every other node quantity slab by slab into
+    running root-mean totals), with each level's node arrays kept in new
+    arrays."""
     levels = []
     return _report(levels, _chain_fold(grid, blocks, terms, _WorkingSet(), levels=levels))
-
-
-# mu's products are cut into blocks of rows of at most this many coefficients.
-# OpenBLAS (0.3.31 measured) runs a complex matrix-vector product of rows * d
-# >= 4096 on its worker threads: at d = 3, 1365 rows leave the worker idle and
-# 1366 rows wake it.  A woken worker then spins on the second core of a
-# 2-core host and slows every pass after it: at the memory guard the level-4
-# product took 12.4-15.3 ms against 2.9-3.4 ms on one thread, and the node
-# slabs after it about twice as long.
-_PRODUCT_ENTRIES = 4095
-
-
-def _sigma_product(c, sigma, out) -> np.ndarray:
-    """mu = c @ sigma for the (M, rows, d) coefficient rows c, written into out,
-    of shape (M, rows): one product per sample and block of rows
-    (_product_blocks).  A lone row rounds apart from the rows of a larger
-    product; blocks of two rows and more round as the whole level's product
-    does (tests/test_inequalities.py checks the bits).  What reads mu next
-    starts with a dispatched add (_cell_means' fold), so no numpy reduction
-    runs straight after the product, where it would take about 7x as long
-    (torus._rows_are_hardy)."""
-    for part in _product_blocks(*c.shape[1:]):
-        np.matmul(c[:, part], sigma, out=out[:, part])
-    return out
-
-
-def _product_blocks(rows: int, d: int) -> list:
-    """Slices that cut `rows` rows of d coefficients into blocks as even as may
-    be, of at most max(2, _PRODUCT_ENTRIES // d) rows each and none of one row:
-    one row is one block, and an odd count cut into blocks of two ends in one
-    of three."""
-    blocks = max(1, min(-(-rows // max(2, _PRODUCT_ENTRIES // d)), rows // 2))
-    return [slice(i * rows // blocks, (i + 1) * rows // blocks) for i in range(blocks)]
 
 
 def _chain_fold(grid: TorusGrid, blocks, terms, work: _WorkingSet,
@@ -514,8 +484,9 @@ def _chain_fold(grid: TorusGrid, blocks, terms, work: _WorkingSet,
     takes them), folded level by level: the six root means, shape (6, M) in
     _MEANS order, and, given pointwise, the pointwise step's nodes added to it.
 
-    Per level, mu is one product per sample and block of rows (_sigma_product)
-    and b is read from the level's cell means (martingale._cell_means).  Every
+    Per level, mu is c @ sigma (torus._blas_product; what reads it next starts
+    with _cell_means' dispatched add, so no reduction follows the product) and
+    b is read from the level's cell means (martingale._cell_means).  Every
     other node quantity is formed over slabs of whole samples or of runs of one
     sample's nodes that share parents (martingale._slabs: a parent is a node of
     the level above, with N children), with slab-sized temporaries
@@ -537,7 +508,7 @@ def _chain_fold(grid: TorusGrid, blocks, terms, work: _WorkingSet,
         parent_cells = (2 * parent_cells[:, np.newaxis] + child_cells).reshape(-1)
         child_cells = _cells(grid) if k > 1 else child_cells
         mu = np.empty(split, complex) if levels is not None else work.take("mu", split, complex)
-        _sigma_product(c.reshape(count, -1, sigma.size), sigma, mu.reshape(count, -1))
+        _blas_product(c.reshape(count, -1, sigma.size), sigma, mu.reshape(count, -1))
         means = _cell_means(grid, mu.reshape(shape), k - 1).reshape(count, -1, min(children, 2))
         # b, a, r and the perturbed and transform moments, when kept
         kept = levels is not None and [np.empty(split, t) for t in (complex,) + (float,) * 4]

@@ -23,12 +23,13 @@ level by level: each slab gives the scale's maxima, the mean check's row
 sums, the gate's verdicts and the three norms' sums per row, before any
 check is made.  Its rows are either an (M, R, N) array or are built slab by
 slab from the samples' coefficient blocks (_built_rows), so that the suite's
-chunks never hold their rows whole.  _differences and the walk cut every
-level's product on one grid of blocks (_product_rows), so that both issue
-the same products and build the same bits.  The walk takes its arrays, one
-real and two complex slab buffers among them, from a working set
-(torus._WorkingSet): a new one per call, or the one that a loop over chunks
-holds for a whole run, so that its chunks allocate nothing.  Each sample keeps its own scale
+chunks never hold their rows whole.  _differences builds its rows over the
+walk's runs (_quanta), so that both issue the same products and build the
+same bits.  Every matrix product, here as in every module, goes through
+torus._blas_product.  The walk takes its arrays, one real and two complex
+slab buffers among them, from a working set (torus._WorkingSet): a new one
+per call, or the one that a loop over chunks holds for a whole run, so that
+its chunks allocate nothing.  Each sample keeps its own scale
 (_scale_bound); a block's norms equal each sample's own bit for bit,
 wherever the slabs fall.  Sums and squares of a sample whose scale lies
 beyond a fixed window are taken at a power of two and scaled back
@@ -56,6 +57,8 @@ from .torus import (
     _check_table,
     _require_same_grid,
     _frozen,
+    _blas_product,
+    _block_rows,
     _gate_energy,
     _gate_rule,
     _rows_are_hardy,
@@ -140,28 +143,16 @@ _SLAB_ENTRIES = 2**14
 # (1.2 MB), where 2^15 raised the peak RSS of identities N16 d3 by 0.6 MiB.
 _WALK_ENTRIES = 3 * 2**13
 
-# The isometry's complex matrix products (its rows from their coefficients,
-# its gate's coefficients) are cut into blocks of rows of at most this many
-# multiply-adds (rows * N * columns).  OpenBLAS (0.3.31 measured) runs a
-# larger complex matrix product on its worker threads: (rows, 16) @ (16, 9)
-# leaves the worker idle at 448 rows and wakes it at 456.  A woken worker
-# competes for the second core of a 2-core host, and a product that waits on
-# it can stall: one fresh identities run at N16 d3, 400 samples, took 0.92 s
-# against 0.10 s.  The matrix-vector products are inequalities._PRODUCT_ENTRIES'.
-_PRODUCT_MACS = 2**16
 
-
-def _product_rows(n: int, degree: int) -> int:
-    """Rows per block of a level's product from its coefficients (_built_rows):
-    an even number, within _PRODUCT_MACS multiply-adds and one walk slab.  Every
-    level is cut on this one grid from its first row, by _differences and by
-    the walk's slabs alike, so both issue the same products and get the same
-    bits from any BLAS.  That the rows also keep the bits of one product per
-    level, as the pinned reports have them, rests on the BLAS kernel: with
-    OpenBLAS 0.3.31's Haswell kernel (measured), blocks of an even number of
-    rows at even offsets round as the whole level, and a lone row, which numpy
-    gives its matrix-vector routine, rounds apart."""
-    return max(2, min(_PRODUCT_MACS // degree, _WALK_ENTRIES) // n // 2 * 2)
+def _quanta(grid: TorusGrid, blocks) -> list:
+    """Per level of the rows built from coefficient blocks, the quantum of the
+    walk's runs of its rows (_slabs): torus._blas_product's block of the
+    level's product, or the most even rows that fit a walk slab where that
+    block does not.  _differences and the walk both build each run in one
+    _blas_product call (_built_rows), so they issue the same products and get
+    the same bits from any BLAS."""
+    most = max(2, _WALK_ENTRIES // grid.n_points // 2 * 2)
+    return [min(_block_rows(c, grid.analytic_modes(c.shape[-1])), most) for c in blocks]
 
 
 def _slabs(shape: tuple, quanta: list | None = None) -> list:
@@ -171,8 +162,8 @@ def _slabs(shape: tuple, quanta: list | None = None) -> list:
     quanta, one per level, the rows are a martingale's (R = 1 + N + ... +
     N^(n-1)), the slabs hold up to _WALK_ENTRIES entries, and a sample that
     does not fit is cut level by level: level k in runs of a multiple of
-    quanta[k-1] rows (at least one) from its first row, so that a slab of
-    rows built from coefficients holds whole product blocks (_product_rows)."""
+    quanta[k-1] rows (at least one) from its first row, so that the runs of
+    rows built from coefficients hold whole product blocks (_quanta)."""
     count, r, n = shape
     entries = _SLAB_ENTRIES if quanta is None else _WALK_ENTRIES
     if r * n <= entries:
@@ -213,31 +204,28 @@ def _fold_maxima(maxima: np.ndarray, samples: slice, pieces: list, values: np.nd
                out=top)
 
 
-def _differences(grid: TorusGrid, blocks, work: _WorkingSet | None = None) -> np.ndarray:
+def _differences(grid: TorusGrid, blocks) -> np.ndarray:
     """The Hardy differences sum_{m=1..d} c_m e^{im theta} of M samples' coefficient blocks,
-    blocks[k-1] of shape (M, N^(k-1), d), as one (M, R, N) rows array, new or, given
-    work, its "rows" buffer: every level's product in its blocks (_built_rows)."""
+    blocks[k-1] of shape (M, N^(k-1), d), as one new (M, R, N) rows array, built
+    run by run as the walk (_isometry_norms) cuts one sample's rows (_slabs,
+    _quanta), each run for every sample at once."""
     n = grid.n_points
     shape = (len(blocks[0]), _row_count(n, len(blocks)), n)
-    rows = np.empty(shape, complex) if work is None else work.take("rows", shape, complex)
-    return _built_rows(grid, blocks, slice(None), _level_pieces(_level_bounds(n, shape[1]),
-                                                                slice(None)), rows)
+    rows, bounds = np.empty(shape, complex), _level_bounds(n, shape[1])
+    for _, part in _slabs((1,) + shape[1:], _quanta(grid, blocks)):
+        _built_rows(grid, blocks, slice(None), _level_pieces(bounds, part), rows[:, part])
+    return rows
 
 
 def _built_rows(grid: TorusGrid, blocks, samples: slice, pieces: list,
                 out: np.ndarray) -> np.ndarray:
     """The rows that _differences builds from blocks, of the samples and level
-    pieces (_level_pieces) of one slab, written into out, of the slab's shape.
-    Each piece starts on its level's grid of product blocks (_product_rows) and
-    ends on it or at the level's end, as _slabs cuts them, and is built block
-    by block: the products, and so the bits, of _differences."""
+    pieces (_level_pieces) of one of the walk's slabs, written into out, of the
+    slab's shape: one product (torus._blas_product) per piece, as _differences
+    issues it."""
     for k, rows, local in pieces:
         c = blocks[k][samples]
-        modes, shift = grid.analytic_modes(c.shape[-1]), local.start - rows.start
-        step = _product_rows(grid.n_points, c.shape[-1])
-        for a in range(rows.start, rows.stop, step):
-            b = min(a + step, rows.stop)
-            np.matmul(c[:, a:b], modes, out=out[:, a + shift:b + shift])
+        _blas_product(c[:, rows], grid.analytic_modes(c.shape[-1]), out[:, local])
     return out
 
 
@@ -311,12 +299,6 @@ def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(x.view(np.float64), e.reshape((-1,) + (1,) * (x.ndim - 1))).view(np.complex128)
 
 
-def _check_means(rows: np.ndarray, scale: np.ndarray) -> None:
-    """The mean rule (_mean_rule) for rows of shape (M, R, N) at scale, shape
-    (M,), the rows' _scale_bound."""
-    _mean_rule(_drifts(rows, scale), scale)
-
-
 def _drifts(rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Per sample of rows, shape (M, R, N), and level, the largest modulus of a
     mean over the newest axis, taken at the rows' _unit_scaled step (by scale,
@@ -387,9 +369,10 @@ class MartingaleField:
 
 def _owning(grid: TorusGrid, depth: int, base, rows, field=None) -> MartingaleField:
     """The field (by default a new instance) of base and rows, a new (R, N) array that it
-    takes over read-only once _check_means holds at the rows' own scale."""
+    takes over read-only once the mean rule (_mean_rule) holds at the rows' own scale."""
     base, block = complex(base), rows[np.newaxis]
-    _check_means(block, _scale_bound(base, block))
+    scale = _scale_bound(base, block)
+    _mean_rule(_drifts(block, scale), scale)
     return _assembled(grid, depth, base, rows, field)
 
 
@@ -577,10 +560,9 @@ def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float)
     set's slab buffers; returns (M,) verdicts."""
     work = _WorkingSet()
     held = np.ones(len(rows), dtype=bool)
-    for s in _slabs(rows.shape):
-        samples = s[0]
-        held[samples] &= _rows_are_hardy(grid, rows[s], tol, scale[samples, np.newaxis],
-                                         _ZERO_FLOOR, work).all(axis=1)
+    for samples, part in _slabs(rows.shape):
+        held[samples] &= _rows_are_hardy(grid, rows[samples, part], tol,
+                                         scale[samples, np.newaxis], _ZERO_FLOOR, work).all(axis=1)
     return held
 
 
@@ -615,8 +597,8 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     and transform, at its own scale, and the error of the first check that
     fails over all samples, in that order.
 
-    The rows are walked once, in _slabs whose cuts fall on the levels' grids
-    of product blocks (_product_rows).  Each slab gives its moduli, with each
+    The rows are walked once, in _slabs whose runs of a level's rows are
+    multiples of its _quanta.  Each slab gives its moduli, with each
     sample's largest modulus per level and the rows' sums of squares; its even
     part and then its turned part Im(w * row), one at a time in one buffer,
     with their sums of squares; its rows' sums over the newest axis, largest
@@ -627,11 +609,11 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     unscaled, against the mean energy of the rows' own sums of squares, these
     marks equal torus._rows_are_hardy's outside a band of rounding at the
     tolerance.  The steps are ordered so that no reduction along the newest
-    axis directly follows a product (torus._rows_are_hardy says why).
+    axis directly follows a product (torus._blas_product says why).
 
     After the walk come the scale, equal to _scale_bound's; the mean rule
     (_mean_rule; a sample beyond the window at that scale has its means taken
-    again at its _unit_scaled step, as _check_means takes them); the window
+    again at its _unit_scaled step, as _drifts takes them); the window
     check; the multipliers' check; and the gate, which passes a row that is
     analytic or whose mean energy is at most _ZERO_FLOOR times its sample's
     scale squared.  A sample whose differences' scale lies beyond the window,
@@ -640,7 +622,7 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     (check_transform_isometry), so no batch reads the vacuous norms of
     squares taken unscaled.  The three sums of every row that the floor passed
     and that is not analytic at its own scale (torus._rows_are_hardy, on the
-    row rebuilt from its product block) are then set to 0 (_ZERO_FLOOR).
+    row rebuilt from its level piece, _built_at) are then set to 0 (_ZERO_FLOOR).
     Every array of the walk is taken from work (a new working set by
     default): the (3, M, R) sums, the deepest level's laid out on its own as
     one contiguous (3, M, N^(n-1)) array for _root_mean, the (2, M, levels)
@@ -661,7 +643,7 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     maxima[...] = 0.0
     analytic = work.take("analytic", (count, r), bool)
     terms = [t.reshape(count, -1) for t in terms[:len(bounds) - 1]]
-    quanta = [_product_rows(n, c.shape[-1]) for c in rows] if built else [1] * (len(bounds) - 1)
+    quanta = _quanta(grid, rows) if built else [1] * (len(bounds) - 1)
     # squares that overflow lie beyond the window, whose samples are refused
     # below; within it, squares of the smallest moduli may underflow
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -685,10 +667,9 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
             # |x|^2 is x * x bit for bit for a real x
             np.add.reduce(np.square(turned.imag, out=squares), axis=-1, out=row_sums[1])
             _fold_maxima(maxima[1], samples, pieces, np.abs(x.sum(axis=-1))[..., np.newaxis])
-            bad = _gate_energy(_gate_product(grid, x.reshape(-1, n), work.take(
-                "complex", (shape[0] * shape[1], n // 2 + 1), complex)), n)
-            analytic[samples, part] = _gate_rule(bad.reshape(shape[:2]), row_sums[2] / n,
-                                                 HARDY_GATE_TOL)
+            bad = _gate_energy(_blas_product(x, grid.gate_table, work.take(
+                "complex", shape[:2] + (n // 2 + 1,), complex)), n)
+            analytic[samples, part] = _gate_rule(bad, row_sums[2] / n, HARDY_GATE_TOL)
             lo = part.start or 0  # the slab's rows lo .. lo + shape[1]
             if lo < deep:
                 shallow[:, samples, lo:lo + shape[1]] = row_sums[:, :, :deep - lo]
@@ -702,20 +683,6 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     return tuple(_root_mean(levels, out=levels[-1]))
 
 
-def _gate_product(grid: TorusGrid, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x @ grid.gate_table for rows x of shape (rows, N), written into out: as
-    many blocks of equal rows as fit _PRODUCT_MACS, in one stacked product, then
-    the rows left over."""
-    table = grid.gate_table
-    step = max(1, _PRODUCT_MACS // table.size)
-    whole = len(x) // step * step
-    np.matmul(x[:whole].reshape(-1, step, x.shape[-1]), table,
-              out=out[:whole].reshape(-1, step, out.shape[-1]))
-    if whole < len(x):
-        np.matmul(x[whole:], table, out=out[whole:])
-    return out
-
-
 def _isometry_checks(grid: TorusGrid, rows, terms, base: complex, maxima: np.ndarray,
                      analytic: np.ndarray, shallow: np.ndarray, deepest: np.ndarray,
                      work: _WorkingSet) -> None:
@@ -723,10 +690,8 @@ def _isometry_checks(grid: TorusGrid, rows, terms, base: complex, maxima: np.nda
     walk's level maxima (of the moduli, then of the row sums), the rows'
     analytic marks and their mean squares, split at the deepest level as the
     walk lays them out; the mean squares of the junk rows are then set to 0."""
-    n, (count, r) = grid.n_points, analytic.shape
-    deep = shallow.shape[-1]
-    scale = _summed_scale(base, maxima[0])
-    drift = maxima[1] / n
+    n, (count, r), deep = grid.n_points, analytic.shape, shallow.shape[-1]
+    scale, drift = _summed_scale(base, maxima[0]), maxima[1] / n
     far = _step(scale) != 0
     if far.any():  # beyond the window the mean check takes its means at the step
         drift[far] = _drifts(rows[far] if isinstance(rows, np.ndarray)
@@ -745,26 +710,30 @@ def _isometry_checks(grid: TorusGrid, rows, terms, base: complex, maxima: np.nda
         raise ValueError("transform isometry requires a Hardy martingale")
     i, j = np.nonzero(floored)
     if len(i):
-        alone = rows[i, j] if isinstance(rows, np.ndarray) else np.array(
-            [_built_row(grid, rows, a, b) for a, b in zip(i, j)])
+        alone = rows[i, j] if isinstance(rows, np.ndarray) else _built_at(grid, rows, i, j)
         junk = ~_rows_are_hardy(grid, alone, HARDY_GATE_TOL)
         i, j = i[junk], j[junk]
         shallow[:, i[j < deep], j[j < deep]] = 0.0
         deepest[:, i[j >= deep], j[j >= deep] - deep] = 0.0
 
 
-def _built_row(grid: TorusGrid, blocks, i: int, j: int) -> np.ndarray:
-    """Row j of sample i of the rows that _differences builds from blocks,
-    taken from the product of its block (_product_rows), with its bits."""
+def _built_at(grid: TorusGrid, blocks, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows j of samples i (index arrays) of the rows that _differences builds
+    from blocks, with its bits, shape (len(i), N): each level piece of the
+    walk's runs of one sample (_slabs, _level_pieces) that holds some of them
+    is built once, as _differences builds it."""
     n = grid.n_points
     bounds = _level_bounds(n, _row_count(n, len(blocks)))
-    k = int(np.searchsorted(bounds, j, side="right")) - 1  # the row's level, less one
-    step = _product_rows(n, blocks[k].shape[-1])
-    a = bounds[k] + (j - bounds[k]) // step * step
-    b = min(a + step, bounds[k + 1])
-    out = np.empty((1, b - a, n), complex)
-    return _built_rows(grid, blocks, slice(i, i + 1), _level_pieces(bounds, slice(a, b)),
-                       out)[0, j - a]
+    pieces = [(k, rows) for _, part in _slabs((1, bounds[-1], n), _quanta(grid, blocks))
+              for k, rows, _ in _level_pieces(bounds, part)]
+    at = np.searchsorted([bounds[k] + rows.start for k, rows in pieces], j, side="right") - 1
+    out = np.empty((len(i), n), complex)
+    for p in np.unique(at):
+        (k, rows), here = pieces[p], at == p
+        built = _built_rows(grid, blocks, slice(None), [(k, rows, slice(None))], np.empty(
+            (len(blocks[0]), rows.stop - rows.start, n), complex))
+        out[here] = built[i[here], j[here] - bounds[k] - rows.start]
+    return out
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ All frequencies live in m = -N/2 .. N/2-1, one row each of the grid's
 character table.  The unpaired bucket m = -N/2 is non-analytic: the Hardy
 gate counts its energy with the mean and the negative frequencies, and
 generated analytic data never excites it.  The input guards that every
-layer shares live here too.
+layer shares live here too, and so does the one route of every layer's
+matrix products to BLAS (_blas_product), with the rule that cuts them.
 """
 
 from __future__ import annotations
@@ -197,6 +198,69 @@ class _WorkingSet:
         return buffer[:size].view(dtype).reshape(shape)
 
 
+# The largest block of a product that OpenBLAS (0.3.31 measured) runs on the
+# calling thread alone (_blas_product), by the product's dtype kind and b.ndim:
+# entries of a real and of a complex matrix-vector product, multiply-adds of a
+# complex matrix product.  The lab takes no real matrix product.
+_PRODUCT_BOUNDS = {("f", 1): 460799, ("c", 1): 4095, ("c", 2): 2**16}
+
+
+def _block_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """Rows per block of _blas_product(a, b, out): the most that keep a block
+    within its _PRODUCT_BOUNDS, cut to an even number, and 2 where none fit."""
+    bound = _PRODUCT_BOUNDS[np.result_type(a, b).kind, b.ndim]
+    return max(2, bound // (a.shape[-1] * math.prod(b.shape[1:])) // 2 * 2)
+
+
+def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b written into out, for a of shape lead + (rows, k) and b of shape
+    (k,) or (k, j): the lab's one route to a BLAS product.
+
+    a's rows are cut into blocks of _block_rows rows from the first row, any
+    leading axes carried along, and the equal blocks go to numpy in one
+    stacked call.  A lone row past them takes two rows of the block before it
+    into a block of three, so no block holds one row unless a has one row.
+    The reasons, all measured with OpenBLAS 0.3.31 on a 2-core host:
+
+    - Threading.  OpenBLAS runs a complex matrix-vector product of rows * k >=
+      4096 entries (at k = 3, 1365 rows leave its worker idle and 1366 wake
+      it), a real one of rows * k >= 460800 entries (at k = 32, 14399 rows
+      leave it idle and 14400 wake it), and a complex matrix product of more
+      than about 2^16 multiply-adds ((rows, 16) @ (16, 9): idle at 448 rows,
+      awake at 456) on its worker threads.  A woken worker competes for the
+      second core and stalls the product and the passes after it: one fresh
+      identities N16 d3 run took 0.92 s against 0.10 s, and mu's level-4
+      product at the memory guard 12.4-15.3 ms against 2.9-3.4 ms.
+    - Rounding.  numpy gives a lone row to BLAS's matrix-vector routine,
+      which rounds apart from the rows of a larger product.  Blocks of two
+      rows and more of a complex matrix-vector product, and even blocks at
+      even offsets of a complex matrix product, round as the whole product
+      does, so the cut keeps every recorded bit.  Blocks of a real
+      matrix-vector product can round apart from it (most blocks of 4q + 2
+      and 4q + 3 rows do); the real products are the gate's sums of squares,
+      which decide only verdicts and are cut only past 460800 entries, a
+      size that no run of the lab's suites reaches.
+    - Reductions.  Straight after a BLAS product, a numpy reduction along a
+      short last axis (np.add.reduce(x, axis=-1) over (3, 273, 16) reals)
+      takes about 7x as long (160 against 21 us), until a dispatched loop
+      such as np.add or np.maximum over an array has run.  So sums over a
+      row are taken as products with a vector of ones, and the steps after a
+      product are ordered so that no such reduction follows it.
+    """
+    step, (*lead, rows, k) = _block_rows(a, b), a.shape
+    if rows <= step:  # one block
+        return np.matmul(a, b, out=out)
+    whole = rows // step * step - step * (lone := rows % step == 1)  # a lone last row
+    at = (slice(None),) * len(lead)  # before the rows axis of a and of out
+    blocks = (*lead, whole // step, step)
+    np.matmul(a[at + (slice(whole),)].reshape(blocks + (k,)), b,
+              out=out[at + (slice(whole),)].reshape(blocks + b.shape[1:]))
+    for lo, hi in [(whole, rows - 3 * lone), (rows - 3 * lone, rows)]:
+        if lo < hi:
+            np.matmul(a[at + (slice(lo, hi),)], b, out=out[at + (slice(lo, hi),)])
+    return out
+
+
 def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
                     zero_floor: float = -np.inf, work: _WorkingSet | None = None) -> np.ndarray:
     """The spectral Hardy energy test: one verdict per row of rows, shape lead + (N,).
@@ -217,23 +281,20 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
         scale = np.abs(rows).max(axis=-1, initial=0.0)
     scale = np.asarray(scale, dtype=float)[..., np.newaxis]
     finite = np.isfinite(scale)
-    n = grid.n_points
+    n, lead = grid.n_points, np.shape(rows)[:-1]
     work = _WorkingSet() if work is None else work
     # divided and squared as (re, im) pairs of reals: a complex division would
-    # multiply by 1/scale, which overflows at a subnormal scale.  The squares
-    # are summed by matmul, not by a numpy reduction along the short last axis:
-    # on OpenBLAS hosts such a reduction run straight after a BLAS product
-    # takes about 7x as long (160 against 21 us over (3, 273, 16) reals), until
-    # a dispatched loop such as np.add or np.max over an array has run.
+    # multiply by 1/scale, which overflows at a subnormal scale
     pairs = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     parts = work.take("complex", pairs.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
         np.divide(pairs, np.where(finite & (scale > 0), scale, 1.0), out=parts)
-        scaled = parts.view(np.complex128)
-        bad = _gate_energy(np.matmul(scaled, grid.gate_table, out=work.take(
-            "real", scaled.shape[:-1] + (n // 2 + 1,), complex)), n)
-        total = (np.square(parts, out=parts) @ np.ones(2 * n)) / n  # each squared in place
-    return _gate_rule(bad, total, tol, zero_floor) & finite[..., 0]
+        flat = parts.reshape(-1, 2 * n)
+        coeffs = work.take("real", (len(flat), n // 2 + 1), complex)
+        bad = _gate_energy(_blas_product(flat.view(np.complex128), grid.gate_table, coeffs), n)
+        # each squared in place, then summed by a product (_blas_product says why)
+        total = _blas_product(np.square(flat, out=flat), np.ones(2 * n), np.empty(len(flat))) / n
+    return _gate_rule(bad.reshape(lead), total.reshape(lead), tol, zero_floor) & finite[..., 0]
 
 
 def _gate_energy(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -241,7 +302,8 @@ def _gate_energy(coeffs: np.ndarray, n: int) -> np.ndarray:
     product with grid.gate_table (N times those coefficients), which it
     squares in place: shape coeffs.shape[:-1]."""
     pairs = coeffs.view(float)
-    return (np.square(pairs, out=pairs) @ np.ones(n + 2)) / (n * n)
+    return _blas_product(np.square(pairs, out=pairs), np.ones(n + 2),
+                         np.empty(pairs.shape[:-1])) / (n * n)
 
 
 def _gate_rule(bad, total, tol: float, zero_floor=-np.inf):

@@ -39,7 +39,7 @@ from hardylab import (
     sincos_identity_sides,
     transform,
 )
-from hardylab import cli, harness, martingale
+from hardylab import cli, harness, martingale, torus
 from hardylab.inequalities import _perturbation_rows, _sincos_rows, _split_rows
 from hardylab.martingale import (
     HARDY_GATE_TOL,
@@ -582,7 +582,7 @@ def test_the_walk_from_coefficients_keeps_every_norm(monkeypatch, n, depth, degr
     for walk_rows in (None, 7):
         if walk_rows:
             monkeypatch.setattr(martingale, "_WALK_ENTRIES", walk_rows * n)
-            assert martingale._product_rows(n, degree) == 6
+            assert martingale._quanta(grid, blocks) == [6] * depth
         # the fields are built by _differences on the same grid of products
         fields = [martingale_from_coefficients(grid, c) for c in coefficients]
         alone = [(*check_transform_isometry(F, P), previsible_norm(F))
@@ -594,35 +594,55 @@ def test_the_walk_from_coefficients_keeps_every_norm(monkeypatch, n, depth, degr
 @st.composite
 def product_grids(draw):
     """A shape (N, depth, degree), and the rows of its product blocks and of
-    the walk's slabs, a slab at least one block."""
+    the walk's slabs, a slab at least one block or not."""
     shape = draw(st.sampled_from([(8, 3, 3), (16, 3, 5), (64, 3, 3), (32, 2, 15)]))
     block = draw(st.integers(2, 40))
-    return shape, block, draw(st.integers(block, 120))
+    return shape, block, draw(st.one_of(st.integers(block, 120), st.integers(2, block)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(product_grids(), st.integers(0, 2**32 - 1))
 def test_the_walk_builds_the_rows_of_differences(grid_rows, seed):
-    # the walk's slabs, cut on the levels' grids of product blocks, issue
-    # _differences' own products, so they build its bits on any BLAS.  Those
-    # blocks, an even number of rows at even offsets, also round as one
-    # product per level (OpenBLAS measured), which the pinned reports rest on
+    # the walk's slabs, cut on the levels' grids of product blocks (or in
+    # even runs where a block does not fit a slab), issue _differences' own
+    # products, so they build its bits on any BLAS.  Those blocks, an even
+    # number of rows at even offsets, also round as one product per level
+    # (OpenBLAS measured), which the pinned reports rest on
     (n, depth, degree), block, slab = grid_rows
     grid, rng = make_grid(n), np.random.default_rng(seed)
     blocks = [rng.standard_normal((2, n**k, degree)) + 1j * rng.standard_normal((2, n**k, degree))
               for k in range(depth)]
     whole = np.concatenate([np.matmul(c, grid.analytic_modes(degree)) for c in blocks], axis=1)
     bounds = _level_bounds(n, whole.shape[1])
-    with patch.object(martingale, "_PRODUCT_MACS", block * degree * n), \
+    with patch.dict(torus._PRODUCT_BOUNDS, {("c", 2): block * degree * n}), \
             patch.object(martingale, "_WALK_ENTRIES", slab * n):
-        quanta = [martingale._product_rows(n, degree)] * depth
-        assert quanta[0] == block // 2 * 2
+        quanta = martingale._quanta(grid, blocks)
+        assert quanta[0] == min(block, slab) // 2 * 2
         rows = martingale._differences(grid, blocks)
         built = np.empty_like(whole)
         for samples, part in martingale._slabs(whole.shape, quanta):
+            # the walk's slab arrays stay within _WALK_ENTRIES
+            assert len(range(2)[samples]) * len(range(whole.shape[1])[part]) <= slab
             _built_rows(grid, blocks, samples, _level_pieces(bounds, part), built[samples, part])
     assert np.array_equal(built.view(np.uint64), rows.view(np.uint64))
     assert np.array_equal(rows.view(np.uint64), whole.view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_grids(), st.integers(0, 2**32 - 1))
+def test_rows_rebuilt_alone_keep_the_bits_of_differences(grid_rows, seed):
+    # the floor-passed rows of the walk are rebuilt a level piece of its runs
+    # at a time, each piece once, with _differences' bits
+    (n, depth, degree), block, slab = grid_rows
+    grid, rng = make_grid(n), np.random.default_rng(seed)
+    blocks = [rng.standard_normal((3, n**k, degree)) + 1j * rng.standard_normal((3, n**k, degree))
+              for k in range(depth)]
+    with patch.dict(torus._PRODUCT_BOUNDS, {("c", 2): block * degree * n}), \
+            patch.object(martingale, "_WALK_ENTRIES", slab * n):
+        rows = martingale._differences(grid, blocks)
+        i, j = np.nonzero(rng.random(rows.shape[:2]) < rng.choice([0.01, 0.2]))
+        got = martingale._built_at(grid, blocks, i, j)
+    assert np.array_equal(got.view(np.uint64), rows[i, j].view(np.uint64))
 
 
 def test_the_mean_check_comes_before_the_gate_and_the_window():

@@ -35,7 +35,6 @@ from hardylab import (
 from hardylab.ensembles import ARITH_STRATA, _unit
 from hardylab.harness import HarnessConfig, UsageError
 from hardylab.inequalities import (
-    _PRODUCT_ENTRIES,
     _Pointwise,
     _chain_fold,
     _chain_sides,
@@ -45,7 +44,6 @@ from hardylab.inequalities import (
     _perturbation_rows,
     _pow2,
     _product,
-    _product_blocks,
     _ratio,
     _residual_sq,
     _scalar_envelopes,
@@ -53,14 +51,13 @@ from hardylab.inequalities import (
     _sincos_form,
     _split_rows,
     _sincos_rows,
-    _sigma_product,
     _stability_batch,
     _step_sides,
     residual_verdict,
 )
 from hardylab import martingale
 from hardylab.martingale import _project_trailing_cells
-from hardylab.torus import _WorkingSet
+from hardylab.torus import _PRODUCT_BOUNDS, _WorkingSet, _blas_product
 
 import oracles
 
@@ -1036,15 +1033,15 @@ def _batch_of_one(report):
 
 
 class TestBlockedSigmaProduct:
-    """mu's product in blocks of rows (_sigma_product) equals the whole level's
-    c @ sigma bit for bit, and only a level of one row has a one-row block."""
+    """mu's product in blocks of rows (torus._blas_product) equals the whole
+    level's c @ sigma bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_blocks_equal_the_whole_product(self, data):
         n = data.draw(st.sampled_from([8, 16, 32, 64]))
         d = data.draw(st.integers(1, n // 2 - 1))
-        step = _PRODUCT_ENTRIES // d
+        step = _PRODUCT_BOUNDS["c", 1] // d
         # any count of rows, and counts that leave one row beyond whole blocks
         rows = data.draw(st.one_of(st.integers(1, 3 * step),
                                    st.integers(1, 3).map(lambda q: q * step + 1)))
@@ -1053,30 +1050,17 @@ class TestBlockedSigmaProduct:
         c = rng.standard_normal((count, rows, d)) + 1j * rng.standard_normal((count, rows, d))
         c *= 10.0 ** rng.uniform(-3.0, 3.0, size=(count, rows, 1))
         sigma = _sign_modes(make_grid(n), d)[0]
-        got = _sigma_product(c, sigma, np.empty((count, rows), complex))
+        got = _blas_product(c, sigma, np.empty((count, rows), complex))
         assert np.array_equal(bits(got), bits(c @ sigma))
-
-    @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(1, 10**5), d=st.integers(1, 2047))
-    def test_the_block_rule(self, rows, d):
-        # up to the largest degree of any grid (N = 4096): blocks in order, as
-        # even as may be, within the bound where two rows fit it, never of one row
-        parts = _product_blocks(rows, d)
-        assert parts[0].start == 0 and parts[-1].stop == rows
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-        sizes = [part.stop - part.start for part in parts]
-        assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2 or rows == 1)
-        step = _PRODUCT_ENTRIES // d
-        assert max(sizes) <= max(step, 2) or (step <= 2 and max(sizes) == 3)
 
     @pytest.mark.parametrize("n, depth, d", [(64, 4, 3), (8, 8, 3), (32, 4, 15), (64, 3, 31)])
     def test_every_level_of_the_harness_shapes(self, n, depth, d):
-        # N8 d8's deepest level is 8^7 rows; N64 d4's 64^3, 193 blocks of about 1358
+        # N8 d8's deepest level is 8^7 rows; N64 d4's 64^3, 192 blocks of 1364 and 256 rows
         sigma, rng = _sign_modes(make_grid(n), d)[0], np.random.default_rng(n + d)
         for k in range(1, depth + 1):
             c = rng.standard_normal((1, n ** (k - 1), d)) + 1j * rng.standard_normal(
                 (1, n ** (k - 1), d))
-            got = _sigma_product(c, sigma, np.empty(c.shape[:2], complex))
+            got = _blas_product(c, sigma, np.empty(c.shape[:2], complex))
             assert np.array_equal(bits(got), bits(c @ sigma)), k
 
 

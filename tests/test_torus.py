@@ -1,11 +1,16 @@
+import ast
+import json
+import pathlib
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylab import GridFunction, inner_product, is_hardy, make_grid, sigma
-from hardylab.torus import _rows_are_hardy
+from hardylab import GridFunction, cli, inner_product, is_hardy, make_grid, sigma, torus
+from hardylab.torus import _PRODUCT_BOUNDS, _blas_product, _block_rows, _rows_are_hardy
 
 GRID_SIZES = [4, 8, 16, 32, 64, 128]
 
@@ -224,3 +229,109 @@ class TestRecoveryIdentities:
         w /= abs(w)
         im = (w * h.values).imag
         assert np.linalg.norm(h.values) == pytest.approx(np.sqrt(2) * np.linalg.norm(im), rel=1e-12)
+
+
+def complex_normals(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@st.composite
+def products(draw):
+    """(a, b) of a product that the lab issues: a complex matrix-vector product
+    of any row count (1, odd, or one past whole blocks), or a matrix product of
+    an even row count, b the modes of a coefficient build or a gate table;
+    a has a leading sample axis of 1 to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, n // 2 - 1))
+        b = complex_normals(rng, (d,))
+        step = _block_rows(np.empty((1, d), complex), b)
+        rows = draw(st.one_of(st.integers(1, 3 * step),
+                              st.integers(1, 3).map(lambda q: q * step + 1)))
+    else:
+        grid = make_grid(n)
+        b = draw(st.sampled_from([grid.gate_table,
+                                  grid.analytic_modes(draw(st.integers(1, n // 2 - 1)))]))
+        step = _block_rows(np.empty((1, len(b)), complex), b)
+        rows = 2 * draw(st.integers(1, 3 * step // 2 + 1))
+    a = complex_normals(rng, (count, rows, len(b)))
+    return a * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, rows, 1)), b
+
+
+class TestBlasProduct:
+    """torus._blas_product, the one route to a BLAS product: the whole
+    product's bits, in blocks within OpenBLAS's threading size, none of one row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(products())
+    def test_blocks_equal_the_whole_product(self, product):
+        a, b = product
+        blocks, matmul = [], np.matmul
+
+        def spy(x, y, out):
+            blocks.append(x.shape[-2])
+            return matmul(x, y, out=out)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "matmul", spy)
+            got = _blas_product(a, b, np.empty(a.shape[:-1] + b.shape[1:], complex))
+        assert np.array_equal(got.view(np.uint64), (a @ b).view(np.uint64))
+        step, rows = _block_rows(a, b), a.shape[-2]
+        size = a.shape[-1] * (b.shape[-1] if b.ndim == 2 else 1)
+        assert step % 2 == 0 and step * size <= _PRODUCT_BOUNDS["c", b.ndim]
+        assert all(2 <= block <= step or block == rows == 1 for block in blocks)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 8, 9])
+    def test_no_lone_row_at_the_smallest_block(self, rows):
+        # a row too wide for two rows per bound: blocks of two, the last of three
+        a = complex_normals(np.random.default_rng(rows), (rows, 4096))
+        b = np.ones(4096)
+        assert _block_rows(a, b) == 2
+        got = _blas_product(a, b, np.empty(rows, complex))
+        assert np.array_equal(got.view(np.uint64), (a @ b).view(np.uint64))
+
+    def test_small_blocks_leave_every_report_unchanged(self, tmp_path):
+        # bounds that cut every product of these runs into blocks of a few rows
+        runs = [["identities", "--n-points", "8", "--depth", "3", "--max-degree", "3",
+                 "--samples", "25"],
+                ["lemmas", "--n-points", "8", "--max-degree", "3", "--samples", "300"],
+                ["theorem", "--n-points", "8", "--depth", "3", "--max-degree", "3",
+                 "--samples", "60"]]
+
+        def report(argv, path):
+            assert cli.main([*argv, "--out", str(path)]) == 0
+            got = json.loads(path.read_text())
+            del got["aggregates"]["runtime_seconds"], got["config"]["out"]
+            return got
+
+        wide = [report(argv, tmp_path / f"{i}.json") for i, argv in enumerate(runs)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(torus._PRODUCT_BOUNDS, ("f", 1), 160)
+            patch.setitem(torus._PRODUCT_BOUNDS, ("c", 1), 24)
+            patch.setitem(torus._PRODUCT_BOUNDS, ("c", 2), 320)
+            c = np.ones((1, 3), complex)
+            assert _block_rows(c, c[0]) == 8 and _block_rows(c, np.ones((3, 8))) == 12
+            assert _block_rows(np.ones((1, 16)), np.ones(16)) == 10
+            narrow = [report(argv, tmp_path / f"{i}.json") for i, argv in enumerate(runs)]
+        assert narrow == wide
+
+
+def test_every_product_goes_through_the_one_helper():
+    # a BLAS product anywhere in the package is _blas_product's, apart from
+    # _sign_modes' two cached products and inner_product's vdot
+    blas = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+    found = set()
+    for path in pathlib.Path(torus.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {node: None for node in ast.walk(tree)}  # the innermost function of each node
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update((node, function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            named = getattr(node, "attr", None) in blas or getattr(node, "id", None) in blas
+            if named or isinstance(getattr(node, "op", None), ast.MatMult):
+                found.add((path.name, owner[node]))
+    assert found == {("torus.py", "_blas_product"), ("inequalities.py", "_sign_modes"),
+                     ("torus.py", "inner_product")}

@@ -119,7 +119,7 @@ class TestHeldBuffersAreSafe:
             blocks, angles = draw_chunk(cfg, words[:count], work)
             terms = [_unit(phi, work.take(f"terms {k}", phi.shape, complex))
                      for k, phi in enumerate(angles)]
-            return _differences(grid, blocks, work), terms
+            return _differences(grid, blocks), terms  # fresh rows
 
         rows, terms = chunk(7)
         want = np.array(_isometry_norms(grid, rows.copy(), [t.copy() for t in terms]))
@@ -133,7 +133,7 @@ class TestHeldBuffersAreSafe:
         rows, terms = chunk(7)
         got = np.array(_isometry_norms(grid, rows, terms, work=work))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        rows, terms = chunk(3)  # leading views of the same buffers
+        rows, terms = chunk(3)  # fresh rows; the terms are leading views of the held buffers
         got = np.array(_isometry_norms(grid, rows, terms, work=work))
         assert np.array_equal(got.view(np.uint64), want[:, :3].view(np.uint64))
 
