@@ -19,7 +19,6 @@ import numpy as np
 from .ensembles import (
     EnsembleConfig,
     _child_seeds,
-    _differences,
     _unit,
     arith_sample_batch,
     chunk_seed_words,
@@ -42,7 +41,7 @@ from .inequalities import (
     residual_verdict,
     slack_verdict,
 )
-from .martingale import _isometry_norms, _row_count
+from .martingale import _differences, _isometry_norms, _row_count
 from .torus import (
     MEMORY_GUARD_ENTRIES,
     GridFunction,

@@ -36,11 +36,15 @@ beyond a fixed window are taken at a power of two and scaled back
 (_unit_scaled, the one scale rule); within it, rows are taken as they are.
 The terminal split, the mean check, previsible_norm and
 check_transform_isometry each take that step first and reduce the stepped
-rows once; the batch isometry refuses a sample beyond the window.  The mean
-rule (_mean_rule), the gate rule (torus._gate_rule) and the gate's energy at
-m <= 0 (torus._gate_energy) each have one home, which the field checks and
-the walk share; the walk gates its rows unscaled, so its verdicts agree with
-is_hardy_martingale's outside a band of rounding at the tolerance.
+rows once; the batch isometry refuses a sample beyond the window before any
+other check, and takes every other sample's means, gate and norms unscaled.
+The mean rule (_mean_rule), the gate rule (torus._gate_rule) and the gate's
+energy at m <= 0 (torus._gate_energy) each have one home, which the field
+checks and the walk share; the walk gates its rows unscaled, so its verdicts
+agree with is_hardy_martingale's outside a band of rounding at the
+tolerance.  A given row that only the zero floor passes is gated again
+alone at its own scale; a row built from coefficient blocks needs no second
+gate, so the walk never holds rows whole.
 """
 
 from __future__ import annotations
@@ -126,12 +130,12 @@ def _levels(x: np.ndarray, n: int) -> list:
             enumerate(zip(bounds, bounds[1:]))]
 
 
-# Grid entries per slab of rows: the scale, the Hardy gate and the transform
-# isometry walk their rows a slab at a time, so their temporaries stay near
-# one slab whatever the rows' size.  The chain's node quantities
-# (inequalities._chain_fold) walk a level's nodes in slabs of as many
-# coefficients, cut the same way: a parent node, with its N children of d
-# coefficients each, stands for a row.
+# Grid entries per slab of rows: the scale and the Hardy gate walk their rows
+# a slab at a time, so their temporaries stay near one slab whatever the
+# rows' size (the transform isometry's walk takes _WALK_ENTRIES).  The
+# chain's node quantities (inequalities._chain_fold) walk a level's nodes in
+# slabs of as many coefficients, cut the same way: a parent node, with its N
+# children of d coefficients each, stands for a row.
 _SLAB_ENTRIES = 2**14
 
 
@@ -556,13 +560,12 @@ def is_hardy_martingale(field: MartingaleField, tol: float) -> bool:
 def _are_hardy(grid: TorusGrid, rows: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
     """is_hardy_martingale per sample of rows, each sample at its own scale
     (shape (M,)): one scale for the whole block would put a small sample's junk
-    under the zero floor.  The rows are gated slab by slab, in one working
-    set's slab buffers; returns (M,) verdicts."""
-    work = _WorkingSet()
+    under the zero floor.  The rows are gated slab by slab; returns (M,)
+    verdicts."""
     held = np.ones(len(rows), dtype=bool)
     for samples, part in _slabs(rows.shape):
         held[samples] &= _rows_are_hardy(grid, rows[samples, part], tol,
-                                         scale[samples, np.newaxis], _ZERO_FLOOR, work).all(axis=1)
+                                         scale[samples, np.newaxis], _ZERO_FLOOR).all(axis=1)
     return held
 
 
@@ -594,8 +597,8 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     is ever held.  terms[k], of shape (M,) + (N,)*k, are their multipliers;
     terms beyond the depth of the rows are not used.  Each sample gets the
     checks of its own MartingaleField, AdaptedPhases, Hardy gate, cosine_part
-    and transform, at its own scale, and the error of the first check that
-    fails over all samples, in that order.
+    and transform, at its own scale, and, past the window check below, the
+    error of the first check that fails over all samples, in that order.
 
     The rows are walked once, in _slabs whose runs of a level's rows are
     multiples of its _quanta.  Each slab gives its moduli, with each
@@ -611,18 +614,21 @@ def _isometry_norms(grid: TorusGrid, rows, terms, base: complex = 0.0,
     tolerance.  The steps are ordered so that no reduction along the newest
     axis directly follows a product (torus._blas_product says why).
 
-    After the walk come the scale, equal to _scale_bound's; the mean rule
-    (_mean_rule; a sample beyond the window at that scale has its means taken
-    again at its _unit_scaled step, as _drifts takes them); the window
-    check; the multipliers' check; and the gate, which passes a row that is
-    analytic or whose mean energy is at most _ZERO_FLOOR times its sample's
-    scale squared.  A sample whose differences' scale lies beyond the window,
-    where the squares can overflow or underflow, fails the window check with a
-    ValueError: such rows are taken at their _unit_scaled step first
+    After the walk come the window check; the scale, equal to _scale_bound's;
+    the mean rule (_mean_rule) on the walk's row sums; the multipliers'
+    check; and the gate, which passes a row that is analytic or whose mean
+    energy is at most _ZERO_FLOOR times its sample's scale squared.  A sample
+    whose differences' scale lies beyond the window, where the squares can
+    overflow or underflow, fails the window check with a ValueError before
+    any other check: such rows are taken at their _unit_scaled step first
     (check_transform_isometry), so no batch reads the vacuous norms of
-    squares taken unscaled.  The three sums of every row that the floor passed
-    and that is not analytic at its own scale (torus._rows_are_hardy, on the
-    row rebuilt from its level piece, _built_at) are then set to 0 (_ZERO_FLOOR).
+    squares taken unscaled.  Within the window no row sum overflows, so every
+    sample's means are taken unscaled, also where its base alone puts its
+    scale beyond the window.  The three sums of every row that the floor
+    passed and that is not analytic at its own scale (torus._rows_are_hardy,
+    on the row alone) are then set to 0 (_ZERO_FLOOR).  From coefficient
+    blocks no row is gated again: such a row fails that gate only where its
+    entries are subnormal, and its three sums are then already 0.
     Every array of the walk is taken from work (a new working set by
     default): the (3, M, R) sums, the deepest level's laid out on its own as
     one contiguous (3, M, N^(n-1)) array for _root_mean, the (2, M, levels)
@@ -691,14 +697,10 @@ def _isometry_checks(grid: TorusGrid, rows, terms, base: complex, maxima: np.nda
     analytic marks and their mean squares, split at the deepest level as the
     walk lays them out; the mean squares of the junk rows are then set to 0."""
     n, (count, r), deep = grid.n_points, analytic.shape, shallow.shape[-1]
-    scale, drift = _summed_scale(base, maxima[0]), maxima[1] / n
-    far = _step(scale) != 0
-    if far.any():  # beyond the window the mean check takes its means at the step
-        drift[far] = _drifts(rows[far] if isinstance(rows, np.ndarray)
-                             else _differences(grid, [b[far] for b in rows]), scale[far])
-    _mean_rule(drift, scale)
     if _step(_summed_scale(0.0, maxima[0])).any():
         raise ValueError("isometry rows must lie within the scale window (_unit_scaled)")
+    scale = _summed_scale(base, maxima[0])
+    _mean_rule(maxima[1] / n, scale)
     for k, t in enumerate(terms):
         _require_unimodular(t, f"term {k}")
     floored = work.take("floored", (count, r), bool)
@@ -709,31 +711,15 @@ def _isometry_checks(grid: TorusGrid, rows, terms, base: complex, maxima: np.nda
     if not np.logical_or(analytic, floored, out=analytic).all():
         raise ValueError("transform isometry requires a Hardy martingale")
     i, j = np.nonzero(floored)
-    if len(i):
-        alone = rows[i, j] if isinstance(rows, np.ndarray) else _built_at(grid, rows, i, j)
-        junk = ~_rows_are_hardy(grid, alone, HARDY_GATE_TOL)
+    # a row built from coefficients and the analytic modes rounds at about
+    # 1e-16 of its size, so it fails the gate at its own scale only where its
+    # entries are subnormal and its squares already 0: only given rows are
+    # gated again
+    if len(i) and isinstance(rows, np.ndarray):
+        junk = ~_rows_are_hardy(grid, rows[i, j], HARDY_GATE_TOL)
         i, j = i[junk], j[junk]
         shallow[:, i[j < deep], j[j < deep]] = 0.0
         deepest[:, i[j >= deep], j[j >= deep] - deep] = 0.0
-
-
-def _built_at(grid: TorusGrid, blocks, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Rows j of samples i (index arrays) of the rows that _differences builds
-    from blocks, with its bits, shape (len(i), N): each level piece of the
-    walk's runs of one sample (_slabs, _level_pieces) that holds some of them
-    is built once, as _differences builds it."""
-    n = grid.n_points
-    bounds = _level_bounds(n, _row_count(n, len(blocks)))
-    pieces = [(k, rows) for _, part in _slabs((1, bounds[-1], n), _quanta(grid, blocks))
-              for k, rows, _ in _level_pieces(bounds, part)]
-    at = np.searchsorted([bounds[k] + rows.start for k, rows in pieces], j, side="right") - 1
-    out = np.empty((len(i), n), complex)
-    for p in np.unique(at):
-        (k, rows), here = pieces[p], at == p
-        built = _built_rows(grid, blocks, slice(None), [(k, rows, slice(None))], np.empty(
-            (len(blocks[0]), rows.stop - rows.start, n), complex))
-        out[here] = built[i[here], j[here] - bounds[k] - rows.start]
-    return out
 
 
 def project_dyadic_cells(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:

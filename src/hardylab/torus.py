@@ -183,8 +183,8 @@ class _WorkingSet:
     full chunk, a shorter chunk gets leading views, and nothing is allocated or
     freed from chunk to chunk.  A take keeps none of the values of an earlier one
     under its name.  Most names hold one array of a chunk; "real" and "complex"
-    are scratch, each in use by one step at a time (the moduli and parts of a
-    slab, the scaled rows and coefficients of a gate)."""
+    are scratch, each in use by one step at a time (the moduli, the parts and
+    the gate's coefficients of a slab of the transform isometry's walk)."""
 
     def __init__(self):
         self._buffers = {}
@@ -262,7 +262,7 @@ def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
-                    zero_floor: float = -np.inf, work: _WorkingSet | None = None) -> np.ndarray:
+                    zero_floor: float = -np.inf) -> np.ndarray:
     """The spectral Hardy energy test: one verdict per row of rows, shape lead + (N,).
 
     Each row is divided by its scale before squaring, so the verdict is the
@@ -271,9 +271,7 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     the gate rule (_gate_rule) with its energy at m <= 0 (mean, negatives,
     Nyquist) and its mean energy, in units of scale^2.  A row with an inf or a
     NaN fails (its mean coefficient is NaN), and so does a row with a
-    non-finite scale.  The default floor admits no row by energy alone.  The
-    scaled rows and their coefficients are taken from work's "complex" and
-    "real" buffers (a new working set by default).
+    non-finite scale.  The default floor admits no row by energy alone.
     """
     if not 0 < tol < np.inf:  # a NaN tol would fail every row, an infinite one pass e^{-i theta}
         raise ValueError(f"tol must be positive and finite; got {tol!r}")
@@ -282,15 +280,12 @@ def _rows_are_hardy(grid: TorusGrid, rows: np.ndarray, tol: float, scale=None,
     scale = np.asarray(scale, dtype=float)[..., np.newaxis]
     finite = np.isfinite(scale)
     n, lead = grid.n_points, np.shape(rows)[:-1]
-    work = _WorkingSet() if work is None else work
     # divided and squared as (re, im) pairs of reals: a complex division would
     # multiply by 1/scale, which overflows at a subnormal scale
     pairs = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
-    parts = work.take("complex", pairs.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows and scales fail below
-        np.divide(pairs, np.where(finite & (scale > 0), scale, 1.0), out=parts)
-        flat = parts.reshape(-1, 2 * n)
-        coeffs = work.take("real", (len(flat), n // 2 + 1), complex)
+        flat = np.divide(pairs, np.where(finite & (scale > 0), scale, 1.0)).reshape(-1, 2 * n)
+        coeffs = np.empty((len(flat), n // 2 + 1), complex)
         bad = _gate_energy(_blas_product(flat.view(np.complex128), grid.gate_table, coeffs), n)
         # each squared in place, then summed by a product (_blas_product says why)
         total = _blas_product(np.square(flat, out=flat), np.ones(2 * n), np.empty(len(flat))) / n

@@ -494,10 +494,18 @@ def test_level_maxima_equal_the_row_peak_route(monkeypatch, cut):
                         lambda drift, scale: seen.append(scale) or rule(drift, scale))
     terms = [np.ones((len(rows),) + (8,) * k, complex) for k in range(2)]
     # the rows at 2^-1030, 2^-1000 and 2^1000 lie beyond the scale window, which
-    # the batch refuses right after the mean check, before any gate or norm
+    # the batch refuses before any other check
     with pytest.raises(ValueError, match="within the scale window"):
         _isometry_norms(grid, rows, terms, base)
-    assert np.array_equal(as_bits(seen[0]), want)
+    assert seen == []
+    # the rows at 1 and 0 lie within it: the mean check gets their scale, and
+    # the gate then refuses the anti-analytic level 2 of their second fields
+    inside = martingale._step(_scale_bound(0.0, rows)) == 0
+    assert inside.tolist() == [scale in (0.0, 1.0) for scale in TestRowWiseGate.SCALES
+                               for _ in range(3)]
+    with pytest.raises(ValueError, match="requires a Hardy martingale"):
+        _isometry_norms(grid, rows[inside], [t[inside] for t in terms], base)
+    assert len(seen) == 1 and np.array_equal(as_bits(seen[0]), want[inside])
 
 
 @pytest.mark.parametrize("cut", ["rows", "samples", None])
@@ -591,6 +599,29 @@ def test_the_walk_from_coefficients_keeps_every_norm(monkeypatch, n, depth, degr
         assert np.array_equal(as_bits(got), as_bits(alone))
 
 
+@pytest.mark.parametrize("tiny", [1e-170, 1e-310, 5e-324])
+def test_floor_passed_rows_from_coefficients_keep_every_norm(tiny):
+    # a deepest coefficient row of two of three samples, scaled by tiny, builds
+    # a row that the zero floor passes; the walk from coefficients keeps the
+    # norms of each sample's own field, bit for bit.  At 5e-324 those rows fail
+    # the gate at their own scale, as junk, and their squares are already 0
+    config = HarnessConfig(n_points=8, depth=2, max_degree=3, seed=37)
+    grid = make_grid(8)
+    cfgs = [sample_ensemble(config, 2, i, 2) for i in range(3)]
+    coefficients = [random_coefficient_arrays(c) for c in cfgs]
+    phases = [random_adapted_phases(c) for c in cfgs]
+    blocks = [np.stack(level) for level in zip(*coefficients)]
+    terms = [np.stack(t) for t in zip(*(P.terms for P in phases))]
+    blocks[1][0, 5] *= tiny
+    blocks[1][2, 2] *= tiny
+    fields = [martingale_from_coefficients(grid, [b[i] for b in blocks]) for i in range(3)]
+    alone = [(*check_transform_isometry(F, P), previsible_norm(F)) for F, P in zip(fields, phases)]
+    junk = np.array([fields[0].rows[1 + 5], fields[2].rows[1 + 2]])
+    assert _rows_are_hardy(grid, junk, HARDY_GATE_TOL).tolist() == [tiny != 5e-324] * 2
+    got = np.transpose(_isometry_norms(grid, blocks, terms))
+    assert np.array_equal(as_bits(got), as_bits(alone))
+
+
 @st.composite
 def product_grids(draw):
     """A shape (N, depth, degree), and the rows of its product blocks and of
@@ -628,26 +659,10 @@ def test_the_walk_builds_the_rows_of_differences(grid_rows, seed):
     assert np.array_equal(rows.view(np.uint64), whole.view(np.uint64))
 
 
-@settings(max_examples=30, deadline=None)
-@given(product_grids(), st.integers(0, 2**32 - 1))
-def test_rows_rebuilt_alone_keep_the_bits_of_differences(grid_rows, seed):
-    # the floor-passed rows of the walk are rebuilt a level piece of its runs
-    # at a time, each piece once, with _differences' bits
-    (n, depth, degree), block, slab = grid_rows
-    grid, rng = make_grid(n), np.random.default_rng(seed)
-    blocks = [rng.standard_normal((3, n**k, degree)) + 1j * rng.standard_normal((3, n**k, degree))
-              for k in range(depth)]
-    with patch.dict(torus._PRODUCT_BOUNDS, {("c", 2): block * degree * n}), \
-            patch.object(martingale, "_WALK_ENTRIES", slab * n):
-        rows = martingale._differences(grid, blocks)
-        i, j = np.nonzero(rng.random(rows.shape[:2]) < rng.choice([0.01, 0.2]))
-        got = martingale._built_at(grid, blocks, i, j)
-    assert np.array_equal(got.view(np.uint64), rows[i, j].view(np.uint64))
-
-
-def test_the_mean_check_comes_before_the_gate_and_the_window():
+def test_the_window_comes_before_the_mean_check_and_the_gate():
     # a sample that fails both the mean check and the gate raises the mean's
-    # error; a sample beyond the scale window (and nothing else) raises the window's
+    # error; a sample beyond the scale window raises the window's, alone, with
+    # a bad mean of its own, or beside another sample's bad mean
     grid = make_grid(8)
     config = HarnessConfig(n_points=8, depth=3, max_degree=3, seed=9)
     cfgs = [sample_ensemble(config, 2, i, 3) for i in range(3)]
@@ -659,10 +674,11 @@ def test_the_mean_check_comes_before_the_gate_and_the_window():
     diffs[2][1] += 0.25
     with pytest.raises(ValueError, match="^difference 3 has mean"):
         _isometry_norms(grid, bad, terms)
-    far = rows.copy()
-    far[2] *= 2.0**500
-    with pytest.raises(ValueError, match="within the scale window"):
-        _isometry_norms(grid, far, terms)
+    for source, i in (rows, 2), (bad, 1), (bad, 2):
+        far = source.copy()
+        far[i] *= 2.0**500
+        with pytest.raises(ValueError, match="within the scale window"):
+            _isometry_norms(grid, far, terms)
 
 
 def gate_cases(grid):
